@@ -178,13 +178,23 @@ class Circuit:
         self.wires = tuple(
             Wire(p, c, s, i) for i, (p, c, s) in enumerate(wires)
         )
-        self.consumer_wires = {gid: tuple(w for w in self.wires if w.producer == gid) for gid in by_id}
+        consumer_wires: dict[int, list[Wire]] = {gid: [] for gid in by_id}
+        for w in self.wires:
+            consumer_wires[w.producer].append(w)
+        self.consumer_wires = {gid: tuple(ws) for gid, ws in consumer_wires.items()}
+        output_count: dict[int, int] = {}
+        for o in self.outputs:
+            output_count[o] = output_count.get(o, 0) + 1
+        self.output_count = output_count
+        self._fanout = {
+            gid: len(ws) + output_count.get(gid, 0) for gid, ws in consumer_wires.items()
+        }
         self.input_ids = tuple(g.gid for g in self.gates if g.kind is GateKind.INPUT)
 
     # -- queries ---------------------------------------------------------------
 
     def fanout(self, gid: int) -> int:
-        return len(self.consumer_wires[gid]) + self.outputs.count(gid)
+        return self._fanout[gid]
 
     def sources(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind in SOURCE_KINDS)
@@ -284,7 +294,7 @@ def demand_analysis(circuit: Circuit) -> dict[int, int]:
     """
     demand: dict[int, int] = {}
     for gid in reversed(circuit.order):
-        d = circuit.outputs.count(gid)
+        d = circuit.output_count.get(gid, 0)
         for w in circuit.consumer_wires[gid]:
             d += demand[w.consumer]
         demand[gid] = d

@@ -61,7 +61,8 @@ class VerifySummary:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        """Passed: at least one run, and no run or terminal failed."""
+        return self.runs > 0 and self.failed == 0
 
     def to_json_obj(self) -> dict:
         out = {
@@ -233,15 +234,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi)))
-    return tuple(int(t) for t in text.split(","))
-
-
 class CliInputError(Exception):
     pass
+
+
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = tuple(range(int(lo), int(hi)))
+        else:
+            seeds = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise CliInputError(f"bad --seeds {text!r} (use lo:hi or a comma list)") from None
+    if not seeds:
+        raise CliInputError(f"--seeds {text!r} selects no seeds")
+    return seeds
 
 
 def _read(path: str) -> str:
@@ -325,12 +333,18 @@ def cmd_verify(args) -> int:
     except CircuitError as e:
         return _usage_error(str(e))
     mode, count = "all", 16
+    bad_inputs = f"bad --inputs {args.inputs!r} (use all or random[:N], N >= 1)"
     if args.inputs.startswith("random"):
         mode = "random"
         if ":" in args.inputs:
-            count = int(args.inputs.split(":", 1)[1])
+            try:
+                count = int(args.inputs.split(":", 1)[1])
+            except ValueError:
+                return _usage_error(bad_inputs)
+            if count < 1:
+                return _usage_error(bad_inputs)
     elif args.inputs != "all":
-        return _usage_error(f"bad --inputs {args.inputs!r} (use all or random[:N])")
+        return _usage_error(bad_inputs)
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,

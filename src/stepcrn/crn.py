@@ -23,9 +23,9 @@ surviving reactant on the right, e.g. ``dx + x[1]T -> dx``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
 
 SPECIES_RE = re.compile(
     r"^(?:d[xy]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$"
@@ -217,7 +217,9 @@ def classify_rule(rule: Rule) -> RuleClass:
 
 
 def is_void_family(rule: Rule) -> bool:
-    return classify_rule(rule).family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID)
+    """True iff the rule is true-void or catalytic-void: it lowers some
+    count and raises none (``delta`` holds no zero entries)."""
+    return bool(rule.delta) and all(d < 0 for _, d in rule.delta)
 
 
 def _check_alphabet(config: Configuration, rule: Rule) -> None:

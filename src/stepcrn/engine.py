@@ -15,15 +15,15 @@ else is executed under an application budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 from .crn import (
     Alphabet,
     Configuration,
     Rule,
-    RuleFamily,
-    classify_rule,
+    is_void_family,
     parse_rule,
 )
 
@@ -52,37 +52,60 @@ class Schedule:
             raise ValueError(f"unknown schedule policy {self.policy!r}")
 
 
+Step = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class StepProgram:
     """A rule set plus an ordered sequence of species additions.
 
-    ``steps`` holds dense addition vectors.  ``input_encoding`` maps an
-    input id to the (species, count) merged into step 0 for bit 0 and
-    bit 1; exactly one of the two is merged per run.  ``output_decoding``
-    pairs (species-for-0, species-for-1) per declared output.
+    ``steps`` holds one sparse addition per step: ``(ordinal, count)``
+    pairs sorted by ordinal, each count >= 1, so a program costs memory
+    in its non-zero additions, not in steps x species.
+    ``input_encoding`` maps an input id to the (species, count) merged
+    into step 0 for bit 0 and bit 1; exactly one of the two is merged
+    per run.  ``output_decoding`` pairs (species-for-0, species-for-1)
+    per declared output.
     """
 
     name: str
     backend: str
     alphabet: Alphabet
     rules: tuple[Rule, ...]
-    steps: tuple[tuple[int, ...], ...]
+    steps: tuple[Step, ...]
     input_order: tuple[int, ...]
     input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]]
     output_decoding: tuple[tuple[str, str], ...]
+    # Rule tables shared by every run, built on the first run.
+    _prepared: _PreparedRules | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        for vec in self.steps:
-            if len(vec) != len(self.alphabet):
-                raise ValueError("step vector length does not match alphabet")
+        n = len(self.alphabet)
+        for k, step in enumerate(self.steps):
+            prev = -1
+            for o, c in step:
+                if not prev < o < n:
+                    raise ValueError(
+                        f"step {k}: species ordinals must be sorted, distinct "
+                        f"and below the alphabet size {n}"
+                    )
+                if c < 1:
+                    raise ValueError(f"step {k}: addition counts must be >= 1")
+                prev = o
         for pair in self.input_encoding.values():
             for name, count in pair:
-                self.alphabet.ordinal(name)
+                self._known(name)
                 if count < 1:
                     raise ValueError("input encoding counts must be >= 1")
         for zero, one in self.output_decoding:
-            self.alphabet.ordinal(zero)
-            self.alphabet.ordinal(one)
+            self._known(zero)
+            self._known(one)
+
+    def _known(self, name: str) -> None:
+        if name not in self.alphabet.index:
+            raise ValueError(f"species {name!r} not in alphabet")
 
     @property
     def step_count(self) -> int:
@@ -91,7 +114,7 @@ class StepProgram:
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge (either bit
         choice adds the same count)."""
-        total = sum(sum(vec) for vec in self.steps)
+        total = sum(c for step in self.steps for _, c in step)
         total += sum(pair[0][1] for pair in self.input_encoding.values())
         return total
 
@@ -99,7 +122,7 @@ class StepProgram:
 @dataclass(frozen=True)
 class RunResult:
     final: Configuration
-    per_step_terminal: tuple[Configuration, ...]
+    per_step_terminal: tuple[Configuration, ...]  # empty unless requested
     peak_volume: int
     step_count: int
     applications: int
@@ -111,174 +134,171 @@ class RunResult:
         return all(isinstance(b, int) for b in self.decoded)
 
 
-# -- fast rule preparation ---------------------------------------------------
-
-_PAIR = 0   # u + v -> .          (u != v)
-_SELF = 1   # u + u -> .
-_CAT = 2    # c + u -> c          (catalyst survives)
-_GENERAL = 3
-
-
-def _prep_rule(rule: Rule):
-    r, p = rule.reactants, rule.products
-    if not p and len(r) == 2 and r[0][1] == 1 and r[1][1] == 1:
-        return (_PAIR, r[0][0], r[1][0], rule)
-    if not p and len(r) == 1 and r[0][1] == 2:
-        return (_SELF, r[0][0], r[0][0], rule)
-    if (
-        len(p) == 1
-        and len(r) == 2
-        and r[0][1] == 1
-        and r[1][1] == 1
-        and p[0][1] == 1
-        and p[0][0] in (r[0][0], r[1][0])
-    ):
-        cat = p[0][0]
-        consumed = r[1][0] if cat == r[0][0] else r[0][0]
-        return (_CAT, cat, consumed, rule)
-    return (_GENERAL, -1, -1, rule)
-
-
-def _prepped_applicable(counts: Sequence[int], prep) -> bool:
-    code, a, b, rule = prep
-    if code == _PAIR or code == _CAT:
-        return counts[a] >= 1 and counts[b] >= 1
-    if code == _SELF:
-        return counts[a] >= 2
-    return all(counts[o] >= c for o, c in rule.reactants)
-
-
-def _run_to_terminal(
-    counts: list[int],
-    live: list,
-    rng: random.Random,
-    *,
-    all_void: bool,
-    prepped_all=None,
-    budget: int | None = None,
-    trace: list[str] | None = None,
-    step_no: int = 0,
-    volume: int | None = None,
-) -> tuple[int, int]:
-    """Apply uniformly-chosen applicable rules until terminal.
-
-    Mutates ``counts`` and ``live``.  Returns (applications, volume).
-    For void-family rule sets applicability is monotone decreasing, so
-    ``live`` only needs lazy pruning; otherwise every iteration rescans
-    ``prepped_all`` and the budget is enforced.
-    """
-    if volume is None:
-        volume = sum(counts)
-    apps = 0
-    if all_void:
-        while live:
-            i = rng.randrange(len(live))
-            prep = live[i]
-            code, a, b, rule = prep
-            if code == _PAIR or code == _CAT:
-                if counts[a] >= 1 and counts[b] >= 1:
-                    if code == _PAIR:
-                        counts[a] -= 1
-                        counts[b] -= 1
-                        volume -= 2
-                    else:
-                        counts[b] -= 1
-                        volume -= 1
-                else:
-                    live[i] = live[-1]
-                    live.pop()
-                    continue
-            elif code == _SELF:
-                if counts[a] >= 2:
-                    counts[a] -= 2
-                    volume -= 2
-                else:
-                    live[i] = live[-1]
-                    live.pop()
-                    continue
-            else:
-                if all(counts[o] >= c for o, c in rule.reactants):
-                    for o, d in rule.delta:
-                        counts[o] += d
-                        volume += d
-                else:
-                    live[i] = live[-1]
-                    live.pop()
-                    continue
-            apps += 1
-            if trace is not None:
-                trace.append(f"step={step_no} rule={rule.text} volume={volume}")
-        return apps, volume
-
-    limit = DEFAULT_BUDGET if budget is None else budget
-    while True:
-        candidates = [p for p in prepped_all if _prepped_applicable(counts, p)]
-        if not candidates:
-            return apps, volume
-        prep = candidates[rng.randrange(len(candidates))]
-        rule = prep[3]
-        for o, d in rule.delta:
-            counts[o] += d
-            volume += d
-        apps += 1
-        if trace is not None:
-            trace.append(f"step={step_no} rule={rule.text} volume={volume}")
-        if apps > limit:
-            raise BudgetExceeded(
-                f"exceeded {limit} rule applications; rule set is not void-only"
-            )
+# -- rule tables ---------------------------------------------------------------
 
 
 class _PreparedRules:
-    """Per-program preprocessing shared across runs."""
+    """Rule tables shared by the schedulers and the exhaustive search.
 
-    def __init__(self, program: StepProgram):
-        self.prepped = tuple(_prep_rule(r) for r in program.rules)
-        self.all_void = all(
-            classify_rule(r).family
-            in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID)
-            for r in program.rules
-        )
-        # Steps at which each species is added: fixed additions plus
-        # either input-encoding choice at step 0.
-        n = len(program.alphabet)
-        adds: list[set[int]] = [set() for _ in range(n)]
-        for k, vec in enumerate(program.steps):
-            for o, c in enumerate(vec):
-                if c:
-                    adds[o].add(k)
-        for zero, one in program.input_encoding.values():
-            for name, _ in (zero, one):
-                adds[program.alphabet.ordinal(name)].add(0)
-        # A rule can first fire once every reactant has been added, and —
-        # applicability being monotone decreasing between additions for
-        # void rules — can only revive at a step that re-adds one of its
-        # reactants.  Rules with an unaddable reactant never fire.
-        by_step: dict[int, list] = {}
-        for prep in self.prepped:
-            reactant_adds = [adds[o] for o, _ in prep[3].reactants]
-            if any(not s for s in reactant_adds):
+    For void-family rule sets the randomized scheduler keeps the set of
+    enabled rules exact: ``watch[o]`` lists the rules that consume
+    species ``o`` and ``needs[o]`` how many copies each needs, so when a
+    firing lowers ``o`` below a rule's need that rule leaves the enabled
+    set at once.
+    Void rules never raise a count, so only additions can enable a rule;
+    ``candidates_by_step[k]`` lists the rules that can become enabled
+    when step ``k``'s additions arrive.  Programs keep these tables for
+    their lifetime, so they hold flat tuples of shared objects.
+    """
+
+    def __init__(self, rules: Sequence[Rule], n_species: int, step_species=()):
+        self.rules = rules = tuple(rules)
+        self.all_void = all(is_void_family(r) for r in rules)
+        self.delta = tuple(r.delta for r in rules)
+        watch: dict[int, list[int]] = {}
+        needs: dict[int, list[int]] = {}
+        for q, r in enumerate(rules):
+            for o, need in r.reactants:
+                watch.setdefault(o, []).append(q)
+                needs.setdefault(o, []).append(need)
+        self.watch = tuple(tuple(watch.get(o, ())) for o in range(n_species))
+        self.needs = tuple(tuple(needs.get(o, ())) for o in range(n_species))
+        self.max_need = tuple(max(w, default=0) for w in self.needs)
+        # Applicability checks read a rule's first and last reactant
+        # inline; the rare rule with more than two reactant species is
+        # checked whole.
+        self.first = tuple(r.reactants[0] for r in rules)
+        self.last = tuple(r.reactants[-1] for r in rules)
+        self.wide = frozenset(q for q, r in enumerate(rules) if len(r.reactants) > 2)
+
+        # ``step_species[k]`` holds the ordinals step k may add.  A rule
+        # can first fire once every reactant has been added and — its
+        # applicability only falling between additions — can only revive
+        # at a step that re-adds one of its reactants.  Rules with an
+        # unaddable reactant never fire.
+        adds: dict[int, list[int]] = {}
+        for k, ordinals in enumerate(step_species):
+            for o in ordinals:
+                adds.setdefault(o, []).append(k)
+        by_step: list[list[int]] = [[] for _ in step_species]
+        for q, r in enumerate(rules):
+            reactant_adds = [adds.get(o) for o, _ in r.reactants]
+            if not all(reactant_adds):
                 continue
-            ready = max(min(s) for s in reactant_adds)
+            ready = max(s[0] for s in reactant_adds)
             entries = {ready}
             for s in reactant_adds:
-                entries.update(k for k in s if k > ready)
+                entries.update(s[bisect_right(s, ready):])
             for k in entries:
-                by_step.setdefault(k, []).append(prep)
-        self.candidates_by_step = by_step
+                by_step[k].append(q)
+        self.candidates_by_step = tuple(map(tuple, by_step))
 
+    def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
+        """The rules among ``candidates`` whose reactants ``counts``
+        covers, in candidate order."""
+        first, last, wide, rules = self.first, self.last, self.wide, self.rules
+        out = []
+        for q in candidates:
+            a, na = first[q]
+            b, nb = last[q]
+            if counts[a] >= na and counts[b] >= nb and (
+                q not in wide or all(counts[o] >= c for o, c in rules[q].reactants)
+            ):
+                out.append(q)
+        return out
 
-_PREP_CACHE: dict[int, tuple[StepProgram, _PreparedRules]] = {}
+    def enter(self, counts: list[int], enabled: list[int], pos: list[int], candidates) -> None:
+        """Enable every applicable rule among ``candidates``; ``enabled``
+        must be empty, as it is at every terminal."""
+        enabled += self.applicable(counts, candidates)
+        for i, q in enumerate(enabled):
+            pos[q] = i
+
+    def run_to_terminal(
+        self,
+        counts: list[int],
+        enabled: list[int],
+        pos: list[int],
+        rng: random.Random,
+        volume: int,
+        trace: list[str] | None = None,
+        step_no: int = 0,
+    ) -> tuple[int, int]:
+        """Fire uniformly-drawn enabled void rules until none is enabled.
+
+        ``enabled`` must hold exactly the applicable rules, with
+        ``pos[q]`` the index of rule ``q`` in it (-1 when absent); every
+        draw fires a rule, and a rule is swap-removed the moment one of
+        its reactants drops below its need.  Mutates ``counts``,
+        ``enabled`` and ``pos``.  Returns (applications, volume).
+        """
+        delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
+        randrange = rng.randrange
+        apps = 0
+        while enabled:
+            q = enabled[randrange(len(enabled))]
+            for o, d in delta[q]:
+                c = counts[o] + d
+                counts[o] = c
+                volume += d
+                if c < max_need[o]:
+                    for r, need in zip(watch[o], needs[o]):
+                        if c < need and pos[r] >= 0:
+                            i = pos[r]
+                            last = enabled.pop()
+                            if last != r:
+                                enabled[i] = last
+                                pos[last] = i
+                            pos[r] = -1
+            apps += 1
+            if trace is not None:
+                trace.append(f"step={step_no} rule={self.rules[q].text} volume={volume}")
+        return apps, volume
+
+    def run_budgeted(
+        self,
+        counts: list[int],
+        rng: random.Random,
+        volume: int,
+        budget: int | None,
+        trace: list[str] | None = None,
+        step_no: int = 0,
+    ) -> tuple[int, int]:
+        """Run a rule set with non-void rules to terminal, rescanning
+        every rule per application and enforcing the budget."""
+        limit = DEFAULT_BUDGET if budget is None else budget
+        every = range(len(self.rules))
+        apps = 0
+        while True:
+            candidates = self.applicable(counts, every)
+            if not candidates:
+                return apps, volume
+            q = candidates[rng.randrange(len(candidates))]
+            for o, d in self.delta[q]:
+                counts[o] += d
+                volume += d
+            apps += 1
+            if trace is not None:
+                trace.append(f"step={step_no} rule={self.rules[q].text} volume={volume}")
+            if apps > limit:
+                raise BudgetExceeded(
+                    f"exceeded {limit} rule applications; rule set is not void-only"
+                )
 
 
 def _prepared(program: StepProgram) -> _PreparedRules:
-    hit = _PREP_CACHE.get(id(program))
-    if hit is not None and hit[0] is program:
-        return hit[1]
-    prep = _PreparedRules(program)
-    if len(_PREP_CACHE) > 64:
-        _PREP_CACHE.clear()
-    _PREP_CACHE[id(program)] = (program, prep)
+    prep = program._prepared
+    if prep is None:
+        # Either input-encoding choice may add its species at step 0.
+        step_species = [[o for o, _ in step] for step in program.steps]
+        if step_species:
+            step_species[0] += [
+                program.alphabet.ordinal(name)
+                for pair in program.input_encoding.values()
+                for name, _ in pair
+            ]
+        prep = _PreparedRules(program.rules, len(program.alphabet), step_species)
+        object.__setattr__(program, "_prepared", prep)
     return prep
 
 
@@ -294,7 +314,6 @@ def run_step(
     budget: int | None = None,
 ) -> Configuration:
     """Add species to a configuration, then run rules to a terminal."""
-    rules = tuple(rules)
     counts = list(config.counts)
     if isinstance(additions, Configuration):
         add_items = enumerate(additions.counts)
@@ -306,21 +325,15 @@ def run_step(
         if c < 0:
             raise ValueError("additions must be non-negative")
         counts[o] += c
-    prepped = [_prep_rule(r) for r in rules]
-    all_void = all(
-        classify_rule(r).family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID)
-        for r in rules
-    )
+    prep = _PreparedRules(tuple(rules), len(counts))
     rng = random.Random(sched.seed)
-    live = [p for p in prepped if _prepped_applicable(counts, p)]
-    _run_to_terminal(
-        counts,
-        live,
-        rng,
-        all_void=all_void,
-        prepped_all=prepped,
-        budget=budget,
-    )
+    if prep.all_void:
+        enabled: list[int] = []
+        pos = [-1] * len(prep.rules)
+        prep.enter(counts, enabled, pos, range(len(prep.rules)))
+        prep.run_to_terminal(counts, enabled, pos, rng, sum(counts))
+    else:
+        prep.run_budgeted(counts, rng, sum(counts), budget)
     return Configuration(config.alphabet, tuple(counts))
 
 
@@ -348,75 +361,57 @@ def run_program(
     *,
     trace: bool = False,
     budget: int | None = None,
+    per_step_terminal: bool = False,
 ) -> RunResult:
-    """Execute every step of the program and decode the final terminal."""
+    """Execute every step of the program and decode the final terminal.
+
+    With ``per_step_terminal`` the result also keeps the terminal
+    configuration reached at every step; by default it keeps none.
+    """
     chosen = _input_bits(program, bits)
     prep = _prepared(program)
     rng = random.Random(sched.seed)
-    n = len(program.alphabet)
-    counts = [0] * n
+    alphabet = program.alphabet
+    counts = [0] * len(alphabet)
     volume = 0
     peak = 0
     apps_total = 0
     trace_lines: list[str] | None = [] if trace else None
     per_step: list[Configuration] = []
-    live: list = []
-    in_live: set[int] = set()
+    enabled: list[int] = []
+    pos = [-1] * len(prep.rules)
 
-    for k, vec in enumerate(program.steps):
-        for o, c in enumerate(vec):
-            if c:
-                counts[o] += c
-                volume += c
+    for k, step in enumerate(program.steps):
+        for o, c in step:
+            counts[o] += c
+            volume += c
         if k == 0:
             for gid in program.input_order:
                 name, count = program.input_encoding[gid][chosen[gid]]
-                o = program.alphabet.ordinal(name)
-                counts[o] += count
+                counts[alphabet.ordinal(name)] += count
                 volume += count
         peak = max(peak, volume)
         if prep.all_void:
-            for p in prep.candidates_by_step.get(k, ()):
-                key = id(p)
-                if key not in in_live:
-                    in_live.add(key)
-                    live.append(p)
-            before = len(live)
-            apps, volume = _run_to_terminal(
-                counts,
-                live,
-                rng,
-                all_void=True,
-                trace=trace_lines,
-                step_no=k,
-                volume=volume,
+            prep.enter(counts, enabled, pos, prep.candidates_by_step[k])
+            apps, volume = prep.run_to_terminal(
+                counts, enabled, pos, rng, volume, trace_lines, k
             )
-            if len(live) != before:
-                in_live = {id(p) for p in live}
         else:
-            apps, volume = _run_to_terminal(
-                counts,
-                [],
-                rng,
-                all_void=False,
-                prepped_all=prep.prepped,
-                budget=budget,
-                trace=trace_lines,
-                step_no=k,
-                volume=volume,
+            apps, volume = prep.run_budgeted(
+                counts, rng, volume, budget, trace_lines, k
             )
         apps_total += apps
-        per_step.append(Configuration(program.alphabet, tuple(counts)))
+        if per_step_terminal:
+            per_step.append(Configuration(alphabet, tuple(counts)))
 
-    final = per_step[-1] if per_step else Configuration(program.alphabet, tuple(counts))
-    decoded = decode_output(final, program)
+    final = per_step[-1] if per_step else Configuration(alphabet, tuple(counts))
     return RunResult(
         final=final,
         per_step_terminal=tuple(per_step),
         peak_volume=peak,
         step_count=len(program.steps),
         applications=apps_total,
-        decoded=tuple(decoded),
+        decoded=tuple(decode_output(final, program)),
         trace=tuple(trace_lines) if trace_lines is not None else None,
     )
 
@@ -457,14 +452,21 @@ def enumerate_terminals(
     on the configuration vector; raises :class:`StateCapExceeded` when
     more than ``state_cap`` distinct configurations are visited.
     """
-    prepped = [_prep_rule(r) for r in tuple(rules)]
+    prep = _PreparedRules(tuple(rules), len(config.counts))
+    terminals = _search_terminals({tuple(config.counts)}, prep, state_cap)
+    return {Configuration(config.alphabet, t) for t in terminals}
+
+
+def _search_terminals(
+    entries: set[tuple[int, ...]], prep: _PreparedRules, state_cap: int
+) -> set[tuple[int, ...]]:
+    """Every terminal reachable from any of ``entries``."""
     terminals: set[tuple[int, ...]] = set()
-    start = tuple(config.counts)
-    visited: set[tuple[int, ...]] = {start}
-    stack = [start]
+    visited: set[tuple[int, ...]] = set(entries)
+    stack = list(entries)
     while stack:
         cur = stack.pop()
-        successors = _successors(cur, prepped)
+        successors = _successors(cur, prep)
         if not successors:
             terminals.add(cur)
             continue
@@ -476,17 +478,16 @@ def enumerate_terminals(
                     )
                 visited.add(nxt)
                 stack.append(nxt)
-    return {Configuration(config.alphabet, t) for t in terminals}
+    return terminals
 
 
-def _successors(counts: tuple[int, ...], prepped) -> set[tuple[int, ...]]:
+def _successors(counts: tuple[int, ...], prep: _PreparedRules) -> set[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
-    for prep in prepped:
-        if _prepped_applicable(counts, prep):
-            nxt = list(counts)
-            for o, d in prep[3].delta:
-                nxt[o] += d
-            out.add(tuple(nxt))
+    for q in prep.applicable(counts, range(len(prep.rules))):
+        nxt = list(counts)
+        for o, d in prep.delta[q]:
+            nxt[o] += d
+        out.add(tuple(nxt))
     return out
 
 
@@ -505,42 +506,27 @@ def enumerate_program_terminals(
     signalling the instance is too large for exhaustive mode.
     """
     chosen = _input_bits(program, bits)
-    prepped = [_prep_rule(r) for r in program.rules]
+    prep = _prepared(program)
     n = len(program.alphabet)
 
     frontier: set[tuple[int, ...]] = {(0,) * n}
-    for k, vec in enumerate(program.steps):
-        add = list(vec)
+    for k, step in enumerate(program.steps):
+        add = list(step)
         if k == 0:
             for gid in program.input_order:
                 name, count = program.input_encoding[gid][chosen[gid]]
-                add[program.alphabet.ordinal(name)] += count
+                add.append((program.alphabet.ordinal(name), count))
         entries: set[tuple[int, ...]] = set()
         for term in frontier:
-            entry = tuple(t + a for t, a in zip(term, add))
+            entry = list(term)
+            for o, c in add:
+                entry[o] += c
             if entry_volume_cap is not None and sum(entry) > entry_volume_cap:
                 raise StateCapExceeded(
                     f"step {k} entry volume {sum(entry)} exceeds cap {entry_volume_cap}"
                 )
-            entries.add(entry)
-        terminals: set[tuple[int, ...]] = set()
-        visited: set[tuple[int, ...]] = set(entries)
-        stack = list(entries)
-        while stack:
-            cur = stack.pop()
-            successors = _successors(cur, prepped)
-            if not successors:
-                terminals.add(cur)
-                continue
-            for nxt in successors:
-                if nxt not in visited:
-                    if len(visited) >= state_cap:
-                        raise StateCapExceeded(
-                            f"more than {state_cap} configurations reachable"
-                        )
-                    visited.add(nxt)
-                    stack.append(nxt)
-        frontier = terminals
+            entries.add(tuple(entry))
+        frontier = _search_terminals(entries, prep, state_cap)
     return {Configuration(program.alphabet, t) for t in frontier}
 
 
@@ -554,8 +540,8 @@ def program_to_text(program: StepProgram) -> str:
     lines.extend(r.text for r in program.rules)
     lines.append("steps:")
     names = program.alphabet.names
-    for k, vec in enumerate(program.steps):
-        parts = ", ".join(f"{names[o]}={c}" for o, c in enumerate(vec) if c)
+    for k, step in enumerate(program.steps):
+        parts = ", ".join(f"{names[o]}={c}" for o, c in step)
         lines.append(f"step {k}: {parts}")
     lines.append("inputs:")
     for gid in program.input_order:
@@ -568,16 +554,39 @@ def program_to_text(program: StepProgram) -> str:
 
 
 def program_from_text(text: str) -> StepProgram:
+    """Parse the text form :func:`program_to_text` writes.  A malformed
+    line raises :class:`ValueError` naming its 1-based line number."""
     name = "program"
     backend = "unknown"
     alphabet: Alphabet | None = None
     rules: list[Rule] = []
-    steps: list[tuple[int, ...]] = []
+    steps: list[Step] = []
     input_order: list[int] = []
     input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]] = {}
     output_decoding: list[tuple[str, str]] = []
     section = None
-    for raw in text.splitlines():
+
+    def species(sp: str) -> str:
+        if sp not in alphabet.index:
+            raise ValueError(f"unknown species {sp!r}")
+        return sp
+
+    def count(token: str) -> int:
+        try:
+            c = int(token)
+        except ValueError:
+            raise ValueError(f"count {token!r} is not an integer") from None
+        if c < 1:
+            raise ValueError(f"count {c} is not positive")
+        return c
+
+    def by_bit(parts: list[str], what: str) -> dict[str, str]:
+        entries = dict(part.partition("=")[::2] for part in parts)
+        if len(parts) != 2 or set(entries) != {"0", "1"}:
+            raise ValueError(f"{what} needs one 0= and one 1= entry")
+        return entries
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -586,9 +595,6 @@ def program_from_text(text: str) -> StepProgram:
             continue
         if line.startswith("backend:"):
             backend = line.split(":", 1)[1].strip()
-            continue
-        if line.startswith("alphabet:"):
-            alphabet = Alphabet(line.split(":", 1)[1].split())
             continue
         if line == "rules:":
             section = "rules"
@@ -604,41 +610,44 @@ def program_from_text(text: str) -> StepProgram:
             continue
         if line.startswith("step ") and section in ("steps", "rules"):
             section = "steps"
-        if alphabet is None:
-            raise ValueError("program file must declare its alphabet first")
-        if section == "rules":
-            rules.append(parse_rule(line, alphabet))
-        elif section == "steps":
-            head, _, rest = line.partition(":")
-            k = int(head.split()[1])
-            if k != len(steps):
-                raise ValueError(f"steps out of order at {line!r}")
-            vec = [0] * len(alphabet)
-            rest = rest.strip()
-            if rest:
-                for item in rest.split(","):
-                    sp, _, cnt = item.strip().partition("=")
-                    vec[alphabet.ordinal(sp)] += int(cnt)
-            steps.append(tuple(vec))
-        elif section == "inputs":
-            parts = line.split()
-            gid = int(parts[0])
-            enc: dict[int, tuple[str, int]] = {}
-            for part in parts[1:]:
-                bit, _, rest2 = part.partition("=")
-                sp, _, cnt = rest2.partition(":")
-                enc[int(bit)] = (sp, int(cnt))
-            input_order.append(gid)
-            input_encoding[gid] = (enc[0], enc[1])
-        elif section == "outputs":
-            parts = line.split()
-            pair: dict[int, str] = {}
-            for part in parts[1:]:
-                bit, _, sp = part.partition("=")
-                pair[int(bit)] = sp
-            output_decoding.append((pair[0], pair[1]))
-        else:
-            raise ValueError(f"unexpected line outside any section: {line!r}")
+        try:
+            if line.startswith("alphabet:"):
+                alphabet = Alphabet(line.split(":", 1)[1].split())
+                continue
+            if alphabet is None:
+                raise ValueError("program file must declare its alphabet first")
+            if section == "rules":
+                rules.append(parse_rule(line, alphabet))
+            elif section == "steps":
+                head, _, rest = line.partition(":")
+                k = int(head.split()[1])
+                if k != len(steps):
+                    raise ValueError(f"step {k} out of order")
+                acc: dict[int, int] = {}
+                rest = rest.strip()
+                if rest:
+                    for item in rest.split(","):
+                        sp, _, cnt = item.strip().partition("=")
+                        o = alphabet.ordinal(species(sp))
+                        acc[o] = acc.get(o, 0) + count(cnt)
+                steps.append(tuple(sorted(acc.items())))
+            elif section == "inputs":
+                parts = line.split()
+                gid = int(parts[0])
+                enc = {}
+                for bit, entry in by_bit(parts[1:], f"input {gid}").items():
+                    sp, _, cnt = entry.partition(":")
+                    enc[bit] = (species(sp), count(cnt))
+                input_order.append(gid)
+                input_encoding[gid] = (enc["0"], enc["1"])
+            elif section == "outputs":
+                parts = line.split()
+                pair = by_bit(parts[1:], f"output {parts[0]}")
+                output_decoding.append((species(pair["0"]), species(pair["1"])))
+            else:
+                raise ValueError("line outside any section")
+        except (KeyError, IndexError, ValueError) as e:
+            raise ValueError(f"line {lineno}: {e.args[0] if e.args else e}: {line!r}") from None
     if alphabet is None:
         raise ValueError("program file has no alphabet")
     return StepProgram(

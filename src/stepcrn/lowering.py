@@ -55,7 +55,7 @@ from .crn import (
     y_arrow_name,
     y_name,
 )
-from .engine import StepProgram
+from .engine import Step, StepProgram
 
 DELETER_X = "dx"
 DELETER_Y = "dy"
@@ -265,7 +265,7 @@ def normalize(
 
     # MAJ inputs from producers with any other obligation get a private
     # buffer, so their copy supply exactly equals their duty at the gate.
-    fanout: dict[int, int] = {gid: outputs.count(gid) for gid in gates}
+    fanout: dict[int, int] = {gid: circuit.output_count.get(gid, 0) for gid in gates}
     for kind, ins in gates.values():
         for ref in ins:
             fanout[ref] += 1
@@ -377,11 +377,9 @@ def _source_merges(circuit: Circuit, demand: Mapping[int, int]) -> dict[str, int
     return merges
 
 
-def _dense(alphabet: Alphabet, adds: Mapping[str, int]) -> tuple[int, ...]:
-    vec = [0] * len(alphabet)
-    for name, c in adds.items():
-        vec[alphabet.ordinal(name)] += c
-    return tuple(vec)
+def _step(alphabet: Alphabet, adds: Mapping[str, int]) -> Step:
+    """One step's additions as sorted (ordinal, count) pairs."""
+    return tuple(sorted((alphabet.ordinal(name), c) for name, c in adds.items()))
 
 
 def _check_addition_discipline(program: StepProgram) -> None:
@@ -391,10 +389,9 @@ def _check_addition_discipline(program: StepProgram) -> None:
     deleter pair is the sanctioned exception (two consecutive single
     additions that annihilate)."""
     add_steps: dict[int, list[int]] = {}
-    for k, vec in enumerate(program.steps):
-        for o, c in enumerate(vec):
-            if c:
-                add_steps.setdefault(o, []).append(k)
+    for k, step in enumerate(program.steps):
+        for o, _ in step:
+            add_steps.setdefault(o, []).append(k)
     for pair in program.input_encoding.values():
         for name, _ in pair:
             add_steps.setdefault(program.alphabet.ordinal(name), []).append(0)
@@ -474,7 +471,7 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
             for f in false_forms:
                 void(f, x_name(gid, True))
 
-    steps: list[tuple[int, ...]] = []
+    steps: list[Step] = []
     completion: dict[int, int] = {}
 
     s0: dict[str, int] = dict(_source_merges(norm, demand))
@@ -482,7 +479,7 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
         s0[x_name(g.gid, True)] = s0.get(x_name(g.gid, True), 0) + demand[g.gid]
         s0[x_name(g.gid, False)] = s0.get(x_name(g.gid, False), 0) + demand[g.gid]
         completion[g.gid] = 0
-    steps.append(_dense(alphabet, s0))
+    steps.append(_step(alphabet, s0))
 
     for group in levels[1:]:
         sub_steps = max(lowerings[gid].steps_used for gid in group)
@@ -495,12 +492,12 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
                         adds[name] = adds.get(name, 0) + c
                 if sub == low.steps_used - 1:
                     completion[gid] = len(steps)
-            steps.append(_dense(alphabet, adds))
+            steps.append(_step(alphabet, adds))
         convert: dict[str, int] = {}
         for gid in group:
             convert[x_name(gid, True)] = demand[gid]
             convert[x_name(gid, False)] = demand[gid]
-        steps.append(_dense(alphabet, convert))
+        steps.append(_step(alphabet, convert))
 
     input_encoding = {
         g.gid: ((y_name(g.gid, False), demand[g.gid]), (y_name(g.gid, True), demand[g.gid]))
@@ -610,7 +607,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
             catalytic(DELETER_Y, f)
     rules.append(Rule.make(alphabet, {DELETER_Y: 2}))
 
-    steps: list[tuple[int, ...]] = []
+    steps: list[Step] = []
     completion: dict[int, int] = {}
 
     s0: dict[str, int] = dict(_source_merges(norm, {g.gid: 1 for g in norm.gates}))
@@ -618,9 +615,9 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
         s0[x_name(g.gid, True)] = s0.get(x_name(g.gid, True), 0) + copies[g.gid]
         s0[x_name(g.gid, False)] = s0.get(x_name(g.gid, False), 0) + copies[g.gid]
         completion[g.gid] = 0
-    steps.append(_dense(alphabet, s0))
-    steps.append(_dense(alphabet, {DELETER_Y: 1}))
-    steps.append(_dense(alphabet, {DELETER_Y: 1}))
+    steps.append(_step(alphabet, s0))
+    steps.append(_step(alphabet, {DELETER_Y: 1}))
+    steps.append(_step(alphabet, {DELETER_Y: 1}))
 
     for group in levels[1:]:
         sub_steps = max(lowerings[gid].steps_used for gid in group)
@@ -633,16 +630,16 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
                         adds[name] = adds.get(name, 0) + c
                 if sub == low.steps_used - 1:
                     completion[gid] = len(steps)
-            steps.append(_dense(alphabet, adds))
-        steps.append(_dense(alphabet, {DELETER_X: 1}))
-        steps.append(_dense(alphabet, {DELETER_X: 1}))
+            steps.append(_step(alphabet, adds))
+        steps.append(_step(alphabet, {DELETER_X: 1}))
+        steps.append(_step(alphabet, {DELETER_X: 1}))
         fan: dict[str, int] = {}
         for gid in group:
             fan[x_name(gid, True)] = copies[gid]
             fan[x_name(gid, False)] = copies[gid]
-        steps.append(_dense(alphabet, fan))
-        steps.append(_dense(alphabet, {DELETER_Y: 1}))
-        steps.append(_dense(alphabet, {DELETER_Y: 1}))
+        steps.append(_step(alphabet, fan))
+        steps.append(_step(alphabet, {DELETER_Y: 1}))
+        steps.append(_step(alphabet, {DELETER_Y: 1}))
 
     input_encoding = {
         g.gid: ((y_name(g.gid, False), 1), (y_name(g.gid, True), 1))

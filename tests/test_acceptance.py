@@ -229,7 +229,7 @@ def test_criterion_01_and_gate_worked_example():
     t0 = time.perf_counter()
     circuit = parse_circuit(AND3_NET)
     program, _ = compile_formula(circuit)
-    result = run_program(program, "110", Schedule(0))
+    result = run_program(program, "110", Schedule(0), per_step_terminal=True)
     # gate step leaves exactly the one false-output carrier and nothing else
     assert result.per_step_terminal[1].as_dict() == {"y[3->4]F": 1}
     assert result.decoded == (0,)
@@ -245,7 +245,7 @@ def test_criterion_02_fanout_two_copies():
     circuit = parse_circuit(FANOUT2_NET)
     program, report = compile_circuit_exp(circuit)
     assert report.max_input_multiplicity == 2
-    result = run_program(program, "10", Schedule(0))
+    result = run_program(program, "10", Schedule(0), per_step_terminal=True)
     assert result.per_step_terminal[1].as_dict() == {"y[2->1]F": 2}
     assert result.decoded == (0, 0)
     terminals = enumerate_program_terminals(program, "10")
@@ -261,7 +261,7 @@ def test_criterion_03_formula_table_replication():
     assert program.step_count == 5
     names = program.alphabet.names
     dicts = [
-        {names[o]: c for o, c in enumerate(vec) if c} for vec in program.steps
+        {names[o]: c for o, c in step} for step in program.steps
     ]
     assert dicts[0] == {f"x[{i}]{b}": 1 for i in (1, 2, 3, 4) for b in "TF"}
     assert dicts[1] == {

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from stepcrn.cli import main
+from stepcrn import parse_circuit
+from stepcrn.cli import VerifyJob, main, verify_job
 
 AND_NET = "circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
 FIG_NET = (
@@ -123,6 +124,48 @@ def test_corrupted_program_file_fails_with_decode_error(tmp_path, capsys):
     assert main(["run", out, "11"]) == 1
     captured = capsys.readouterr()
     assert "ambiguous" in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1 0=y[1]F:1 1=y[1]T:1", "1 0=y[1]F:1", "0= and one 1="),
+        ("step 1: y[3]T=1,", "step 1: y[3]T=one,", "not an integer"),
+        ("step 2: x[3]T=1", "step 2: x[9]T=1", "unknown species"),
+    ],
+)
+def test_malformed_program_file_exits_2(tmp_path, capsys, old, new, message):
+    net = tmp_path / "a.net"
+    net.write_text(AND_NET)
+    out = tmp_path / "a.prog"
+    main(["compile", str(net), "-o", str(out)])
+    capsys.readouterr()
+    text = out.read_text()
+    lineno = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith(old))
+    out.write_text(text.replace(old, new))
+    assert main(["run", str(out), "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {lineno}" in err and message in err
+
+
+@pytest.mark.parametrize("seeds", ["x", "1:y", "5:5", "3:1"])
+def test_verify_bad_or_empty_seed_range_exits_2(fig_net, capsys, seeds):
+    assert main(["verify", fig_net, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seeds" in err
+
+
+@pytest.mark.parametrize("inputs", ["random:x", "random:0"])
+def test_verify_bad_random_input_count_exits_2(fig_net, capsys, inputs):
+    assert main(["verify", fig_net, "--inputs", inputs]) == 2
+    assert "--inputs" in capsys.readouterr().err
+
+
+def test_verify_never_passes_with_zero_runs():
+    circuit = parse_circuit(FIG_NET)
+    summary = verify_job(VerifyJob(circuit, "formula", seeds=()))
+    assert summary.runs == 0 and summary.failed == 0
+    assert not summary.ok and summary.to_json_obj()["ok"] is False
 
 
 def test_verify_detects_bad_backend_on_circuit(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from stepcrn import (
@@ -16,8 +19,14 @@ from stepcrn import (
     run_program,
     run_step,
 )
+from stepcrn import engine
 from stepcrn.engine import StepProgram
-from stepcrn.lowering import compile_formula
+from stepcrn.lowering import compile_circuit_catalyst, compile_circuit_exp, compile_formula
+
+FIG_NET = (
+    "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
+    "gate 5 AND 1 2\ngate 6 AND 3 4\ngate 7 OR 5 6\noutputs 7\n"
+)
 
 
 def _cfg(ab, **counts):
@@ -67,6 +76,16 @@ def test_run_step_or_gate_example():
     assert out.as_dict() == {"y[2->1]T": 1}
 
 
+def test_run_step_checks_every_reactant_and_its_need():
+    ab = Alphabet(["A", "B", "C"])
+    rules = [Rule.make(ab, ("A", "B", "C")), Rule.make(ab, {"A": 2, "C": 1}, {"A": 1})]
+    start = _cfg(ab, A=1, C=1)
+    assert run_step(start, {}, rules) == start
+    start = _cfg(ab, A=3, B=1, C=2)
+    terminals = enumerate_terminals(start, rules)
+    assert {run_step(start, {}, rules, Schedule(s)) for s in range(20)} <= terminals
+
+
 def test_enumerate_two_maximal_schedules():
     ab = Alphabet(["A", "B", "C"])
     rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("A", "C"))]
@@ -104,7 +123,7 @@ def _tiny_program(alphabet, rules, steps, outputs):
 
 def test_decode_basic_and_errors():
     ab = Alphabet(["y[7]F", "y[7]T"])
-    prog = _tiny_program(ab, [], [(0, 0)], [("y[7]F", "y[7]T")])
+    prog = _tiny_program(ab, [], [()], [("y[7]F", "y[7]T")])
     assert decode_output(_cfg(ab, **{"y[7]F": 1}), prog) == [0]
     assert decode_output(_cfg(ab, **{"y[7]T": 2}), prog) == [1]
     assert decode_output(_cfg(ab, **{"y[7]F": 1, "y[7]T": 1}), prog) == ["ambiguous"]
@@ -115,17 +134,13 @@ def test_budget_guard_for_non_void_rules():
     ab = Alphabet(["A", "B"])
     # A -> A + B grows forever; the budget must trip.
     grow = Rule.make(ab, ("A",), ("A", "B"))
-    prog = _tiny_program(ab, [grow], [(1, 0)], [("A", "B")])
+    prog = _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
     with pytest.raises(BudgetExceeded):
         run_program(prog, "", Schedule(0), budget=50)
 
 
 def test_run_program_reproducible_and_decodes():
-    c = parse_circuit(
-        "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
-        "gate 5 AND 1 2\ngate 6 AND 3 4\ngate 7 OR 5 6\noutputs 7\n"
-    )
-    prog, _ = compile_formula(c)
+    prog, _ = compile_formula(parse_circuit(FIG_NET))
     runs = [run_program(prog, "1001", Schedule(9), trace=True) for _ in range(3)]
     assert runs[0].decoded == (0,)
     assert runs[0] == runs[1] == runs[2]
@@ -160,9 +175,12 @@ def test_per_step_terminals_are_terminal():
     prog, _ = compile_formula(c)
     from stepcrn import is_terminal
 
-    result = run_program(prog, "10", Schedule(3))
+    assert run_program(prog, "10", Schedule(3)).per_step_terminal == ()
+    result = run_program(prog, "10", Schedule(3), per_step_terminal=True)
+    assert len(result.per_step_terminal) == prog.step_count
     for term in result.per_step_terminal:
         assert is_terminal(term, prog.rules)
+    assert result.final == result.per_step_terminal[-1]
     assert result.peak_volume >= result.final.volume
 
 
@@ -177,6 +195,10 @@ def test_program_text_round_trip():
     r1 = run_program(prog, "11", Schedule(4))
     r2 = run_program(again, "11", Schedule(4))
     assert r1.decoded == r2.decoded == (1,)
+    for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
+        prog, _ = compiler(parse_circuit(FIG_NET))
+        again = program_from_text(program_to_text(prog))
+        assert again.steps == prog.steps and again == prog
 
 
 def test_program_exhaustive_matches_runs():
@@ -197,3 +219,34 @@ def test_program_exhaustive_entry_volume_cap():
     prog, _ = compile_formula(c)
     with pytest.raises(StateCapExceeded):
         enumerate_program_terminals(prog, "11", entry_volume_cap=2)
+
+
+def test_program_rejects_malformed_step_entries():
+    ab = Alphabet(["A", "B"])
+    for steps in ([((1, 1), (0, 1))], [((0, 1), (0, 1))], [((0, 0),)], [((2, 1),)], [((-1, 1),)]):
+        with pytest.raises(ValueError):
+            _tiny_program(ab, [], steps, [("A", "B")])
+    assert _tiny_program(ab, [], [((0, 1), (1, 2)), ()], [("A", "B")]).static_volume() == 3
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        _CountingRandom.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+def test_run_program_draws_once_per_application(monkeypatch):
+    monkeypatch.setattr(engine, "random", SimpleNamespace(Random=_CountingRandom))
+    circuit = parse_circuit(
+        "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\n"
+        "gate 4 MAJ 1 2 3\ngate 5 AND 1 4\ngate 6 OR 4 2\noutputs 5 6 6\n"
+    )
+    for compiler in (compile_circuit_exp, compile_circuit_catalyst):
+        prog, _ = compiler(circuit)
+        for seed in range(5):
+            _CountingRandom.draws = 0
+            result = run_program(prog, "101", Schedule(seed))
+            assert result.applications > 0
+            assert _CountingRandom.draws == result.applications

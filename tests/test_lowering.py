@@ -46,7 +46,7 @@ outputs 1 1
 
 def _step_dict(prog, k):
     return {
-        prog.alphabet.names[o]: c for o, c in enumerate(prog.steps[k]) if c
+        prog.alphabet.names[o]: c for o, c in prog.steps[k]
     }
 
 
@@ -155,7 +155,7 @@ def test_exp_fanout_two_copies():
     prog, report = compile_circuit_exp(c)
     assert report.demand[1] == 2 and report.max_input_multiplicity == 2
     assert encode_input(prog, "10") == {"y[3]T": 2, "y[2]F": 2}
-    result = run_program(prog, "10", Schedule(0))
+    result = run_program(prog, "10", Schedule(0), per_step_terminal=True)
     assert result.per_step_terminal[1].as_dict() == {"y[2->1]F": 2}
     assert result.decoded == (0, 0)
 
@@ -280,16 +280,13 @@ def test_each_species_added_at_one_step():
     for compiler in (compile_formula, compile_circuit_exp):
         prog, _ = compiler(parse_circuit(FIG_FORMULA))
         seen = {}
-        for k, vec in enumerate(prog.steps):
-            for o, c in enumerate(vec):
-                if c:
-                    assert seen.setdefault(o, k) == k
+        for k, step in enumerate(prog.steps):
+            for o, _ in step:
+                assert seen.setdefault(o, k) == k
     prog, _ = compile_circuit_catalyst(parse_circuit(FIG_FORMULA))
     seen = {}
-    for k, vec in enumerate(prog.steps):
-        for o, c in enumerate(vec):
-            if not c:
-                continue
+    for k, step in enumerate(prog.steps):
+        for o, _ in step:
             name = prog.alphabet.names[o]
             if name in ("dx", "dy"):
                 continue

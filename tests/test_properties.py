@@ -18,12 +18,15 @@ from stepcrn import (
     decode_output,
     demand_analysis,
     enumerate_program_terminals,
+    enumerate_terminals,
     evaluate,
+    is_terminal,
     run_program,
     run_step,
     stats,
 )
 from stepcrn.circuits import max_fanout_any
+from stepcrn.crn import is_void_family
 from stepcrn.corpus import CorpusSpec, generate_circuits
 from stepcrn.lowering import compile_backend
 
@@ -50,12 +53,25 @@ def test_apply_never_goes_negative(config, rule):
 @given(configs, rules)
 def test_void_application_shrinks_volume_exactly(config, rule):
     cls = classify_rule(rule)
+    assert is_void_family(rule) == (
+        cls.family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID)
+    )
     if cls.family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID) and applicable(
         config, rule
     ):
         out = apply_rule(config, rule)
         i, j = cls.size
         assert config.volume - out.volume == i - j
+
+
+@settings(deadline=None, max_examples=60)
+@given(configs, st.lists(rules.filter(is_void_family), min_size=1, max_size=5), st.integers(0, 10_000))
+def test_void_run_ends_in_an_enumerated_terminal(config, rule_list, seed):
+    # Multi-species reactants and needs above 1 exercise the exact
+    # enabled set beyond the shapes the compilers emit.
+    out = run_step(config, {}, rule_list, Schedule(seed))
+    assert is_terminal(out, rule_list)
+    assert out in enumerate_terminals(config, rule_list)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
