@@ -31,7 +31,6 @@ from .crn import (
     parse_rule,
 )
 from .engine import (
-    BudgetExceeded,
     RunResult,
     Schedule,
     StateCapExceeded,

@@ -28,9 +28,9 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
 
 class CircuitError(ValueError):
@@ -215,32 +215,46 @@ class Circuit:
 # -- operations ------------------------------------------------------------------
 
 
-def evaluate(circuit: Circuit, assignment) -> list[int]:
-    """Evaluate the circuit on one input assignment.
+_BIT = {0: 0, 1: 1, "0": 0, "1": 1}
 
-    ``assignment`` is either a sequence of bits aligned with the INPUT
-    gates in declaration order, or a mapping from input gate id to bit.
-    Returns the output bits aligned with ``circuit.outputs``.
+
+def input_bits(input_ids: Sequence[int], bits) -> dict[int, int]:
+    """Map an input assignment onto INPUT gate ids.
+
+    ``bits`` is a string or sequence of bits aligned with ``input_ids``
+    (INPUT declaration order), or a mapping from input gate id to bit.
+    Raises :class:`CircuitError` on a wrong length, mismatched ids or a
+    bit other than 0/1.
     """
-    if isinstance(assignment, Mapping):
-        bits = dict(assignment)
+    if isinstance(bits, Mapping):
+        if set(bits) != set(input_ids):
+            missing = sorted(set(input_ids) - set(bits))
+            extra = sorted(set(bits) - set(input_ids), key=str)
+            raise CircuitError(f"bad assignment (missing {missing}, extra {extra})")
+        items = bits.items()
     else:
-        seq = [int(b) for b in assignment]
-        if len(seq) != len(circuit.input_ids):
-            raise CircuitError(
-                f"expected {len(circuit.input_ids)} input bits, got {len(seq)}"
-            )
-        bits = dict(zip(circuit.input_ids, seq))
-    if set(bits) != set(circuit.input_ids):
-        missing = sorted(set(circuit.input_ids) - set(bits))
-        extra = sorted(set(bits) - set(circuit.input_ids))
-        raise CircuitError(f"bad assignment (missing {missing}, extra {extra})")
+        seq = list(bits)
+        if len(seq) != len(input_ids):
+            raise CircuitError(f"expected {len(input_ids)} input bits, got {len(seq)}")
+        items = zip(input_ids, seq)
+    try:
+        return {gid: _BIT[b] for gid, b in items}
+    except (KeyError, TypeError):
+        raise CircuitError("input bits must be 0 or 1") from None
+
+
+def evaluate(circuit: Circuit, assignment) -> list[int]:
+    """Evaluate the circuit on one input assignment (any form
+    :func:`input_bits` takes).  Returns the output bits aligned with
+    ``circuit.outputs``.
+    """
+    bits = input_bits(circuit.input_ids, assignment)
 
     value: dict[int, int] = {}
     for gid in circuit.order:
         g = circuit.by_id[gid]
         if g.kind is GateKind.INPUT:
-            value[gid] = 1 if bits[gid] else 0
+            value[gid] = bits[gid]
         elif g.kind is GateKind.CONST_ZERO:
             value[gid] = 0
         elif g.kind is GateKind.CONST_ONE:

@@ -96,30 +96,45 @@ def _assignments(job: VerifyJob) -> list[tuple[int, ...]]:
     ]
 
 
-def verify_job(job: VerifyJob) -> VerifySummary:
+def _verify_chunk(
+    job: VerifyJob, chunk: list[tuple[int, tuple[int, ...]]]
+) -> tuple[VerifySummary, tuple[int, int] | None]:
     """Reference evaluation vs decoded runs (and, optionally, vs every
-    exhaustively-reachable terminal) across all assignments and seeds."""
+    exhaustively-reachable terminal) over ``(index, bits)`` assignments
+    and every seed.
+
+    Returns the summary and the (assignment index, position) of its
+    counterexample, the first failure in assignment order: runs in seed
+    order come before the exhaustive check.
+    """
     program, _ = compile_backend(job.circuit, job.backend)
     summary = VerifySummary(circuit=job.circuit.name, backend=job.backend)
-    for bits in _assignments(job):
+    first = None
+
+    def fail(index, position, bits, seed, want, decoded, terminal) -> None:
+        nonlocal first
+        summary.failed += 1
+        if first is None:
+            first = (index, position)
+            summary.counterexample = {
+                "circuit": job.circuit.name,
+                "input": "".join(map(str, bits)),
+                "seed": seed,
+                "expected": list(want),
+                "decoded": list(decoded),
+                "terminal": terminal.as_dict(),
+            }
+
+    for index, bits in chunk:
         summary.assignments += 1
         want = tuple(evaluate(job.circuit, bits))
-        for seed in job.seeds:
+        for position, seed in enumerate(job.seeds):
             summary.runs += 1
             result = run_program(program, bits, Schedule(seed))
             if result.decoded == want:
                 summary.passed += 1
             else:
-                summary.failed += 1
-                if summary.counterexample is None:
-                    summary.counterexample = {
-                        "circuit": job.circuit.name,
-                        "input": "".join(map(str, bits)),
-                        "seed": seed,
-                        "expected": list(want),
-                        "decoded": list(result.decoded),
-                        "terminal": result.final.as_dict(),
-                    }
+                fail(index, position, bits, seed, want, result.decoded, result.final)
         if job.exhaustive:
             try:
                 terminals = enumerate_program_terminals(
@@ -135,92 +150,42 @@ def verify_job(job: VerifyJob) -> VerifySummary:
                 for term in sorted(terminals, key=lambda t: t.counts):
                     decoded = tuple(decode_output(term, program))
                     if decoded != want:
-                        summary.failed += 1
-                        if summary.counterexample is None:
-                            summary.counterexample = {
-                                "circuit": job.circuit.name,
-                                "input": "".join(map(str, bits)),
-                                "seed": "exhaustive",
-                                "expected": list(want),
-                                "decoded": list(decoded),
-                                "terminal": term.as_dict(),
-                            }
+                        fail(index, len(job.seeds), bits, "exhaustive", want, decoded, term)
                         break
+    return summary, first
+
+
+_COUNTS = ("assignments", "runs", "passed", "failed", "exhaustive_checked", "exhaustive_skipped")
+
+
+def _merge(job: VerifyJob, parts) -> VerifySummary:
+    """Sum chunk summaries; keep the counterexample of the earliest
+    failure, so the result equals verifying every chunk in one pass."""
+    summary = VerifySummary(circuit=job.circuit.name, backend=job.backend)
+    first = None
+    for part, key in parts:
+        for name in _COUNTS:
+            setattr(summary, name, getattr(summary, name) + getattr(part, name))
+        if key is not None and (first is None or key < first):
+            first, summary.counterexample = key, part.counterexample
     return summary
 
 
-def _verify_worker(payload):
-    netlist, backend, bits_chunk, seeds, exhaustive, volume_cap, state_cap = payload
-    circuit = parse_circuit(netlist)
-    program, _ = compile_backend(circuit, backend)
-    passed = failed = checked = skipped = 0
-    counterexamples = []
-    for bits in bits_chunk:
-        want = tuple(evaluate(circuit, bits))
-        for seed in seeds:
-            result = run_program(program, bits, Schedule(seed))
-            if result.decoded == want:
-                passed += 1
-            else:
-                failed += 1
-                counterexamples.append(
-                    (bits, seed, list(want), list(result.decoded), result.final.as_dict())
-                )
-        if exhaustive:
-            try:
-                terminals = enumerate_program_terminals(
-                    program, bits, state_cap=state_cap, entry_volume_cap=volume_cap
-                )
-            except StateCapExceeded:
-                skipped += 1
-            else:
-                checked += 1
-                for term in sorted(terminals, key=lambda t: t.counts):
-                    decoded = tuple(decode_output(term, program))
-                    if decoded != want:
-                        failed += 1
-                        counterexamples.append(
-                            (bits, -1, list(want), list(decoded), term.as_dict())
-                        )
-                        break
-    return passed, failed, checked, skipped, len(bits_chunk), counterexamples
+def verify_job(job: VerifyJob) -> VerifySummary:
+    """Verify every assignment of the job in this process."""
+    return _verify_chunk(job, list(enumerate(_assignments(job))))[0]
 
 
 def verify_job_parallel(job: VerifyJob, jobs: int) -> VerifySummary:
-    if jobs <= 1:
+    """:func:`verify_job` split over at most ``jobs`` worker processes,
+    one per non-empty chunk of assignments."""
+    indexed = list(enumerate(_assignments(job)))
+    workers = min(jobs, len(indexed))
+    if workers <= 1:
         return verify_job(job)
-    assignments = _assignments(job)
-    chunks = [assignments[i::jobs] for i in range(jobs)]
-    netlist = to_netlist(job.circuit)
-    payloads = [
-        (netlist, job.backend, chunk, job.seeds, job.exhaustive, job.volume_cap, job.state_cap)
-        for chunk in chunks
-        if chunk
-    ]
-    summary = VerifySummary(circuit=job.circuit.name, backend=job.backend)
-    counterexamples = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for passed, failed, checked, skipped, n_bits, cexs in pool.map(
-            _verify_worker, payloads
-        ):
-            summary.passed += passed
-            summary.failed += failed
-            summary.exhaustive_checked += checked
-            summary.exhaustive_skipped += skipped
-            summary.assignments += n_bits
-            counterexamples.extend(cexs)
-    summary.runs = summary.passed + summary.failed
-    if counterexamples:
-        bits, seed, want, got, term = min(counterexamples, key=lambda c: (c[0], c[1]))
-        summary.counterexample = {
-            "circuit": job.circuit.name,
-            "input": "".join(map(str, bits)),
-            "seed": seed if seed >= 0 else "exhaustive",
-            "expected": want,
-            "decoded": got,
-            "terminal": term,
-        }
-    return summary
+    chunks = [indexed[i::workers] for i in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _merge(job, pool.map(_verify_chunk, [job] * workers, chunks))
 
 
 # -- argument helpers ---------------------------------------------------------
@@ -291,12 +256,10 @@ def cmd_run(args) -> int:
         program = program_from_text(_read(args.program))
     except ValueError as e:
         return _usage_error(str(e))
-    bits = args.bits
-    if len(bits) != len(program.input_order) or any(b not in "01" for b in bits):
-        return _usage_error(
-            f"program expects {len(program.input_order)} input bits, got {bits!r}"
-        )
-    result = run_program(program, bits, Schedule(args.seed), trace=args.trace)
+    try:
+        result = run_program(program, args.bits, Schedule(args.seed), trace=args.trace)
+    except CircuitError as e:
+        return _usage_error(f"{e}: {args.bits!r}")
     if args.trace:
         for line in result.trace:
             print(line)
@@ -345,6 +308,8 @@ def cmd_verify(args) -> int:
                 return _usage_error(bad_inputs)
     elif args.inputs != "all":
         return _usage_error(bad_inputs)
+    if args.jobs < 1:
+        return _usage_error(f"--jobs {args.jobs} must be >= 1")
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,
@@ -373,6 +338,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
+    if args.max_depth < 1:
+        return _usage_error(f"--max-depth {args.max_depth} must be >= 1")
     rows = check_demand_growth(args.max_depth)
     bounds = min_copy_bounds(args.max_depth)
     if args.json:

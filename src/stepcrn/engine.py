@@ -8,9 +8,9 @@ configurations reachable from a configuration (and, lifted over steps,
 of a whole program run), which is the ground truth the verifier uses to
 check that decoding is schedule independent.
 
-Rule sets made purely of void-family rules strictly shrink the volume
-with every application, so runs terminate without safeguards; anything
-else is executed under an application budget.
+Every rule must be void-family: it lowers some count and raises none.
+Each application then strictly shrinks the volume, so every run
+terminates; programs and ``run_step`` reject any other rule.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from .circuits import input_bits
 from .crn import (
     Alphabet,
     Configuration,
@@ -28,16 +29,11 @@ from .crn import (
 )
 
 
-class BudgetExceeded(RuntimeError):
-    """A run with non-void rules exceeded its application budget."""
-
-
 class StateCapExceeded(RuntimeError):
     """Exhaustive enumeration visited more configurations than allowed."""
 
 
 DEFAULT_STATE_CAP = 2_000_000
-DEFAULT_BUDGET = 1_000_000
 
 RANDOM_MAXIMAL = "random-maximal"
 
@@ -53,6 +49,13 @@ class Schedule:
 
 
 Step = tuple[tuple[int, int], ...]
+
+
+def _check_void(rule: Rule) -> None:
+    if not is_void_family(rule):
+        raise ValueError(
+            f"rule {rule.text!r} is not void: it must lower some count and raise none"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ class StepProgram:
     )
 
     def __post_init__(self):
+        for rule in self.rules:
+            _check_void(rule)
         n = len(self.alphabet)
         for k, step in enumerate(self.steps):
             prev = -1
@@ -138,13 +143,13 @@ class RunResult:
 
 
 class _PreparedRules:
-    """Rule tables shared by the schedulers and the exhaustive search.
+    """Rule tables shared by the randomized scheduler and the exhaustive
+    search.
 
-    For void-family rule sets the randomized scheduler keeps the set of
-    enabled rules exact: ``watch[o]`` lists the rules that consume
-    species ``o`` and ``needs[o]`` how many copies each needs, so when a
-    firing lowers ``o`` below a rule's need that rule leaves the enabled
-    set at once.
+    The randomized scheduler keeps the set of enabled rules exact:
+    ``watch[o]`` lists the rules that consume species ``o`` and
+    ``needs[o]`` how many copies each needs, so when a firing lowers
+    ``o`` below a rule's need that rule leaves the enabled set at once.
     Void rules never raise a count, so only additions can enable a rule;
     ``candidates_by_step[k]`` lists the rules that can become enabled
     when step ``k``'s additions arrive.  Programs keep these tables for
@@ -153,7 +158,6 @@ class _PreparedRules:
 
     def __init__(self, rules: Sequence[Rule], n_species: int, step_species=()):
         self.rules = rules = tuple(rules)
-        self.all_void = all(is_void_family(r) for r in rules)
         self.delta = tuple(r.delta for r in rules)
         watch: dict[int, list[int]] = {}
         needs: dict[int, list[int]] = {}
@@ -255,36 +259,6 @@ class _PreparedRules:
                 trace.append(f"step={step_no} rule={self.rules[q].text} volume={volume}")
         return apps, volume
 
-    def run_budgeted(
-        self,
-        counts: list[int],
-        rng: random.Random,
-        volume: int,
-        budget: int | None,
-        trace: list[str] | None = None,
-        step_no: int = 0,
-    ) -> tuple[int, int]:
-        """Run a rule set with non-void rules to terminal, rescanning
-        every rule per application and enforcing the budget."""
-        limit = DEFAULT_BUDGET if budget is None else budget
-        every = range(len(self.rules))
-        apps = 0
-        while True:
-            candidates = self.applicable(counts, every)
-            if not candidates:
-                return apps, volume
-            q = candidates[rng.randrange(len(candidates))]
-            for o, d in self.delta[q]:
-                counts[o] += d
-                volume += d
-            apps += 1
-            if trace is not None:
-                trace.append(f"step={step_no} rule={self.rules[q].text} volume={volume}")
-            if apps > limit:
-                raise BudgetExceeded(
-                    f"exceeded {limit} rule applications; rule set is not void-only"
-                )
-
 
 def _prepared(program: StepProgram) -> _PreparedRules:
     prep = program._prepared
@@ -310,10 +284,11 @@ def run_step(
     additions: Mapping[str, int] | Configuration,
     rules: Iterable[Rule],
     sched: Schedule = Schedule(),
-    *,
-    budget: int | None = None,
 ) -> Configuration:
-    """Add species to a configuration, then run rules to a terminal."""
+    """Add species to a configuration, then run void rules to a terminal."""
+    rules = tuple(rules)
+    for rule in rules:
+        _check_void(rule)
     counts = list(config.counts)
     if isinstance(additions, Configuration):
         add_items = enumerate(additions.counts)
@@ -325,33 +300,12 @@ def run_step(
         if c < 0:
             raise ValueError("additions must be non-negative")
         counts[o] += c
-    prep = _PreparedRules(tuple(rules), len(counts))
-    rng = random.Random(sched.seed)
-    if prep.all_void:
-        enabled: list[int] = []
-        pos = [-1] * len(prep.rules)
-        prep.enter(counts, enabled, pos, range(len(prep.rules)))
-        prep.run_to_terminal(counts, enabled, pos, rng, sum(counts))
-    else:
-        prep.run_budgeted(counts, rng, sum(counts), budget)
+    prep = _PreparedRules(rules, len(counts))
+    enabled: list[int] = []
+    pos = [-1] * len(rules)
+    prep.enter(counts, enabled, pos, range(len(rules)))
+    prep.run_to_terminal(counts, enabled, pos, random.Random(sched.seed), sum(counts))
     return Configuration(config.alphabet, tuple(counts))
-
-
-def _input_bits(program: StepProgram, bits) -> dict[int, int]:
-    if isinstance(bits, Mapping):
-        chosen = {int(k): int(v) for k, v in bits.items()}
-    else:
-        seq = [int(b) for b in str(bits)] if isinstance(bits, str) else [int(b) for b in bits]
-        if len(seq) != len(program.input_order):
-            raise ValueError(
-                f"expected {len(program.input_order)} input bits, got {len(seq)}"
-            )
-        chosen = dict(zip(program.input_order, seq))
-    if set(chosen) != set(program.input_order):
-        raise ValueError("input bits do not match the program's inputs")
-    if any(v not in (0, 1) for v in chosen.values()):
-        raise ValueError("input bits must be 0 or 1")
-    return chosen
 
 
 def run_program(
@@ -360,7 +314,6 @@ def run_program(
     sched: Schedule = Schedule(),
     *,
     trace: bool = False,
-    budget: int | None = None,
     per_step_terminal: bool = False,
 ) -> RunResult:
     """Execute every step of the program and decode the final terminal.
@@ -368,7 +321,7 @@ def run_program(
     With ``per_step_terminal`` the result also keeps the terminal
     configuration reached at every step; by default it keeps none.
     """
-    chosen = _input_bits(program, bits)
+    chosen = input_bits(program.input_order, bits)
     prep = _prepared(program)
     rng = random.Random(sched.seed)
     alphabet = program.alphabet
@@ -391,15 +344,10 @@ def run_program(
                 counts[alphabet.ordinal(name)] += count
                 volume += count
         peak = max(peak, volume)
-        if prep.all_void:
-            prep.enter(counts, enabled, pos, prep.candidates_by_step[k])
-            apps, volume = prep.run_to_terminal(
-                counts, enabled, pos, rng, volume, trace_lines, k
-            )
-        else:
-            apps, volume = prep.run_budgeted(
-                counts, rng, volume, budget, trace_lines, k
-            )
+        prep.enter(counts, enabled, pos, prep.candidates_by_step[k])
+        apps, volume = prep.run_to_terminal(
+            counts, enabled, pos, rng, volume, trace_lines, k
+        )
         apps_total += apps
         if per_step_terminal:
             per_step.append(Configuration(alphabet, tuple(counts)))
@@ -505,7 +453,7 @@ def enumerate_program_terminals(
     :class:`StateCapExceeded`) when any step entry exceeds the cap,
     signalling the instance is too large for exhaustive mode.
     """
-    chosen = _input_bits(program, bits)
+    chosen = input_bits(program.input_order, bits)
     prep = _prepared(program)
     n = len(program.alphabet)
 
@@ -617,7 +565,9 @@ def program_from_text(text: str) -> StepProgram:
             if alphabet is None:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
-                rules.append(parse_rule(line, alphabet))
+                rule = parse_rule(line, alphabet)
+                _check_void(rule)  # here, so the error names the line
+                rules.append(rule)
             elif section == "steps":
                 head, _, rest = line.partition(":")
                 k = int(head.split()[1])

@@ -41,8 +41,8 @@ from .circuits import (
     CircuitStats,
     Gate,
     GateKind,
-    SOURCE_KINDS,
     demand_analysis,
+    input_bits,
     max_fanout_any,
     stats,
 )
@@ -265,38 +265,25 @@ def normalize(
 
     # MAJ inputs from producers with any other obligation get a private
     # buffer, so their copy supply exactly equals their duty at the gate.
-    fanout: dict[int, int] = {gid: circuit.output_count.get(gid, 0) for gid in gates}
-    for kind, ins in gates.values():
-        for ref in ins:
-            fanout[ref] += 1
     for gid in list(gate_order):
         kind, ins = gates[gid]
         if kind is not GateKind.MAJ:
             continue
         for slot, ref in enumerate(ins):
-            if fanout[ref] > 1:
+            if circuit.fanout(ref) > 1:
                 ins[slot] = add_buffer(ref)
                 maj_buffers += 1
 
-    def levels() -> dict[int, int]:
-        level: dict[int, int] = {}
-        remaining = {gid: len(ins) for gid, (_, ins) in gates.items()}
-        consumers: dict[int, list[int]] = {gid: [] for gid in gates}
-        for gid, (_, ins) in gates.items():
-            for ref in ins:
-                consumers[ref].append(gid)
-        ready = [gid for gid, r in remaining.items() if r == 0]
-        while ready:
-            gid = ready.pop()
-            _, ins = gates[gid]
-            level[gid] = 0 if not ins else 1 + max(level[r] for r in ins)
-            for cid in consumers[gid]:
-                remaining[cid] -= 1
-                if remaining[cid] == 0:
-                    ready.append(cid)
-        return level
+    # ``circuit.order`` is topological; a MAJ buffer sits one level above
+    # its source and is levelled when its only consumer is reached.
+    level: dict[int, int] = {}
+    for gid in circuit.order:
+        _, ins = gates[gid]
+        for ref in ins:
+            if ref not in level:
+                level[ref] = level[gates[ref][1][0]] + 1
+        level[gid] = 1 + max((level[ref] for ref in ins), default=-1)
 
-    level = levels()
     for gid in list(gate_order):
         _, ins = gates[gid]
         for slot, ref in enumerate(ins):
@@ -309,7 +296,6 @@ def normalize(
             ins[slot] = ref
 
     if align_outputs:
-        level = levels()
         depth = max(level.values(), default=0)
         for i, o in enumerate(outputs):
             cur = o
@@ -332,24 +318,11 @@ def normalize(
 # -- shared assembly ---------------------------------------------------------
 
 
-def _levels_of(circuit: Circuit) -> list[list[int]]:
-    """Non-source gate ids grouped by depth level (1-based), each group
-    in declaration order."""
-    depth = max((circuit.level[g.gid] for g in circuit.non_sources()), default=0)
-    groups: list[list[int]] = [[] for _ in range(depth + 1)]
-    for g in circuit.gates:
-        if g.kind not in SOURCE_KINDS:
-            groups[circuit.level[g.gid]].append(g.gid)
-    return groups
-
-
 def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
     names: list[str] = []
     for g in circuit.gates:
         gid = g.gid
-        if g.kind in SOURCE_KINDS:
-            names += [y_name(gid, True), y_name(gid, False)]
-        elif g.kind is GateKind.MAJ:
+        if g.kind is GateKind.MAJ:
             names += [
                 a_name(gid, True), a_name(gid, False),
                 b_name(gid, True), b_name(gid, False),
@@ -362,6 +335,15 @@ def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
     if deleters:
         names += [DELETER_X, DELETER_Y]
     return Alphabet(names)
+
+
+def _conversion_pairs(circuit: Circuit, gid: int) -> list[tuple[str, str]]:
+    """(output form, input carrier of the other polarity) pairs: a
+    surviving form deletes the carriers that disagree with it."""
+    true_forms, false_forms = _output_forms(circuit, gid)
+    return [(f, x_name(gid, False)) for f in true_forms] + [
+        (f, x_name(gid, True)) for f in false_forms
+    ]
 
 
 def _const_bit(kind: GateKind) -> bool:
@@ -407,6 +389,88 @@ def _check_addition_discipline(program: StepProgram) -> None:
             )
 
 
+def _lower_levels(
+    circuit: Circuit, multiplicity: Mapping[int, int]
+) -> tuple[list[list[int]], dict[int, GateLowering]]:
+    """Gate ids grouped by depth level, each group in declaration order
+    (level 0 holds the sources), and every non-source gate's lowering at
+    its multiplicity, in level order."""
+    levels: list[list[int]] = [[] for _ in range(max(circuit.level.values()) + 1)]
+    for g in circuit.gates:
+        levels[circuit.level[g.gid]].append(g.gid)
+    lowerings = {}
+    for group in levels[1:]:
+        for gid in group:
+            g = circuit.by_id[gid]
+            lowerings[gid] = lower_gate(g.kind, gid, g.inputs, multiplicity[gid])
+    return levels, lowerings
+
+
+def _assemble(
+    backend: str,
+    name: str,
+    norm: Circuit,
+    alphabet: Alphabet,
+    rules: list[Rule],
+    levels: list[list[int]],
+    lowerings: Mapping[int, GateLowering],
+    multiplicity: Mapping[int, int],
+    copies: Mapping[int, int],
+    sweep_x: Sequence[Step] = (),
+    sweep_y: Sequence[Step] = (),
+) -> tuple[StepProgram, dict[int, int]]:
+    """Build and check the step program shared by every backend.
+
+    Step 0 adds the constant sources' species and converts every source
+    into ``copies`` input carriers of each polarity.  Each later level
+    adds its gates' sub-steps, then ``sweep_x``, then the step
+    converting its outputs into ``copies`` carriers; every conversion
+    step is followed by ``sweep_y``.  Sources and inputs enter at their
+    ``multiplicity``.  Returns the program and each gate's completion
+    step.
+    """
+    steps: list[Step] = []
+    completion = {gid: 0 for gid in levels[0]}
+    for k, group in enumerate(levels):
+        if k:
+            for sub in range(max(lowerings[gid].steps_used for gid in group)):
+                adds: dict[str, int] = {}
+                for gid in group:
+                    low = lowerings[gid]
+                    if sub < low.steps_used:
+                        for species, c in low.additions[sub].items():
+                            adds[species] = adds.get(species, 0) + c
+                    if sub == low.steps_used - 1:
+                        completion[gid] = len(steps)
+                steps.append(_step(alphabet, adds))
+            steps += sweep_x
+        convert = _source_merges(norm, multiplicity) if k == 0 else {}
+        for gid in group:
+            convert[x_name(gid, True)] = copies[gid]
+            convert[x_name(gid, False)] = copies[gid]
+        steps.append(_step(alphabet, convert))
+        steps += sweep_y
+
+    input_encoding = {
+        gid: ((y_name(gid, False), multiplicity[gid]), (y_name(gid, True), multiplicity[gid]))
+        for gid in norm.input_ids
+    }
+    program = StepProgram(
+        name=name,
+        backend=backend,
+        alphabet=alphabet,
+        rules=tuple(rules),
+        steps=tuple(steps),
+        input_order=norm.input_ids,
+        input_encoding=input_encoding,
+        output_decoding=tuple(
+            (x_name(o, False), x_name(o, True)) for o in norm.outputs
+        ),
+    )
+    _check_addition_discipline(program)
+    return program, completion
+
+
 def _base_report(
     backend: str,
     circuit: Circuit,
@@ -442,81 +506,19 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     norm, info = normalize(circuit)
     demand = demand_analysis(norm)
     alphabet = _species_for(norm, deleters=False)
-    levels = _levels_of(norm)
+    levels, lowerings = _lower_levels(norm, demand)
 
     rules: list[Rule] = []
-
-    def void(u: str, v: str) -> None:
-        rules.append(Rule.make(alphabet, (u, v)))
-
-    for g in norm.sources():
-        true_forms, false_forms = [y_name(g.gid, True)], [y_name(g.gid, False)]
-        for f in true_forms:
-            void(f, x_name(g.gid, False))
-        for f in false_forms:
-            void(f, x_name(g.gid, True))
-
-    lowerings: dict[int, GateLowering] = {}
-    for group in levels[1:]:
+    for group in levels:
         for gid in group:
-            g = norm.by_id[gid]
-            low = lower_gate(g.kind, gid, g.inputs, demand[gid])
-            lowerings[gid] = low
-            for u, v in low.rules:
-                void(u, v)
+            if gid in lowerings:
+                rules += [Rule.make(alphabet, pair) for pair in lowerings[gid].rules]
         for gid in group:
-            true_forms, false_forms = _output_forms(norm, gid)
-            for f in true_forms:
-                void(f, x_name(gid, False))
-            for f in false_forms:
-                void(f, x_name(gid, True))
+            rules += [Rule.make(alphabet, pair) for pair in _conversion_pairs(norm, gid)]
 
-    steps: list[Step] = []
-    completion: dict[int, int] = {}
-
-    s0: dict[str, int] = dict(_source_merges(norm, demand))
-    for g in norm.sources():
-        s0[x_name(g.gid, True)] = s0.get(x_name(g.gid, True), 0) + demand[g.gid]
-        s0[x_name(g.gid, False)] = s0.get(x_name(g.gid, False), 0) + demand[g.gid]
-        completion[g.gid] = 0
-    steps.append(_step(alphabet, s0))
-
-    for group in levels[1:]:
-        sub_steps = max(lowerings[gid].steps_used for gid in group)
-        for sub in range(sub_steps):
-            adds: dict[str, int] = {}
-            for gid in group:
-                low = lowerings[gid]
-                if sub < low.steps_used:
-                    for name, c in low.additions[sub].items():
-                        adds[name] = adds.get(name, 0) + c
-                if sub == low.steps_used - 1:
-                    completion[gid] = len(steps)
-            steps.append(_step(alphabet, adds))
-        convert: dict[str, int] = {}
-        for gid in group:
-            convert[x_name(gid, True)] = demand[gid]
-            convert[x_name(gid, False)] = demand[gid]
-        steps.append(_step(alphabet, convert))
-
-    input_encoding = {
-        g.gid: ((y_name(g.gid, False), demand[g.gid]), (y_name(g.gid, True), demand[g.gid]))
-        for g in norm.gates
-        if g.kind is GateKind.INPUT
-    }
-    program = StepProgram(
-        name=circuit.name,
-        backend=backend,
-        alphabet=alphabet,
-        rules=tuple(rules),
-        steps=tuple(steps),
-        input_order=norm.input_ids,
-        input_encoding=input_encoding,
-        output_decoding=tuple(
-            (x_name(o, False), x_name(o, True)) for o in norm.outputs
-        ),
+    program, completion = _assemble(
+        backend, circuit.name, norm, alphabet, rules, levels, lowerings, demand, demand
     )
-    _check_addition_discipline(program)
 
     st = stats(norm)
     gate_count = max(st.gate_count, 1)
@@ -559,41 +561,23 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     conversion and sweeper rules; strict single-copy inputs."""
     norm, info = normalize(circuit, align_outputs=True)
     alphabet = _species_for(norm, deleters=True)
-    levels = _levels_of(norm)
-
-    # Demand degenerates to fan-out copies of each gate's input carrier.
+    # Strict single-copy inputs: demand degenerates to fan-out copies of
+    # each gate's input carrier.
+    ones = {g.gid: 1 for g in norm.gates}
     copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
+    levels, lowerings = _lower_levels(norm, ones)
 
-    rules: list[Rule] = []
-
-    def void(u: str, v: str) -> None:
-        rules.append(Rule.make(alphabet, (u, v)))
+    rules = [
+        Rule.make(alphabet, pair) for low in lowerings.values() for pair in low.rules
+    ]
 
     def catalytic(catalyst: str, consumed: str) -> None:
         rules.append(Rule.make(alphabet, (catalyst, consumed), (catalyst,)))
 
-    lowerings: dict[int, GateLowering] = {}
-    for group in levels[1:]:
-        for gid in group:
-            g = norm.by_id[gid]
-            low = lower_gate(g.kind, gid, g.inputs, 1)
-            lowerings[gid] = low
-            for u, v in low.rules:
-                void(u, v)
-
-    all_forms: dict[int, tuple[list[str], list[str]]] = {}
+    pairs = {g.gid: _conversion_pairs(norm, g.gid) for g in norm.gates}
     for g in norm.gates:
-        if g.kind in SOURCE_KINDS:
-            all_forms[g.gid] = ([y_name(g.gid, True)], [y_name(g.gid, False)])
-        else:
-            all_forms[g.gid] = _output_forms(norm, g.gid)
-    for g in norm.gates:
-        true_forms, false_forms = all_forms[g.gid]
-        for f in true_forms:
-            catalytic(f, x_name(g.gid, False))
-        for f in false_forms:
-            catalytic(f, x_name(g.gid, True))
-
+        for form, carrier in pairs[g.gid]:
+            catalytic(form, carrier)
     for g in norm.gates:
         catalytic(DELETER_X, x_name(g.gid, True))
         catalytic(DELETER_X, x_name(g.gid, False))
@@ -603,62 +587,16 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
                 catalytic(DELETER_X, b_name(g.gid, bit))
     rules.append(Rule.make(alphabet, {DELETER_X: 2}))
     for g in norm.gates:
-        for f in all_forms[g.gid][0] + all_forms[g.gid][1]:
-            catalytic(DELETER_Y, f)
+        for form, _ in pairs[g.gid]:
+            catalytic(DELETER_Y, form)
     rules.append(Rule.make(alphabet, {DELETER_Y: 2}))
 
-    steps: list[Step] = []
-    completion: dict[int, int] = {}
-
-    s0: dict[str, int] = dict(_source_merges(norm, {g.gid: 1 for g in norm.gates}))
-    for g in norm.sources():
-        s0[x_name(g.gid, True)] = s0.get(x_name(g.gid, True), 0) + copies[g.gid]
-        s0[x_name(g.gid, False)] = s0.get(x_name(g.gid, False), 0) + copies[g.gid]
-        completion[g.gid] = 0
-    steps.append(_step(alphabet, s0))
-    steps.append(_step(alphabet, {DELETER_Y: 1}))
-    steps.append(_step(alphabet, {DELETER_Y: 1}))
-
-    for group in levels[1:]:
-        sub_steps = max(lowerings[gid].steps_used for gid in group)
-        for sub in range(sub_steps):
-            adds: dict[str, int] = {}
-            for gid in group:
-                low = lowerings[gid]
-                if sub < low.steps_used:
-                    for name, c in low.additions[sub].items():
-                        adds[name] = adds.get(name, 0) + c
-                if sub == low.steps_used - 1:
-                    completion[gid] = len(steps)
-            steps.append(_step(alphabet, adds))
-        steps.append(_step(alphabet, {DELETER_X: 1}))
-        steps.append(_step(alphabet, {DELETER_X: 1}))
-        fan: dict[str, int] = {}
-        for gid in group:
-            fan[x_name(gid, True)] = copies[gid]
-            fan[x_name(gid, False)] = copies[gid]
-        steps.append(_step(alphabet, fan))
-        steps.append(_step(alphabet, {DELETER_Y: 1}))
-        steps.append(_step(alphabet, {DELETER_Y: 1}))
-
-    input_encoding = {
-        g.gid: ((y_name(g.gid, False), 1), (y_name(g.gid, True), 1))
-        for g in norm.gates
-        if g.kind is GateKind.INPUT
-    }
-    program = StepProgram(
-        name=circuit.name,
-        backend="catalyst",
-        alphabet=alphabet,
-        rules=tuple(rules),
-        steps=tuple(steps),
-        input_order=norm.input_ids,
-        input_encoding=input_encoding,
-        output_decoding=tuple(
-            (x_name(o, False), x_name(o, True)) for o in norm.outputs
-        ),
+    sweep_x = (_step(alphabet, {DELETER_X: 1}),) * 2
+    sweep_y = (_step(alphabet, {DELETER_Y: 1}),) * 2
+    program, completion = _assemble(
+        "catalyst", circuit.name, norm, alphabet, rules, levels, lowerings, ones, copies,
+        sweep_x, sweep_y,
     )
-    _check_addition_discipline(program)
 
     st = stats(norm)
     predicted = {
@@ -666,8 +604,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
         "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
         "peak_volume": RESIDENT_C * max(st.width, 1),
     }
-    demand = {g.gid: 1 for g in norm.gates}
-    report = _base_report("catalyst", circuit, norm, info, program, demand, predicted, completion)
+    report = _base_report("catalyst", circuit, norm, info, program, ones, predicted, completion)
     return program, report
 
 
@@ -677,17 +614,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
 def encode_input(program: StepProgram, bits) -> dict[str, int]:
     """The demand-scaled species merged into step 0 for an input
     assignment; never contains both polarity species of one input."""
-    if isinstance(bits, Mapping):
-        chosen = {int(k): int(v) for k, v in bits.items()}
-    else:
-        seq = [int(b) for b in str(bits)] if isinstance(bits, str) else [int(b) for b in bits]
-        if len(seq) != len(program.input_order):
-            raise ValueError(
-                f"expected {len(program.input_order)} input bits, got {len(seq)}"
-            )
-        chosen = dict(zip(program.input_order, seq))
-    if set(chosen) != set(program.input_order):
-        raise ValueError("assignment does not cover the program's inputs")
+    chosen = input_bits(program.input_order, bits)
     merge: dict[str, int] = {}
     for gid in program.input_order:
         name, count = program.input_encoding[gid][chosen[gid]]

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from stepcrn import parse_circuit
+from stepcrn import cli, evaluate, parse_circuit
 from stepcrn.cli import VerifyJob, main, verify_job
 
 AND_NET = "circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
@@ -132,6 +132,7 @@ def test_corrupted_program_file_fails_with_decode_error(tmp_path, capsys):
         ("1 0=y[1]F:1 1=y[1]T:1", "1 0=y[1]F:1", "0= and one 1="),
         ("step 1: y[3]T=1,", "step 1: y[3]T=one,", "not an integer"),
         ("step 2: x[3]T=1", "step 2: x[9]T=1", "unknown species"),
+        ("y[3]T + x[3]F -> .", "x[3]T -> x[3]T + y[3]T", "not void"),
     ],
 )
 def test_malformed_program_file_exits_2(tmp_path, capsys, old, new, message):
@@ -182,6 +183,64 @@ def test_verify_parallel_matches_serial(fig_net, capsys):
     assert parallel == serial
 
 
+def test_parallel_merge_reports_the_serial_counterexample(monkeypatch):
+    # Flip the reference on assignments 1 = (1,0) and 2 = (0,1): every run
+    # and the exhaustive check fail there.  Serial verification reports
+    # assignment 1's seed-0 run; so must merged chunks, in any order.
+    def wrong_on_two(circuit, bits):
+        want = evaluate(circuit, bits)
+        return [1 - b for b in want] if tuple(bits) in ((1, 0), (0, 1)) else want
+
+    monkeypatch.setattr(cli, "evaluate", wrong_on_two)
+    job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0, 1, 2), exhaustive=True)
+    serial = verify_job(job)
+    assert serial.counterexample["input"] == "10" and serial.counterexample["seed"] == 0
+    assert serial.failed == 8
+    indexed = list(enumerate(cli._assignments(job)))
+    for workers in (2, 3, 4):
+        chunks = [indexed[i::workers] for i in range(workers)]
+        parts = [cli._verify_chunk(job, chunk) for chunk in reversed(chunks)]
+        assert cli._merge(job, parts).to_json_obj() == serial.to_json_obj()
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+def test_verify_pool_is_sized_to_non_empty_chunks(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    _PoolRecorder.sizes = []
+    and_job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0, 1))
+    assert cli.verify_job_parallel(and_job, 64) == verify_job(and_job)
+    fig_job = VerifyJob(parse_circuit(FIG_NET), "formula", seeds=(0,))
+    assert cli.verify_job_parallel(fig_job, 3) == verify_job(fig_job)
+    one = VerifyJob(parse_circuit("circuit k\ngate 1 CONST_ONE\noutputs 1\n"), "formula")
+    assert cli.verify_job_parallel(one, 8) == verify_job(one)
+    assert _PoolRecorder.sizes == [4, 3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exits_2(fig_net, capsys, jobs):
+    assert main(["verify", fig_net, "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--jobs" in err
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     out1 = str(tmp_path / "d1")
     out2 = str(tmp_path / "d2")
@@ -202,6 +261,14 @@ def test_lowerbound_table(capsys):
     assert main(["lowerbound", "--max-depth", "6"]) == 0
     out = capsys.readouterr().out
     assert "depth" in out and out.count("yes") == 6
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_lowerbound_bad_max_depth_exits_2(capsys, depth):
+    assert main(["lowerbound", "--max-depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--max-depth" in captured.err
+    assert captured.out == ""
 
 
 def test_lowerbound_json(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from stepcrn import (
     Alphabet,
-    BudgetExceeded,
     Configuration,
     Rule,
     Schedule,
@@ -130,13 +129,14 @@ def test_decode_basic_and_errors():
     assert decode_output(_cfg(ab), prog) == ["missing"]
 
 
-def test_budget_guard_for_non_void_rules():
+def test_non_void_rules_are_rejected():
     ab = Alphabet(["A", "B"])
-    # A -> A + B grows forever; the budget must trip.
+    # A -> A + B raises a count: a run would never terminate.
     grow = Rule.make(ab, ("A",), ("A", "B"))
-    prog = _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
-    with pytest.raises(BudgetExceeded):
-        run_program(prog, "", Schedule(0), budget=50)
+    with pytest.raises(ValueError, match="not void"):
+        _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
+    with pytest.raises(ValueError, match="not void"):
+        run_step(_cfg(ab, A=1), {}, [Rule.make(ab, ("A", "B")), grow])
 
 
 def test_run_program_reproducible_and_decodes():

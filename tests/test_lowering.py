@@ -2,6 +2,7 @@ import pytest
 
 from stepcrn import (
     Alphabet,
+    CircuitError,
     Configuration,
     GateKind,
     Rule,
@@ -137,6 +138,23 @@ def test_formula_input_encoding():
         parse_circuit("circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n")
     )
     assert encode_input(prog, "10") == {"y[1]T": 1, "y[2]F": 1}
+
+
+@pytest.mark.parametrize("bits", ["21", "1", {1: 1}])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, p, bits: evaluate(c, bits),
+        lambda c, p, bits: encode_input(p, bits),
+        lambda c, p, bits: run_program(p, bits, Schedule(0)),
+    ],
+    ids=["evaluate", "encode_input", "run_program"],
+)
+def test_bad_input_bits_rejected_by_every_caller(call, bits):
+    c = parse_circuit("circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n")
+    prog, _ = compile_formula(c)
+    with pytest.raises(CircuitError):
+        call(c, prog, bits)
 
 
 def test_constant_circuit_empty_merge():
