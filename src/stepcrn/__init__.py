@@ -9,7 +9,6 @@ from .circuits import (
     Gate,
     GateKind,
     NetlistParseError,
-    Wire,
     demand_analysis,
     evaluate,
     parse_circuit,

@@ -66,18 +66,6 @@ class Gate:
 
 
 @dataclass(frozen=True)
-class Wire:
-    """One directed edge.  ``slot`` disambiguates duplicate edges and
-    ``index`` is the rank of (producer, consumer, slot) in lexicographic
-    order, giving every wire a deterministic unique number."""
-
-    producer: int
-    consumer: int
-    slot: int
-    index: int
-
-
-@dataclass(frozen=True)
 class CircuitStats:
     gate_count: int
     depth: int
@@ -132,11 +120,12 @@ class Circuit:
                 raise CircuitError(f"unknown output gate {o}")
 
         # Topological order / cycle check (Kahn over the multigraph).
-        consumers: dict[int, list[tuple[int, int]]] = {g.gid: [] for g in self.gates}
+        # ``consumers[gid]`` holds one consumer id per outgoing wire.
+        consumers: dict[int, list[int]] = {g.gid: [] for g in self.gates}
         indeg = {g.gid: len(g.inputs) for g in self.gates}
         for g in self.gates:
-            for slot, ref in enumerate(g.inputs):
-                consumers[ref].append((g.gid, slot))
+            for ref in g.inputs:
+                consumers[ref].append(g.gid)
         ready = [g.gid for g in self.gates if indeg[g.gid] == 0]
         order: list[int] = []
         level: dict[int, int] = {}
@@ -145,7 +134,7 @@ class Circuit:
             order.append(gid)
             ins = by_id[gid].inputs
             level[gid] = 0 if not ins else 1 + max(level[r] for r in ins)
-            for cid, _ in consumers[gid]:
+            for cid in consumers[gid]:
                 indeg[cid] -= 1
                 if indeg[cid] == 0:
                     ready.append(cid)
@@ -170,31 +159,17 @@ class Circuit:
         if dead:
             raise CircuitError(f"gates {dead} reach no output")
 
-        wires = sorted(
-            (ref, g.gid, slot)
-            for g in self.gates
-            for slot, ref in enumerate(g.inputs)
-        )
-        self.wires = tuple(
-            Wire(p, c, s, i) for i, (p, c, s) in enumerate(wires)
-        )
-        consumer_wires: dict[int, list[Wire]] = {gid: [] for gid in by_id}
-        for w in self.wires:
-            consumer_wires[w.producer].append(w)
-        self.consumer_wires = {gid: tuple(ws) for gid, ws in consumer_wires.items()}
+        self.consumers = {gid: tuple(cs) for gid, cs in consumers.items()}
         output_count: dict[int, int] = {}
         for o in self.outputs:
             output_count[o] = output_count.get(o, 0) + 1
         self.output_count = output_count
-        self._fanout = {
-            gid: len(ws) + output_count.get(gid, 0) for gid, ws in consumer_wires.items()
-        }
         self.input_ids = tuple(g.gid for g in self.gates if g.kind is GateKind.INPUT)
 
     # -- queries ---------------------------------------------------------------
 
     def fanout(self, gid: int) -> int:
-        return self._fanout[gid]
+        return len(self.consumers[gid]) + self.output_count.get(gid, 0)
 
     def sources(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind in SOURCE_KINDS)
@@ -309,8 +284,8 @@ def demand_analysis(circuit: Circuit) -> dict[int, int]:
     demand: dict[int, int] = {}
     for gid in reversed(circuit.order):
         d = circuit.output_count.get(gid, 0)
-        for w in circuit.consumer_wires[gid]:
-            d += demand[w.consumer]
+        for c in circuit.consumers[gid]:
+            d += demand[c]
         demand[gid] = d
     return demand
 

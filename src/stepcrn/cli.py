@@ -13,7 +13,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .circuits import Circuit, CircuitError, evaluate, parse_circuit, stats, to_netlist
 from .corpus import CorpusSpec, generate_circuits
@@ -27,7 +27,7 @@ from .engine import (
     run_program,
 )
 from .lowerbound import check_demand_growth, min_copy_bounds
-from .lowering import compile_backend
+from .lowering import BACKENDS, compile_backend
 
 DEFAULT_SEEDS = tuple(range(25))
 DEFAULT_EXHAUSTIVE_VOLUME_CAP = 14
@@ -40,11 +40,9 @@ class VerifyJob:
     backend: str
     input_mode: str = "all"  # "all" or "random"
     random_count: int = 16
-    input_cap: int = DEFAULT_ALL_INPUTS_CAP
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     exhaustive: bool = False
     volume_cap: int = DEFAULT_EXHAUSTIVE_VOLUME_CAP
-    state_cap: int = 2_000_000
 
 
 @dataclass
@@ -61,21 +59,14 @@ class VerifySummary:
 
     @property
     def ok(self) -> bool:
-        """Passed: at least one run, and no run or terminal failed."""
-        return self.runs > 0 and self.failed == 0
+        """Passed: at least one run, no run or terminal failed, and at
+        least one exhaustive check decided if any was skipped."""
+        decided = self.exhaustive_checked > 0 or self.exhaustive_skipped == 0
+        return self.runs > 0 and self.failed == 0 and decided
 
     def to_json_obj(self) -> dict:
-        out = {
-            "circuit": self.circuit,
-            "backend": self.backend,
-            "assignments": self.assignments,
-            "runs": self.runs,
-            "passed": self.passed,
-            "failed": self.failed,
-            "exhaustive_checked": self.exhaustive_checked,
-            "exhaustive_skipped": self.exhaustive_skipped,
-            "ok": self.ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "counterexample"}
+        out["ok"] = self.ok
         if self.counterexample:
             out["counterexample"] = self.counterexample
         return out
@@ -84,9 +75,9 @@ class VerifySummary:
 def _assignments(job: VerifyJob) -> list[tuple[int, ...]]:
     n = len(job.circuit.input_ids)
     if job.input_mode == "all":
-        if n > job.input_cap:
+        if n > DEFAULT_ALL_INPUTS_CAP:
             raise CircuitError(
-                f"{n} inputs exceed the all-assignments cap {job.input_cap}; "
+                f"{n} inputs exceed the all-assignments cap {DEFAULT_ALL_INPUTS_CAP}; "
                 "use random mode"
             )
         return [tuple((i >> k) & 1 for k in range(n)) for i in range(1 << n)]
@@ -138,10 +129,7 @@ def _verify_chunk(
         if job.exhaustive:
             try:
                 terminals = enumerate_program_terminals(
-                    program,
-                    bits,
-                    state_cap=job.state_cap,
-                    entry_volume_cap=job.volume_cap,
+                    program, bits, entry_volume_cap=job.volume_cap
                 )
             except StateCapExceeded:
                 summary.exhaustive_skipped += 1
@@ -155,7 +143,8 @@ def _verify_chunk(
     return summary, first
 
 
-_COUNTS = ("assignments", "runs", "passed", "failed", "exhaustive_checked", "exhaustive_skipped")
+# The counters: every summary field that starts at 0.
+_COUNTS = tuple(f.name for f in fields(VerifySummary) if f.default == 0)
 
 
 def _merge(job: VerifyJob, parts) -> VerifySummary:
@@ -225,6 +214,14 @@ def _read(path: str) -> str:
         raise CliInputError(f"cannot open {path}: {e.strerror}") from e
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliInputError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -239,11 +236,8 @@ def cmd_compile(args) -> int:
         program, report = compile_backend(circuit, args.backend)
     except (CircuitError, ValueError) as e:
         return _usage_error(str(e))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(program_to_text(program))
-    report_path = args.report or args.out + ".report"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() if args.json else report.to_text())
+    _write(args.out, program_to_text(program))
+    _write(args.report or args.out + ".report", report.to_json() if args.json else report.to_text())
     if args.json:
         print(report.to_json())
     else:
@@ -310,6 +304,8 @@ def cmd_verify(args) -> int:
         return _usage_error(bad_inputs)
     if args.jobs < 1:
         return _usage_error(f"--jobs {args.jobs} must be >= 1")
+    if args.volume_cap < 0:
+        return _usage_error(f"--volume-cap {args.volume_cap} must be >= 0")
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,
@@ -334,6 +330,8 @@ def cmd_verify(args) -> int:
         )
         if summary.counterexample:
             print("counterexample:", json.dumps(summary.counterexample, sort_keys=True))
+        if summary.exhaustive_skipped and not summary.exhaustive_checked:
+            print("no exhaustive check was decided: every instance exceeded a cap")
     return 0 if summary.ok else 1
 
 
@@ -386,11 +384,13 @@ def cmd_gen_corpus(args) -> int:
         circuits = generate_circuits(spec)
     except (ValueError, RuntimeError) as e:
         return _usage_error(str(e))
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise CliInputError(f"cannot create directory {args.out}: {e.strerror}") from e
     for c in circuits:
         path = os.path.join(args.out, f"{c.name}.net")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_netlist(c))
+        _write(path, to_netlist(c))
         st = stats(c)
         print(
             f"{path}: gates={st.gate_count} depth={st.depth} "
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="lower a circuit to a step program")
     p.add_argument("circuit")
-    p.add_argument("--backend", choices=("formula", "exp", "catalyst"), default="formula")
+    p.add_argument("--backend", choices=tuple(BACKENDS), default="formula")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--json", action="store_true")
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check decoded runs against direct evaluation")
     p.add_argument("circuit")
-    p.add_argument("--backend", choices=("formula", "exp", "catalyst"), default="formula")
+    p.add_argument("--backend", choices=tuple(BACKENDS), default="formula")
     p.add_argument("--inputs", default="all", help="all or random[:N]")
     p.add_argument("--seeds", default="0:25", help="lo:hi or comma list")
     p.add_argument("--exhaustive", action="store_true")

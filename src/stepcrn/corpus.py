@@ -28,6 +28,8 @@ class CorpusSpec:
     name_prefix: str = "c"
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count {self.count} must be >= 1")
         for lo, hi in (self.depth, self.gates, self.fan_in, self.fan_out, self.inputs):
             if lo < 1 or hi < lo:
                 raise ValueError("ranges must be 1 <= lo <= hi")

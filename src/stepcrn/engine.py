@@ -116,6 +116,26 @@ class StepProgram:
     def step_count(self) -> int:
         return len(self.steps)
 
+    def input_step(self, bits) -> Step:
+        """The species an input assignment (any form
+        :func:`~stepcrn.circuits.input_bits` takes) merges into step 0,
+        as sorted (ordinal, count) pairs."""
+        chosen = input_bits(self.input_order, bits)
+        merge: dict[int, int] = {}
+        for gid in self.input_order:
+            name, count = self.input_encoding[gid][chosen[gid]]
+            o = self.alphabet.ordinal(name)
+            merge[o] = merge.get(o, 0) + count
+        return tuple(sorted(merge.items()))
+
+    def input_species(self) -> frozenset[int]:
+        """The ordinals either bit choice of any input may add at step 0."""
+        return frozenset(
+            self.alphabet.ordinal(name)
+            for pair in self.input_encoding.values()
+            for name, _ in pair
+        )
+
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge (either bit
         choice adds the same count)."""
@@ -263,14 +283,9 @@ class _PreparedRules:
 def _prepared(program: StepProgram) -> _PreparedRules:
     prep = program._prepared
     if prep is None:
-        # Either input-encoding choice may add its species at step 0.
         step_species = [[o for o, _ in step] for step in program.steps]
         if step_species:
-            step_species[0] += [
-                program.alphabet.ordinal(name)
-                for pair in program.input_encoding.values()
-                for name, _ in pair
-            ]
+            step_species[0] += program.input_species()
         prep = _PreparedRules(program.rules, len(program.alphabet), step_species)
         object.__setattr__(program, "_prepared", prep)
     return prep
@@ -321,7 +336,7 @@ def run_program(
     With ``per_step_terminal`` the result also keeps the terminal
     configuration reached at every step; by default it keeps none.
     """
-    chosen = input_bits(program.input_order, bits)
+    inputs = program.input_step(bits)
     prep = _prepared(program)
     rng = random.Random(sched.seed)
     alphabet = program.alphabet
@@ -335,14 +350,9 @@ def run_program(
     pos = [-1] * len(prep.rules)
 
     for k, step in enumerate(program.steps):
-        for o, c in step:
+        for o, c in (step + inputs if k == 0 else step):
             counts[o] += c
             volume += c
-        if k == 0:
-            for gid in program.input_order:
-                name, count = program.input_encoding[gid][chosen[gid]]
-                counts[alphabet.ordinal(name)] += count
-                volume += count
         peak = max(peak, volume)
         prep.enter(counts, enabled, pos, prep.candidates_by_step[k])
         apps, volume = prep.run_to_terminal(
@@ -453,17 +463,13 @@ def enumerate_program_terminals(
     :class:`StateCapExceeded`) when any step entry exceeds the cap,
     signalling the instance is too large for exhaustive mode.
     """
-    chosen = input_bits(program.input_order, bits)
+    inputs = program.input_step(bits)
     prep = _prepared(program)
     n = len(program.alphabet)
 
     frontier: set[tuple[int, ...]] = {(0,) * n}
     for k, step in enumerate(program.steps):
-        add = list(step)
-        if k == 0:
-            for gid in program.input_order:
-                name, count = program.input_encoding[gid][chosen[gid]]
-                add.append((program.alphabet.ordinal(name), count))
+        add = step + inputs if k == 0 else step
         entries: set[tuple[int, ...]] = set()
         for term in frontier:
             entry = list(term)

@@ -156,12 +156,7 @@ def min_copy_bounds(depth: int) -> list[int]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    bounds = [1]
-    if depth >= 1:
-        bounds.append(1)
-    for k in range(2, depth + 1):
-        bounds.append(bounds[k - 1] + bounds[k - 2])
-    return bounds
+    return [fibonacci(k) for k in range(depth + 1)]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .circuits import (
     Gate,
     GateKind,
     demand_analysis,
-    input_bits,
     max_fanout_any,
     stats,
 )
@@ -88,7 +87,6 @@ class GateLowering:
 
     gate_id: int
     kind: GateKind
-    steps_used: int
     additions: tuple[dict, ...]  # one dict per gate sub-step
     rules: tuple[tuple[str, str], ...]  # annihilating reactant pairs
 
@@ -158,6 +156,14 @@ class CompilationReport:
 # -- per-gate lowering -------------------------------------------------------
 
 
+# The input value that decides an AND (0) or OR (1) on its own.  The
+# gate's result species ``y[i]`` of the other value survives unless some
+# input shows the controlling value; each input's arrow form
+# ``y[j->i]`` carries the controlling value and survives when input j
+# shows it.
+_CONTROLLING = {GateKind.AND: False, GateKind.OR: True}
+
+
 def lower_gate(
     kind: GateKind,
     gate_id: int,
@@ -172,26 +178,17 @@ def lower_gate(
     m = multiplicity
     fan_in = tuple(fan_in)
     distinct = sorted(set(fan_in))
-    if kind is GateKind.AND:
-        adds: dict[str, int] = {y_name(gate_id, True): m}
+    if kind in _CONTROLLING:
+        c = _CONTROLLING[kind]
+        adds: dict[str, int] = {y_name(gate_id, not c): m}
         for j in fan_in:
-            arrow = y_arrow_name(j, gate_id, False)
+            arrow = y_arrow_name(j, gate_id, c)
             adds[arrow] = adds.get(arrow, 0) + m
         rules = []
         for j in distinct:
-            rules.append((x_name(j, True), y_arrow_name(j, gate_id, False)))
-            rules.append((x_name(j, False), y_name(gate_id, True)))
-        return GateLowering(gate_id, kind, 1, (adds,), tuple(rules))
-    if kind is GateKind.OR:
-        adds = {y_name(gate_id, False): m}
-        for j in fan_in:
-            arrow = y_arrow_name(j, gate_id, True)
-            adds[arrow] = adds.get(arrow, 0) + m
-        rules = []
-        for j in distinct:
-            rules.append((x_name(j, False), y_arrow_name(j, gate_id, True)))
-            rules.append((x_name(j, True), y_name(gate_id, False)))
-        return GateLowering(gate_id, kind, 1, (adds,), tuple(rules))
+            rules.append((x_name(j, not c), y_arrow_name(j, gate_id, c)))
+            rules.append((x_name(j, c), y_name(gate_id, not c)))
+        return GateLowering(gate_id, kind, (adds,), tuple(rules))
     if kind is GateKind.NOT:
         (j,) = fan_in
         adds = {y_name(gate_id, True): m, y_name(gate_id, False): m}
@@ -199,7 +196,7 @@ def lower_gate(
             (x_name(j, True), y_name(gate_id, True)),
             (x_name(j, False), y_name(gate_id, False)),
         )
-        return GateLowering(gate_id, kind, 1, (adds,), rules)
+        return GateLowering(gate_id, kind, (adds,), rules)
     if kind is GateKind.MAJ:
         n_raw = len(fan_in)
         pad = 1 if n_raw % 2 == 0 else 0
@@ -220,7 +217,7 @@ def lower_gate(
         rules.append((a_name(gate_id, False), b_name(gate_id, True)))
         rules.append((a_name(gate_id, True), y_name(gate_id, False)))
         rules.append((a_name(gate_id, False), y_name(gate_id, True)))
-        return GateLowering(gate_id, kind, 3, (step1, step2, step3), tuple(rules))
+        return GateLowering(gate_id, kind, (step1, step2, step3), tuple(rules))
     raise LoweringError(f"gate {gate_id}: no lowering for kind {kind.value}")
 
 
@@ -228,12 +225,14 @@ def _output_forms(circuit: Circuit, gid: int) -> tuple[list[str], list[str]]:
     """Species forms that can carry the gate's result, split into
     (true forms, false forms)."""
     g = circuit.by_id[gid]
-    distinct = sorted(set(g.inputs))
-    if g.kind is GateKind.AND:
-        return [y_name(gid, True)], [y_arrow_name(j, gid, False) for j in distinct]
-    if g.kind is GateKind.OR:
-        return [y_arrow_name(j, gid, True) for j in distinct], [y_name(gid, False)]
-    return [y_name(gid, True)], [y_name(gid, False)]
+    if g.kind not in _CONTROLLING:
+        return [y_name(gid, True)], [y_name(gid, False)]
+    c = _CONTROLLING[g.kind]
+    forms = {
+        not c: [y_name(gid, not c)],
+        c: [y_arrow_name(j, gid, c) for j in sorted(set(g.inputs))],
+    }
+    return forms[True], forms[False]
 
 
 # -- normalization -----------------------------------------------------------
@@ -374,9 +373,8 @@ def _check_addition_discipline(program: StepProgram) -> None:
     for k, step in enumerate(program.steps):
         for o, _ in step:
             add_steps.setdefault(o, []).append(k)
-    for pair in program.input_encoding.values():
-        for name, _ in pair:
-            add_steps.setdefault(program.alphabet.ordinal(name), []).append(0)
+    for o in program.input_species():
+        add_steps.setdefault(o, []).append(0)
     for o, steps_at in add_steps.items():
         name = program.alphabet.names[o]
         if name in (DELETER_X, DELETER_Y):
@@ -433,14 +431,14 @@ def _assemble(
     completion = {gid: 0 for gid in levels[0]}
     for k, group in enumerate(levels):
         if k:
-            for sub in range(max(lowerings[gid].steps_used for gid in group)):
+            for sub in range(max(len(lowerings[gid].additions) for gid in group)):
                 adds: dict[str, int] = {}
                 for gid in group:
-                    low = lowerings[gid]
-                    if sub < low.steps_used:
-                        for species, c in low.additions[sub].items():
+                    subs = lowerings[gid].additions
+                    if sub < len(subs):
+                        for species, c in subs[sub].items():
                             adds[species] = adds.get(species, 0) + c
-                    if sub == low.steps_used - 1:
+                    if sub == len(subs) - 1:
                         completion[gid] = len(steps)
                 steps.append(_step(alphabet, adds))
             steps += sweep_x
@@ -475,6 +473,7 @@ def _base_report(
     backend: str,
     circuit: Circuit,
     norm: Circuit,
+    normalized: CircuitStats,
     info: NormalizationInfo,
     program: StepProgram,
     demand: Mapping[int, int],
@@ -485,7 +484,7 @@ def _base_report(
         backend=backend,
         circuit_name=circuit.name,
         original=stats(circuit),
-        normalized=stats(norm),
+        normalized=normalized,
         buffers=info,
         species_count=len(program.alphabet),
         step_count=program.step_count,
@@ -533,7 +532,9 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     else:
         fanout = max(max_fanout_any(norm), 1)
         predicted["static_volume"] = VOLUME_C * gate_count * fanout**depth
-    report = _base_report(backend, circuit, norm, info, program, demand, predicted, completion)
+    report = _base_report(
+        backend, circuit, norm, st, info, program, demand, predicted, completion
+    )
     return program, report
 
 
@@ -604,7 +605,9 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
         "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
         "peak_volume": RESIDENT_C * max(st.width, 1),
     }
-    report = _base_report("catalyst", circuit, norm, info, program, ones, predicted, completion)
+    report = _base_report(
+        "catalyst", circuit, norm, st, info, program, ones, predicted, completion
+    )
     return program, report
 
 
@@ -614,19 +617,17 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
 def encode_input(program: StepProgram, bits) -> dict[str, int]:
     """The demand-scaled species merged into step 0 for an input
     assignment; never contains both polarity species of one input."""
-    chosen = input_bits(program.input_order, bits)
-    merge: dict[str, int] = {}
-    for gid in program.input_order:
-        name, count = program.input_encoding[gid][chosen[gid]]
-        merge[name] = merge.get(name, 0) + count
-    return merge
+    return {program.alphabet.names[o]: c for o, c in program.input_step(bits)}
+
+
+BACKENDS = {
+    "formula": compile_formula,
+    "exp": compile_circuit_exp,
+    "catalyst": compile_circuit_catalyst,
+}
 
 
 def compile_backend(circuit: Circuit, backend: str):
-    if backend == "formula":
-        return compile_formula(circuit)
-    if backend == "exp":
-        return compile_circuit_exp(circuit)
-    if backend == "catalyst":
-        return compile_circuit_catalyst(circuit)
-    raise ValueError(f"unknown backend {backend!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    return BACKENDS[backend](circuit)

@@ -85,16 +85,13 @@ def test_validation_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_wire_indices_are_lexicographic():
-    c = parse_circuit(FIG_FORMULA)
-    triples = [(w.producer, w.consumer, w.slot) for w in c.wires]
-    assert triples == sorted(triples)
-    assert [w.index for w in c.wires] == list(range(len(triples)))
-
-
 def test_duplicate_wires_get_slots():
+    # Each duplicate edge is its own wire: one consumer entry, one unit
+    # of fan-out and one unit of demand per edge.
     c = parse_circuit("circuit d\ngate 1 INPUT\ngate 2 AND 1 1\noutputs 2\n")
-    assert [(w.producer, w.consumer, w.slot) for w in c.wires] == [(1, 2, 0), (1, 2, 1)]
+    assert c.consumers[1] == (2, 2) and c.consumers[2] == ()
+    assert c.fanout(1) == 2
+    assert demand_analysis(c)[1] == 2
     assert evaluate(c, "1") == [1] and evaluate(c, "0") == [0]
 
 
@@ -213,7 +210,7 @@ def _path_count_oracle(c, gid):
     def paths(g):
         if g not in memo:
             memo[g] = c.outputs.count(g) + sum(
-                paths(w.consumer) for w in c.consumer_wires[g]
+                paths(h.gid) * h.inputs.count(g) for h in c.gates if g in h.inputs
             )
         return memo[g]
 

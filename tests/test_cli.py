@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from stepcrn import cli, evaluate, parse_circuit
-from stepcrn.cli import VerifyJob, main, verify_job
+from stepcrn import CorpusSpec, cli, evaluate, parse_circuit
+from stepcrn.cli import VerifyJob, VerifySummary, main, verify_job
 
 AND_NET = "circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
 FIG_NET = (
@@ -43,6 +43,15 @@ def test_compile_exp_reports_input_multiplicity(tmp_path, capsys):
 def test_compile_missing_file_exits_2(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.net"), "-o", str(tmp_path / "x")]) == 2
     assert "cannot open" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-o", "--report"])
+def test_compile_unwritable_output_exits_2(fig_net, tmp_path, capsys, flag):
+    argv = ["compile", fig_net, "-o", str(tmp_path / "x.prog")]
+    argv += [flag, str(tmp_path / "missing_dir" / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "missing_dir" in err
 
 
 def test_compile_parse_error_exits_2(tmp_path, capsys):
@@ -203,6 +212,40 @@ def test_parallel_merge_reports_the_serial_counterexample(monkeypatch):
         assert cli._merge(job, parts).to_json_obj() == serial.to_json_obj()
 
 
+def test_verify_negative_volume_cap_exits_2(fig_net, capsys):
+    assert main(["verify", fig_net, "--exhaustive", "--volume-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--volume-cap" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_exhaustive_fails_when_no_check_is_decided(fig_net, capsys):
+    argv = ["verify", fig_net, "--seeds", "0:2", "--exhaustive", "--volume-cap", "0"]
+    assert main(argv + ["--json"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["failed"] == 0 and summary["passed"] == summary["runs"] == 32
+    assert summary["exhaustive_checked"] == 0 and summary["exhaustive_skipped"] == 16
+    assert summary["ok"] is False
+    assert main(argv) == 1
+    assert "no exhaustive check was decided" in capsys.readouterr().out
+
+
+def test_undecided_exhaustive_fails_serially_and_merged():
+    job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0,), exhaustive=True, volume_cap=0)
+    serial = verify_job(job)
+    assert serial.runs == serial.passed == 4 and serial.exhaustive_skipped == 4
+    assert not serial.ok
+    indexed = list(enumerate(cli._assignments(job)))
+    parts = [cli._verify_chunk(job, indexed[i::2]) for i in range(2)]
+    assert cli._merge(job, parts) == serial
+    # One decided check anywhere is enough; skipped checks alone are not.
+    skipped = VerifySummary("a", "formula", runs=2, passed=2, exhaustive_skipped=2)
+    decided = VerifySummary("a", "formula", runs=2, passed=2, exhaustive_checked=1, exhaustive_skipped=1)
+    assert not skipped.ok and decided.ok
+    assert not cli._merge(job, [(skipped, None), (skipped, None)]).ok
+    assert cli._merge(job, [(skipped, None), (decided, None)]).ok
+
+
 class _PoolRecorder:
     """Stands in for ProcessPoolExecutor: records the pool size and maps
     in this process."""
@@ -255,6 +298,18 @@ def test_gen_corpus_deterministic(tmp_path, capsys):
 
 def test_gen_corpus_contradictory_ranges(tmp_path, capsys):
     assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--depth", "4:2"]) == 2
+    for count in ("0", "-1"):
+        assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--count", count]) == 2
+        assert "count" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            CorpusSpec(count=int(count))
+    assert not (tmp_path / "x").exists()
+
+
+def test_gen_corpus_out_is_a_file_exits_2(fig_net, capsys):
+    assert main(["gen-corpus", "--out", fig_net, "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create directory")
 
 
 def test_lowerbound_table(capsys):

@@ -44,8 +44,9 @@ def test_dag_mode_respects_ranges():
         for g in circuit.non_sources():
             assert 1 <= len(g.inputs) <= 2
         # every wire joins adjacent levels, so compiling needs no span buffers
-        for w in circuit.wires:
-            assert circuit.level[w.consumer] - circuit.level[w.producer] == 1
+        for g in circuit.gates:
+            for ref in g.inputs:
+                assert circuit.level[g.gid] - circuit.level[ref] == 1
 
 
 def test_dag_outputs_at_last_level():

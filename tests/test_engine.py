@@ -129,6 +129,28 @@ def test_decode_basic_and_errors():
     assert decode_output(_cfg(ab), prog) == ["missing"]
 
 
+def test_input_step_merges_shared_species():
+    # Two inputs naming one species for the same bit merge their counts;
+    # either bit of any input may add its species at step 0.
+    ab = Alphabet(["A", "B", "C"])
+    prog = StepProgram(
+        name="t",
+        backend="test",
+        alphabet=ab,
+        rules=(Rule.make(ab, ("A", "B")),),
+        steps=(((2, 1),),),
+        input_order=(1, 2),
+        input_encoding={1: (("B", 1), ("A", 1)), 2: (("C", 3), ("A", 2))},
+        output_decoding=(("B", "A"),),
+    )
+    assert prog.input_step("11") == ((0, 3),)
+    assert prog.input_step({1: 0, 2: 0}) == ((1, 1), (2, 3))
+    assert prog.input_species() == {0, 1, 2}
+    assert run_program(prog, "01", Schedule(0)).final.as_dict() == {"A": 1, "C": 1}
+    terminals = enumerate_program_terminals(prog, "01")
+    assert [t.as_dict() for t in terminals] == [{"A": 1, "C": 1}]
+
+
 def test_non_void_rules_are_rejected():
     ab = Alphabet(["A", "B"])
     # A -> A + B raises a count: a run would never terminate.

@@ -20,9 +20,10 @@ from stepcrn import (
     lower_gate,
     normalize,
     parse_circuit,
+    program_to_text,
     run_program,
 )
-from stepcrn.lowering import LoweringError
+from stepcrn.lowering import BACKENDS, LoweringError, compile_backend
 
 FIG_FORMULA = """
 circuit fig
@@ -56,12 +57,21 @@ def _step_dict(prog, k):
 
 def test_lower_and_gate():
     low = lower_gate(GateKind.AND, 4, (1, 2, 3))
-    assert low.steps_used == 1
+    assert len(low.additions) == 1
     assert low.additions[0] == {
         "y[4]T": 1, "y[1->4]F": 1, "y[2->4]F": 1, "y[3->4]F": 1,
     }
     assert ("x[1]T", "y[1->4]F") in low.rules
     assert ("x[1]F", "y[4]T") in low.rules
+
+
+def test_lower_or_gate_mirrors_and():
+    low = lower_gate(GateKind.OR, 4, (1, 2, 2), multiplicity=2)
+    assert low.additions == ({"y[4]F": 2, "y[1->4]T": 2, "y[2->4]T": 4},)
+    assert low.rules == (
+        ("x[1]F", "y[1->4]T"), ("x[1]T", "y[4]F"),
+        ("x[2]F", "y[2->4]T"), ("x[2]T", "y[4]F"),
+    )
 
 
 def test_lower_not_with_multiplicity():
@@ -72,7 +82,7 @@ def test_lower_not_with_multiplicity():
 
 def test_lower_maj_three_steps():
     low = lower_gate(GateKind.MAJ, 9, (1, 2, 3))
-    assert low.steps_used == 3
+    assert len(low.additions) == 3
     assert low.additions[0] == {"a[9]T": 3, "a[9]F": 3}
     assert low.additions[1] == {"b[9]T": 1, "b[9]F": 1}
     assert low.additions[2] == {"y[9]T": 1, "y[9]F": 1}
@@ -126,6 +136,14 @@ def test_formula_single_maj_step_skeleton():
     )
     # initial conversion, three majority steps, output conversion
     assert prog.step_count == 5
+
+
+def test_compile_backend_looks_up_the_table():
+    c = parse_circuit(FIG_FORMULA)
+    for name, compiler in BACKENDS.items():
+        assert program_to_text(compile_backend(c, name)[0]) == program_to_text(compiler(c)[0])
+    with pytest.raises(ValueError, match="unknown backend 'nope'"):
+        compile_backend(c, "nope")
 
 
 def test_formula_backend_rejects_circuits():
@@ -316,8 +334,9 @@ def test_completion_order_strictly_increases_along_paths():
     for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
         prog, report = compiler(c)
         norm, _ = normalize(c, align_outputs=(compiler is compile_circuit_catalyst))
-        for w in norm.wires:
-            assert report.completion_step[w.producer] < report.completion_step[w.consumer]
+        for g in norm.gates:
+            for ref in g.inputs:
+                assert report.completion_step[ref] < report.completion_step[g.gid]
 
 
 # -- majority-input isolation -----------------------------------------------------
@@ -384,8 +403,9 @@ def test_normalize_spans_every_wire_one_level():
     )
     norm, info = normalize(c)
     assert info.wire_span_buffers == 1
-    for w in norm.wires:
-        assert norm.level[w.consumer] - norm.level[w.producer] == 1
+    for g in norm.gates:
+        for ref in g.inputs:
+            assert norm.level[g.gid] - norm.level[ref] == 1
 
 
 def test_compiled_species_follow_the_grammar():

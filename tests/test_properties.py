@@ -152,7 +152,7 @@ def _paths_to_outputs(circuit, gid):
     def paths(g):
         if g not in memo:
             memo[g] = circuit.outputs.count(g) + sum(
-                paths(w.consumer) for w in circuit.consumer_wires[g]
+                paths(h.gid) * h.inputs.count(g) for h in circuit.gates if g in h.inputs
             )
         return memo[g]
 
