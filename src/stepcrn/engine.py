@@ -10,7 +10,15 @@ check that decoding is schedule independent.
 
 Every rule must be void-family: it lowers some count and raises none.
 Each application then strictly shrinks the volume, so every run
-terminates; programs and ``run_step`` reject any other rule.
+terminates; programs, ``run_step`` and ``enumerate_terminals`` reject
+any other rule.
+
+The enumerator is reduced, and the reduction keeps every terminal.  A
+void rule changes only its own reactants' counts, and only downward, so
+no firing enables a rule and two enabled rules that share no reactant
+species commute.  Each configuration therefore fires only one connected
+component of its enabled rules (an ample set), and the interleavings of
+independent gates are explored once, not in every order.
 """
 from __future__ import annotations
 
@@ -137,10 +145,10 @@ class StepProgram:
         )
 
     def static_volume(self) -> int:
-        """Copies added over all steps plus the input merge (either bit
-        choice adds the same count)."""
+        """Copies added over all steps plus the input merge, at the
+        larger count of each input's two bit choices."""
         total = sum(c for step in self.steps for _, c in step)
-        total += sum(pair[0][1] for pair in self.input_encoding.values())
+        total += sum(max(n0, n1) for (_, n0), (_, n1) in self.input_encoding.values())
         return total
 
 
@@ -166,7 +174,7 @@ class _PreparedRules:
     """Rule tables shared by the randomized scheduler and the exhaustive
     search.
 
-    The randomized scheduler keeps the set of enabled rules exact:
+    Both keep the set of enabled rules exact:
     ``watch[o]`` lists the rules that consume species ``o`` and
     ``needs[o]`` how many copies each needs, so when a firing lowers
     ``o`` below a rule's need that rule leaves the enabled set at once.
@@ -407,46 +415,111 @@ def enumerate_terminals(
     """Exact set of terminal configurations reachable from ``config``.
 
     Exhaustive search over the rule-application graph with memoization
-    on the configuration vector; raises :class:`StateCapExceeded` when
-    more than ``state_cap`` distinct configurations are visited.
+    on the configuration vector, reduced as :func:`_search_terminals`
+    describes; raises :class:`StateCapExceeded` when more than
+    ``state_cap`` distinct configurations are visited.  Every rule must
+    be void.
     """
-    prep = _PreparedRules(tuple(rules), len(config.counts))
-    terminals = _search_terminals({tuple(config.counts)}, prep, state_cap)
+    rules = tuple(rules)
+    for rule in rules:
+        _check_void(rule)
+    prep = _PreparedRules(rules, len(config.counts))
+    terminals = _search_terminals({tuple(config.counts)}, range(len(rules)), prep, state_cap)
     return {Configuration(config.alphabet, t) for t in terminals}
 
 
 def _search_terminals(
-    entries: set[tuple[int, ...]], prep: _PreparedRules, state_cap: int
+    entries: set[tuple[int, ...]],
+    candidates: Sequence[int],
+    prep: _PreparedRules,
+    state_cap: int,
 ) -> set[tuple[int, ...]]:
-    """Every terminal reachable from any of ``entries``."""
+    """Every terminal reachable from any of ``entries``, whose enabled
+    rules all lie among ``candidates``.
+
+    Each stack entry carries its configuration and its enabled rules,
+    split into connected components: two rules connect when they share
+    a reactant species.  Void rules never enable a rule, so a
+    successor's enabled rules are its parent's minus those the firing
+    pushed below a need.  Only the fired rule's component can lose
+    rules, so only it is split again.
+
+    Each configuration fires only the rules of its smallest component
+    (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
+    terminal:
+
+    - A void rule's ``delta`` touches only its own reactants, and only
+      downward.
+    - So the rules outside a component never change that component's
+      counts.
+    - Every component rule therefore stays enabled until a component
+      rule fires.
+    - Every path to a terminal fires one, and the first such firing
+      commutes with the outside firings before it to the front of the
+      path, which reaches the same terminal.
+    - Volume strictly drops, so the state graph is acyclic and needs no
+      cycle proviso.
+
+    Every configuration the search visits counts toward ``state_cap``.
+    """
+    rules, delta = prep.rules, prep.delta
+    watch, needs, max_need = prep.watch, prep.needs, prep.max_need
     terminals: set[tuple[int, ...]] = set()
     visited: set[tuple[int, ...]] = set(entries)
-    stack = list(entries)
+    stack = [(e, _components(prep.applicable(e, candidates), rules)) for e in entries]
     while stack:
-        cur = stack.pop()
-        successors = _successors(cur, prep)
-        if not successors:
+        cur, components = stack.pop()
+        if not components:
             terminals.add(cur)
             continue
-        for nxt in successors:
-            if nxt not in visited:
-                if len(visited) >= state_cap:
-                    raise StateCapExceeded(
-                        f"more than {state_cap} configurations reachable"
-                    )
-                visited.add(nxt)
-                stack.append(nxt)
+        ample = min(components, key=len)
+        rest = [c for c in components if c is not ample]
+        for q in ample:
+            nxt = list(cur)
+            dead: list[int] = []
+            for o, d in delta[q]:
+                c = nxt[o] + d
+                nxt[o] = c
+                if c < max_need[o]:
+                    dead += [r for r, need in zip(watch[o], needs[o]) if c < need]
+            key = tuple(nxt)
+            if key in visited:
+                continue
+            if len(visited) >= state_cap:
+                raise StateCapExceeded(f"more than {state_cap} configurations reachable")
+            visited.add(key)
+            if dead:
+                left = [r for r in ample if r not in dead]
+                stack.append((key, rest + _components(left, rules)))
+            else:
+                stack.append((key, components))
     return terminals
 
 
-def _successors(counts: tuple[int, ...], prep: _PreparedRules) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for q in prep.applicable(counts, range(len(prep.rules))):
-        nxt = list(counts)
-        for o, d in prep.delta[q]:
-            nxt[o] += d
-        out.add(tuple(nxt))
-    return out
+def _components(enabled: list[int], rules: Sequence[Rule]) -> list[list[int]]:
+    """``enabled`` split into connected components under shared
+    reactant species."""
+    if len(enabled) < 2:
+        return [enabled] if enabled else []
+    users: dict[int, list[int]] = {}
+    for q in enabled:
+        for o, _ in rules[q].reactants:
+            users.setdefault(o, []).append(q)
+    components = []
+    seen: set[int] = set()
+    for q in enabled:
+        if q in seen:
+            continue
+        seen.add(q)
+        component = [q]
+        for p in component:  # grows as the walk reaches new rules
+            for o, _ in rules[p].reactants:
+                for r in users[o]:
+                    if r not in seen:
+                        seen.add(r)
+                        component.append(r)
+        components.append(component)
+    return components
 
 
 def enumerate_program_terminals(
@@ -459,7 +532,9 @@ def enumerate_program_terminals(
 
     Lifts :func:`enumerate_terminals` over the step sequence: every
     terminal of step k, combined with step k+1's additions, seeds the
-    next exploration.  ``entry_volume_cap`` aborts (with
+    next exploration.  Those entries check only step k+1's candidate
+    rules, as the scheduler's do: a rule disabled at a terminal revives
+    only through an addition.  ``entry_volume_cap`` aborts (with
     :class:`StateCapExceeded`) when any step entry exceeds the cap,
     signalling the instance is too large for exhaustive mode.
     """
@@ -480,7 +555,7 @@ def enumerate_program_terminals(
                     f"step {k} entry volume {sum(entry)} exceeds cap {entry_volume_cap}"
                 )
             entries.add(tuple(entry))
-        frontier = _search_terminals(entries, prep, state_cap)
+        frontier = _search_terminals(entries, prep.candidates_by_step[k], prep, state_cap)
     return {Configuration(program.alphabet, t) for t in frontier}
 
 
@@ -590,6 +665,8 @@ def program_from_text(text: str) -> StepProgram:
             elif section == "inputs":
                 parts = line.split()
                 gid = int(parts[0])
+                if gid in input_encoding:
+                    raise ValueError(f"input {gid} declared twice")
                 enc = {}
                 for bit, entry in by_bit(parts[1:], f"input {gid}").items():
                     sp, _, cnt = entry.partition(":")

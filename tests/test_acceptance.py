@@ -306,9 +306,7 @@ def test_criterion_05_circuit_suite(suite5_results):
     )
 
 
-def test_criterion_06_confluence_ground_truth(suite4_circuits, suite5_circuits):
-    t0 = time.perf_counter()
-    checked = skipped = 0
+def _exhaustive_instances(suite4_circuits, suite5_circuits):
     worked = [
         (parse_circuit(AND3_NET), "formula"),
         (parse_circuit(FANOUT2_NET), "exp"),
@@ -317,25 +315,84 @@ def test_criterion_06_confluence_ground_truth(suite4_circuits, suite5_circuits):
     generated = [(c, "formula") for c in suite4_circuits[:40]] + [
         (c, b) for c in suite5_circuits[:20] for b in ("exp", "catalyst")
     ]
-    for circuit, backend in worked + generated:
+    return worked + generated
+
+
+def _check_exhaustive(instances, **caps):
+    """Enumerate every assignment of every (circuit, backend) instance
+    and check that each terminal decodes to the evaluated bits.
+    Returns (decided, skipped at a cap)."""
+    checked = skipped = 0
+    for circuit, backend in instances:
         program, _ = compile_backend(circuit, backend)
         for bits in _all_assignments(circuit):
             want = tuple(evaluate(circuit, bits))
             try:
-                terminals = enumerate_program_terminals(
-                    program, bits, entry_volume_cap=EXHAUSTIVE_VOLUME_CAP
-                )
+                terminals = enumerate_program_terminals(program, bits, **caps)
             except StateCapExceeded:
                 skipped += 1
                 continue
             checked += 1
             decodes = {tuple(decode_output(t, program)) for t in terminals}
             assert decodes == {want}, (circuit.name, backend, bits, decodes, want)
+    return checked, skipped
+
+
+def test_criterion_06_confluence_ground_truth(suite4_circuits, suite5_circuits):
+    t0 = time.perf_counter()
+    checked, skipped = _check_exhaustive(
+        _exhaustive_instances(suite4_circuits, suite5_circuits),
+        entry_volume_cap=EXHAUSTIVE_VOLUME_CAP,
+    )
     assert checked >= 10, "too few instances qualified for exhaustive mode"
     elapsed = time.perf_counter() - t0
     print(
         f"\ncriterion 6 PASS: {checked} exhaustive instances decode uniformly "
         f"({skipped} above the volume cap) ({elapsed:.1f}s)"
+    )
+
+
+def test_criterion_06b_confluence_without_volume_cap(suite4_circuits, suite5_circuits):
+    # Criterion 6's instances with no entry-volume cap: only the state
+    # cap bounds the reduced search, and nearly every instance is decided.
+    t0 = time.perf_counter()
+    checked, skipped = _check_exhaustive(
+        _exhaustive_instances(suite4_circuits, suite5_circuits), state_cap=20_000
+    )
+    assert checked + skipped == 1052
+    assert checked >= 1040, f"only {checked}/1052 decided under the state cap"
+    elapsed = time.perf_counter() - t0
+    print(
+        f"\ncriterion 6b PASS: {checked} exhaustive instances decode uniformly "
+        f"({skipped} above the state cap of 20000) ({elapsed:.1f}s)"
+    )
+
+
+def test_criterion_06c_maj_dags_decode_uniformly():
+    # DAGs with MAJ gates under the circuit backends: every instance is
+    # decided, and every terminal decodes to the evaluated bits.
+    t0 = time.perf_counter()
+    spec = CorpusSpec(
+        count=20,
+        seed=2405,
+        depth=(2, 3),
+        gates=(4, 12),
+        fan_in=(1, 3),
+        fan_out=(1, 3),
+        inputs=(2, 4),
+        maj_fraction=0.4,
+        name_prefix="m",
+    )
+    circuits = generate_circuits(spec, force_maj_every=2)
+    with_maj = sum(any(g.kind.value == "MAJ" for g in c.non_sources()) for c in circuits)
+    assert with_maj >= 18, f"only {with_maj}/20 DAGs contain MAJ"
+    instances = [(c, b) for c in circuits for b in ("exp", "catalyst")]
+    checked, skipped = _check_exhaustive(instances, state_cap=20_000)
+    assert (checked, skipped) == (456, 0)
+    elapsed = time.perf_counter() - t0
+    print(
+        f"\ncriterion 6c PASS: {checked} exhaustive MAJ-DAG instances decode "
+        f"uniformly, {with_maj}/20 with MAJ ({elapsed:.1f}s)"
     )
 
 

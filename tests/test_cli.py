@@ -142,6 +142,7 @@ def test_corrupted_program_file_fails_with_decode_error(tmp_path, capsys):
         ("step 1: y[3]T=1,", "step 1: y[3]T=one,", "not an integer"),
         ("step 2: x[3]T=1", "step 2: x[9]T=1", "unknown species"),
         ("y[3]T + x[3]F -> .", "x[3]T -> x[3]T + y[3]T", "not void"),
+        ("2 0=y[2]F:1 1=y[2]T:1", "1 0=y[1]F:1 1=y[1]T:1", "input 1 declared twice"),
     ],
 )
 def test_malformed_program_file_exits_2(tmp_path, capsys, old, new, message):

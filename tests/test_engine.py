@@ -107,6 +107,18 @@ def test_enumerate_state_cap():
         enumerate_terminals(_cfg(ab, A=30, B=30), [Rule.make(ab, ("A", "B"))], state_cap=5)
 
 
+def test_enumerate_fires_independent_rules_in_one_order():
+    # Every interleaving of two disjoint pairs is 31 x 31 = 961
+    # configurations; firing one independent component per state visits
+    # 31 + 30 of them, all of which count toward the cap.
+    ab = Alphabet(["A", "B", "C", "D"])
+    rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("C", "D"))]
+    start = _cfg(ab, A=30, B=30, C=30, D=30)
+    assert [t.as_dict() for t in enumerate_terminals(start, rules, state_cap=100)] == [{}]
+    with pytest.raises(StateCapExceeded):
+        enumerate_terminals(start, rules, state_cap=60)
+
+
 def _tiny_program(alphabet, rules, steps, outputs):
     return StepProgram(
         name="t",
@@ -159,6 +171,8 @@ def test_non_void_rules_are_rejected():
         _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
     with pytest.raises(ValueError, match="not void"):
         run_step(_cfg(ab, A=1), {}, [Rule.make(ab, ("A", "B")), grow])
+    with pytest.raises(ValueError, match="not void"):
+        enumerate_terminals(_cfg(ab, A=1), [grow])
 
 
 def test_run_program_reproducible_and_decodes():
@@ -249,6 +263,16 @@ def test_program_rejects_malformed_step_entries():
         with pytest.raises(ValueError):
             _tiny_program(ab, [], steps, [("A", "B")])
     assert _tiny_program(ab, [], [((0, 1), (1, 2)), ()], [("A", "B")]).static_volume() == 3
+
+
+def test_static_volume_counts_the_larger_input_choice():
+    prog = program_from_text(
+        "alphabet: A B\nrules:\nA + B -> .\nsteps:\nstep 0: B=1\n"
+        "inputs:\n1 0=B:1 1=A:5\noutputs:\n0 0=B 1=A\n"
+    )
+    assert prog.static_volume() == 6
+    assert run_program(prog, "1").peak_volume == 6
+    assert run_program(prog, "0").peak_volume == 2
 
 
 class _CountingRandom(random.Random):

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from stepcrn import (
     enumerate_terminals,
     evaluate,
     is_terminal,
+    parse_circuit,
     run_program,
     run_step,
     stats,
@@ -72,6 +74,69 @@ def test_void_run_ends_in_an_enumerated_terminal(config, rule_list, seed):
     out = run_step(config, {}, rule_list, Schedule(seed))
     assert is_terminal(out, rule_list)
     assert out in enumerate_terminals(config, rule_list)
+
+
+def _reference_terminals(config, rule_list):
+    """Unreduced search: every applicable rule fires in every state."""
+    terminals, seen, stack = set(), {config}, [config]
+    while stack:
+        cur = stack.pop()
+        successors = [apply_rule(cur, r) for r in rule_list if applicable(cur, r)]
+        if not successors:
+            terminals.add(cur)
+        for nxt in successors:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return terminals
+
+
+def _reference_program_terminals(program, bits):
+    """The unreduced search lifted over the steps, every entry checking
+    every rule."""
+    inputs = program.input_step(bits)
+    frontier = {Configuration(program.alphabet, (0,) * len(program.alphabet))}
+    for k, step in enumerate(program.steps):
+        reached = set()
+        for term in frontier:
+            counts = list(term.counts)
+            for o, c in step + inputs if k == 0 else step:
+                counts[o] += c
+            entry = Configuration(program.alphabet, tuple(counts))
+            reached |= _reference_terminals(entry, program.rules)
+        frontier = reached
+    return frontier
+
+
+@settings(deadline=None, max_examples=200)
+@given(configs, configs, st.lists(rules.filter(is_void_family), min_size=1, max_size=6))
+def test_reduced_enumeration_matches_unreduced_reference(a, b, rule_list):
+    config = Configuration(AB, tuple(x + y for x, y in zip(a.counts, b.counts)))
+    assert enumerate_terminals(config, rule_list) == _reference_terminals(config, rule_list)
+
+
+WORKED_NETS = {
+    "fig": "circuit fig\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
+    "gate 5 AND 1 2\ngate 6 AND 3 4\ngate 7 OR 5 6\noutputs 7\n",
+    "and3": "circuit and3\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 AND 1 2 3\noutputs 4\n",
+    "fanout2": "circuit fanout2\ngate 3 INPUT\ngate 2 INPUT\ngate 1 AND 3 2\noutputs 1 1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "net, backend",
+    [("fig", b) for b in ("formula", "exp", "catalyst")]
+    + [("and3", b) for b in ("formula", "exp", "catalyst")]
+    + [("fanout2", b) for b in ("exp", "catalyst")],
+)
+def test_reduced_program_enumeration_matches_reference(net, backend):
+    circuit = parse_circuit(WORKED_NETS[net])
+    program, _ = compile_backend(circuit, backend)
+    n = len(circuit.input_ids)
+    for i in range(1 << n):
+        bits = [(i >> k) & 1 for k in range(n)]
+        want = _reference_program_terminals(program, bits)
+        assert enumerate_program_terminals(program, bits) == want, bits
 
 
 @given(st.integers(min_value=0, max_value=10_000))
