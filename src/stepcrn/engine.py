@@ -13,6 +13,20 @@ Each application then strictly shrinks the volume, so every run
 terminates; programs, ``run_step`` and ``enumerate_terminals`` reject
 any other rule.
 
+A randomized run costs time per firing, not per rule and step.  The
+scheduler keeps the set of enabled rules exact, so every draw fires a
+rule.  Since void rules never raise a count, only a step's additions
+enable a rule: each rule is checked once, at its ready step, when its
+last reactant first arrives.  A rule found short then, or disabled by a
+firing, is parked on one short reactant and checked again only when a
+later step re-adds that species; one short on a species no later step
+adds is dropped for good.  This is the watched literal of SAT solvers
+(Moskewicz et al., Chaff, DAC 2001) and the dependency graph of Gibson
+and Bruck (J. Phys. Chem. A, 2000): after an event, touch only what it
+affects.  Compiled programs re-add only the catalyst backend's deleter
+pair, so formula and exp runs never park a rule, and a catalyst sweep
+costs what it deletes, not every rule the deleter could ever meet.
+
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
 no firing enables a rule and two enabled rules that share no reactant
@@ -23,7 +37,6 @@ independent gates are explored once, not in every order.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -107,6 +120,8 @@ class StepProgram:
                 if c < 1:
                     raise ValueError(f"step {k}: addition counts must be >= 1")
                 prev = o
+        if self.input_encoding and not self.steps:
+            raise ValueError("a program with inputs needs a step 0 to merge them into")
         for pair in self.input_encoding.values():
             for name, count in pair:
                 self._known(name)
@@ -174,27 +189,62 @@ class _PreparedRules:
     """Rule tables shared by the randomized scheduler and the exhaustive
     search.
 
-    Both keep the set of enabled rules exact:
-    ``watch[o]`` lists the rules that consume species ``o`` and
-    ``needs[o]`` how many copies each needs, so when a firing lowers
-    ``o`` below a rule's need that rule leaves the enabled set at once.
-    Void rules never raise a count, so only additions can enable a rule;
-    ``candidates_by_step[k]`` lists the rules that can become enabled
-    when step ``k``'s additions arrive.  Programs keep these tables for
-    their lifetime, so they hold flat tuples of shared objects.
+    Both keep the set of enabled rules exact.  ``watch[o]`` lists the
+    rules that consume species ``o`` and ``needs[o]`` how many copies
+    each needs, so when a firing lowers ``o`` below a rule's need that
+    rule leaves the enabled set at once.
+
+    Void rules never raise a count, so only additions enable a rule.  A
+    rule is first checked at its ready step, the first step by which
+    every reactant has been added: ``ready_by_step[k]`` lists those
+    rules, so it holds each rule at most once.  After that a rule can
+    revive only at a step that re-adds one of its reactants.
+    ``readd_by_step[k]`` lists the species step ``k`` adds that an
+    earlier step added too, ``last_add[o]`` the last step adding such a
+    species, and ``park_until`` the last step re-adding any.  A run
+    parks a rule found short, or disabled by a firing, on a short
+    reactant that a later step re-adds, and checks it again only then
+    (see :meth:`run`); the enumerator's step entries check the consumers
+    of every re-added species (see :meth:`step_candidates`).  Programs
+    keep these tables for their lifetime, so they hold flat tuples of
+    shared objects.
     """
 
     def __init__(self, rules: Sequence[Rule], n_species: int, step_species=()):
+        # ``step_species[k]`` holds the ordinals step k may add.
+        first_add: dict[int, int] = {}
+        last_add: dict[int, int] = {}
+        readd = []
+        for k, ordinals in enumerate(step_species):
+            again = []
+            for o in ordinals:
+                if o not in first_add:
+                    first_add[o] = k
+                elif first_add[o] < k:
+                    last_add[o] = k
+                    again.append(o)
+            readd.append(tuple(again))
+        self.readd_by_step = tuple(readd)
+        self.last_add = last_add
+        self.park_until = max(last_add.values(), default=-1)
+
         self.rules = rules = tuple(rules)
         self.delta = tuple(r.delta for r in rules)
-        watch: dict[int, list[int]] = {}
-        needs: dict[int, list[int]] = {}
+        watch: list[list[int]] = [[] for _ in range(n_species)]
+        needs: list[list[int]] = [[] for _ in range(n_species)]
+        by_step: list[list[int]] = [[] for _ in step_species]
+        never = len(step_species)
         for q, r in enumerate(rules):
+            ready = 0
             for o, need in r.reactants:
-                watch.setdefault(o, []).append(q)
-                needs.setdefault(o, []).append(need)
-        self.watch = tuple(tuple(watch.get(o, ())) for o in range(n_species))
-        self.needs = tuple(tuple(needs.get(o, ())) for o in range(n_species))
+                watch[o].append(q)
+                needs[o].append(need)
+                ready = max(ready, first_add.get(o, never))
+            if ready < never:  # else a reactant is never added
+                by_step[ready].append(q)
+        self.ready_by_step = tuple(map(tuple, by_step))
+        self.watch = tuple(map(tuple, watch))
+        self.needs = tuple(map(tuple, needs))
         self.max_need = tuple(max(w, default=0) for w in self.needs)
         # Applicability checks read a rule's first and last reactant
         # inline; the rare rule with more than two reactant species is
@@ -202,28 +252,6 @@ class _PreparedRules:
         self.first = tuple(r.reactants[0] for r in rules)
         self.last = tuple(r.reactants[-1] for r in rules)
         self.wide = frozenset(q for q, r in enumerate(rules) if len(r.reactants) > 2)
-
-        # ``step_species[k]`` holds the ordinals step k may add.  A rule
-        # can first fire once every reactant has been added and — its
-        # applicability only falling between additions — can only revive
-        # at a step that re-adds one of its reactants.  Rules with an
-        # unaddable reactant never fire.
-        adds: dict[int, list[int]] = {}
-        for k, ordinals in enumerate(step_species):
-            for o in ordinals:
-                adds.setdefault(o, []).append(k)
-        by_step: list[list[int]] = [[] for _ in step_species]
-        for q, r in enumerate(rules):
-            reactant_adds = [adds.get(o) for o, _ in r.reactants]
-            if not all(reactant_adds):
-                continue
-            ready = max(s[0] for s in reactant_adds)
-            entries = {ready}
-            for s in reactant_adds:
-                entries.update(s[bisect_right(s, ready):])
-            for k in entries:
-                by_step[k].append(q)
-        self.candidates_by_step = tuple(map(tuple, by_step))
 
     def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
         """The rules among ``candidates`` whose reactants ``counts``
@@ -239,53 +267,130 @@ class _PreparedRules:
                 out.append(q)
         return out
 
-    def enter(self, counts: list[int], enabled: list[int], pos: list[int], candidates) -> None:
-        """Enable every applicable rule among ``candidates``; ``enabled``
-        must be empty, as it is at every terminal."""
-        enabled += self.applicable(counts, candidates)
-        for i, q in enumerate(enabled):
-            pos[q] = i
+    def step_candidates(self, k: int) -> Sequence[int]:
+        """Every rule that step ``k``'s additions may enable at a
+        terminal of step ``k - 1``, in rule order: the rules ready at
+        ``k`` and every consumer of a species ``k`` re-adds."""
+        ready, readd = self.ready_by_step[k], self.readd_by_step[k]
+        if not readd:
+            return ready
+        if not ready and len(readd) == 1:
+            return self.watch[readd[0]]
+        return sorted(set(ready).union(*(self.watch[o] for o in readd)))
 
-    def run_to_terminal(
+    def run(
         self,
-        counts: list[int],
-        enabled: list[int],
-        pos: list[int],
+        steps: Sequence[Step],
+        inputs: Step,
         rng: random.Random,
-        volume: int,
         trace: list[str] | None = None,
-        step_no: int = 0,
-    ) -> tuple[int, int]:
-        """Fire uniformly-drawn enabled void rules until none is enabled.
+        per_step: list[tuple[int, ...]] | None = None,
+    ) -> tuple[list[int], int, int]:
+        """Run every step from the empty configuration, ``inputs`` merged
+        into step 0: add the step's species, then fire uniformly-drawn
+        enabled rules until none is enabled.
 
-        ``enabled`` must hold exactly the applicable rules, with
-        ``pos[q]`` the index of rule ``q`` in it (-1 when absent); every
-        draw fires a rule, and a rule is swap-removed the moment one of
-        its reactants drops below its need.  Mutates ``counts``,
-        ``enabled`` and ``pos``.  Returns (applications, volume).
+        ``enabled`` holds exactly the applicable rules, and ``pos[q]``
+        the index of rule ``q`` in it (-1 when absent), so every draw
+        fires a rule.  A step enables, in rule order, the rules ready at
+        it and those parked on a species it re-adds; each candidate
+        found short waits on a short reactant in ``parked``, or is
+        dropped when no later step re-adds that reactant.  A firing
+        swap-removes, in rule order, every enabled rule it pushed below a
+        need, and parks it the same way.  When the lowered species has
+        far more consumers than there are enabled rules (a deleter's
+        drop) the removal walks the enabled rules instead, so it costs
+        what is enabled, not every consumer.
+
+        Appends a line per firing to ``trace`` and each step's terminal
+        counts to ``per_step`` when given.  Returns (final counts, peak
+        volume, applications).
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
+        first, last, wide, rules = self.first, self.last, self.wide, self.rules
+        ready_by_step, readd_by_step = self.ready_by_step, self.readd_by_step
+        last_add, park_until = self.last_add, self.park_until
         randrange = rng.randrange
-        apps = 0
-        while enabled:
-            q = enabled[randrange(len(enabled))]
-            for o, d in delta[q]:
-                c = counts[o] + d
-                counts[o] = c
-                volume += d
-                if c < max_need[o]:
-                    for r, need in zip(watch[o], needs[o]):
-                        if c < need and pos[r] >= 0:
-                            i = pos[r]
-                            last = enabled.pop()
-                            if last != r:
-                                enabled[i] = last
-                                pos[last] = i
-                            pos[r] = -1
-            apps += 1
-            if trace is not None:
-                trace.append(f"step={step_no} rule={self.rules[q].text} volume={volume}")
-        return apps, volume
+        counts = [0] * len(watch)
+        enabled: list[int] = []
+        pos = [-1] * len(rules)
+        parked: dict[int, list[int]] = {}  # species -> rules waiting for it
+        volume = peak = apps = 0
+        for k, step in enumerate(steps):
+            for o, c in (step + inputs if k == 0 else step):
+                counts[o] += c
+                volume += c
+            if volume > peak:
+                peak = volume
+
+            # Entry: the rules ready at k and those parked on a species
+            # k re-adds, in rule order.
+            candidates = ready_by_step[k]
+            readd = readd_by_step[k]
+            if readd and parked:
+                woken: list[int] = []
+                for o in readd:
+                    woken += parked.pop(o, ())
+                if woken:
+                    woken += candidates
+                    woken.sort()
+                    candidates = woken
+            parking = k < park_until
+            for q in candidates:
+                a, na = first[q]
+                b, nb = last[q]
+                if counts[a] >= na and counts[b] >= nb and (
+                    q not in wide or all(counts[o] >= c for o, c in rules[q].reactants)
+                ):
+                    pos[q] = len(enabled)
+                    enabled.append(q)
+                elif parking:
+                    if counts[a] < na:
+                        o = a
+                    elif counts[b] < nb:
+                        o = b
+                    else:
+                        o = next(o for o, c in rules[q].reactants if counts[o] < c)
+                    if o in last_add and last_add[o] > k:
+                        if o in parked:
+                            parked[o].append(q)
+                        else:
+                            parked[o] = [q]
+
+            # Fire to a terminal.
+            while enabled:
+                q = enabled[randrange(len(enabled))]
+                for o, d in delta[q]:
+                    c = counts[o] + d
+                    counts[o] = c
+                    volume += d
+                    if c < max_need[o]:
+                        consumers = watch[o]
+                        if len(consumers) > 32 and len(consumers) > 8 * len(enabled):
+                            consumers = sorted(
+                                (r, need) for r in enabled for p, need in rules[r].reactants if p == o
+                            )
+                        else:
+                            consumers = zip(consumers, needs[o])
+                        for r, need in consumers:
+                            if c < need and pos[r] >= 0:
+                                i = pos[r]
+                                tail = enabled.pop()
+                                if tail != r:
+                                    enabled[i] = tail
+                                    pos[tail] = i
+                                pos[r] = -1
+                                if o in last_add and last_add[o] > k:
+                                    if o in parked:
+                                        parked[o].append(r)
+                                    else:
+                                        parked[o] = [r]
+                apps += 1
+                if trace is not None:
+                    trace.append(f"step={k} rule={rules[q].text} volume={volume}")
+            if per_step is not None:
+                per_step.append(tuple(counts))
+        return counts, peak, apps
 
 
 def _prepared(program: StepProgram) -> _PreparedRules:
@@ -323,12 +428,11 @@ def run_step(
         if c < 0:
             raise ValueError("additions must be non-negative")
         counts[o] += c
-    prep = _PreparedRules(rules, len(counts))
-    enabled: list[int] = []
-    pos = [-1] * len(rules)
-    prep.enter(counts, enabled, pos, range(len(rules)))
-    prep.run_to_terminal(counts, enabled, pos, random.Random(sched.seed), sum(counts))
-    return Configuration(config.alphabet, tuple(counts))
+    # One step that adds the whole entry configuration.
+    entry = tuple((o, c) for o, c in enumerate(counts) if c)
+    prep = _PreparedRules(rules, len(counts), [[o for o, _ in entry]])
+    final, _, _ = prep.run((entry,), (), random.Random(sched.seed))
+    return Configuration(config.alphabet, tuple(final))
 
 
 def run_program(
@@ -346,37 +450,19 @@ def run_program(
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
-    rng = random.Random(sched.seed)
     alphabet = program.alphabet
-    counts = [0] * len(alphabet)
-    volume = 0
-    peak = 0
-    apps_total = 0
     trace_lines: list[str] | None = [] if trace else None
-    per_step: list[Configuration] = []
-    enabled: list[int] = []
-    pos = [-1] * len(prep.rules)
-
-    for k, step in enumerate(program.steps):
-        for o, c in (step + inputs if k == 0 else step):
-            counts[o] += c
-            volume += c
-        peak = max(peak, volume)
-        prep.enter(counts, enabled, pos, prep.candidates_by_step[k])
-        apps, volume = prep.run_to_terminal(
-            counts, enabled, pos, rng, volume, trace_lines, k
-        )
-        apps_total += apps
-        if per_step_terminal:
-            per_step.append(Configuration(alphabet, tuple(counts)))
-
-    final = per_step[-1] if per_step else Configuration(alphabet, tuple(counts))
+    per_step: list[tuple[int, ...]] | None = [] if per_step_terminal else None
+    counts, peak, apps = prep.run(
+        program.steps, inputs, random.Random(sched.seed), trace_lines, per_step
+    )
+    final = Configuration(alphabet, tuple(counts))
     return RunResult(
         final=final,
-        per_step_terminal=tuple(per_step),
+        per_step_terminal=tuple(Configuration(alphabet, c) for c in per_step or ()),
         peak_volume=peak,
         step_count=len(program.steps),
-        applications=apps_total,
+        applications=apps,
         decoded=tuple(decode_output(final, program)),
         trace=tuple(trace_lines) if trace_lines is not None else None,
     )
@@ -532,11 +618,12 @@ def enumerate_program_terminals(
 
     Lifts :func:`enumerate_terminals` over the step sequence: every
     terminal of step k, combined with step k+1's additions, seeds the
-    next exploration.  Those entries check only step k+1's candidate
-    rules, as the scheduler's do: a rule disabled at a terminal revives
-    only through an addition.  ``entry_volume_cap`` aborts (with
-    :class:`StateCapExceeded`) when any step entry exceeds the cap,
-    signalling the instance is too large for exhaustive mode.
+    next exploration.  Those entries check only the rules step k+1 is
+    ready for and the consumers of the species it re-adds: a rule
+    disabled at a terminal revives only through an addition.
+    ``entry_volume_cap`` aborts (with :class:`StateCapExceeded`) when
+    any step entry exceeds the cap, signalling the instance is too large
+    for exhaustive mode.
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
@@ -555,7 +642,7 @@ def enumerate_program_terminals(
                     f"step {k} entry volume {sum(entry)} exceeds cap {entry_volume_cap}"
                 )
             entries.add(tuple(entry))
-        frontier = _search_terminals(entries, prep.candidates_by_step[k], prep, state_cap)
+        frontier = _search_terminals(entries, prep.step_candidates(k), prep, state_cap)
     return {Configuration(program.alphabet, t) for t in frontier}
 
 

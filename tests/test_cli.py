@@ -159,6 +159,18 @@ def test_malformed_program_file_exits_2(tmp_path, capsys, old, new, message):
     assert err.startswith("error: ") and f"line {lineno}" in err and message in err
 
 
+def test_program_file_with_inputs_but_no_steps_exits_2(tmp_path, capsys):
+    # With no step 0 the inputs would never be merged: the run would
+    # report output <missing@0> instead of naming the problem.
+    prog = tmp_path / "a.prog"
+    prog.write_text(
+        "alphabet: A B\nrules:\nA + B -> .\ninputs:\n1 0=B:1 1=A:1\noutputs:\n0 0=B 1=A\n"
+    )
+    assert main(["run", str(prog), "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step 0" in err
+
+
 @pytest.mark.parametrize("seeds", ["x", "1:y", "5:5", "3:1"])
 def test_verify_bad_or_empty_seed_range_exits_2(fig_net, capsys, seeds):
     assert main(["verify", fig_net, "--seeds", seeds]) == 2

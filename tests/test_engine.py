@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +22,12 @@ from stepcrn import (
 )
 from stepcrn import engine
 from stepcrn.engine import StepProgram
-from stepcrn.lowering import compile_circuit_catalyst, compile_circuit_exp, compile_formula
+from stepcrn.lowering import (
+    compile_backend,
+    compile_circuit_catalyst,
+    compile_circuit_exp,
+    compile_formula,
+)
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -296,3 +303,108 @@ def test_run_program_draws_once_per_application(monkeypatch):
             result = run_program(prog, "101", Schedule(seed))
             assert result.applications > 0
             assert _CountingRandom.draws == result.applications
+
+
+MAJ_NET = (
+    "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\n"
+    "gate 4 MAJ 1 2 3\ngate 5 AND 1 4\ngate 6 OR 4 2\noutputs 5 6 6\n"
+)
+
+
+def _hub_program_text():
+    """60 rules share the hub species H, so when H drops while a few of
+    them are enabled the scheduler walks the enabled rules, not H's
+    consumers; the result must not depend on which walk it takes."""
+    hub = [f"H + X{i} -> ." for i in range(1, 61)]
+    pairs = [f"Y{j} + W{j} -> ." for j in range(1, 5)]
+    names = ["H"] + [f"Y{j}" for j in range(1, 5)] + [f"W{j}" for j in range(1, 5)]
+    names += [f"X{i}" for i in range(1, 61)]
+    return "\n".join(
+        ["alphabet: " + " ".join(names), "rules:", *hub[:30], *pairs, *hub[30:], "steps:",
+         "step 0: H=1, Y1=1, W1=1, Y2=1, W2=1, Y3=2, W3=2, Y4=1, W4=1, X1=1, X59=1, X60=1",
+         "outputs:", "0 0=Y1 1=Y2"]
+    ) + "\n"
+
+
+def test_traces_match_the_recorded_ones():
+    # tests/data/traces.json was recorded before the scheduler parked
+    # rules on re-added species: the same (program, input, seed) must
+    # still fire the same rules in the same order.  fig runs under every
+    # backend, the MAJ circuit (fan-out 2, so no formula) under the
+    # other two.
+    recorded = json.loads((Path(__file__).parent / "data" / "traces.json").read_text())
+    programs = {
+        (name, b): compile_backend(parse_circuit(net), b)[0]
+        for name, net in (("fig", FIG_NET), ("maj", MAJ_NET))
+        for b in ("formula", "exp", "catalyst")
+        if (name, b) != ("maj", "formula")
+    }
+    programs["hub", "unknown"] = program_from_text(_hub_program_text())
+    assert {(r["program"], r["backend"]) for r in recorded} == set(programs)
+    assert {r["seed"] for r in recorded} == set(range(5))
+    for rec in recorded:
+        program = programs[rec["program"], rec["backend"]]
+        result = run_program(program, rec["bits"], Schedule(rec["seed"]), trace=True)
+        where = (rec["program"], rec["backend"], rec["bits"], rec["seed"])
+        assert list(result.trace) == rec["trace"], where
+        assert result.final.as_dict() == rec["final"], where
+        assert list(result.decoded) == rec["decoded"], where
+        assert (result.applications, result.peak_volume) == (
+            rec["applications"],
+            rec["peak_volume"],
+        ), where
+
+
+def test_rule_short_on_a_middle_reactant_waits_for_it():
+    # A + B + C is first checked at step 1, short only on B, which sits
+    # between the first and last reactant; step 2 re-adds B.
+    ab = Alphabet(["A", "B", "C", "D"])
+    prog = _tiny_program(
+        ab,
+        [Rule.make(ab, ("A", "B", "C")), Rule.make(ab, ("B", "D"))],
+        [((1, 1), (3, 1)), ((0, 1), (2, 1)), ((1, 1),)],
+        [("A", "B")],
+    )
+    result = run_program(prog, "", per_step_terminal=True)
+    assert [t.as_dict() for t in result.per_step_terminal] == [{}, {"A": 1, "C": 1}, {}]
+    assert [t.as_dict() for t in enumerate_program_terminals(prog, "")] == [{}]
+
+
+def _layered_net(width, depth):
+    """``width`` inputs, then ``depth`` levels of ``width`` fan-in-2 gates,
+    gate i of a level reading gates i and i+1 of the level below."""
+    lines = ["circuit layered"] + [f"gate {g} INPUT" for g in range(1, width + 1)]
+    prev = list(range(1, width + 1))
+    for level in range(depth):
+        cur = [prev[-1] + 1 + i for i in range(width)]
+        for i, gid in enumerate(cur):
+            kind = "AND" if (i + level) % 2 else "OR"
+            lines.append(f"gate {gid} {kind} {prev[i]} {prev[(i + 1) % width]}")
+        prev = cur
+    lines.append("outputs " + " ".join(map(str, prev)))
+    return "\n".join(lines) + "\n"
+
+
+class _CountingTable(tuple):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingTable.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_catalyst_entry_checks_follow_firings():
+    # Every rule is checked once at its ready step, and again only when a
+    # step re-adds the reactant it waits on, so the checks grow with the
+    # firings, not with rules x depth.
+    for depth in (6, 12):
+        program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, depth)))
+        prep = engine._prepared(program)
+        ready = [q for step in prep.ready_by_step for q in step]
+        assert len(ready) == len(set(ready))
+        # An entry check reads the rule's first reactant once.
+        prep.first = _CountingTable(prep.first)
+        for seed in range(3):
+            _CountingTable.reads = 0
+            result = run_program(program, "10110010", Schedule(seed))
+            assert 0 < _CountingTable.reads <= len(program.rules) + 2 * result.applications

@@ -30,6 +30,7 @@ from stepcrn import (
 from stepcrn.circuits import max_fanout_any
 from stepcrn.crn import is_void_family
 from stepcrn.corpus import CorpusSpec, generate_circuits
+from stepcrn.engine import StepProgram
 from stepcrn.lowering import compile_backend
 
 AB = Alphabet([f"s{i}" for i in range(6)])
@@ -137,6 +138,56 @@ def test_reduced_program_enumeration_matches_reference(net, backend):
         bits = [(i >> k) & 1 for k in range(n)]
         want = _reference_program_terminals(program, bits)
         assert enumerate_program_terminals(program, bits) == want, bits
+
+
+# Small additions over few species, so that steps often add a species
+# an earlier step added too.
+re_adds = st.dictionaries(
+    st.sampled_from(AB.names[:4]), st.integers(min_value=1, max_value=2), max_size=3
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(rules.filter(is_void_family), min_size=1, max_size=5),
+    st.lists(re_adds, min_size=2, max_size=4),
+    st.integers(0, 10_000),
+)
+def test_multi_step_runs_with_re_added_species(rule_list, adds, seed):
+    # Compilers re-add only the deleter pair; here any species may come
+    # back at a later step, rules need more than one copy and some read
+    # three or more species, so every rule the scheduler set aside must
+    # be looked at again when its short reactant returns.
+    program = StepProgram(
+        name="p",
+        backend="test",
+        alphabet=AB,
+        rules=tuple(rule_list),
+        steps=tuple(tuple(sorted((AB.ordinal(n), c) for n, c in d.items())) for d in adds),
+        input_order=(),
+        input_encoding={},
+        output_decoding=(),
+    )
+    result = run_program(program, (), Schedule(seed), per_step_terminal=True)
+    for term in result.per_step_terminal:
+        assert is_terminal(term, rule_list)
+    terminals = enumerate_program_terminals(program, ())
+    assert result.final in terminals
+    assert terminals == _reference_program_terminals(program, ())
+
+
+@pytest.mark.parametrize("net", sorted(WORKED_NETS))
+def test_catalyst_per_step_terminals_are_terminal(net):
+    circuit = parse_circuit(WORKED_NETS[net])
+    program, _ = compile_backend(circuit, "catalyst")
+    n = len(circuit.input_ids)
+    for i in range(1 << n):
+        bits = [(i >> k) & 1 for k in range(n)]
+        for seed in range(3):
+            result = run_program(program, bits, Schedule(seed), per_step_terminal=True)
+            assert len(result.per_step_terminal) == program.step_count
+            for term in result.per_step_terminal:
+                assert is_terminal(term, program.rules), (bits, seed)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
