@@ -364,9 +364,10 @@ def circuit_from_json(obj) -> Circuit:
             Gate(int(g["id"]), _KINDS[str(g["kind"])], tuple(int(r) for r in g.get("inputs", ())))
             for g in obj["gates"]
         ]
-        return Circuit(str(obj.get("name", "circuit")), gates, [int(o) for o in obj["outputs"]])
-    except (KeyError, TypeError) as e:
+        outputs = [int(o) for o in obj["outputs"]]
+    except (KeyError, TypeError, ValueError) as e:
         raise NetlistParseError(f"bad circuit JSON: {e}") from e
+    return Circuit(str(obj.get("name", "circuit")), gates, outputs)
 
 
 def to_netlist(circuit: Circuit) -> str:

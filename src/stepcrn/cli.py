@@ -30,7 +30,6 @@ from .lowerbound import check_demand_growth, min_copy_bounds
 from .lowering import BACKENDS, compile_backend
 
 DEFAULT_SEEDS = tuple(range(25))
-DEFAULT_EXHAUSTIVE_VOLUME_CAP = 14
 DEFAULT_ALL_INPUTS_CAP = 12
 
 
@@ -42,7 +41,6 @@ class VerifyJob:
     random_count: int = 16
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     exhaustive: bool = False
-    volume_cap: int = DEFAULT_EXHAUSTIVE_VOLUME_CAP
 
 
 @dataclass
@@ -128,9 +126,7 @@ def _verify_chunk(
                 fail(index, position, bits, seed, want, result.decoded, result.final)
         if job.exhaustive:
             try:
-                terminals = enumerate_program_terminals(
-                    program, bits, entry_volume_cap=job.volume_cap
-                )
+                terminals = enumerate_program_terminals(program, bits)
             except StateCapExceeded:
                 summary.exhaustive_skipped += 1
             else:
@@ -304,8 +300,6 @@ def cmd_verify(args) -> int:
         return _usage_error(bad_inputs)
     if args.jobs < 1:
         return _usage_error(f"--jobs {args.jobs} must be >= 1")
-    if args.volume_cap < 0:
-        return _usage_error(f"--volume-cap {args.volume_cap} must be >= 0")
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,
@@ -313,7 +307,6 @@ def cmd_verify(args) -> int:
         random_count=count,
         seeds=_parse_seeds(args.seeds),
         exhaustive=args.exhaustive,
-        volume_cap=args.volume_cap,
     )
     try:
         summary = verify_job_parallel(job, args.jobs)
@@ -331,7 +324,7 @@ def cmd_verify(args) -> int:
         if summary.counterexample:
             print("counterexample:", json.dumps(summary.counterexample, sort_keys=True))
         if summary.exhaustive_skipped and not summary.exhaustive_checked:
-            print("no exhaustive check was decided: every instance exceeded a cap")
+            print("no exhaustive check was decided: every instance exceeded the state cap")
     return 0 if summary.ok else 1
 
 
@@ -429,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", default="all", help="all or random[:N]")
     p.add_argument("--seeds", default="0:25", help="lo:hi or comma list")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--volume-cap", type=int, default=DEFAULT_EXHAUSTIVE_VOLUME_CAP)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -79,7 +79,7 @@ class Alphabet:
             raise KeyError(f"species {name!r} not in alphabet") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (isinstance(other, Alphabet) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)

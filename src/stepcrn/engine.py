@@ -54,7 +54,7 @@ class StateCapExceeded(RuntimeError):
     """Exhaustive enumeration visited more configurations than allowed."""
 
 
-DEFAULT_STATE_CAP = 2_000_000
+DEFAULT_STATE_CAP = 20_000
 
 RANDOM_MAXIMAL = "random-maximal"
 
@@ -107,6 +107,8 @@ class StepProgram:
 
     def __post_init__(self):
         for rule in self.rules:
+            if rule.alphabet != self.alphabet:
+                raise ValueError(f"rule {rule.text!r} is over another alphabet")
             _check_void(rule)
         n = len(self.alphabet)
         for k, step in enumerate(self.steps):
@@ -197,15 +199,17 @@ class _PreparedRules:
     Void rules never raise a count, so only additions enable a rule.  A
     rule is first checked at its ready step, the first step by which
     every reactant has been added: ``ready_by_step[k]`` lists those
-    rules, so it holds each rule at most once.  After that a rule can
-    revive only at a step that re-adds one of its reactants.
+    rules, so it holds each rule at most once, and ``ready[q]`` is rule
+    ``q``'s ready step (the step count when a reactant is never added).
+    After that a rule can revive only at a step that re-adds one of its
+    reactants.
     ``readd_by_step[k]`` lists the species step ``k`` adds that an
     earlier step added too, ``last_add[o]`` the last step adding such a
     species, and ``park_until`` the last step re-adding any.  A run
     parks a rule found short, or disabled by a firing, on a short
     reactant that a later step re-adds, and checks it again only then
-    (see :meth:`run`); the enumerator's step entries check the consumers
-    of every re-added species (see :meth:`step_candidates`).  Programs
+    (see :meth:`run`); the enumerator's step entries check the ready
+    consumers of every re-added species (see :meth:`step_candidates`).  Programs
     keep these tables for their lifetime, so they hold flat tuples of
     shared objects.
     """
@@ -234,6 +238,7 @@ class _PreparedRules:
         needs: list[list[int]] = [[] for _ in range(n_species)]
         by_step: list[list[int]] = [[] for _ in step_species]
         never = len(step_species)
+        ready_of = []
         for q, r in enumerate(rules):
             ready = 0
             for o, need in r.reactants:
@@ -242,7 +247,9 @@ class _PreparedRules:
                 ready = max(ready, first_add.get(o, never))
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
+            ready_of.append(ready)
         self.ready_by_step = tuple(map(tuple, by_step))
+        self.ready = tuple(ready_of)
         self.watch = tuple(map(tuple, watch))
         self.needs = tuple(map(tuple, needs))
         self.max_need = tuple(max(w, default=0) for w in self.needs)
@@ -270,13 +277,15 @@ class _PreparedRules:
     def step_candidates(self, k: int) -> Sequence[int]:
         """Every rule that step ``k``'s additions may enable at a
         terminal of step ``k - 1``, in rule order: the rules ready at
-        ``k`` and every consumer of a species ``k`` re-adds."""
-        ready, readd = self.ready_by_step[k], self.readd_by_step[k]
+        ``k`` and the consumers of a species ``k`` re-adds that are ready
+        by ``k``.  A consumer ready later still lacks a reactant no step
+        up to ``k`` adds, so it cannot fire yet."""
+        ready_at, readd = self.ready_by_step[k], self.readd_by_step[k]
         if not readd:
-            return ready
-        if not ready and len(readd) == 1:
-            return self.watch[readd[0]]
-        return sorted(set(ready).union(*(self.watch[o] for o in readd)))
+            return ready_at
+        ready = self.ready
+        revived = {q for o in readd for q in self.watch[o] if ready[q] <= k}
+        return sorted(revived.union(ready_at))
 
     def run(
         self,
@@ -612,18 +621,16 @@ def enumerate_program_terminals(
     program: StepProgram,
     bits,
     state_cap: int = DEFAULT_STATE_CAP,
-    entry_volume_cap: int | None = None,
 ) -> set[Configuration]:
     """Exact set of final terminal configurations over all schedules.
 
     Lifts :func:`enumerate_terminals` over the step sequence: every
     terminal of step k, combined with step k+1's additions, seeds the
     next exploration.  Those entries check only the rules step k+1 is
-    ready for and the consumers of the species it re-adds: a rule
-    disabled at a terminal revives only through an addition.
-    ``entry_volume_cap`` aborts (with :class:`StateCapExceeded`) when
-    any step entry exceeds the cap, signalling the instance is too large
-    for exhaustive mode.
+    ready for and those consumers of the species it re-adds that are
+    ready by then: a rule disabled at a terminal revives only through an
+    addition.  Each step's search raises :class:`StateCapExceeded` once
+    it visits more than ``state_cap`` configurations.
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
@@ -637,10 +644,6 @@ def enumerate_program_terminals(
             entry = list(term)
             for o, c in add:
                 entry[o] += c
-            if entry_volume_cap is not None and sum(entry) > entry_volume_cap:
-                raise StateCapExceeded(
-                    f"step {k} entry volume {sum(entry)} exceeds cap {entry_volume_cap}"
-                )
             entries.add(tuple(entry))
         frontier = _search_terminals(entries, prep.step_candidates(k), prep, state_cap)
     return {Configuration(program.alphabet, t) for t in frontier}
@@ -728,6 +731,8 @@ def program_from_text(text: str) -> StepProgram:
             section = "steps"
         try:
             if line.startswith("alphabet:"):
+                if alphabet is not None:
+                    raise ValueError("alphabet declared twice")
                 alphabet = Alphabet(line.split(":", 1)[1].split())
                 continue
             if alphabet is None:

@@ -29,7 +29,7 @@ from stepcrn import (
     to_netlist,
 )
 from stepcrn.corpus import CorpusSpec, generate_circuits
-from stepcrn.engine import StateCapExceeded
+from stepcrn.engine import DEFAULT_STATE_CAP, StateCapExceeded
 from stepcrn.lowerbound import check_demand_growth
 from stepcrn.lowering import (
     CAT_STEPS_C,
@@ -44,7 +44,6 @@ from stepcrn.lowering import (
 
 SEEDS_25 = tuple(range(25))
 SEEDS_SUITE5 = (0, 1, 2)
-EXHAUSTIVE_VOLUME_CAP = 14
 
 AND3_NET = """
 circuit and3
@@ -318,17 +317,17 @@ def _exhaustive_instances(suite4_circuits, suite5_circuits):
     return worked + generated
 
 
-def _check_exhaustive(instances, **caps):
+def _check_exhaustive(instances):
     """Enumerate every assignment of every (circuit, backend) instance
-    and check that each terminal decodes to the evaluated bits.
-    Returns (decided, skipped at a cap)."""
+    under the default state cap and check that each terminal decodes to
+    the evaluated bits.  Returns (decided, skipped at the cap)."""
     checked = skipped = 0
     for circuit, backend in instances:
         program, _ = compile_backend(circuit, backend)
         for bits in _all_assignments(circuit):
             want = tuple(evaluate(circuit, bits))
             try:
-                terminals = enumerate_program_terminals(program, bits, **caps)
+                terminals = enumerate_program_terminals(program, bits)
             except StateCapExceeded:
                 skipped += 1
                 continue
@@ -339,32 +338,16 @@ def _check_exhaustive(instances, **caps):
 
 
 def test_criterion_06_confluence_ground_truth(suite4_circuits, suite5_circuits):
+    # Only the state cap bounds the reduced search, and nearly every
+    # instance is decided.
     t0 = time.perf_counter()
-    checked, skipped = _check_exhaustive(
-        _exhaustive_instances(suite4_circuits, suite5_circuits),
-        entry_volume_cap=EXHAUSTIVE_VOLUME_CAP,
-    )
-    assert checked >= 10, "too few instances qualified for exhaustive mode"
-    elapsed = time.perf_counter() - t0
-    print(
-        f"\ncriterion 6 PASS: {checked} exhaustive instances decode uniformly "
-        f"({skipped} above the volume cap) ({elapsed:.1f}s)"
-    )
-
-
-def test_criterion_06b_confluence_without_volume_cap(suite4_circuits, suite5_circuits):
-    # Criterion 6's instances with no entry-volume cap: only the state
-    # cap bounds the reduced search, and nearly every instance is decided.
-    t0 = time.perf_counter()
-    checked, skipped = _check_exhaustive(
-        _exhaustive_instances(suite4_circuits, suite5_circuits), state_cap=20_000
-    )
+    checked, skipped = _check_exhaustive(_exhaustive_instances(suite4_circuits, suite5_circuits))
     assert checked + skipped == 1052
     assert checked >= 1040, f"only {checked}/1052 decided under the state cap"
     elapsed = time.perf_counter() - t0
     print(
-        f"\ncriterion 6b PASS: {checked} exhaustive instances decode uniformly "
-        f"({skipped} above the state cap of 20000) ({elapsed:.1f}s)"
+        f"\ncriterion 6 PASS: {checked} exhaustive instances decode uniformly "
+        f"({skipped} above the state cap of {DEFAULT_STATE_CAP}) ({elapsed:.1f}s)"
     )
 
 
@@ -387,7 +370,7 @@ def test_criterion_06c_maj_dags_decode_uniformly():
     with_maj = sum(any(g.kind.value == "MAJ" for g in c.non_sources()) for c in circuits)
     assert with_maj >= 18, f"only {with_maj}/20 DAGs contain MAJ"
     instances = [(c, b) for c in circuits for b in ("exp", "catalyst")]
-    checked, skipped = _check_exhaustive(instances, state_cap=20_000)
+    checked, skipped = _check_exhaustive(instances)
     assert (checked, skipped) == (456, 0)
     elapsed = time.perf_counter() - t0
     print(

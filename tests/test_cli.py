@@ -5,6 +5,7 @@ import pytest
 
 from stepcrn import CorpusSpec, cli, evaluate, parse_circuit
 from stepcrn.cli import VerifyJob, VerifySummary, main, verify_job
+from stepcrn.engine import StateCapExceeded
 
 AND_NET = "circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
 FIG_NET = (
@@ -143,6 +144,7 @@ def test_corrupted_program_file_fails_with_decode_error(tmp_path, capsys):
         ("step 2: x[3]T=1", "step 2: x[9]T=1", "unknown species"),
         ("y[3]T + x[3]F -> .", "x[3]T -> x[3]T + y[3]T", "not void"),
         ("2 0=y[2]F:1 1=y[2]T:1", "1 0=y[1]F:1 1=y[1]T:1", "input 1 declared twice"),
+        ("steps:", "alphabet: x[3]F\nsteps:", "alphabet declared twice"),
     ],
 )
 def test_malformed_program_file_exits_2(tmp_path, capsys, old, new, message):
@@ -191,6 +193,22 @@ def test_verify_never_passes_with_zero_runs():
     assert not summary.ok and summary.to_json_obj()["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"gates": [{"id": "x", "kind": "INPUT"}], "outputs": ["x"]}',
+        '{"gates": [{"id": 1, "kind": "INPUT"}, {"id": 2, "kind": "NOT", "inputs": ["q"]}], '
+        '"outputs": [2]}',
+    ],
+)
+def test_verify_non_integer_json_id_exits_2(tmp_path, capsys, doc):
+    net = tmp_path / "c.json"
+    net.write_text(doc)
+    assert main(["verify", str(net)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad circuit JSON")
+
+
 def test_verify_detects_bad_backend_on_circuit(tmp_path, capsys):
     net = tmp_path / "c.net"
     net.write_text("circuit c\ngate 3 INPUT\ngate 2 INPUT\ngate 1 AND 3 2\noutputs 1 1\n")
@@ -225,15 +243,21 @@ def test_parallel_merge_reports_the_serial_counterexample(monkeypatch):
         assert cli._merge(job, parts).to_json_obj() == serial.to_json_obj()
 
 
-def test_verify_negative_volume_cap_exits_2(fig_net, capsys):
-    assert main(["verify", fig_net, "--exhaustive", "--volume-cap", "-1"]) == 2
+def test_verify_rejects_the_removed_cap_flag(fig_net, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", fig_net, "--exhaustive", "--volume-cap", "3"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "--volume-cap" in captured.err
-    assert captured.out == ""
+    assert "--volume-cap" in captured.err and captured.out == ""
 
 
-def test_verify_exhaustive_fails_when_no_check_is_decided(fig_net, capsys):
-    argv = ["verify", fig_net, "--seeds", "0:2", "--exhaustive", "--volume-cap", "0"]
+def _every_check_capped(program, bits):
+    raise StateCapExceeded("forced")
+
+
+def test_verify_exhaustive_fails_when_no_check_is_decided(fig_net, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_program_terminals", _every_check_capped)
+    argv = ["verify", fig_net, "--seeds", "0:2", "--exhaustive"]
     assert main(argv + ["--json"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["failed"] == 0 and summary["passed"] == summary["runs"] == 32
@@ -243,8 +267,9 @@ def test_verify_exhaustive_fails_when_no_check_is_decided(fig_net, capsys):
     assert "no exhaustive check was decided" in capsys.readouterr().out
 
 
-def test_undecided_exhaustive_fails_serially_and_merged():
-    job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0,), exhaustive=True, volume_cap=0)
+def test_undecided_exhaustive_fails_serially_and_merged(monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_program_terminals", _every_check_capped)
+    job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0,), exhaustive=True)
     serial = verify_job(job)
     assert serial.runs == serial.passed == 4 and serial.exhaustive_skipped == 4
     assert not serial.ok

@@ -255,13 +255,21 @@ def test_program_exhaustive_matches_runs():
         assert {tuple(decode_output(t, prog)) for t in terms} == {want}
 
 
-def test_program_exhaustive_entry_volume_cap():
+def test_program_exhaustive_state_cap():
     c = parse_circuit(
         "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
     )
     prog, _ = compile_formula(c)
     with pytest.raises(StateCapExceeded):
-        enumerate_program_terminals(prog, "11", entry_volume_cap=2)
+        enumerate_program_terminals(prog, "11", state_cap=1)
+
+
+def test_program_rejects_a_rule_over_another_alphabet():
+    ab, other = Alphabet(["A", "B"]), Alphabet(["B", "A"])
+    with pytest.raises(ValueError, match="another alphabet"):
+        _tiny_program(ab, [Rule.make(other, ("A", "B"))], [((0, 1),)], [("A", "B")])
+    same = Alphabet(["A", "B"])
+    assert _tiny_program(ab, [Rule.make(same, ("A", "B"))], [((0, 1),)], [("A", "B")])
 
 
 def test_program_rejects_malformed_step_entries():
@@ -408,3 +416,21 @@ def test_catalyst_entry_checks_follow_firings():
             _CountingTable.reads = 0
             result = run_program(program, "10110010", Schedule(seed))
             assert 0 < _CountingTable.reads <= len(program.rules) + 2 * result.applications
+
+
+def test_enumerator_step_candidates_are_ready():
+    # A catalyst sweep step re-adds the deleters, whose consumers include
+    # carriers of levels not added yet; those cannot fire at that step.
+    for depth in (3, 6):
+        program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(6, depth)))
+        prep = engine._prepared(program)
+        first_add: dict[int, int] = {}
+        for k, step in enumerate(program.steps):
+            added = [o for o, _ in step] + (list(program.input_species()) if k == 0 else [])
+            for o in added:
+                first_add.setdefault(o, k)
+        never = len(program.steps)
+        for k in range(len(program.steps)):
+            for q in prep.step_candidates(k):
+                reactants = program.rules[q].reactants
+                assert max(first_add.get(o, never) for o, _ in reactants) <= k, (k, q)
