@@ -358,13 +358,20 @@ def _parse_id(token: str, lineno: int) -> int:
     return value
 
 
+def _json_id(value) -> int:
+    # JSON true and 1.7 would pass int(); neither is a gate id.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"gate id {json.dumps(value)} is not an integer")
+    return value
+
+
 def circuit_from_json(obj) -> Circuit:
     try:
         gates = [
-            Gate(int(g["id"]), _KINDS[str(g["kind"])], tuple(int(r) for r in g.get("inputs", ())))
+            Gate(_json_id(g["id"]), _KINDS[str(g["kind"])], tuple(map(_json_id, g.get("inputs", ()))))
             for g in obj["gates"]
         ]
-        outputs = [int(o) for o in obj["outputs"]]
+        outputs = [_json_id(o) for o in obj["outputs"]]
     except (KeyError, TypeError, ValueError) as e:
         raise NetlistParseError(f"bad circuit JSON: {e}") from e
     return Circuit(str(obj.get("name", "circuit")), gates, outputs)

@@ -29,10 +29,12 @@ costs what it deletes, not every rule the deleter could ever meet.
 
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
-no firing enables a rule and two enabled rules that share no reactant
-species commute.  Each configuration therefore fires only one connected
-component of its enabled rules (an ample set), and the interleavings of
-independent gates are explored once, not in every order.
+no firing enables a rule.  Two enabled rules depend only when one lowers
+a species the other reads, so rules that share only a catalyst (``dx``,
+``y[i]T``) commute.  Each configuration therefore fires only one
+connected component of its enabled rules (an ample set), and the
+interleavings of independent gates are explored once, not in every
+order.
 """
 from __future__ import annotations
 
@@ -51,7 +53,10 @@ from .crn import (
 
 
 class StateCapExceeded(RuntimeError):
-    """Exhaustive enumeration visited more configurations than allowed."""
+    """Exhaustive enumeration visited more configurations than allowed.
+    ``step`` is the program step whose search stopped, else None."""
+
+    step: int | None = None
 
 
 DEFAULT_STATE_CAP = 20_000
@@ -534,10 +539,13 @@ def _search_terminals(
 
     Each stack entry carries its configuration and its enabled rules,
     split into connected components: two rules connect when they share
-    a reactant species.  Void rules never enable a rule, so a
+    a reactant species that some enabled rule lowers (see
+    :func:`_components`).  Void rules never enable a rule, so a
     successor's enabled rules are its parent's minus those the firing
-    pushed below a need.  Only the fired rule's component can lose
-    rules, so only it is split again.
+    pushed below a need.  Those read a species the fired rule lowers, so
+    they share its component, and only it is split again; no rule of
+    another component lowers a species it reads.  The other components
+    stay closed under the relation, if coarser than it requires.
 
     Each configuration fires only the rules of its smallest component
     (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
@@ -545,13 +553,14 @@ def _search_terminals(
 
     - A void rule's ``delta`` touches only its own reactants, and only
       downward.
-    - So the rules outside a component never change that component's
-      counts.
+    - So a rule outside a component lowers no species that a component
+      rule reads, and a component rule lowers none that an outside rule
+      reads.
     - Every component rule therefore stays enabled until a component
-      rule fires.
-    - Every path to a terminal fires one, and the first such firing
-      commutes with the outside firings before it to the front of the
-      path, which reaches the same terminal.
+      rule fires, and every path to a terminal fires one.
+    - The first such firing leaves the outside firings before it
+      enabled, so it commutes past them to the front of the path,
+      which reaches the same terminal.
     - Volume strictly drops, so the state graph is acyclic and needs no
       cycle proviso.
 
@@ -592,14 +601,18 @@ def _search_terminals(
 
 
 def _components(enabled: list[int], rules: Sequence[Rule]) -> list[list[int]]:
-    """``enabled`` split into connected components under shared
-    reactant species."""
+    """``enabled`` split into connected components: two rules connect
+    when they share a reactant species that some enabled rule lowers, so
+    a catalyst that none of them deletes joins nothing."""
     if len(enabled) < 2:
         return [enabled] if enabled else []
-    users: dict[int, list[int]] = {}
+    # users[o]: the enabled rules reading o, for each species o that an
+    # enabled rule lowers.
+    users: dict[int, list[int]] = {o: [] for q in enabled for o, _ in rules[q].delta}
     for q in enabled:
         for o, _ in rules[q].reactants:
-            users.setdefault(o, []).append(q)
+            if o in users:
+                users[o].append(q)
     components = []
     seen: set[int] = set()
     for q in enabled:
@@ -609,7 +622,7 @@ def _components(enabled: list[int], rules: Sequence[Rule]) -> list[list[int]]:
         component = [q]
         for p in component:  # grows as the walk reaches new rules
             for o, _ in rules[p].reactants:
-                for r in users[o]:
+                for r in users.get(o, ()):
                     if r not in seen:
                         seen.add(r)
                         component.append(r)
@@ -629,8 +642,9 @@ def enumerate_program_terminals(
     next exploration.  Those entries check only the rules step k+1 is
     ready for and those consumers of the species it re-adds that are
     ready by then: a rule disabled at a terminal revives only through an
-    addition.  Each step's search raises :class:`StateCapExceeded` once
-    it visits more than ``state_cap`` configurations.
+    addition.  Each step's search raises :class:`StateCapExceeded`, with
+    that step as its ``step``, once it visits more than ``state_cap``
+    configurations.
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
@@ -645,7 +659,11 @@ def enumerate_program_terminals(
             for o, c in add:
                 entry[o] += c
             entries.add(tuple(entry))
-        frontier = _search_terminals(entries, prep.step_candidates(k), prep, state_cap)
+        try:
+            frontier = _search_terminals(entries, prep.step_candidates(k), prep, state_cap)
+        except StateCapExceeded as e:
+            e.step, e.args = k, (f"step {k}: {e}",)
+            raise
     return {Configuration(program.alphabet, t) for t in frontier}
 
 

@@ -8,6 +8,7 @@ constants.  Correctness is never filtered: every drawn circuit must
 decode correctly on every assignment and seed.
 """
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -376,6 +377,60 @@ def test_criterion_06c_maj_dags_decode_uniformly():
     print(
         f"\ncriterion 6c PASS: {checked} exhaustive MAJ-DAG instances decode "
         f"uniformly, {with_maj}/20 with MAJ ({elapsed:.1f}s)"
+    )
+
+
+def _layered_dag(width, depth, spare, rng):
+    """Netlist of ``width`` inputs under ``depth`` levels of ``width``
+    fan-in-2 AND/OR gates.  Each gate reads two distinct gates of the
+    level below, and every gate below is read except ``spare`` of each
+    gate level but the last, which are outputs with the last level."""
+    lines = [f"circuit layered{width}x{depth}"]
+    below = list(range(1, width + 1))
+    lines += [f"gate {g} INPUT" for g in below]
+    outputs = []
+    gid = width
+    for level in range(depth):
+        spares = rng.sample(below, spare) if level else []
+        read = [g for g in below if g not in spares]
+        # Every read gate is some gate's first input; the rest are drawn.
+        firsts = read + rng.choices(read, k=width - len(read))
+        rng.shuffle(firsts)
+        below = []
+        for a in firsts:
+            gid += 1
+            b = rng.choice([g for g in read if g != a])
+            lines.append(f"gate {gid} {rng.choice(('AND', 'OR'))} {a} {b}")
+            below.append(gid)
+        outputs += sorted(spares)
+    outputs += below
+    lines.append("outputs " + " ".join(map(str, outputs)))
+    return "\n".join(lines) + "\n"
+
+
+def test_criterion_06d_layered_catalyst_dags_decode_uniformly():
+    # Catalyst programs of layered DAGs at G = 48 and 64.  Conversions
+    # (y[i]T + x -> y[i]T) and sweeps (dx + x -> dx) read a catalyst
+    # that they leave in place, so the search does not interleave the
+    # gates sharing one, and every instance is decided under the cap.
+    t0 = time.perf_counter()
+    rng = random.Random(2405)
+    checked = 0
+    for width, depth in ((8, 6), (8, 8)):
+        circuit = parse_circuit(_layered_dag(width, depth, 2, rng))
+        assert len(circuit.non_sources()) == width * depth
+        program, _ = compile_backend(circuit, "catalyst")
+        for _ in range(4):
+            bits = tuple(rng.randint(0, 1) for _ in range(width))
+            want = tuple(evaluate(circuit, bits))
+            terminals = enumerate_program_terminals(program, bits)
+            decodes = {tuple(decode_output(t, program)) for t in terminals}
+            assert decodes == {want}, (circuit.name, bits, decodes, want)
+            checked += 1
+    elapsed = time.perf_counter() - t0
+    print(
+        f"\ncriterion 6d PASS: {checked} layered catalyst instances (G=48, 64) "
+        f"decode uniformly under the state cap of {DEFAULT_STATE_CAP} ({elapsed:.1f}s)"
     )
 
 

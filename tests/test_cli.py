@@ -199,6 +199,13 @@ def test_verify_never_passes_with_zero_runs():
         '{"gates": [{"id": "x", "kind": "INPUT"}], "outputs": ["x"]}',
         '{"gates": [{"id": 1, "kind": "INPUT"}, {"id": 2, "kind": "NOT", "inputs": ["q"]}], '
         '"outputs": [2]}',
+        # int() would truncate these to gates 1 and 2, and true to 1.
+        '{"gates": [{"id": 1.7, "kind": "INPUT"}, {"id": 2, "kind": "NOT", "inputs": [1]}], '
+        '"outputs": [2]}',
+        '{"gates": [{"id": 1, "kind": "INPUT"}, {"id": true, "kind": "NOT", "inputs": [1]}], '
+        '"outputs": [1]}',
+        '{"gates": [{"id": 1, "kind": "INPUT"}, {"id": 2, "kind": "NOT", "inputs": [1]}], '
+        '"outputs": [2.9]}',
     ],
 )
 def test_verify_non_integer_json_id_exits_2(tmp_path, capsys, doc):
@@ -207,6 +214,7 @@ def test_verify_non_integer_json_id_exits_2(tmp_path, capsys, doc):
     assert main(["verify", str(net)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad circuit JSON")
+    assert "is not an integer" in err
 
 
 def test_verify_detects_bad_backend_on_circuit(tmp_path, capsys):

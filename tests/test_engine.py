@@ -15,6 +15,7 @@ from stepcrn import (
     enumerate_program_terminals,
     enumerate_terminals,
     parse_circuit,
+    parse_rule,
     program_from_text,
     program_to_text,
     run_program,
@@ -110,8 +111,9 @@ def test_enumerate_single_terminal():
 
 def test_enumerate_state_cap():
     ab = Alphabet(["A", "B"])
-    with pytest.raises(StateCapExceeded):
+    with pytest.raises(StateCapExceeded) as exc:
         enumerate_terminals(_cfg(ab, A=30, B=30), [Rule.make(ab, ("A", "B"))], state_cap=5)
+    assert exc.value.step is None and str(exc.value).startswith("more than 5 ")
 
 
 def test_enumerate_fires_independent_rules_in_one_order():
@@ -124,6 +126,24 @@ def test_enumerate_fires_independent_rules_in_one_order():
     assert [t.as_dict() for t in enumerate_terminals(start, rules, state_cap=100)] == [{}]
     with pytest.raises(StateCapExceeded):
         enumerate_terminals(start, rules, state_cap=60)
+
+
+def test_components_connect_only_through_a_lowered_species():
+    ab = Alphabet(["c", "a", "b", "d"])
+    rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c", "c + d -> .")]
+    # Both rules read c, but neither lowers it.
+    assert engine._components([0, 1], rules) == [[0], [1]]
+    # c + d -> . lowers c, which every rule reads.
+    assert engine._components([0, 1, 2], rules) == [[0, 1, 2]]
+
+
+def test_enumerate_does_not_interleave_gates_sharing_a_catalyst():
+    # With c joining them, the two drains would be interleaved in every
+    # order: 11 x 11 = 121 configurations.  Apart, they take 11 + 10.
+    ab = Alphabet(["c", "a", "b"])
+    rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c")]
+    start = _cfg(ab, c=1, a=10, b=10)
+    assert [t.as_dict() for t in enumerate_terminals(start, rules, state_cap=21)] == [{"c": 1}]
 
 
 def _tiny_program(alphabet, rules, steps, outputs):
@@ -260,8 +280,15 @@ def test_program_exhaustive_state_cap():
         "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
     )
     prog, _ = compile_formula(c)
-    with pytest.raises(StateCapExceeded):
+    with pytest.raises(StateCapExceeded, match=r"^step 0: more than 1 ") as exc:
         enumerate_program_terminals(prog, "11", state_cap=1)
+    assert exc.value.step == 0
+    # Step 0 visits only its entry; step 1's pairs need more than 3.
+    ab = Alphabet(["A", "B"])
+    prog = _tiny_program(ab, [Rule.make(ab, ("A", "B"))], [((0, 1),), ((0, 5), (1, 5))], [])
+    with pytest.raises(StateCapExceeded, match=r"^step 1: ") as exc:
+        enumerate_program_terminals(prog, (), state_cap=3)
+    assert exc.value.step == 1
 
 
 def test_program_rejects_a_rule_over_another_alphabet():

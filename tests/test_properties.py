@@ -116,6 +116,61 @@ def test_reduced_enumeration_matches_unreduced_reference(a, b, rule_list):
     assert enumerate_terminals(config, rule_list) == _reference_terminals(config, rule_list)
 
 
+CATALYST = 0  # s0, the species the catalytic rules share
+
+
+@st.composite
+def catalytic_rule_sets(draw):
+    """At least half of the rules are catalytic (their products a proper
+    subset of their reactants), two or more of them keep s0, and now and
+    then a rule deletes s0."""
+
+    def catalytic(keep: int) -> Rule:
+        drained = draw(
+            st.dictionaries(
+                st.sampled_from([o for o in range(6) if o != keep]), st.integers(1, 2), min_size=1, max_size=2
+            )
+        )
+        reactants = {keep: draw(st.integers(1, 2)), **drained}
+        kept = {keep} | draw(st.sets(st.sampled_from(sorted(drained)), max_size=len(drained) - 1))
+        return Rule(
+            AB,
+            tuple(sorted(reactants.items())),
+            tuple(sorted((o, reactants[o]) for o in kept)),
+        )
+
+    shared = [catalytic(CATALYST) for _ in range(draw(st.integers(2, 4)))]
+    others = [catalytic(draw(st.integers(1, 5))) for _ in range(draw(st.integers(0, 1)))]
+    # Rules without products, which delete s0 when they read it.
+    plain = [
+        Rule(AB, tuple(sorted(d.items())), ())
+        for d in draw(
+            st.lists(
+                st.dictionaries(st.integers(0, 5), st.integers(1, 2), min_size=1, max_size=2),
+                max_size=len(shared) - 1,
+            )
+        )
+    ]
+    if draw(st.booleans()):
+        # s0 + s_j -> s_j or s0 + s_j -> . lowers the catalyst.
+        j = draw(st.integers(1, 5))
+        plain.append(Rule(AB, ((CATALYST, 1), (j, 1)), draw(st.sampled_from([(), ((j, 1),)]))))
+    chosen = shared + others + plain
+    assert 2 * (len(shared) + len(others)) >= len(chosen)
+    return draw(st.permutations(chosen))
+
+
+@settings(deadline=None, max_examples=200)
+@given(configs, st.integers(0, 3), catalytic_rule_sets())
+def test_catalytic_rules_keep_every_terminal(config, catalysts, rule_list):
+    # Rules that only read s0 are independent of one another; a rule
+    # that lowers s0 must join every reader of s0 again.
+    counts = list(config.counts)
+    counts[CATALYST] += catalysts
+    start = Configuration(AB, tuple(counts))
+    assert enumerate_terminals(start, rule_list) == _reference_terminals(start, rule_list)
+
+
 WORKED_NETS = {
     "fig": "circuit fig\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
     "gate 5 AND 1 2\ngate 6 AND 3 4\ngate 7 OR 5 6\noutputs 7\n",
