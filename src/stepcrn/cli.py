@@ -238,6 +238,9 @@ def cmd_compile(args) -> int:
         print(report.to_json())
     else:
         print(report.to_text(), end="")
+    if args.profile:
+        for layer, seconds in report.timings.items():
+            print(f"{layer} {seconds:.6f}", file=sys.stderr)
     return 0
 
 
@@ -406,6 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument(
+        "--profile", action="store_true", help="print per-layer compile seconds to stderr"
+    )
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="run a compiled program on an input bitstring")

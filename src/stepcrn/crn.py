@@ -63,7 +63,7 @@ class Alphabet:
         self.names = tuple(names)
         self.index: dict[str, int] = {}
         for i, n in enumerate(self.names):
-            if not n or any(c.isspace() for c in n):
+            if n.split() != [n]:  # empty, or holds whitespace
                 raise ValueError(f"bad species name {n!r}")
             if n in self.index:
                 raise ValueError(f"duplicate species {n!r}")
@@ -139,13 +139,16 @@ class RuleClass:
     family: RuleFamily
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A reaction: sparse reactant and product count vectors.
 
     ``reactants``/``products`` are sorted (ordinal, count) pairs with
     positive counts.  The net change (products - reactants) is cached
-    for the engine.
+    for the engine.  Construction is lean, because compiles build tens
+    of thousands of rules: slots instead of a per-instance ``__dict__``,
+    and a rule without products takes its ``delta`` straight from sorted,
+    distinct reactants.
     """
 
     alphabet: Alphabet
@@ -154,18 +157,29 @@ class Rule:
     delta: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.reactants or any(c <= 0 for _, c in self.reactants):
+        reactants, products = self.reactants, self.products
+        if not reactants:
             raise ValueError("rule needs at least one reactant with positive count")
-        if any(c <= 0 for _, c in self.products):
-            raise ValueError("product counts must be positive")
-        net: dict[int, int] = {}
-        for o, c in self.reactants:
-            net[o] = net.get(o, 0) - c
-        for o, c in self.products:
-            net[o] = net.get(o, 0) + c
-        object.__setattr__(
-            self, "delta", tuple(sorted((o, d) for o, d in net.items() if d))
-        )
+        ordered, prev = True, -1
+        for o, c in reactants:
+            if c <= 0:
+                raise ValueError("rule needs at least one reactant with positive count")
+            if o <= prev:
+                ordered = False
+            prev = o
+        for _, c in products:
+            if c <= 0:
+                raise ValueError("product counts must be positive")
+        if ordered and not products:
+            delta = tuple([(o, -c) for o, c in reactants])
+        else:
+            net: dict[int, int] = {}
+            for o, c in reactants:
+                net[o] = net.get(o, 0) - c
+            for o, c in products:
+                net[o] = net.get(o, 0) + c
+            delta = tuple(sorted([(o, d) for o, d in net.items() if d]))
+        object.__setattr__(self, "delta", delta)
 
     @classmethod
     def make(
@@ -177,7 +191,7 @@ class Rule:
         return cls(
             alphabet,
             _sparse(alphabet, reactants),
-            _sparse(alphabet, products),
+            _sparse(alphabet, products) if products else (),
         )
 
     @property

@@ -111,8 +111,9 @@ class StepProgram:
     )
 
     def __post_init__(self):
+        alphabet = self.alphabet
         for rule in self.rules:
-            if rule.alphabet != self.alphabet:
+            if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
             _check_void(rule)
         n = len(self.alphabet)

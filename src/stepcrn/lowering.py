@@ -32,6 +32,7 @@ Buffering is done with fan-in-1 OR gates and reported.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -116,6 +117,10 @@ class CompilationReport:
     demand: dict[int, int]
     predicted: dict[str, int]
     completion_step: dict[int, int] = field(repr=False, default_factory=dict)
+    # Seconds spent in normalize, lowering (alphabet, per-gate lowering and
+    # rules) and assembly (steps, program checks, report); kept out of
+    # comparisons and of the text and JSON forms.
+    timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def to_text(self) -> str:
         lines = [
@@ -358,9 +363,27 @@ def _source_merges(circuit: Circuit, demand: Mapping[int, int]) -> dict[str, int
     return merges
 
 
+def _rule(alphabet: Alphabet, first: str, second: str, product: str | None = None) -> Rule:
+    """The compiled rule ``first + second -> product`` (``.`` without a
+    product), built straight from ordinals: both reactants have count 1,
+    or count 2 when they are one species."""
+    index = alphabet.index
+    a, b = index[first], index[second]
+    if a > b:
+        a, b = b, a
+    reactants = ((a, 1), (b, 1)) if a < b else ((a, 2),)
+    return Rule(alphabet, reactants, ((index[product], 1),) if product else ())
+
+
 def _step(alphabet: Alphabet, adds: Mapping[str, int]) -> Step:
     """One step's additions as sorted (ordinal, count) pairs."""
     return tuple(sorted((alphabet.ordinal(name), c) for name, c in adds.items()))
+
+
+def _timings(t0: float, t1: float, t2: float) -> dict[str, float]:
+    """``CompilationReport.timings`` for a compile that started at
+    ``t0``, finished normalizing at ``t1`` and lowering at ``t2``."""
+    return {"normalize_s": t1 - t0, "lower_s": t2 - t1, "assemble_s": time.perf_counter() - t2}
 
 
 def _check_addition_discipline(program: StepProgram) -> None:
@@ -502,7 +525,9 @@ def _base_report(
 
 
 def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationReport]:
+    t0 = time.perf_counter()
     norm, info = normalize(circuit)
+    t1 = time.perf_counter()
     demand = demand_analysis(norm)
     alphabet = _species_for(norm, deleters=False)
     levels, lowerings = _lower_levels(norm, demand)
@@ -511,10 +536,11 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     for group in levels:
         for gid in group:
             if gid in lowerings:
-                rules += [Rule.make(alphabet, pair) for pair in lowerings[gid].rules]
+                rules += [_rule(alphabet, *pair) for pair in lowerings[gid].rules]
         for gid in group:
-            rules += [Rule.make(alphabet, pair) for pair in _conversion_pairs(norm, gid)]
+            rules += [_rule(alphabet, *pair) for pair in _conversion_pairs(norm, gid)]
 
+    t2 = time.perf_counter()
     program, completion = _assemble(
         backend, circuit.name, norm, alphabet, rules, levels, lowerings, demand, demand
     )
@@ -535,6 +561,7 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     report = _base_report(
         backend, circuit, norm, st, info, program, demand, predicted, completion
     )
+    report.timings = _timings(t0, t1, t2)
     return program, report
 
 
@@ -560,7 +587,9 @@ def compile_circuit_exp(circuit: Circuit) -> tuple[StepProgram, CompilationRepor
 def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
     """Lower a circuit with (2,0) gate rules plus (2,1) catalytic
     conversion and sweeper rules; strict single-copy inputs."""
+    t0 = time.perf_counter()
     norm, info = normalize(circuit, align_outputs=True)
+    t1 = time.perf_counter()
     alphabet = _species_for(norm, deleters=True)
     # Strict single-copy inputs: demand degenerates to fan-out copies of
     # each gate's input carrier.
@@ -568,12 +597,10 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
     levels, lowerings = _lower_levels(norm, ones)
 
-    rules = [
-        Rule.make(alphabet, pair) for low in lowerings.values() for pair in low.rules
-    ]
+    rules = [_rule(alphabet, *pair) for low in lowerings.values() for pair in low.rules]
 
     def catalytic(catalyst: str, consumed: str) -> None:
-        rules.append(Rule.make(alphabet, (catalyst, consumed), (catalyst,)))
+        rules.append(_rule(alphabet, catalyst, consumed, catalyst))
 
     pairs = {g.gid: _conversion_pairs(norm, g.gid) for g in norm.gates}
     for g in norm.gates:
@@ -586,14 +613,15 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
             for bit in (True, False):
                 catalytic(DELETER_X, a_name(g.gid, bit))
                 catalytic(DELETER_X, b_name(g.gid, bit))
-    rules.append(Rule.make(alphabet, {DELETER_X: 2}))
+    rules.append(_rule(alphabet, DELETER_X, DELETER_X))
     for g in norm.gates:
         for form, _ in pairs[g.gid]:
             catalytic(DELETER_Y, form)
-    rules.append(Rule.make(alphabet, {DELETER_Y: 2}))
+    rules.append(_rule(alphabet, DELETER_Y, DELETER_Y))
 
     sweep_x = (_step(alphabet, {DELETER_X: 1}),) * 2
     sweep_y = (_step(alphabet, {DELETER_Y: 1}),) * 2
+    t2 = time.perf_counter()
     program, completion = _assemble(
         "catalyst", circuit.name, norm, alphabet, rules, levels, lowerings, ones, copies,
         sweep_x, sweep_y,
@@ -608,6 +636,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     report = _base_report(
         "catalyst", circuit, norm, st, info, program, ones, predicted, completion
     )
+    report.timings = _timings(t0, t1, t2)
     return program, report
 
 

@@ -41,6 +41,25 @@ def test_compile_exp_reports_input_multiplicity(tmp_path, capsys):
     assert report["max_input_multiplicity"] == 2
 
 
+@pytest.mark.parametrize("backend", ["formula", "exp", "catalyst"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_compile_profile_prints_timings_and_changes_no_output(fig_net, tmp_path, capsys, backend, as_json):
+    outputs = {}
+    for profile in (False, True):
+        out = str(tmp_path / f"fig{profile}.prog")
+        argv = ["compile", fig_net, "--backend", backend, "-o", out]
+        argv += ["--json"] * as_json + ["--profile"] * profile
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        files = tuple(open(path, "rb").read() for path in (out, out + ".report"))
+        outputs[profile] = (files, captured.out, captured.err)
+    assert outputs[True][:2] == outputs[False][:2]
+    assert outputs[False][2] == ""
+    lines = [line.split() for line in outputs[True][2].splitlines()]
+    assert [layer for layer, _ in lines] == ["normalize_s", "lower_s", "assemble_s"]
+    assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
 def test_compile_missing_file_exits_2(tmp_path, capsys):
     assert main(["compile", str(tmp_path / "nope.net"), "-o", str(tmp_path / "x")]) == 2
     assert "cannot open" in capsys.readouterr().err

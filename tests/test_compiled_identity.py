@@ -1,0 +1,101 @@
+"""Compiled programs and reports stay byte-identical.
+
+``tests/data/compiled.json`` holds, for a fixed set of compiles, the
+sha256 of ``program_to_text(program)`` and of ``report.to_json()``.  A
+change to how rules or steps are built must leave every digest as
+recorded.  Rewrite the file only for an intended change of the compiled
+output:
+
+    PYTHONPATH=src python tests/test_compiled_identity.py
+"""
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from stepcrn import (
+    CorpusSpec,
+    build_stage_chain,
+    generate_circuits,
+    parse_circuit,
+    program_to_text,
+)
+from stepcrn.lowering import compile_backend
+
+GOLDEN = Path(__file__).parent / "data" / "compiled.json"
+
+MAJ_NET = (
+    "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\n"
+    "gate 4 MAJ 1 2 3\ngate 5 AND 1 4\ngate 6 OR 4 2\noutputs 5 6 6\n"
+)
+
+
+def _layered_dag(rng: random.Random, width: int, depth: int) -> str:
+    """``width`` inputs, then ``depth`` levels of ``width`` fan-in-2
+    AND/OR gates, each reading two distinct gates of the level below.
+    Every gate that feeds nothing is an output."""
+    lines = [f"circuit dag{width}x{depth}"]
+    prev = list(range(1, width + 1))
+    lines += [f"gate {g} INPUT" for g in prev]
+    gid = width
+    read: set[int] = set()
+    for _ in range(depth):
+        cur = []
+        for _ in range(width):
+            a, b = rng.sample(prev, 2)
+            read |= {a, b}
+            gid += 1
+            lines.append(f"gate {gid} {rng.choice(('AND', 'OR'))} {a} {b}")
+            cur.append(gid)
+        prev = cur
+    outputs = [g for g in range(1, gid + 1) if g not in read]
+    lines.append("outputs " + " ".join(map(str, outputs)))
+    return "\n".join(lines) + "\n"
+
+
+def _compiles():
+    """(key, circuit, backend) for every compile in the golden set."""
+    formulas = generate_circuits(
+        CorpusSpec(count=12, seed=41, depth=(2, 5), gates=(3, 20), fan_in=(1, 3),
+                   fan_out=(1, 1), inputs=(2, 6), maj_fraction=0.35, name_prefix="f"),
+        force_maj_every=3,
+    )
+    dags = generate_circuits(
+        CorpusSpec(count=12, seed=77, depth=(2, 4), gates=(6, 18), fan_in=(1, 2),
+                   fan_out=(1, 3), inputs=(2, 6), name_prefix="d"),
+    )
+    maj_dags = generate_circuits(
+        CorpusSpec(count=6, seed=2405, depth=(2, 3), gates=(4, 12), fan_in=(1, 3),
+                   fan_out=(1, 3), inputs=(2, 4), maj_fraction=0.4, name_prefix="m"),
+        force_maj_every=2,
+    )
+    jobs = [(c, b) for c in formulas for b in ("formula", "exp", "catalyst")]
+    jobs += [(c, b) for c in dags + maj_dags for b in ("exp", "catalyst")]
+    jobs += [(build_stage_chain(d), "exp") for d in (1, 5, 10)]
+    jobs += [(parse_circuit(MAJ_NET), b) for b in ("exp", "catalyst")]
+    jobs.append((parse_circuit(_layered_dag(random.Random(12), 12, 8)), "catalyst"))
+    return [(f"{c.name}/{b}", c, b) for c, b in jobs]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests() -> dict:
+    out = {}
+    for key, circuit, backend in _compiles():
+        program, report = compile_backend(circuit, backend)
+        out[key] = {"program": _sha(program_to_text(program)), "report": _sha(report.to_json())}
+    return out
+
+
+def test_compiled_programs_and_reports_match_the_recorded_digests():
+    recorded = json.loads(GOLDEN.read_text())
+    got = _digests()
+    assert sorted(got) == sorted(recorded)
+    changed = [k for k in recorded if got[k] != recorded[k]]
+    assert not changed, f"compiled output changed for {changed}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_digests(), indent=1, sort_keys=True) + "\n")

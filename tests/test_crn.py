@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from stepcrn import (
@@ -12,6 +14,7 @@ from stepcrn import (
     is_terminal,
     parse_rule,
 )
+from stepcrn.lowering import _rule
 
 AB = Alphabet(["A", "B", "C", "Y", "X", "H", "O", "W"])
 
@@ -137,3 +140,72 @@ def test_configuration_views():
     assert c.as_dict() == {"A": 2, "X": 1}
     with pytest.raises(ValueError):
         Configuration(AB, (-1,) * len(AB))
+
+
+# -- rule construction ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ordinal_args, reactants, products",
+    [
+        (("B", "A"), ("A", "B"), ()),
+        (("Y", "X", "Y"), ("Y", "X"), ("Y",)),
+        (("X", "X"), {"X": 2}, ()),
+    ],
+)
+def test_ordinal_helper_and_make_build_equal_rules(ordinal_args, reactants, products):
+    fast, made = _rule(AB, *ordinal_args), Rule.make(AB, reactants, products)
+    assert fast == made and hash(fast) == hash(made)
+    assert fast.delta == made.delta
+    assert fast.text == made.text
+
+
+def test_delta_merges_unsorted_or_repeated_reactants():
+    assert Rule(AB, ((3, 1), (1, 1)), ()).delta == ((1, -1), (3, -1))
+    assert Rule(AB, ((1, 1), (1, 1)), ()).delta == ((1, -2),)
+    assert Rule(AB, ((1, 1), (4, 1)), ((1, 1),)).delta == ((4, -1),)
+
+
+def test_delta_is_not_part_of_equality():
+    r = Rule.make(AB, ("A", "B"))
+    twin = Rule.make(AB, ("A", "B"))
+    object.__setattr__(twin, "delta", ())
+    assert r == twin and hash(r) == hash(twin)
+
+
+def test_rule_has_no_instance_dict():
+    assert not hasattr(Rule.make(AB, ("A", "B")), "__dict__")
+
+
+@pytest.mark.parametrize(
+    "rule", [Rule.make(AB, ("A", "B")), Rule.make(AB, ("Y", "X"), ("Y",)), Rule.make(AB, {"X": 2})]
+)
+def test_rule_pickle_round_trip(rule):
+    back = pickle.loads(pickle.dumps(rule))
+    assert back == rule and back.delta == rule.delta
+
+
+@pytest.mark.parametrize(
+    "reactants, products, message",
+    [
+        ((), (), "rule needs at least one reactant with positive count"),
+        (((0, 0),), (), "rule needs at least one reactant with positive count"),
+        (((0, 1), (1, -1)), (), "rule needs at least one reactant with positive count"),
+        (((0, 1),), ((1, 0),), "product counts must be positive"),
+        (((0, 1),), ((1, -2),), "product counts must be positive"),
+    ],
+)
+def test_bad_counts_raise_the_same_messages(reactants, products, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Rule(AB, reactants, products)
+
+
+@pytest.mark.parametrize("name", ["", "x\tT", "a\u00a0b", "y\u2003", " A", "B\n"])
+def test_alphabet_rejects_empty_and_whitespace_names(name):
+    with pytest.raises(ValueError, match="bad species name"):
+        Alphabet(["A", name])
+
+
+def test_alphabet_accepts_arrow_names():
+    ab = Alphabet(["y[3->7]T", "dx"])
+    assert ab.ordinal("y[3->7]T") == 0

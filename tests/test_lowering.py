@@ -424,3 +424,14 @@ def test_report_renders():
     assert "backend=exp" in text and "static_volume=" in text
     obj = report.to_json_obj()
     assert obj["demand"]["1"] == 2
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_report_timings_cover_each_layer_and_stay_out_of_equality(backend):
+    circuit = parse_circuit(FIG_FORMULA)
+    (_, first), (_, second) = compile_backend(circuit, backend), compile_backend(circuit, backend)
+    assert list(first.timings) == ["normalize_s", "lower_s", "assemble_s"]
+    assert all(s >= 0 for s in first.timings.values())
+    second.timings = {k: s + 1.0 for k, s in second.timings.items()}
+    assert first == second
+    assert "timings" not in first.to_json() and "timings" not in repr(first)
