@@ -304,6 +304,8 @@ def parse_circuit(text: str) -> Circuit:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise NetlistParseError(f"bad JSON: {e}", line=e.lineno) from e
+        except RecursionError:
+            raise NetlistParseError("bad JSON: nested too deeply") from None
         return circuit_from_json(obj)
     return _parse_netlist(text)
 

@@ -3,6 +3,8 @@
 Subcommands: ``compile``, ``run``, ``verify``, ``lowerbound``,
 ``gen-corpus``.  Exit codes: 0 success / verification passed, 1
 verification counterexample or decode failure, 2 usage or input error.
+Input errors are the :class:`ValueError` family (:class:`CliInputError`
+and every library reader's error), reported once, by :func:`main`.
 Everything is deterministic given the arguments and seeds.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .circuits import Circuit, CircuitError, evaluate, parse_circuit, stats, to_netlist
 from .corpus import CorpusSpec, generate_circuits
@@ -176,16 +178,16 @@ def verify_job_parallel(job: VerifyJob, jobs: int) -> VerifySummary:
 # -- argument helpers ---------------------------------------------------------
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
-
-
-class CliInputError(Exception):
+class CliInputError(ValueError):
     pass
+
+
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise CliInputError(f"bad {flag} {text!r} (use lo:hi or one integer)") from None
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -202,12 +204,27 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _parse_inputs(text: str) -> tuple[str, int]:
+    """``--inputs``: ``all``, ``random`` or ``random:N`` with N >= 1, as
+    a (mode, random count) pair."""
+    mode, sep, n = text.partition(":")
+    try:
+        count = int(n) if sep else VerifyJob.random_count
+    except ValueError:
+        count = 0
+    if (mode != "random" and text != "all") or count < 1:
+        raise CliInputError(f"bad --inputs {text!r} (use all or random[:N], N >= 1)")
+    return mode, count
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise CliInputError(f"cannot open {path}: {e.strerror}") from e
+    except UnicodeDecodeError:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -218,20 +235,18 @@ def _write(path: str, text: str) -> None:
         raise CliInputError(f"cannot write {path}: {e.strerror}") from e
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _makedirs(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise CliInputError(f"cannot create directory {path}: {e.strerror}") from e
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_compile(args) -> int:
-    try:
-        circuit = parse_circuit(_read(args.circuit))
-        program, report = compile_backend(circuit, args.backend)
-    except (CircuitError, ValueError) as e:
-        return _usage_error(str(e))
+    program, report = compile_backend(parse_circuit(_read(args.circuit)), args.backend)
     _write(args.out, program_to_text(program))
     _write(args.report or args.out + ".report", report.to_json() if args.json else report.to_text())
     if args.json:
@@ -245,14 +260,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        program = program_from_text(_read(args.program))
-    except ValueError as e:
-        return _usage_error(str(e))
+    program = program_from_text(_read(args.program))
     try:
         result = run_program(program, args.bits, Schedule(args.seed), trace=args.trace)
     except CircuitError as e:
-        return _usage_error(f"{e}: {args.bits!r}")
+        raise CliInputError(f"{e}: {args.bits!r}") from e
     if args.trace:
         for line in result.trace:
             print(line)
@@ -284,25 +296,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        circuit = parse_circuit(_read(args.circuit))
-    except CircuitError as e:
-        return _usage_error(str(e))
-    mode, count = "all", 16
-    bad_inputs = f"bad --inputs {args.inputs!r} (use all or random[:N], N >= 1)"
-    if args.inputs.startswith("random"):
-        mode = "random"
-        if ":" in args.inputs:
-            try:
-                count = int(args.inputs.split(":", 1)[1])
-            except ValueError:
-                return _usage_error(bad_inputs)
-            if count < 1:
-                return _usage_error(bad_inputs)
-    elif args.inputs != "all":
-        return _usage_error(bad_inputs)
+    circuit = parse_circuit(_read(args.circuit))
+    mode, count = _parse_inputs(args.inputs)
     if args.jobs < 1:
-        return _usage_error(f"--jobs {args.jobs} must be >= 1")
+        raise CliInputError(f"--jobs {args.jobs} must be >= 1")
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,
@@ -311,10 +308,7 @@ def cmd_verify(args) -> int:
         seeds=_parse_seeds(args.seeds),
         exhaustive=args.exhaustive,
     )
-    try:
-        summary = verify_job_parallel(job, args.jobs)
-    except CircuitError as e:
-        return _usage_error(str(e))
+    summary = verify_job_parallel(job, args.jobs)
     if args.json:
         print(json.dumps(summary.to_json_obj(), sort_keys=True))
     else:
@@ -333,7 +327,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     if args.max_depth < 1:
-        return _usage_error(f"--max-depth {args.max_depth} must be >= 1")
+        raise CliInputError(f"--max-depth {args.max_depth} must be >= 1")
     rows = check_demand_growth(args.max_depth)
     bounds = min_copy_bounds(args.max_depth)
     if args.json:
@@ -341,16 +335,7 @@ def cmd_lowerbound(args) -> int:
             json.dumps(
                 {
                     "bounds": bounds,
-                    "rows": [
-                        {
-                            "depth": r.depth,
-                            "bound": r.bound,
-                            "input_demand": r.input_demand,
-                            "static_volume": r.static_volume,
-                            "ok": r.ok,
-                        }
-                        for r in rows
-                    ],
+                    "rows": [{**asdict(r), "ok": r.ok} for r in rows],
                 },
                 sort_keys=True,
             )
@@ -366,24 +351,18 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
-    try:
-        spec = CorpusSpec(
-            count=args.count,
-            seed=args.seed,
-            depth=_parse_range(args.depth),
-            gates=_parse_range(args.gates),
-            fan_in=_parse_range(args.fan_in),
-            fan_out=_parse_range(args.fan_out),
-            inputs=_parse_range(args.inputs),
-            maj_fraction=args.maj_fraction,
-        )
-        circuits = generate_circuits(spec)
-    except (ValueError, RuntimeError) as e:
-        return _usage_error(str(e))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as e:
-        raise CliInputError(f"cannot create directory {args.out}: {e.strerror}") from e
+    spec = CorpusSpec(
+        count=args.count,
+        seed=args.seed,
+        depth=_parse_range("--depth", args.depth),
+        gates=_parse_range("--gates", args.gates),
+        fan_in=_parse_range("--fan-in", args.fan_in),
+        fan_out=_parse_range("--fan-out", args.fan_out),
+        inputs=_parse_range("--inputs", args.inputs),
+        maj_fraction=args.maj_fraction,
+    )
+    circuits = generate_circuits(spec)
+    _makedirs(args.out)
     for c in circuits:
         path = os.path.join(args.out, f"{c.name}.net")
         _write(path, to_netlist(c))
@@ -455,8 +434,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as e:
-        return _usage_error(str(e))
+    except ValueError as e:  # CliInputError and every library input error
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,14 +49,15 @@ def generate_circuits(
     """Generate ``spec.count`` circuits.  ``accept`` filters candidates
     (rejected draws advance the stream deterministically);
     ``force_maj_every=k`` guarantees every k-th circuit contains a MAJ
-    gate."""
+    gate.  Raises :class:`ValueError` when candidates keep being
+    rejected."""
     rng = random.Random(spec.seed)
     out: list[Circuit] = []
     attempts = 0
     while len(out) < spec.count:
         attempts += 1
         if attempts > 200 * spec.count + 200:
-            raise RuntimeError("corpus generation keeps rejecting candidates")
+            raise ValueError("corpus generation keeps rejecting candidates")
         force_maj = (
             force_maj_every is not None and len(out) % force_maj_every == 0
         )

@@ -734,17 +734,8 @@ def program_from_text(text: str) -> StepProgram:
         if line.startswith("backend:"):
             backend = line.split(":", 1)[1].strip()
             continue
-        if line == "rules:":
-            section = "rules"
-            continue
-        if line == "steps:":
-            section = "steps"
-            continue
-        if line == "inputs:":
-            section = "inputs"
-            continue
-        if line == "outputs:":
-            section = "outputs"
+        if line in ("rules:", "steps:", "inputs:", "outputs:"):
+            section = line[:-1]
             continue
         if line.startswith("step ") and section in ("steps", "rules"):
             section = "steps"

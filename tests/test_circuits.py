@@ -67,6 +67,12 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 2
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    # json.loads gives up with RecursionError, which is no ValueError.
+    with pytest.raises(NetlistParseError, match="^bad JSON"):
+        parse_circuit('{"a":' * 100_000)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

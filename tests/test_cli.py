@@ -81,6 +81,34 @@ def test_compile_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _input_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "verify"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.net"
+    path.write_bytes(b"circuit caf\xe9\ngate 1 INPUT\noutputs 1\n")
+    argv = {
+        "compile": ["compile", str(path), "-o", str(tmp_path / "x.prog")],
+        "run": ["run", str(path), "1"],
+        "verify": ["verify", str(path)],
+    }[command]
+    assert main(argv) == 2
+    assert f"cannot read {path}: not UTF-8 text" in _input_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_deeply_nested_json_circuit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a":' * 100_000)
+    argv = [command, str(path)] + ["-o", str(tmp_path / "x.prog")] * (command == "compile")
+    assert main(argv) == 2
+    assert _input_error(capsys).startswith("error: bad JSON")
+
+
 def test_run_decodes_and_prints(fig_net, tmp_path, capsys):
     out = str(tmp_path / "fig.prog")
     main(["compile", fig_net, "-o", out])
@@ -199,7 +227,7 @@ def test_verify_bad_or_empty_seed_range_exits_2(fig_net, capsys, seeds):
     assert err.startswith("error: ") and "--seeds" in err
 
 
-@pytest.mark.parametrize("inputs", ["random:x", "random:0"])
+@pytest.mark.parametrize("inputs", ["random:x", "random:0", "random5", "randomly", "random:"])
 def test_verify_bad_random_input_count_exits_2(fig_net, capsys, inputs):
     assert main(["verify", fig_net, "--inputs", inputs]) == 2
     assert "--inputs" in capsys.readouterr().err
@@ -363,11 +391,21 @@ def test_gen_corpus_deterministic(tmp_path, capsys):
 
 def test_gen_corpus_contradictory_ranges(tmp_path, capsys):
     assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--depth", "4:2"]) == 2
+    assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--depth", "x"]) == 2
+    assert "--depth" in capsys.readouterr().err
     for count in ("0", "-1"):
         assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--count", count]) == 2
         assert "count" in capsys.readouterr().err
         with pytest.raises(ValueError):
             CorpusSpec(count=int(count))
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--gates", "--fan-in", "--fan-out", "--inputs"])
+@pytest.mark.parametrize("text", ["x", "3:"])
+def test_gen_corpus_unparsable_range_names_its_flag(tmp_path, capsys, flag, text):
+    assert main(["gen-corpus", "--out", str(tmp_path / "x"), flag, text]) == 2
+    assert f"bad {flag} {text!r}" in _input_error(capsys)
     assert not (tmp_path / "x").exists()
 
 
@@ -396,3 +434,36 @@ def test_lowerbound_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["bounds"][10] == 89
     assert all(r["ok"] for r in data["rows"])
+
+
+# One library call per subcommand, and the arguments that reach it.
+_BOUNDARY_CASES = [
+    ("compile_backend", lambda net, prog, out: ["compile", net, "-o", out]),
+    ("run_program", lambda net, prog, out: ["run", prog, "1001"]),
+    ("verify_job_parallel", lambda net, prog, out: ["verify", net]),
+    ("check_demand_growth", lambda net, prog, out: ["lowerbound", "--max-depth", "2"]),
+    ("generate_circuits", lambda net, prog, out: ["gen-corpus", "--out", out]),
+]
+
+
+@pytest.mark.parametrize("name, argv", _BOUNDARY_CASES, ids=[c[0] for c in _BOUNDARY_CASES])
+@pytest.mark.parametrize("exc", [ValueError, KeyError, RuntimeError])
+def test_main_reports_only_value_errors_as_input_errors(
+    fig_net, tmp_path, capsys, monkeypatch, name, argv, exc
+):
+    prog = str(tmp_path / "fig.prog")
+    assert main(["compile", fig_net, "-o", prog]) == 0
+    capsys.readouterr()
+
+    def boom(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, name, boom)
+    argv = argv(fig_net, prog, str(tmp_path / "out"))
+    if exc is ValueError:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: boom\n" and captured.out == ""
+    else:
+        with pytest.raises(exc, match="boom"):
+            main(argv)

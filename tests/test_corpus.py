@@ -1,3 +1,5 @@
+import pytest
+
 from stepcrn import GateKind, stats, to_netlist
 from stepcrn.corpus import CorpusSpec, generate_circuits
 
@@ -65,3 +67,9 @@ def test_accept_filter_advances_deterministically():
     assert a == b and all(
         stats(c).gate_count % 2 == 1 for c in generate_circuits(spec, accept=odd_gates)
     )
+
+
+def test_rejecting_every_candidate_raises_value_error():
+    spec = CorpusSpec(count=2, seed=0)
+    with pytest.raises(ValueError, match="keeps rejecting"):
+        generate_circuits(spec, accept=lambda c: False)
