@@ -17,16 +17,12 @@ from .circuits import (
 )
 from .crn import (
     Alphabet,
-    AlphabetMismatch,
     Configuration,
     Rule,
     RuleClass,
     RuleFamily,
-    applicable,
-    apply_rule,
     classify_rule,
     format_rule,
-    is_terminal,
     parse_rule,
 )
 from .engine import (
@@ -36,11 +32,9 @@ from .engine import (
     StepProgram,
     decode_output,
     enumerate_program_terminals,
-    enumerate_terminals,
     program_from_text,
     program_to_text,
     run_program,
-    run_step,
 )
 from .lowering import (
     CompilationReport,

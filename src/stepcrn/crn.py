@@ -52,10 +52,6 @@ def b_name(gid: int, bit: bool) -> str:
     return f"b[{gid}]{'T' if bit else 'F'}"
 
 
-class AlphabetMismatch(ValueError):
-    """Configuration and rule belong to different alphabets."""
-
-
 class Alphabet:
     """Frozen ordered species alphabet; name <-> ordinal bijection."""
 
@@ -234,32 +230,6 @@ def is_void_family(rule: Rule) -> bool:
     """True iff the rule is true-void or catalytic-void: it lowers some
     count and raises none (``delta`` holds no zero entries)."""
     return bool(rule.delta) and all(d < 0 for _, d in rule.delta)
-
-
-def _check_alphabet(config: Configuration, rule: Rule) -> None:
-    if config.alphabet != rule.alphabet:
-        raise AlphabetMismatch("configuration and rule use different alphabets")
-
-
-def applicable(config: Configuration, rule: Rule) -> bool:
-    """True iff the configuration dominates the rule's reactants."""
-    _check_alphabet(config, rule)
-    return all(config.counts[o] >= c for o, c in rule.reactants)
-
-
-def apply_rule(config: Configuration, rule: Rule) -> Configuration:
-    """Apply the rule once, returning the successor configuration."""
-    if not applicable(config, rule):
-        raise ValueError(f"rule not applicable: {rule.text}")
-    counts = list(config.counts)
-    for o, d in rule.delta:
-        counts[o] += d
-    return Configuration(config.alphabet, tuple(counts))
-
-
-def is_terminal(config: Configuration, rules: Iterable[Rule]) -> bool:
-    """True iff no rule applies to the configuration."""
-    return not any(applicable(config, r) for r in rules)
 
 
 # -- rule text -----------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Execution of step programs: add species, run to terminal, repeat.
 
-Two schedulers are provided.  The randomized maximal scheduler applies
+Rules fire along two paths only, both over a whole program.  The
+randomized maximal scheduler, :func:`run_program`, applies
 uniformly-chosen applicable rules until none applies; identical
 (program, input, seed) triples reproduce identical traces bit for bit.
-The exhaustive enumerator computes the exact set of terminal
-configurations reachable from a configuration (and, lifted over steps,
-of a whole program run), which is the ground truth the verifier uses to
-check that decoding is schedule independent.
+The exhaustive enumerator, :func:`enumerate_program_terminals`, computes
+the exact set of terminal configurations a program run can reach, which
+is the ground truth the verifier uses to check that decoding is schedule
+independent.  The tests keep an unreduced, name-level reference of both
+and compare the two with it.
 
 Every rule must be void-family: it lowers some count and raises none.
 Each application then strictly shrinks the volume, so every run
-terminates; programs, ``run_step`` and ``enumerate_terminals`` reject
-any other rule.
+terminates; a program rejects any other rule.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -39,7 +40,7 @@ order.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .circuits import input_bits
@@ -54,7 +55,7 @@ from .crn import (
 
 class StateCapExceeded(RuntimeError):
     """Exhaustive enumeration visited more configurations than allowed.
-    ``step`` is the program step whose search stopped, else None."""
+    ``step`` is the program step whose search stopped."""
 
     step: int | None = None
 
@@ -220,7 +221,7 @@ class _PreparedRules:
     shared objects.
     """
 
-    def __init__(self, rules: Sequence[Rule], n_species: int, step_species=()):
+    def __init__(self, rules: Sequence[Rule], n_species: int, step_species):
         # ``step_species[k]`` holds the ordinals step k may add.
         first_add: dict[int, int] = {}
         last_add: dict[int, int] = {}
@@ -422,34 +423,6 @@ def _prepared(program: StepProgram) -> _PreparedRules:
 # -- public operations ---------------------------------------------------------
 
 
-def run_step(
-    config: Configuration,
-    additions: Mapping[str, int] | Configuration,
-    rules: Iterable[Rule],
-    sched: Schedule = Schedule(),
-) -> Configuration:
-    """Add species to a configuration, then run void rules to a terminal."""
-    rules = tuple(rules)
-    for rule in rules:
-        _check_void(rule)
-    counts = list(config.counts)
-    if isinstance(additions, Configuration):
-        add_items = enumerate(additions.counts)
-    else:
-        add_items = (
-            (config.alphabet.ordinal(name), c) for name, c in additions.items()
-        )
-    for o, c in add_items:
-        if c < 0:
-            raise ValueError("additions must be non-negative")
-        counts[o] += c
-    # One step that adds the whole entry configuration.
-    entry = tuple((o, c) for o, c in enumerate(counts) if c)
-    prep = _PreparedRules(rules, len(counts), [[o for o, _ in entry]])
-    final, _, _ = prep.run((entry,), (), random.Random(sched.seed))
-    return Configuration(config.alphabet, tuple(final))
-
-
 def run_program(
     program: StepProgram,
     bits,
@@ -506,27 +479,6 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
 
 
 # -- exhaustive enumeration ------------------------------------------------------
-
-
-def enumerate_terminals(
-    config: Configuration,
-    rules: Iterable[Rule],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> set[Configuration]:
-    """Exact set of terminal configurations reachable from ``config``.
-
-    Exhaustive search over the rule-application graph with memoization
-    on the configuration vector, reduced as :func:`_search_terminals`
-    describes; raises :class:`StateCapExceeded` when more than
-    ``state_cap`` distinct configurations are visited.  Every rule must
-    be void.
-    """
-    rules = tuple(rules)
-    for rule in rules:
-        _check_void(rule)
-    prep = _PreparedRules(rules, len(config.counts))
-    terminals = _search_terminals({tuple(config.counts)}, range(len(rules)), prep, state_cap)
-    return {Configuration(config.alphabet, t) for t in terminals}
 
 
 def _search_terminals(
@@ -638,9 +590,10 @@ def enumerate_program_terminals(
 ) -> set[Configuration]:
     """Exact set of final terminal configurations over all schedules.
 
-    Lifts :func:`enumerate_terminals` over the step sequence: every
-    terminal of step k, combined with step k+1's additions, seeds the
-    next exploration.  Those entries check only the rules step k+1 is
+    The library's one exhaustive search.  It lifts
+    :func:`_search_terminals` over the step sequence: every terminal of
+    step k, combined with step k+1's additions, seeds the next
+    exploration.  Those entries check only the rules step k+1 is
     ready for and those consumers of the species it re-adds that are
     ready by then: a rule disabled at a terminal revives only through an
     addition.  Each step's search raises :class:`StateCapExceeded`, with

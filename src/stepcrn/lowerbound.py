@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .circuits import Circuit, Gate, GateKind, evaluate
+from .circuits import Circuit, Gate, GateKind
 from .lowering import compile_circuit_exp
 
 Row = tuple[int, int, int]
@@ -52,9 +52,6 @@ class StageSpec:
         full = dict(CONSTRAINED_ROWS)
         full.update({r: tuple(v) for r, v in self.completion.items()})
         return full
-
-    def apply(self, row: Row) -> Row:
-        return self.table()[tuple(row)]
 
 
 def fibonacci(k: int) -> int:
@@ -135,14 +132,6 @@ def build_stage_chain(depth: int, spec: StageSpec = StageSpec()) -> Circuit:
     return Circuit(f"chain{depth}", gates, cur)
 
 
-def iterate_stage(spec: StageSpec, row: Row, times: int) -> Row:
-    """Reference semantics: the stage function applied ``times`` times."""
-    cur = tuple(row)
-    for _ in range(times):
-        cur = spec.apply(cur)
-    return cur
-
-
 # -- demand bounds ---------------------------------------------------------------
 
 
@@ -190,13 +179,3 @@ def check_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[G
         )
     return rows
 
-
-def self_check(spec: StageSpec = StageSpec()) -> None:
-    """Exhaustive sanity check: the synthesized stage matches the
-    transfer table on all eight rows."""
-    circuit = build_stage_circuit(spec)
-    table = spec.table()
-    for row, want in table.items():
-        got = tuple(evaluate(circuit, {gid: b for gid, b in zip(circuit.input_ids, row)}))
-        if got != want:
-            raise AssertionError(f"stage circuit disagrees on {row}: {got} != {want}")

@@ -1,0 +1,82 @@
+"""The unreduced reference semantics the tests compare the engine with.
+
+Rules fire by name-level configuration arithmetic, and the reference
+search fires every applicable rule in every state: no tables, no
+parking, no ample sets.  The library itself fires rules only through
+``run_program`` and enumerates only through
+``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
+as a program so tests can drive both from one.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable
+
+from stepcrn import Configuration, Rule
+from stepcrn.engine import StepProgram
+
+
+def applicable(config: Configuration, rule: Rule) -> bool:
+    """True iff the configuration dominates the rule's reactants."""
+    return all(config.counts[o] >= c for o, c in rule.reactants)
+
+
+def apply_rule(config: Configuration, rule: Rule) -> Configuration:
+    """Apply the rule once, returning the successor configuration."""
+    if not applicable(config, rule):
+        raise ValueError(f"rule not applicable: {rule.text}")
+    counts = list(config.counts)
+    for o, d in rule.delta:
+        counts[o] += d
+    return Configuration(config.alphabet, tuple(counts))
+
+
+def is_terminal(config: Configuration, rules: Iterable[Rule]) -> bool:
+    """True iff no rule applies to the configuration."""
+    return not any(applicable(config, r) for r in rules)
+
+
+def one_step(config: Configuration, rules: Iterable[Rule]) -> StepProgram:
+    """A program whose single step adds ``config``'s non-zero counts, so
+    a run or an enumeration of it starts from ``config``."""
+    return StepProgram(
+        name="one-step",
+        backend="test",
+        alphabet=config.alphabet,
+        rules=tuple(rules),
+        steps=(tuple((o, c) for o, c in enumerate(config.counts) if c),),
+        input_order=(),
+        input_encoding={},
+        output_decoding=(),
+    )
+
+
+def reference_terminals(config: Configuration, rule_list) -> set[Configuration]:
+    """Unreduced search: every applicable rule fires in every state."""
+    terminals, seen, stack = set(), {config}, [config]
+    while stack:
+        cur = stack.pop()
+        successors = [apply_rule(cur, r) for r in rule_list if applicable(cur, r)]
+        if not successors:
+            terminals.add(cur)
+        for nxt in successors:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return terminals
+
+
+def reference_program_terminals(program: StepProgram, bits) -> set[Configuration]:
+    """The unreduced search lifted over the steps, every entry checking
+    every rule."""
+    inputs = program.input_step(bits)
+    frontier = {Configuration(program.alphabet, (0,) * len(program.alphabet))}
+    for k, step in enumerate(program.steps):
+        reached = set()
+        for term in frontier:
+            counts = list(term.counts)
+            for o, c in step + inputs if k == 0 else step:
+                counts[o] += c
+            entry = Configuration(program.alphabet, tuple(counts))
+            reached |= reference_terminals(entry, program.rules)
+        frontier = reached
+    return frontier

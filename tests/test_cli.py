@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -434,6 +435,14 @@ def test_lowerbound_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["bounds"][10] == 89
     assert all(r["ok"] for r in data["rows"])
+
+
+def test_lowerbound_depth_20_output_is_pinned(capsys):
+    # tests/data/lowerbound20.json holds the exact output for depths 1 to
+    # 20, so any faster way of computing the rows must print the same.
+    want = (Path(__file__).parent / "data" / "lowerbound20.json").read_text()
+    assert main(["lowerbound", "--max-depth", "20", "--json"]) == 0
+    assert capsys.readouterr().out == want
 
 
 # One library call per subcommand, and the arguments that reach it.

@@ -13,13 +13,11 @@ from stepcrn import (
     StateCapExceeded,
     decode_output,
     enumerate_program_terminals,
-    enumerate_terminals,
     parse_circuit,
     parse_rule,
     program_from_text,
     program_to_text,
     run_program,
-    run_step,
 )
 from stepcrn import engine
 from stepcrn.engine import StepProgram
@@ -29,6 +27,8 @@ from stepcrn.lowering import (
     compile_circuit_exp,
     compile_formula,
 )
+
+from reference import is_terminal, one_step
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -43,7 +43,7 @@ def _cfg(ab, **counts):
 def test_run_step_trivial_annihilation():
     ab = Alphabet(["A", "B"])
     rules = [Rule.make(ab, ("A", "B"))]
-    out = run_step(_cfg(ab), {"A": 1, "B": 1}, rules)
+    out = run_program(one_step(_cfg(ab, A=1, B=1), rules), ()).final
     assert out.as_dict() == {}
 
 
@@ -59,13 +59,15 @@ def test_run_step_and_gate_example():
         Rule.make(ab, ("x[2]T", "y[2->4]F")),
         Rule.make(ab, ("x[3]F", "y[4]T")),
     ]
-    start = _cfg(ab, **{"x[1]T": 1, "x[2]T": 1, "x[3]F": 1})
-    adds = {"y[4]T": 1, "y[1->4]F": 1, "y[2->4]F": 1, "y[3->4]F": 1}
-    out = run_step(start, adds, rules, Schedule(5))
+    entry = _cfg(ab, **{
+        "x[1]T": 1, "x[2]T": 1, "x[3]F": 1,
+        "y[4]T": 1, "y[1->4]F": 1, "y[2->4]F": 1, "y[3->4]F": 1,
+    })
+    program = one_step(entry, rules)
+    out = run_program(program, (), Schedule(5)).final
     assert out.as_dict() == {"y[3->4]F": 1}
     # the terminal is unique over every application order
-    entry = Configuration(ab, tuple(a + b for a, b in zip(start.counts, _cfg(ab, **adds).counts)))
-    terms = enumerate_terminals(entry, rules)
+    terms = enumerate_program_terminals(program, ())
     assert {t.as_dict()["y[3->4]F"] for t in terms} == {1} and len(terms) == 1
 
 
@@ -75,11 +77,9 @@ def test_run_step_or_gate_example():
     rules = [
         Rule.make(ab, ("x[1]F", "y[1->1]T")),
         Rule.make(ab, ("x[2]T", "y[1]F")),
-        Rule.make(ab, ("x[2]F", "y[2->1]T")) if "x[2]F" in names else None,
     ]
-    rules = [r for r in rules if r]
-    start = _cfg(ab, **{"x[1]F": 1, "x[2]T": 1})
-    out = run_step(start, {"y[1->1]T": 1, "y[2->1]T": 1, "y[1]F": 1}, rules)
+    entry = _cfg(ab, **{"x[1]F": 1, "x[2]T": 1, "y[1->1]T": 1, "y[2->1]T": 1, "y[1]F": 1})
+    out = run_program(one_step(entry, rules), ()).final
     assert out.as_dict() == {"y[2->1]T": 1}
 
 
@@ -87,16 +87,16 @@ def test_run_step_checks_every_reactant_and_its_need():
     ab = Alphabet(["A", "B", "C"])
     rules = [Rule.make(ab, ("A", "B", "C")), Rule.make(ab, {"A": 2, "C": 1}, {"A": 1})]
     start = _cfg(ab, A=1, C=1)
-    assert run_step(start, {}, rules) == start
-    start = _cfg(ab, A=3, B=1, C=2)
-    terminals = enumerate_terminals(start, rules)
-    assert {run_step(start, {}, rules, Schedule(s)) for s in range(20)} <= terminals
+    assert run_program(one_step(start, rules), ()).final == start
+    program = one_step(_cfg(ab, A=3, B=1, C=2), rules)
+    terminals = enumerate_program_terminals(program, ())
+    assert {run_program(program, (), Schedule(s)).final for s in range(20)} <= terminals
 
 
 def test_enumerate_two_maximal_schedules():
     ab = Alphabet(["A", "B", "C"])
     rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("A", "C"))]
-    terms = enumerate_terminals(_cfg(ab, A=1, B=1, C=1), rules)
+    terms = enumerate_program_terminals(one_step(_cfg(ab, A=1, B=1, C=1), rules), ())
     assert {frozenset(t.as_dict().items()) for t in terms} == {
         frozenset({("C", 1)}),
         frozenset({("B", 1)}),
@@ -105,15 +105,18 @@ def test_enumerate_two_maximal_schedules():
 
 def test_enumerate_single_terminal():
     ab = Alphabet(["A", "B"])
-    terms = enumerate_terminals(_cfg(ab, A=2, B=1), [Rule.make(ab, ("A", "B"))])
+    program = one_step(_cfg(ab, A=2, B=1), [Rule.make(ab, ("A", "B"))])
+    terms = enumerate_program_terminals(program, ())
     assert [t.as_dict() for t in terms] == [{"A": 1}]
 
 
 def test_enumerate_state_cap():
     ab = Alphabet(["A", "B"])
+    program = one_step(_cfg(ab, A=30, B=30), [Rule.make(ab, ("A", "B"))])
     with pytest.raises(StateCapExceeded) as exc:
-        enumerate_terminals(_cfg(ab, A=30, B=30), [Rule.make(ab, ("A", "B"))], state_cap=5)
-    assert exc.value.step is None and str(exc.value).startswith("more than 5 ")
+        enumerate_program_terminals(program, (), state_cap=5)
+    assert exc.value.step == 0
+    assert str(exc.value) == "step 0: more than 5 configurations reachable"
 
 
 def test_enumerate_fires_independent_rules_in_one_order():
@@ -122,10 +125,10 @@ def test_enumerate_fires_independent_rules_in_one_order():
     # 31 + 30 of them, all of which count toward the cap.
     ab = Alphabet(["A", "B", "C", "D"])
     rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("C", "D"))]
-    start = _cfg(ab, A=30, B=30, C=30, D=30)
-    assert [t.as_dict() for t in enumerate_terminals(start, rules, state_cap=100)] == [{}]
+    program = one_step(_cfg(ab, A=30, B=30, C=30, D=30), rules)
+    assert [t.as_dict() for t in enumerate_program_terminals(program, (), state_cap=100)] == [{}]
     with pytest.raises(StateCapExceeded):
-        enumerate_terminals(start, rules, state_cap=60)
+        enumerate_program_terminals(program, (), state_cap=60)
 
 
 def test_components_connect_only_through_a_lowered_species():
@@ -142,8 +145,8 @@ def test_enumerate_does_not_interleave_gates_sharing_a_catalyst():
     # order: 11 x 11 = 121 configurations.  Apart, they take 11 + 10.
     ab = Alphabet(["c", "a", "b"])
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c")]
-    start = _cfg(ab, c=1, a=10, b=10)
-    assert [t.as_dict() for t in enumerate_terminals(start, rules, state_cap=21)] == [{"c": 1}]
+    program = one_step(_cfg(ab, c=1, a=10, b=10), rules)
+    assert [t.as_dict() for t in enumerate_program_terminals(program, (), state_cap=21)] == [{"c": 1}]
 
 
 def _tiny_program(alphabet, rules, steps, outputs):
@@ -197,9 +200,9 @@ def test_non_void_rules_are_rejected():
     with pytest.raises(ValueError, match="not void"):
         _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
     with pytest.raises(ValueError, match="not void"):
-        run_step(_cfg(ab, A=1), {}, [Rule.make(ab, ("A", "B")), grow])
+        one_step(_cfg(ab, A=1), [Rule.make(ab, ("A", "B")), grow])
     with pytest.raises(ValueError, match="not void"):
-        enumerate_terminals(_cfg(ab, A=1), [grow])
+        one_step(_cfg(ab, A=1), [grow])
 
 
 def test_run_program_reproducible_and_decodes():
@@ -236,8 +239,6 @@ def test_per_step_terminals_are_terminal():
         "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
     )
     prog, _ = compile_formula(c)
-    from stepcrn import is_terminal
-
     assert run_program(prog, "10", Schedule(3)).per_step_terminal == ()
     result = run_program(prog, "10", Schedule(3), per_step_terminal=True)
     assert len(result.per_step_terminal) == prog.step_count

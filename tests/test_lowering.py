@@ -15,7 +15,6 @@ from stepcrn import (
     decode_output,
     encode_input,
     enumerate_program_terminals,
-    enumerate_terminals,
     evaluate,
     lower_gate,
     normalize,
@@ -24,6 +23,8 @@ from stepcrn import (
     run_program,
 )
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend
+
+from reference import one_step
 
 FIG_FORMULA = """
 circuit fig
@@ -380,7 +381,8 @@ def test_vote_pools_can_skew_without_isolation():
         },
     )
     pools = {
-        (t.get("a[6]T"), t.get("a[6]F")) for t in enumerate_terminals(entry, rules)
+        (t.get("a[6]T"), t.get("a[6]F"))
+        for t in enumerate_program_terminals(one_step(entry, rules), ())
     }
     assert (2, 1) in pools  # the intended 2:1 tally
     assert (1, 1) in pools  # the skewed dead heat the buffers prevent

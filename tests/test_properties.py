@@ -13,18 +13,13 @@ from stepcrn import (
     Rule,
     RuleFamily,
     Schedule,
-    applicable,
-    apply_rule,
     classify_rule,
     decode_output,
     demand_analysis,
     enumerate_program_terminals,
-    enumerate_terminals,
     evaluate,
-    is_terminal,
     parse_circuit,
     run_program,
-    run_step,
     stats,
 )
 from stepcrn.circuits import max_fanout_any
@@ -32,6 +27,15 @@ from stepcrn.crn import is_void_family
 from stepcrn.corpus import CorpusSpec, generate_circuits
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import compile_backend
+
+from reference import (
+    applicable,
+    apply_rule,
+    is_terminal,
+    one_step,
+    reference_program_terminals,
+    reference_terminals,
+)
 
 AB = Alphabet([f"s{i}" for i in range(6)])
 
@@ -72,48 +76,18 @@ def test_void_application_shrinks_volume_exactly(config, rule):
 def test_void_run_ends_in_an_enumerated_terminal(config, rule_list, seed):
     # Multi-species reactants and needs above 1 exercise the exact
     # enabled set beyond the shapes the compilers emit.
-    out = run_step(config, {}, rule_list, Schedule(seed))
+    program = one_step(config, rule_list)
+    out = run_program(program, (), Schedule(seed)).final
     assert is_terminal(out, rule_list)
-    assert out in enumerate_terminals(config, rule_list)
-
-
-def _reference_terminals(config, rule_list):
-    """Unreduced search: every applicable rule fires in every state."""
-    terminals, seen, stack = set(), {config}, [config]
-    while stack:
-        cur = stack.pop()
-        successors = [apply_rule(cur, r) for r in rule_list if applicable(cur, r)]
-        if not successors:
-            terminals.add(cur)
-        for nxt in successors:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return terminals
-
-
-def _reference_program_terminals(program, bits):
-    """The unreduced search lifted over the steps, every entry checking
-    every rule."""
-    inputs = program.input_step(bits)
-    frontier = {Configuration(program.alphabet, (0,) * len(program.alphabet))}
-    for k, step in enumerate(program.steps):
-        reached = set()
-        for term in frontier:
-            counts = list(term.counts)
-            for o, c in step + inputs if k == 0 else step:
-                counts[o] += c
-            entry = Configuration(program.alphabet, tuple(counts))
-            reached |= _reference_terminals(entry, program.rules)
-        frontier = reached
-    return frontier
+    assert out in enumerate_program_terminals(program, ())
 
 
 @settings(deadline=None, max_examples=200)
 @given(configs, configs, st.lists(rules.filter(is_void_family), min_size=1, max_size=6))
 def test_reduced_enumeration_matches_unreduced_reference(a, b, rule_list):
     config = Configuration(AB, tuple(x + y for x, y in zip(a.counts, b.counts)))
-    assert enumerate_terminals(config, rule_list) == _reference_terminals(config, rule_list)
+    terminals = enumerate_program_terminals(one_step(config, rule_list), ())
+    assert terminals == reference_terminals(config, rule_list)
 
 
 CATALYST = 0  # s0, the species the catalytic rules share
@@ -168,7 +142,8 @@ def test_catalytic_rules_keep_every_terminal(config, catalysts, rule_list):
     counts = list(config.counts)
     counts[CATALYST] += catalysts
     start = Configuration(AB, tuple(counts))
-    assert enumerate_terminals(start, rule_list) == _reference_terminals(start, rule_list)
+    terminals = enumerate_program_terminals(one_step(start, rule_list), ())
+    assert terminals == reference_terminals(start, rule_list)
 
 
 WORKED_NETS = {
@@ -191,7 +166,7 @@ def test_reduced_program_enumeration_matches_reference(net, backend):
     n = len(circuit.input_ids)
     for i in range(1 << n):
         bits = [(i >> k) & 1 for k in range(n)]
-        want = _reference_program_terminals(program, bits)
+        want = reference_program_terminals(program, bits)
         assert enumerate_program_terminals(program, bits) == want, bits
 
 
@@ -228,7 +203,7 @@ def test_multi_step_runs_with_re_added_species(rule_list, adds, seed):
         assert is_terminal(term, rule_list)
     terminals = enumerate_program_terminals(program, ())
     assert result.final in terminals
-    assert terminals == _reference_program_terminals(program, ())
+    assert terminals == reference_program_terminals(program, ())
 
 
 @pytest.mark.parametrize("net", sorted(WORKED_NETS))
@@ -257,7 +232,7 @@ def test_void_runs_halt_within_entry_volume(seed):
     chosen = rng.sample(pool, k=rng.randint(1, 6))
     counts = {n: rng.randint(0, 5) for n in names}
     start = Configuration.from_dict(ab, counts)
-    out = run_step(start, {}, chosen, Schedule(seed))
+    out = run_program(one_step(start, chosen), (), Schedule(seed)).final
     # each application removes two copies, so the run halted within volume/2 steps
     assert out.volume <= start.volume
     assert all(c >= 0 for c in out.counts)
