@@ -52,7 +52,6 @@ from .lowering import (
 from .lowerbound import (
     StageSpec,
     build_stage_chain,
-    build_stage_circuit,
     check_demand_growth,
     fibonacci,
     min_copy_bounds,

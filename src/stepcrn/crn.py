@@ -12,13 +12,14 @@ whitespace):
     y[<i>]T | y[<i>]F        single-form gate output
     y[<j>-><i>]T|F           per-input gate output (input <j> into gate <i>)
     a[<i>]T|F, b[<i>]T|F     majority-gate vote and tally helpers
-    dx, dy                   deleter species of the catalyst backend
+    dx[<k>], dy[<k>]         catalyst sweepers of level <k>
+    kx[<k>], ky[<k>]         killers of those sweepers
 
 The engine itself accepts any whitespace-free species token.
 
 Rule text is one rule per line: reactants joined by `` + ``, then
 ``->``, then products (``.`` for none).  A catalytic rule repeats the
-surviving reactant on the right, e.g. ``dx + x[1]T -> dx``.
+surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 SPECIES_RE = re.compile(
-    r"^(?:d[xy]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$"
+    r"^(?:[dk][xy]\[\d+\]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$"
 )
 
 

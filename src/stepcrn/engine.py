@@ -17,23 +17,19 @@ terminates; a program rejects any other rule.
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
 rule.  Since void rules never raise a count, only a step's additions
-enable a rule: each rule is checked once, at its ready step, when its
-last reactant first arrives.  A rule found short then, or disabled by a
-firing, is parked on one short reactant and checked again only when a
-later step re-adds that species; one short on a species no later step
-adds is dropped for good.  This is the watched literal of SAT solvers
-(Moskewicz et al., Chaff, DAC 2001) and the dependency graph of Gibson
-and Bruck (J. Phys. Chem. A, 2000): after an event, touch only what it
-affects.  Compiled programs re-add only the catalyst backend's deleter
-pair, so formula and exp runs never park a rule, and a catalyst sweep
-costs what it deletes, not every rule the deleter could ever meet.
+enable a rule, so a step checks only the rules it can enable: those
+whose last reactant first arrives then, and the consumers of a species
+it re-adds.  A firing touches only the consumers of what it lowered.
+This is the dependency graph of Gibson and Bruck (J. Phys. Chem. A,
+2000): after an event, touch only what it affects.  Compiled programs
+add each species at one step, so each of their rules is checked once.
 
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
 no firing enables a rule.  Two enabled rules depend only when one lowers
-a species the other reads, so rules that share only a catalyst (``dx``,
-``y[i]T``) commute.  Each configuration therefore fires only one
-connected component of its enabled rules (an ample set), and the
+a species the other reads, so rules that share only a catalyst
+(``dx[k]``, ``y[i]T``) commute.  Each configuration therefore fires only
+one connected component of its enabled rules (an ample set), and the
 interleavings of independent gates are explored once, not in every
 order.
 """
@@ -206,38 +202,21 @@ class _PreparedRules:
     Void rules never raise a count, so only additions enable a rule.  A
     rule is first checked at its ready step, the first step by which
     every reactant has been added: ``ready_by_step[k]`` lists those
-    rules, so it holds each rule at most once, and ``ready[q]`` is rule
-    ``q``'s ready step (the step count when a reactant is never added).
-    After that a rule can revive only at a step that re-adds one of its
-    reactants.
+    rules, so it holds each rule at most once.  After that a rule can
+    revive only at a step that re-adds one of its reactants, and
     ``readd_by_step[k]`` lists the species step ``k`` adds that an
-    earlier step added too, ``last_add[o]`` the last step adding such a
-    species, and ``park_until`` the last step re-adding any.  A run
-    parks a rule found short, or disabled by a firing, on a short
-    reactant that a later step re-adds, and checks it again only then
-    (see :meth:`run`); the enumerator's step entries check the ready
-    consumers of every re-added species (see :meth:`step_candidates`).  Programs
-    keep these tables for their lifetime, so they hold flat tuples of
-    shared objects.
+    earlier step added too.  Compiled programs re-add nothing; a
+    hand-written program may.  Programs keep these tables for their
+    lifetime, so they hold flat tuples of shared objects.
     """
 
     def __init__(self, rules: Sequence[Rule], n_species: int, step_species):
         # ``step_species[k]`` holds the ordinals step k may add.
         first_add: dict[int, int] = {}
-        last_add: dict[int, int] = {}
-        readd = []
-        for k, ordinals in enumerate(step_species):
-            again = []
-            for o in ordinals:
-                if o not in first_add:
-                    first_add[o] = k
-                elif first_add[o] < k:
-                    last_add[o] = k
-                    again.append(o)
-            readd.append(tuple(again))
-        self.readd_by_step = tuple(readd)
-        self.last_add = last_add
-        self.park_until = max(last_add.values(), default=-1)
+        self.readd_by_step = tuple(
+            tuple(o for o in ordinals if first_add.setdefault(o, k) < k)
+            for k, ordinals in enumerate(step_species)
+        )
 
         self.rules = rules = tuple(rules)
         self.delta = tuple(r.delta for r in rules)
@@ -245,7 +224,6 @@ class _PreparedRules:
         needs: list[list[int]] = [[] for _ in range(n_species)]
         by_step: list[list[int]] = [[] for _ in step_species]
         never = len(step_species)
-        ready_of = []
         for q, r in enumerate(rules):
             ready = 0
             for o, need in r.reactants:
@@ -254,9 +232,7 @@ class _PreparedRules:
                 ready = max(ready, first_add.get(o, never))
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
-            ready_of.append(ready)
         self.ready_by_step = tuple(map(tuple, by_step))
-        self.ready = tuple(ready_of)
         self.watch = tuple(map(tuple, watch))
         self.needs = tuple(map(tuple, needs))
         self.max_need = tuple(max(w, default=0) for w in self.needs)
@@ -284,15 +260,11 @@ class _PreparedRules:
     def step_candidates(self, k: int) -> Sequence[int]:
         """Every rule that step ``k``'s additions may enable at a
         terminal of step ``k - 1``, in rule order: the rules ready at
-        ``k`` and the consumers of a species ``k`` re-adds that are ready
-        by ``k``.  A consumer ready later still lacks a reactant no step
-        up to ``k`` adds, so it cannot fire yet."""
+        ``k`` and the consumers of a species ``k`` re-adds."""
         ready_at, readd = self.ready_by_step[k], self.readd_by_step[k]
         if not readd:
             return ready_at
-        ready = self.ready
-        revived = {q for o in readd for q in self.watch[o] if ready[q] <= k}
-        return sorted(revived.union(ready_at))
+        return sorted({q for o in readd for q in self.watch[o]}.union(ready_at))
 
     def run(
         self,
@@ -308,29 +280,21 @@ class _PreparedRules:
 
         ``enabled`` holds exactly the applicable rules, and ``pos[q]``
         the index of rule ``q`` in it (-1 when absent), so every draw
-        fires a rule.  A step enables, in rule order, the rules ready at
-        it and those parked on a species it re-adds; each candidate
-        found short waits on a short reactant in ``parked``, or is
-        dropped when no later step re-adds that reactant.  A firing
+        fires a rule.  A step enters, as the enumerator does, with the
+        applicable rules among its :meth:`step_candidates`, in rule
+        order; the previous step ended with none enabled.  A firing
         swap-removes, in rule order, every enabled rule it pushed below a
-        need, and parks it the same way.  When the lowered species has
-        far more consumers than there are enabled rules (a deleter's
-        drop) the removal walks the enabled rules instead, so it costs
-        what is enabled, not every consumer.
+        need.
 
         Appends a line per firing to ``trace`` and each step's terminal
         counts to ``per_step`` when given.  Returns (final counts, peak
         volume, applications).
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
-        first, last, wide, rules = self.first, self.last, self.wide, self.rules
-        ready_by_step, readd_by_step = self.ready_by_step, self.readd_by_step
-        last_add, park_until = self.last_add, self.park_until
+        rules = self.rules
         randrange = rng.randrange
         counts = [0] * len(watch)
-        enabled: list[int] = []
         pos = [-1] * len(rules)
-        parked: dict[int, list[int]] = {}  # species -> rules waiting for it
         volume = peak = apps = 0
         for k, step in enumerate(steps):
             for o, c in (step + inputs if k == 0 else step):
@@ -338,40 +302,9 @@ class _PreparedRules:
                 volume += c
             if volume > peak:
                 peak = volume
-
-            # Entry: the rules ready at k and those parked on a species
-            # k re-adds, in rule order.
-            candidates = ready_by_step[k]
-            readd = readd_by_step[k]
-            if readd and parked:
-                woken: list[int] = []
-                for o in readd:
-                    woken += parked.pop(o, ())
-                if woken:
-                    woken += candidates
-                    woken.sort()
-                    candidates = woken
-            parking = k < park_until
-            for q in candidates:
-                a, na = first[q]
-                b, nb = last[q]
-                if counts[a] >= na and counts[b] >= nb and (
-                    q not in wide or all(counts[o] >= c for o, c in rules[q].reactants)
-                ):
-                    pos[q] = len(enabled)
-                    enabled.append(q)
-                elif parking:
-                    if counts[a] < na:
-                        o = a
-                    elif counts[b] < nb:
-                        o = b
-                    else:
-                        o = next(o for o, c in rules[q].reactants if counts[o] < c)
-                    if o in last_add and last_add[o] > k:
-                        if o in parked:
-                            parked[o].append(q)
-                        else:
-                            parked[o] = [q]
+            enabled = self.applicable(counts, self.step_candidates(k))
+            for i, q in enumerate(enabled):
+                pos[q] = i
 
             # Fire to a terminal.
             while enabled:
@@ -381,14 +314,7 @@ class _PreparedRules:
                     counts[o] = c
                     volume += d
                     if c < max_need[o]:
-                        consumers = watch[o]
-                        if len(consumers) > 32 and len(consumers) > 8 * len(enabled):
-                            consumers = sorted(
-                                (r, need) for r in enabled for p, need in rules[r].reactants if p == o
-                            )
-                        else:
-                            consumers = zip(consumers, needs[o])
-                        for r, need in consumers:
+                        for r, need in zip(watch[o], needs[o]):
                             if c < need and pos[r] >= 0:
                                 i = pos[r]
                                 tail = enabled.pop()
@@ -396,11 +322,6 @@ class _PreparedRules:
                                     enabled[i] = tail
                                     pos[tail] = i
                                 pos[r] = -1
-                                if o in last_add and last_add[o] > k:
-                                    if o in parked:
-                                        parked[o].append(r)
-                                    else:
-                                        parked[o] = [r]
                 apps += 1
                 if trace is not None:
                     trace.append(f"step={k} rule={rules[q].text} volume={volume}")
@@ -594,11 +515,10 @@ def enumerate_program_terminals(
     :func:`_search_terminals` over the step sequence: every terminal of
     step k, combined with step k+1's additions, seeds the next
     exploration.  Those entries check only the rules step k+1 is
-    ready for and those consumers of the species it re-adds that are
-    ready by then: a rule disabled at a terminal revives only through an
-    addition.  Each step's search raises :class:`StateCapExceeded`, with
-    that step as its ``step``, once it visits more than ``state_cap``
-    configurations.
+    ready for and the consumers of the species it re-adds: a rule
+    disabled at a terminal revives only through an addition.  Each
+    step's search raises :class:`StateCapExceeded`, with that step as
+    its ``step``, once it visits more than ``state_cap`` configurations.
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
@@ -730,6 +650,8 @@ def program_from_text(text: str) -> StepProgram:
                 input_encoding[gid] = (enc["0"], enc["1"])
             elif section == "outputs":
                 parts = line.split()
+                if parts[0] != str(len(output_decoding)):
+                    raise ValueError(f"output {parts[0]} out of order")
                 pair = by_bit(parts[1:], f"output {parts[0]}")
                 output_decoding.append((species(pair["0"]), species(pair["1"])))
             else:

@@ -110,14 +110,6 @@ def _emit_stage(
     return (outs[0], outs[1], outs[2]), next_id
 
 
-def build_stage_circuit(spec: StageSpec = StageSpec()) -> Circuit:
-    """One stage as a standalone circuit: 3 inputs, 3 outputs,
-    constant depth."""
-    gates = [Gate(1, GateKind.INPUT), Gate(2, GateKind.INPUT), Gate(3, GateKind.INPUT)]
-    outs, _ = _emit_stage(gates, 4, (1, 2, 3), spec.table())
-    return Circuit("stage", gates, outs)
-
-
 def build_stage_chain(depth: int, spec: StageSpec = StageSpec()) -> Circuit:
     """``depth`` chained stages: each stage's three outputs feed the
     next stage's inputs; the last stage's outputs are the circuit's."""

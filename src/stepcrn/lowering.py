@@ -11,6 +11,10 @@ Three backends share one per-gate rule scheme:
   output species stamps its truth value onto as many next-level input
   copies as needed, and deleter species sweep spent species between
   levels, keeping the resident volume proportional to circuit width.
+  Each sweep has its own sweeper ``d{x,y}[k]``, deleted by its killer
+  ``k{x,y}[k]`` one step later.
+
+Every species, under every backend, is added at exactly one step.
 
 The step skeleton per depth level is: one gate step (three for levels
 containing MAJ gates: vote conversion, tally annihilation, output
@@ -57,11 +61,8 @@ from .crn import (
 )
 from .engine import Step, StepProgram
 
-DELETER_X = "dx"
-DELETER_Y = "dy"
-
 # Repo-documented resource-bound constants (see README):
-#   species <= SPECIES_C * gates          (formula, exp; +2 deleters catalyst)
+#   species <= SPECIES_C * gates          (formula, exp; catalyst + 4*depth + 2 deleters)
 #   steps   <= STEPS_C * depth + STEPS_C0 (formula, exp)
 #   steps   <= CAT_STEPS_C * depth + CAT_STEPS_C0 (catalyst)
 #   volume  <= VOLUME_C * gates           (formula: static and peak)
@@ -322,6 +323,12 @@ def normalize(
 # -- shared assembly ---------------------------------------------------------
 
 
+def _deleters(axis: str, level: int) -> tuple[str, str]:
+    """The sweeper and the killer of the catalyst backend's ``axis``
+    sweep at ``level``, each added alone at its own step."""
+    return f"d{axis}[{level}]", f"k{axis}[{level}]"
+
+
 def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
     names: list[str] = []
     for g in circuit.gates:
@@ -337,7 +344,9 @@ def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
             names += true_forms + false_forms
         names += [x_name(gid, True), x_name(gid, False)]
     if deleters:
-        names += [DELETER_X, DELETER_Y]
+        depth = max(circuit.level.values())
+        names += [s for k in range(1, depth + 1) for s in _deleters("x", k)]
+        names += [s for k in range(depth + 1) for s in _deleters("y", k)]
     return Alphabet(names)
 
 
@@ -387,27 +396,16 @@ def _timings(t0: float, t1: float, t2: float) -> dict[str, float]:
 
 
 def _check_addition_discipline(program: StepProgram) -> None:
-    """Every non-deleter species is added at exactly one step, so a rule
-    can never fire after the step its reactants were meant for: once
-    that step reaches a terminal, one reactant is gone for good.  The
-    deleter pair is the sanctioned exception (two consecutive single
-    additions that annihilate)."""
-    add_steps: dict[int, list[int]] = {}
+    """Every species, input species included, is added at exactly one
+    step, so a rule can never fire after the step its reactants were
+    meant for: once that step reaches a terminal, one reactant is gone
+    for good."""
+    added = dict.fromkeys(program.input_species(), 0)
     for k, step in enumerate(program.steps):
         for o, _ in step:
-            add_steps.setdefault(o, []).append(k)
-    for o in program.input_species():
-        add_steps.setdefault(o, []).append(0)
-    for o, steps_at in add_steps.items():
-        name = program.alphabet.names[o]
-        if name in (DELETER_X, DELETER_Y):
-            if any(b - a != 1 for a, b in zip(steps_at[::2], steps_at[1::2])):
-                raise LoweringError(f"deleter {name} additions are not paired")
-            continue
-        if len(set(steps_at)) > 1:
-            raise LoweringError(
-                f"species {name} added at several steps {sorted(set(steps_at))}"
-            )
+            if added.setdefault(o, k) != k:
+                name = program.alphabet.names[o]
+                raise LoweringError(f"species {name} added at steps {added[o]} and {k}")
 
 
 def _lower_levels(
@@ -437,20 +435,25 @@ def _assemble(
     lowerings: Mapping[int, GateLowering],
     multiplicity: Mapping[int, int],
     copies: Mapping[int, int],
-    sweep_x: Sequence[Step] = (),
-    sweep_y: Sequence[Step] = (),
+    sweeps: bool = False,
 ) -> tuple[StepProgram, dict[int, int]]:
     """Build and check the step program shared by every backend.
 
     Step 0 adds the constant sources' species and converts every source
     into ``copies`` input carriers of each polarity.  Each later level
-    adds its gates' sub-steps, then ``sweep_x``, then the step
-    converting its outputs into ``copies`` carriers; every conversion
-    step is followed by ``sweep_y``.  Sources and inputs enter at their
-    ``multiplicity``.  Returns the program and each gate's completion
-    step.
+    adds its gates' sub-steps, then the step converting its outputs into
+    ``copies`` carriers.  With ``sweeps``, level k's gate sub-steps are
+    followed by the sweeper and killer steps of ``dx[k]`` and every
+    conversion step by those of ``dy[k]``.  Sources and inputs enter at
+    their ``multiplicity``.  Returns the program and each gate's
+    completion step.
     """
     steps: list[Step] = []
+
+    def sweep(axis: str, level: int) -> None:
+        if sweeps:
+            steps.extend(_step(alphabet, {s: 1}) for s in _deleters(axis, level))
+
     completion = {gid: 0 for gid in levels[0]}
     for k, group in enumerate(levels):
         if k:
@@ -464,13 +467,13 @@ def _assemble(
                     if sub == len(subs) - 1:
                         completion[gid] = len(steps)
                 steps.append(_step(alphabet, adds))
-            steps += sweep_x
+            sweep("x", k)
         convert = _source_merges(norm, multiplicity) if k == 0 else {}
         for gid in group:
             convert[x_name(gid, True)] = copies[gid]
             convert[x_name(gid, False)] = copies[gid]
         steps.append(_step(alphabet, convert))
-        steps += sweep_y
+        sweep("y", k)
 
     input_encoding = {
         gid: ((y_name(gid, False), multiplicity[gid]), (y_name(gid, True), multiplicity[gid]))
@@ -596,40 +599,47 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     ones = {g.gid: 1 for g in norm.gates}
     copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
     levels, lowerings = _lower_levels(norm, ones)
+    depth, level = len(levels) - 1, norm.level
 
     rules = [_rule(alphabet, *pair) for low in lowerings.values() for pair in low.rules]
 
     def catalytic(catalyst: str, consumed: str) -> None:
         rules.append(_rule(alphabet, catalyst, consumed, catalyst))
 
+    # Each sweep deletes what its level left behind: the carriers level
+    # k read and its MAJ helpers go to dx[k], its output forms to dy[k].
+    # The deepest carriers are the decoded outputs and stay.
     pairs = {g.gid: _conversion_pairs(norm, g.gid) for g in norm.gates}
     for g in norm.gates:
         for form, carrier in pairs[g.gid]:
             catalytic(form, carrier)
     for g in norm.gates:
-        catalytic(DELETER_X, x_name(g.gid, True))
-        catalytic(DELETER_X, x_name(g.gid, False))
+        k = level[g.gid]
+        if k < depth:
+            sweeper = _deleters("x", k + 1)[0]
+            catalytic(sweeper, x_name(g.gid, True))
+            catalytic(sweeper, x_name(g.gid, False))
         if g.kind is GateKind.MAJ:
+            sweeper = _deleters("x", k)[0]
             for bit in (True, False):
-                catalytic(DELETER_X, a_name(g.gid, bit))
-                catalytic(DELETER_X, b_name(g.gid, bit))
-    rules.append(_rule(alphabet, DELETER_X, DELETER_X))
+                catalytic(sweeper, a_name(g.gid, bit))
+                catalytic(sweeper, b_name(g.gid, bit))
+    rules += [_rule(alphabet, *_deleters("x", k)) for k in range(1, depth + 1)]
     for g in norm.gates:
+        sweeper = _deleters("y", level[g.gid])[0]
         for form, _ in pairs[g.gid]:
-            catalytic(DELETER_Y, form)
-    rules.append(_rule(alphabet, DELETER_Y, DELETER_Y))
+            catalytic(sweeper, form)
+    rules += [_rule(alphabet, *_deleters("y", k)) for k in range(depth + 1)]
 
-    sweep_x = (_step(alphabet, {DELETER_X: 1}),) * 2
-    sweep_y = (_step(alphabet, {DELETER_Y: 1}),) * 2
     t2 = time.perf_counter()
     program, completion = _assemble(
         "catalyst", circuit.name, norm, alphabet, rules, levels, lowerings, ones, copies,
-        sweep_x, sweep_y,
+        sweeps=True,
     )
 
     st = stats(norm)
     predicted = {
-        "species": SPECIES_C * max(st.gate_count, 1) + 2,
+        "species": SPECIES_C * max(st.gate_count, 1) + 4 * st.depth + 2,
         "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
         "peak_volume": RESIDENT_C * max(st.width, 1),
     }

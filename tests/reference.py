@@ -2,7 +2,7 @@
 
 Rules fire by name-level configuration arithmetic, and the reference
 search fires every applicable rule in every state: no tables, no
-parking, no ample sets.  The library itself fires rules only through
+step candidates, no ample sets.  The library itself fires rules only through
 ``run_program`` and enumerates only through
 ``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
 as a program so tests can drive both from one.

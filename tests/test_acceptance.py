@@ -410,7 +410,7 @@ def _layered_dag(width, depth, spare, rng):
 
 def test_criterion_06d_layered_catalyst_dags_decode_uniformly():
     # Catalyst programs of layered DAGs at G = 48 and 64.  Conversions
-    # (y[i]T + x -> y[i]T) and sweeps (dx + x -> dx) read a catalyst
+    # (y[i]T + x -> y[i]T) and sweeps (dx[k] + x -> dx[k]) read a catalyst
     # that they leave in place, so the search does not interleave the
     # gates sharing one, and every instance is decided under the cap.
     t0 = time.perf_counter()

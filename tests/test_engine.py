@@ -22,6 +22,8 @@ from stepcrn import (
 from stepcrn import engine
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import (
+    LoweringError,
+    _check_addition_discipline,
     compile_backend,
     compile_circuit_catalyst,
     compile_circuit_exp,
@@ -348,9 +350,9 @@ MAJ_NET = (
 
 
 def _hub_program_text():
-    """60 rules share the hub species H, so when H drops while a few of
-    them are enabled the scheduler walks the enabled rules, not H's
-    consumers; the result must not depend on which walk it takes."""
+    """60 rules share the hub species H, and only a few of them are
+    enabled when H drops: the firing must remove just those, in rule
+    order."""
     hub = [f"H + X{i} -> ." for i in range(1, 61)]
     pairs = [f"Y{j} + W{j} -> ." for j in range(1, 5)]
     names = ["H"] + [f"Y{j}" for j in range(1, 5)] + [f"W{j}" for j in range(1, 5)]
@@ -362,13 +364,12 @@ def _hub_program_text():
     ) + "\n"
 
 
-def test_traces_match_the_recorded_ones():
-    # tests/data/traces.json was recorded before the scheduler parked
-    # rules on re-added species: the same (program, input, seed) must
-    # still fire the same rules in the same order.  fig runs under every
-    # backend, the MAJ circuit (fan-out 2, so no formula) under the
-    # other two.
-    recorded = json.loads((Path(__file__).parent / "data" / "traces.json").read_text())
+TRACES = Path(__file__).parent / "data" / "traces.json"
+
+
+def _trace_programs():
+    """fig under every backend, the MAJ circuit (fan-out 2, so no
+    formula) under the other two, and the hand-written hub program."""
     programs = {
         (name, b): compile_backend(parse_circuit(net), b)[0]
         for name, net in (("fig", FIG_NET), ("maj", MAJ_NET))
@@ -376,19 +377,40 @@ def test_traces_match_the_recorded_ones():
         if (name, b) != ("maj", "formula")
     }
     programs["hub", "unknown"] = program_from_text(_hub_program_text())
+    return programs
+
+
+def _trace_record(programs, name, backend, bits, seed):
+    result = run_program(programs[name, backend], bits, Schedule(seed), trace=True)
+    return {
+        "applications": result.applications,
+        "backend": backend,
+        "bits": bits,
+        "decoded": list(result.decoded),
+        "final": result.final.as_dict(),
+        "peak_volume": result.peak_volume,
+        "program": name,
+        "seed": seed,
+        "trace": list(result.trace),
+    }
+
+
+def test_traces_match_the_recorded_ones():
+    """The same (program, input, seed) fires the same rules in the same
+    order, to the same final counts, as recorded in
+    ``tests/data/traces.json``.  Rewrite the file under the same keys
+    only for an intended change of the compiled programs or of the
+    draws:
+
+        PYTHONPATH=src python tests/test_engine.py
+    """
+    recorded = json.loads(TRACES.read_text())
+    programs = _trace_programs()
     assert {(r["program"], r["backend"]) for r in recorded} == set(programs)
     assert {r["seed"] for r in recorded} == set(range(5))
     for rec in recorded:
-        program = programs[rec["program"], rec["backend"]]
-        result = run_program(program, rec["bits"], Schedule(rec["seed"]), trace=True)
         where = (rec["program"], rec["backend"], rec["bits"], rec["seed"])
-        assert list(result.trace) == rec["trace"], where
-        assert result.final.as_dict() == rec["final"], where
-        assert list(result.decoded) == rec["decoded"], where
-        assert (result.applications, result.peak_volume) == (
-            rec["applications"],
-            rec["peak_volume"],
-        ), where
+        assert _trace_record(programs, *where) == rec, where
 
 
 def test_rule_short_on_a_middle_reactant_waits_for_it():
@@ -430,9 +452,9 @@ class _CountingTable(tuple):
 
 
 def test_catalyst_entry_checks_follow_firings():
-    # Every rule is checked once at its ready step, and again only when a
-    # step re-adds the reactant it waits on, so the checks grow with the
-    # firings, not with rules x depth.
+    # Every rule is checked once, at its ready step: compiled programs
+    # re-add no species, so no step checks a rule again and the checks
+    # do not grow with rules x depth.
     for depth in (6, 12):
         program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, depth)))
         prep = engine._prepared(program)
@@ -442,23 +464,37 @@ def test_catalyst_entry_checks_follow_firings():
         prep.first = _CountingTable(prep.first)
         for seed in range(3):
             _CountingTable.reads = 0
-            result = run_program(program, "10110010", Schedule(seed))
-            assert 0 < _CountingTable.reads <= len(program.rules) + 2 * result.applications
+            run_program(program, "10110010", Schedule(seed))
+            assert 0 < _CountingTable.reads <= len(program.rules)
 
 
-def test_enumerator_step_candidates_are_ready():
-    # A catalyst sweep step re-adds the deleters, whose consumers include
-    # carriers of levels not added yet; those cannot fire at that step.
-    for depth in (3, 6):
-        program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(6, depth)))
-        prep = engine._prepared(program)
-        first_add: dict[int, int] = {}
-        for k, step in enumerate(program.steps):
-            added = [o for o, _ in step] + (list(program.input_species()) if k == 0 else [])
-            for o in added:
-                first_add.setdefault(o, k)
-        never = len(program.steps)
-        for k in range(len(program.steps)):
-            for q in prep.step_candidates(k):
-                reactants = program.rules[q].reactants
-                assert max(first_add.get(o, never) for o, _ in reactants) <= k, (k, q)
+def test_addition_discipline_rejects_a_species_added_at_two_steps():
+    # Compilers add each species, input species included, at one step;
+    # a program that adds one at two steps is refused.
+    ab = Alphabet(["A", "B", "C"])
+
+    def program(*steps):
+        return StepProgram(
+            name="p",
+            backend="test",
+            alphabet=ab,
+            rules=(Rule.make(ab, ("A", "B")),),
+            steps=steps,
+            input_order=(1,),
+            input_encoding={1: (("B", 1), ("C", 1))},
+            output_decoding=(("B", "C"),),
+        )
+
+    _check_addition_discipline(program(((0, 1),), ()))
+    with pytest.raises(LoweringError, match=r"species A added at steps 0 and 2"):
+        _check_addition_discipline(program(((0, 1),), (), ((0, 1),)))
+    with pytest.raises(LoweringError, match=r"species C added at steps 0 and 1"):
+        _check_addition_discipline(program(((0, 1),), ((2, 1),)))
+
+
+if __name__ == "__main__":
+    programs = _trace_programs()
+    keys = [(r["program"], r["backend"], r["bits"], r["seed"]) for r in json.loads(TRACES.read_text())]
+    TRACES.write_text(
+        json.dumps([_trace_record(programs, *key) for key in keys], indent=1, sort_keys=True)
+    )

@@ -2,7 +2,6 @@ import pytest
 
 from stepcrn import (
     build_stage_chain,
-    build_stage_circuit,
     check_demand_growth,
     evaluate,
     fibonacci,
@@ -27,7 +26,7 @@ def iterate_stage(spec, row, times):
 
 
 def test_stage_matches_fixed_rows():
-    c = build_stage_circuit()
+    c = build_stage_chain(1)
     assert _eval3(c, (1, 1, 1)) == (1, 1, 1)
     assert _eval3(c, (0, 0, 0)) == (1, 1, 0)
     for row, want in CONSTRAINED_ROWS.items():
@@ -36,14 +35,14 @@ def test_stage_matches_fixed_rows():
 
 def test_stage_matches_full_table_exhaustively():
     spec = StageSpec()
-    circuit = build_stage_circuit(spec)
+    circuit = build_stage_chain(1, spec)
     for row, want in spec.table().items():
         assert _eval3(circuit, row) == want, row
 
 
 def test_alternate_completion_is_honored():
     spec = StageSpec(completion={r: (1, 1, 1) for r in FREE_ROWS})
-    c = build_stage_circuit(spec)
+    c = build_stage_chain(1, spec)
     for row in FREE_ROWS:
         assert _eval3(c, row) == (1, 1, 1)
     for row, want in CONSTRAINED_ROWS.items():
@@ -80,7 +79,7 @@ def test_chain_matches_iterated_table():
 
 
 def test_flip_sensitivity_at_stage():
-    c = build_stage_circuit()
+    c = build_stage_chain(1)
     base = _eval3(c, (1, 1, 1))
     flip_x1 = _eval3(c, (0, 1, 1))
     flip_x2 = _eval3(c, (1, 0, 1))

@@ -234,7 +234,7 @@ def test_catalyst_cycle_and_decode():
     assert encode_input(prog, "10") == {"y[3]T": 1, "y[2]F": 1}
     result = run_program(prog, "10", Schedule(1))
     assert result.decoded == (0, 0)
-    # deleters gone, every spent carrier swept: only the decode copies remain
+    # sweepers killed, every spent carrier swept: only the decode copies remain
     assert result.final.as_dict() == {"x[1]F": 2}
 
 

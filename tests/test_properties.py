@@ -184,10 +184,11 @@ re_adds = st.dictionaries(
     st.integers(0, 10_000),
 )
 def test_multi_step_runs_with_re_added_species(rule_list, adds, seed):
-    # Compilers re-add only the deleter pair; here any species may come
-    # back at a later step, rules need more than one copy and some read
-    # three or more species, so every rule the scheduler set aside must
-    # be looked at again when its short reactant returns.
+    # Compilers add each species at one step; a hand-written program may
+    # bring any species back at a later step, rules need more than one
+    # copy and some read three or more species, so every rule disabled
+    # at a terminal must be looked at again when its short reactant
+    # returns.
     program = StepProgram(
         name="p",
         backend="test",

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "Configuration", "CorpusSpec", "Gate", "GateKind", "GateLowering",
     "LoweringError", "NetlistParseError", "NormalizationInfo", "Rule", "RuleClass",
     "RuleFamily", "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
-    "StepProgram", "build_stage_chain", "build_stage_circuit", "check_demand_growth",
+    "StepProgram", "build_stage_chain", "check_demand_growth",
     "classify_rule", "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
     "compile_formula", "decode_output", "demand_analysis", "encode_input",
     "enumerate_program_terminals", "evaluate", "fibonacci", "format_rule",
