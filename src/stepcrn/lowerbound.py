@@ -10,6 +10,10 @@ reproduce.
 
 Five rows of the transfer function are fixed; the remaining three are a
 free completion (identity by default) that callers may override.
+
+``check_demand_growth`` compiles only the deepest chain: every shallower
+chain is a suffix of it, so each row is read off that one program and
+its report, and the check costs one compile, linear in depth.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .circuits import Circuit, Gate, GateKind
+from .crn import x_name
 from .lowering import compile_circuit_exp
 
 Row = tuple[int, int, int]
@@ -110,18 +115,28 @@ def _emit_stage(
     return (outs[0], outs[1], outs[2]), next_id
 
 
-def build_stage_chain(depth: int, spec: StageSpec = StageSpec()) -> Circuit:
-    """``depth`` chained stages: each stage's three outputs feed the
-    next stage's inputs; the last stage's outputs are the circuit's."""
+def _stage_chain(
+    depth: int, spec: StageSpec
+) -> tuple[Circuit, list[tuple[int, int, int]]]:
+    """The chain of ``build_stage_chain`` and its stage boundaries:
+    boundary k holds the ids of stage k's three outputs, boundary 0 the
+    circuit's inputs."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     table = spec.table()
     gates = [Gate(1, GateKind.INPUT), Gate(2, GateKind.INPUT), Gate(3, GateKind.INPUT)]
-    cur: tuple[int, int, int] = (1, 2, 3)
+    boundaries: list[tuple[int, int, int]] = [(1, 2, 3)]
     next_id = 4
     for _ in range(depth):
-        cur, next_id = _emit_stage(gates, next_id, cur, table)
-    return Circuit(f"chain{depth}", gates, cur)
+        out, next_id = _emit_stage(gates, next_id, boundaries[-1], table)
+        boundaries.append(out)
+    return Circuit(f"chain{depth}", gates, boundaries[-1]), boundaries
+
+
+def build_stage_chain(depth: int, spec: StageSpec = StageSpec()) -> Circuit:
+    """``depth`` chained stages: each stage's three outputs feed the
+    next stage's inputs; the last stage's outputs are the circuit's."""
+    return _stage_chain(depth, spec)[0]
 
 
 # -- demand bounds ---------------------------------------------------------------
@@ -153,21 +168,53 @@ class GrowthRow:
 
 
 def check_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[GrowthRow]:
-    """Compile each chain with the exponential-volume backend and check
-    the first input's copy demand (and the program's total volume)
-    against the Fibonacci bound."""
+    """Check, for every chain of 1 to ``max_depth`` stages compiled with
+    the exponential-volume backend, the first input's copy demand and
+    the program's static volume against the Fibonacci bound.
+
+    Only the deepest chain (``max_depth`` stages) is built and compiled.
+    Chain d is that chain's last d stages, with the outputs of stage
+    ``max_depth - d`` (its boundary) standing for chain d's inputs:
+
+    * Demand flows backward from the outputs, so every gate of the last
+      d stages owes the same copies in both circuits, and chain d's
+      first input owes what bit 0 of the boundary owes.
+    * Every output bit of a stage has a minterm with a negated literal
+      (the constrained rows ``000`` and ``101`` cover all three bits), so
+      its OR sits three levels below the stage inputs, and every stage
+      spans exactly three levels.  The boundary level then holds only
+      the three stage outputs: the NOT and AND gates and the span
+      buffers normalization inserts sit on the two levels in between.
+      So the step converting the boundary level adds just what chain
+      d's step 0 adds, and every later step matches one of chain d's.
+    * The five constrained rows make no output bit constant under any
+      completion (row ``011`` maps to ``000``, row ``111`` to ``111``),
+      so no boundary gate becomes a constant source.
+
+    Chain d's static volume is therefore the additions of the deepest
+    program from that conversion step on, plus its input merge: the
+    demand of each of the three boundary gates.  Both figures are read
+    from the compiled program and its report, so no second volume
+    formula exists.  ``max_depth`` below 1 raises ``ValueError``, as in
+    ``build_stage_chain``.
+    """
+    circuit, boundaries = _stage_chain(max_depth, spec)
+    program, report = compile_circuit_exp(circuit)
+    added_after = [0] * (len(program.steps) + 1)
+    for k in range(len(program.steps) - 1, -1, -1):
+        added_after[k] = added_after[k + 1] + sum(c for _, c in program.steps[k])
+    added_at = {o: k for k, step in enumerate(program.steps) for o, _ in step}
+    bounds = min_copy_bounds(max_depth)
     rows = []
     for depth in range(1, max_depth + 1):
-        circuit = build_stage_chain(depth, spec)
-        _, report = compile_circuit_exp(circuit)
-        first_input = circuit.input_ids[0]
+        boundary = boundaries[max_depth - depth]
+        convert = added_at[program.alphabet.ordinal(x_name(boundary[0], True))]
         rows.append(
             GrowthRow(
                 depth=depth,
-                bound=fibonacci(depth),
-                input_demand=report.demand[first_input],
-                static_volume=report.static_volume,
+                bound=bounds[depth],
+                input_demand=report.demand[boundary[0]],
+                static_volume=added_after[convert] + sum(report.demand[g] for g in boundary),
             )
         )
     return rows
-

@@ -6,13 +6,17 @@ step candidates, no ample sets.  The library itself fires rules only through
 ``run_program`` and enumerates only through
 ``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
 as a program so tests can drive both from one.
+
+``reference_demand_growth`` is the lower-bound check without the suffix
+read-out: it compiles every chain of the worst-case family in full.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from stepcrn import Configuration, Rule
+from stepcrn import Configuration, Rule, build_stage_chain, compile_circuit_exp, fibonacci
 from stepcrn.engine import StepProgram
+from stepcrn.lowerbound import GrowthRow, StageSpec
 
 
 def applicable(config: Configuration, rule: Rule) -> bool:
@@ -80,3 +84,21 @@ def reference_program_terminals(program: StepProgram, bits) -> set[Configuration
             reached |= reference_terminals(entry, program.rules)
         frontier = reached
     return frontier
+
+
+def reference_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[GrowthRow]:
+    """Compile each chain of 1 to ``max_depth`` stages on its own and
+    read its first input's demand and its static volume."""
+    rows = []
+    for depth in range(1, max_depth + 1):
+        circuit = build_stage_chain(depth, spec)
+        _, report = compile_circuit_exp(circuit)
+        rows.append(
+            GrowthRow(
+                depth=depth,
+                bound=fibonacci(depth),
+                input_demand=report.demand[circuit.input_ids[0]],
+                static_volume=report.static_volume,
+            )
+        )
+    return rows

@@ -24,6 +24,7 @@ from stepcrn import (
     decode_output,
     enumerate_program_terminals,
     evaluate,
+    fibonacci,
     min_copy_bounds,
     parse_circuit,
     run_program,
@@ -496,10 +497,13 @@ def test_criterion_09_lower_bound_reproduction():
         assert row.input_demand >= row.bound, row
         assert row.static_volume >= row.bound, row
     assert rows[-1].bound == 10946
+    rows = check_demand_growth(40)
+    assert len(rows) == 40 and all(row.ok for row in rows)
+    assert rows[-1].bound == fibonacci(40) == 165_580_141
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(
-        f"\ncriterion 9 PASS: demand >= Fibonacci bound for depths 1..20 "
+        f"\ncriterion 9 PASS: demand >= Fibonacci bound for depths 1..20 and 1..40 "
         f"({elapsed:.1f}s)"
     )
 

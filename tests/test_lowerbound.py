@@ -5,10 +5,13 @@ from stepcrn import (
     check_demand_growth,
     evaluate,
     fibonacci,
+    lowerbound,
     min_copy_bounds,
     stats,
 )
 from stepcrn.lowerbound import CONSTRAINED_ROWS, FREE_ROWS, StageSpec
+
+from reference import reference_demand_growth
 
 
 def _eval3(circuit, row):
@@ -117,3 +120,39 @@ def test_demand_growth_small_depths():
         assert r.static_volume >= r.bound
         assert r.ok
     assert rows[0].input_demand >= 1
+
+
+_COMPLETIONS = {
+    "identity": StageSpec(),
+    "all-ones": StageSpec(completion={r: (1, 1, 1) for r in FREE_ROWS}),
+    "all-zeros": StageSpec(completion={r: (0, 0, 0) for r in FREE_ROWS}),
+    "permuted": StageSpec(completion=dict(zip(FREE_ROWS, FREE_ROWS[1:] + FREE_ROWS[:1]))),
+}
+
+
+@pytest.mark.parametrize("spec", _COMPLETIONS.values(), ids=_COMPLETIONS.keys())
+def test_demand_growth_matches_per_depth_compiles(spec):
+    # Every row read off the deepest chain equals the full compile of
+    # that chain, whichever chain is the deepest.
+    want = reference_demand_growth(10, spec)
+    for max_depth in range(1, 11):
+        assert check_demand_growth(max_depth, spec) == want[:max_depth]
+
+
+def test_demand_growth_compiles_once(monkeypatch):
+    compiled = []
+    compile_circuit_exp = lowerbound.compile_circuit_exp
+
+    def counting(circuit):
+        compiled.append(circuit.name)
+        return compile_circuit_exp(circuit)
+
+    monkeypatch.setattr(lowerbound, "compile_circuit_exp", counting)
+    assert len(check_demand_growth(12)) == 12
+    assert compiled == ["chain12"]
+
+
+@pytest.mark.parametrize("max_depth", [0, -1])
+def test_demand_growth_rejects_depth_below_one(max_depth):
+    with pytest.raises(ValueError):
+        check_demand_growth(max_depth)
