@@ -17,12 +17,11 @@ terminates; a program rejects any other rule.
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
 rule.  Since void rules never raise a count, only a step's additions
-enable a rule, so a step checks only the rules it can enable: those
-whose last reactant first arrives then, and the consumers of a species
-it re-adds.  A firing touches only the consumers of what it lowered.
+enable a rule.  A program adds each species at one step, so a step
+checks only the rules whose last reactant it adds, and each rule is
+checked once.  A firing touches only the consumers of what it lowered.
 This is the dependency graph of Gibson and Bruck (J. Phys. Chem. A,
-2000): after an event, touch only what it affects.  Compiled programs
-add each species at one step, so each of their rules is checked once.
+2000): after an event, touch only what it affects.
 
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
@@ -92,6 +91,12 @@ class StepProgram:
     into step 0 for bit 0 and bit 1; exactly one of the two is merged
     per run.  ``output_decoding`` pairs (species-for-0, species-for-1)
     per declared output.
+
+    Each species, input species included, is added at one step, so a
+    rule disabled at a terminal stays disabled: the reactant it lacks
+    never returns.  ``added_at[o]`` is that step for ordinal ``o`` (0
+    for an input species, ``len(steps)`` when no step adds it); a
+    program that adds a species at a second step is refused.
     """
 
     name: str
@@ -102,6 +107,7 @@ class StepProgram:
     input_order: tuple[int, ...]
     input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]]
     output_decoding: tuple[tuple[str, str], ...]
+    added_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Rule tables shared by every run, built on the first run.
     _prepared: _PreparedRules | None = field(
         default=None, init=False, repr=False, compare=False
@@ -113,7 +119,16 @@ class StepProgram:
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
             _check_void(rule)
+        if self.input_encoding and not self.steps:
+            raise ValueError("a program with inputs needs a step 0 to merge them into")
         n = len(self.alphabet)
+        added_at = [len(self.steps)] * n
+        for pair in self.input_encoding.values():
+            for name, count in pair:
+                self._known(name)
+                if count < 1:
+                    raise ValueError("input encoding counts must be >= 1")
+                added_at[alphabet.index[name]] = 0
         for k, step in enumerate(self.steps):
             prev = -1
             for o, c in step:
@@ -124,14 +139,13 @@ class StepProgram:
                     )
                 if c < 1:
                     raise ValueError(f"step {k}: addition counts must be >= 1")
+                if added_at[o] < k:
+                    raise ValueError(
+                        f"species {alphabet.names[o]} added at steps {added_at[o]} and {k}"
+                    )
+                added_at[o] = k
                 prev = o
-        if self.input_encoding and not self.steps:
-            raise ValueError("a program with inputs needs a step 0 to merge them into")
-        for pair in self.input_encoding.values():
-            for name, count in pair:
-                self._known(name)
-                if count < 1:
-                    raise ValueError("input encoding counts must be >= 1")
+        object.__setattr__(self, "added_at", tuple(added_at))
         for zero, one in self.output_decoding:
             self._known(zero)
             self._known(one)
@@ -155,14 +169,6 @@ class StepProgram:
             o = self.alphabet.ordinal(name)
             merge[o] = merge.get(o, 0) + count
         return tuple(sorted(merge.items()))
-
-    def input_species(self) -> frozenset[int]:
-        """The ordinals either bit choice of any input may add at step 0."""
-        return frozenset(
-            self.alphabet.ordinal(name)
-            for pair in self.input_encoding.values()
-            for name, _ in pair
-        )
 
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge, at the
@@ -199,37 +205,28 @@ class _PreparedRules:
     each needs, so when a firing lowers ``o`` below a rule's need that
     rule leaves the enabled set at once.
 
-    Void rules never raise a count, so only additions enable a rule.  A
-    rule is first checked at its ready step, the first step by which
-    every reactant has been added: ``ready_by_step[k]`` lists those
-    rules, so it holds each rule at most once.  After that a rule can
-    revive only at a step that re-adds one of its reactants, and
-    ``readd_by_step[k]`` lists the species step ``k`` adds that an
-    earlier step added too.  Compiled programs re-add nothing; a
-    hand-written program may.  Programs keep these tables for their
+    Void rules never raise a count, so only additions enable a rule, and
+    a program adds each species at one step.  A rule is therefore
+    checked at its ready step alone, the step that adds its last
+    reactant: ``ready_by_step[k]`` lists those rules in rule order, and
+    holds each rule at most once.  Programs keep these tables for their
     lifetime, so they hold flat tuples of shared objects.
     """
 
-    def __init__(self, rules: Sequence[Rule], n_species: int, step_species):
-        # ``step_species[k]`` holds the ordinals step k may add.
-        first_add: dict[int, int] = {}
-        self.readd_by_step = tuple(
-            tuple(o for o in ordinals if first_add.setdefault(o, k) < k)
-            for k, ordinals in enumerate(step_species)
-        )
-
-        self.rules = rules = tuple(rules)
+    def __init__(self, program: StepProgram):
+        added_at = program.added_at
+        self.rules = rules = tuple(program.rules)
         self.delta = tuple(r.delta for r in rules)
-        watch: list[list[int]] = [[] for _ in range(n_species)]
-        needs: list[list[int]] = [[] for _ in range(n_species)]
-        by_step: list[list[int]] = [[] for _ in step_species]
-        never = len(step_species)
+        watch: list[list[int]] = [[] for _ in added_at]
+        needs: list[list[int]] = [[] for _ in added_at]
+        never = len(program.steps)
+        by_step: list[list[int]] = [[] for _ in range(never)]
         for q, r in enumerate(rules):
             ready = 0
             for o, need in r.reactants:
                 watch[o].append(q)
                 needs[o].append(need)
-                ready = max(ready, first_add.get(o, never))
+                ready = max(ready, added_at[o])
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
         self.ready_by_step = tuple(map(tuple, by_step))
@@ -257,15 +254,6 @@ class _PreparedRules:
                 out.append(q)
         return out
 
-    def step_candidates(self, k: int) -> Sequence[int]:
-        """Every rule that step ``k``'s additions may enable at a
-        terminal of step ``k - 1``, in rule order: the rules ready at
-        ``k`` and the consumers of a species ``k`` re-adds."""
-        ready_at, readd = self.ready_by_step[k], self.readd_by_step[k]
-        if not readd:
-            return ready_at
-        return sorted({q for o in readd for q in self.watch[o]}.union(ready_at))
-
     def run(
         self,
         steps: Sequence[Step],
@@ -281,17 +269,17 @@ class _PreparedRules:
         ``enabled`` holds exactly the applicable rules, and ``pos[q]``
         the index of rule ``q`` in it (-1 when absent), so every draw
         fires a rule.  A step enters, as the enumerator does, with the
-        applicable rules among its :meth:`step_candidates`, in rule
-        order; the previous step ended with none enabled.  A firing
-        swap-removes, in rule order, every enabled rule it pushed below a
-        need.
+        applicable rules among those ready at it, in rule order: the
+        previous step ended with none enabled, and no step re-adds a
+        species.  A firing swap-removes, in rule order, every enabled
+        rule it pushed below a need.
 
         Appends a line per firing to ``trace`` and each step's terminal
         counts to ``per_step`` when given.  Returns (final counts, peak
         volume, applications).
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
-        rules = self.rules
+        rules, ready_by_step = self.rules, self.ready_by_step
         randrange = rng.randrange
         counts = [0] * len(watch)
         pos = [-1] * len(rules)
@@ -302,7 +290,7 @@ class _PreparedRules:
                 volume += c
             if volume > peak:
                 peak = volume
-            enabled = self.applicable(counts, self.step_candidates(k))
+            enabled = self.applicable(counts, ready_by_step[k])
             for i, q in enumerate(enabled):
                 pos[q] = i
 
@@ -333,10 +321,7 @@ class _PreparedRules:
 def _prepared(program: StepProgram) -> _PreparedRules:
     prep = program._prepared
     if prep is None:
-        step_species = [[o for o, _ in step] for step in program.steps]
-        if step_species:
-            step_species[0] += program.input_species()
-        prep = _PreparedRules(program.rules, len(program.alphabet), step_species)
+        prep = _PreparedRules(program)
         object.__setattr__(program, "_prepared", prep)
     return prep
 
@@ -515,8 +500,8 @@ def enumerate_program_terminals(
     :func:`_search_terminals` over the step sequence: every terminal of
     step k, combined with step k+1's additions, seeds the next
     exploration.  Those entries check only the rules step k+1 is
-    ready for and the consumers of the species it re-adds: a rule
-    disabled at a terminal revives only through an addition.  Each
+    ready for: a rule disabled at a terminal revives only through an
+    addition, and no step adds a species an earlier step added.  Each
     step's search raises :class:`StateCapExceeded`, with that step as
     its ``step``, once it visits more than ``state_cap`` configurations.
     """
@@ -534,7 +519,7 @@ def enumerate_program_terminals(
                 entry[o] += c
             entries.add(tuple(entry))
         try:
-            frontier = _search_terminals(entries, prep.step_candidates(k), prep, state_cap)
+            frontier = _search_terminals(entries, prep.ready_by_step[k], prep, state_cap)
         except StateCapExceeded as e:
             e.step, e.args = k, (f"step {k}: {e}",)
             raise

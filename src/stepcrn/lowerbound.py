@@ -203,12 +203,11 @@ def check_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[G
     added_after = [0] * (len(program.steps) + 1)
     for k in range(len(program.steps) - 1, -1, -1):
         added_after[k] = added_after[k + 1] + sum(c for _, c in program.steps[k])
-    added_at = {o: k for k, step in enumerate(program.steps) for o, _ in step}
     bounds = min_copy_bounds(max_depth)
     rows = []
     for depth in range(1, max_depth + 1):
         boundary = boundaries[max_depth - depth]
-        convert = added_at[program.alphabet.ordinal(x_name(boundary[0], True))]
+        convert = program.added_at[program.alphabet.ordinal(x_name(boundary[0], True))]
         rows.append(
             GrowthRow(
                 depth=depth,

@@ -395,19 +395,6 @@ def _timings(t0: float, t1: float, t2: float) -> dict[str, float]:
     return {"normalize_s": t1 - t0, "lower_s": t2 - t1, "assemble_s": time.perf_counter() - t2}
 
 
-def _check_addition_discipline(program: StepProgram) -> None:
-    """Every species, input species included, is added at exactly one
-    step, so a rule can never fire after the step its reactants were
-    meant for: once that step reaches a terminal, one reactant is gone
-    for good."""
-    added = dict.fromkeys(program.input_species(), 0)
-    for k, step in enumerate(program.steps):
-        for o, _ in step:
-            if added.setdefault(o, k) != k:
-                name = program.alphabet.names[o]
-                raise LoweringError(f"species {name} added at steps {added[o]} and {k}")
-
-
 def _lower_levels(
     circuit: Circuit, multiplicity: Mapping[int, int]
 ) -> tuple[list[list[int]], dict[int, GateLowering]]:
@@ -491,7 +478,6 @@ def _assemble(
             (x_name(o, False), x_name(o, True)) for o in norm.outputs
         ),
     )
-    _check_addition_discipline(program)
     return program, completion
 
 

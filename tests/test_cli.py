@@ -223,6 +223,27 @@ def test_program_file_with_inputs_but_no_steps_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "step 0" in err
 
 
+@pytest.mark.parametrize(
+    "steps, where",
+    [
+        ("step 0: A=1\nstep 1: A=1\n", "species A added at steps 0 and 1"),
+        ("step 0: A=1\nstep 1: B=1\n", "species B added at steps 0 and 1"),
+    ],
+    ids=["later-step", "input-species"],
+)
+def test_program_file_that_re_adds_a_species_exits_2(tmp_path, capsys, steps, where):
+    # A later step re-adding a step-0 species, or adding an input
+    # species, would revive rules its earlier terminal disabled.
+    prog = tmp_path / "a.prog"
+    prog.write_text(
+        "alphabet: A B\nrules:\nA + B -> .\nsteps:\n" + steps
+        + "inputs:\n1 0=B:1 1=B:1\noutputs:\n0 0=B 1=A\n"
+    )
+    assert main(["run", str(prog), "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seeds", ["x", "1:y", "5:5", "3:1"])
 def test_verify_bad_or_empty_seed_range_exits_2(fig_net, capsys, seeds):
     assert main(["verify", fig_net, "--seeds", seeds]) == 2

@@ -22,8 +22,6 @@ from stepcrn import (
 from stepcrn import engine
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import (
-    LoweringError,
-    _check_addition_discipline,
     compile_backend,
     compile_circuit_catalyst,
     compile_circuit_exp,
@@ -189,7 +187,7 @@ def test_input_step_merges_shared_species():
     )
     assert prog.input_step("11") == ((0, 3),)
     assert prog.input_step({1: 0, 2: 0}) == ((1, 1), (2, 3))
-    assert prog.input_species() == {0, 1, 2}
+    assert prog.added_at == (0, 0, 0)
     assert run_program(prog, "01", Schedule(0)).final.as_dict() == {"A": 1, "C": 1}
     terminals = enumerate_program_terminals(prog, "01")
     assert [t.as_dict() for t in terminals] == [{"A": 1, "C": 1}]
@@ -287,8 +285,8 @@ def test_program_exhaustive_state_cap():
         enumerate_program_terminals(prog, "11", state_cap=1)
     assert exc.value.step == 0
     # Step 0 visits only its entry; step 1's pairs need more than 3.
-    ab = Alphabet(["A", "B"])
-    prog = _tiny_program(ab, [Rule.make(ab, ("A", "B"))], [((0, 1),), ((0, 5), (1, 5))], [])
+    ab = Alphabet(["A", "B", "C"])
+    prog = _tiny_program(ab, [Rule.make(ab, ("A", "B"))], [((2, 1),), ((0, 5), (1, 5))], [])
     with pytest.raises(StateCapExceeded, match=r"^step 1: ") as exc:
         enumerate_program_terminals(prog, (), state_cap=3)
     assert exc.value.step == 1
@@ -413,21 +411,6 @@ def test_traces_match_the_recorded_ones():
         assert _trace_record(programs, *where) == rec, where
 
 
-def test_rule_short_on_a_middle_reactant_waits_for_it():
-    # A + B + C is first checked at step 1, short only on B, which sits
-    # between the first and last reactant; step 2 re-adds B.
-    ab = Alphabet(["A", "B", "C", "D"])
-    prog = _tiny_program(
-        ab,
-        [Rule.make(ab, ("A", "B", "C")), Rule.make(ab, ("B", "D"))],
-        [((1, 1), (3, 1)), ((0, 1), (2, 1)), ((1, 1),)],
-        [("A", "B")],
-    )
-    result = run_program(prog, "", per_step_terminal=True)
-    assert [t.as_dict() for t in result.per_step_terminal] == [{}, {"A": 1, "C": 1}, {}]
-    assert [t.as_dict() for t in enumerate_program_terminals(prog, "")] == [{}]
-
-
 def _layered_net(width, depth):
     """``width`` inputs, then ``depth`` levels of ``width`` fan-in-2 gates,
     gate i of a level reading gates i and i+1 of the level below."""
@@ -452,9 +435,9 @@ class _CountingTable(tuple):
 
 
 def test_catalyst_entry_checks_follow_firings():
-    # Every rule is checked once, at its ready step: compiled programs
-    # re-add no species, so no step checks a rule again and the checks
-    # do not grow with rules x depth.
+    # Every rule is checked once, at its ready step: a program adds each
+    # species at one step, so no later step checks a rule again and the
+    # checks do not grow with rules x depth.
     for depth in (6, 12):
         program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, depth)))
         prep = engine._prepared(program)
@@ -469,8 +452,8 @@ def test_catalyst_entry_checks_follow_firings():
 
 
 def test_addition_discipline_rejects_a_species_added_at_two_steps():
-    # Compilers add each species, input species included, at one step;
-    # a program that adds one at two steps is refused.
+    # A program adds each species, input species included, at one step;
+    # one that adds a species at two steps is refused.
     ab = Alphabet(["A", "B", "C"])
 
     def program(*steps):
@@ -485,11 +468,13 @@ def test_addition_discipline_rejects_a_species_added_at_two_steps():
             output_decoding=(("B", "C"),),
         )
 
-    _check_addition_discipline(program(((0, 1),), ()))
-    with pytest.raises(LoweringError, match=r"species A added at steps 0 and 2"):
-        _check_addition_discipline(program(((0, 1),), (), ((0, 1),)))
-    with pytest.raises(LoweringError, match=r"species C added at steps 0 and 1"):
-        _check_addition_discipline(program(((0, 1),), ((2, 1),)))
+    assert program(((0, 1),), ()).added_at == (0, 0, 0)
+    with pytest.raises(ValueError, match=r"species A added at steps 0 and 2"):
+        program(((0, 1),), (), ((0, 1),))
+    with pytest.raises(ValueError, match=r"species C added at steps 0 and 1"):
+        program(((0, 1),), ((2, 1),))
+    # A species no step adds is added at len(steps).
+    assert _tiny_program(ab, [], [((1, 1),), (), ((0, 1),)], []).added_at == (2, 0, 3)
 
 
 if __name__ == "__main__":

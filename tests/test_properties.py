@@ -170,31 +170,35 @@ def test_reduced_program_enumeration_matches_reference(net, backend):
         assert enumerate_program_terminals(program, bits) == want, bits
 
 
-# Small additions over few species, so that steps often add a species
-# an earlier step added too.
-re_adds = st.dictionaries(
-    st.sampled_from(AB.names[:4]), st.integers(min_value=1, max_value=2), max_size=3
-)
+@st.composite
+def staggered_steps(draw):
+    """Two to four steps that add each species at one drawn step, or at
+    none, with small counts."""
+    adds = [[] for _ in range(draw(st.integers(min_value=2, max_value=4)))]
+    for o in range(len(AB)):
+        k = draw(st.integers(min_value=0, max_value=len(adds)))
+        if k < len(adds):
+            adds[k].append((o, draw(st.integers(min_value=1, max_value=3))))
+    return tuple(map(tuple, adds))
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     st.lists(rules.filter(is_void_family), min_size=1, max_size=5),
-    st.lists(re_adds, min_size=2, max_size=4),
+    staggered_steps(),
     st.integers(0, 10_000),
 )
-def test_multi_step_runs_with_re_added_species(rule_list, adds, seed):
-    # Compilers add each species at one step; a hand-written program may
-    # bring any species back at a later step, rules need more than one
-    # copy and some read three or more species, so every rule disabled
-    # at a terminal must be looked at again when its short reactant
-    # returns.
+def test_multi_step_runs_with_staggered_species(rule_list, steps, seed):
+    # Species arrive at different steps, rules need more than one copy
+    # and some read three or more species, so each rule must be checked
+    # at the step its last reactant arrives, and a rule that fails that
+    # check can never fire.
     program = StepProgram(
         name="p",
         backend="test",
         alphabet=AB,
         rules=tuple(rule_list),
-        steps=tuple(tuple(sorted((AB.ordinal(n), c) for n, c in d.items())) for d in adds),
+        steps=steps,
         input_order=(),
         input_encoding={},
         output_decoding=(),
