@@ -97,6 +97,12 @@ class StepProgram:
     never returns.  ``added_at[o]`` is that step for ordinal ``o`` (0
     for an input species, ``len(steps)`` when no step adds it); a
     program that adds a species at a second step is refused.
+
+    ``input_choices`` and ``output_ordinals`` hold the same encodings by
+    ordinal, so a run looks up no species name: ``input_choices[i]`` is
+    the (ordinal, count) pair for bit 0 and for bit 1 of input
+    ``input_order[i]``, and ``output_ordinals[j]`` the ordinals of
+    output ``j``'s (species-for-0, species-for-1).
     """
 
     name: str
@@ -108,6 +114,10 @@ class StepProgram:
     input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]]
     output_decoding: tuple[tuple[str, str], ...]
     added_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    input_choices: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    output_ordinals: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     # Rule tables shared by every run, built on the first run.
     _prepared: _PreparedRules | None = field(
         default=None, init=False, repr=False, compare=False
@@ -123,12 +133,13 @@ class StepProgram:
             raise ValueError("a program with inputs needs a step 0 to merge them into")
         n = len(self.alphabet)
         added_at = [len(self.steps)] * n
-        for pair in self.input_encoding.values():
-            for name, count in pair:
-                self._known(name)
+        choices = {}
+        for gid, pair in self.input_encoding.items():
+            choices[gid] = tuple((self._ordinal(name), count) for name, count in pair)
+            for o, count in choices[gid]:
                 if count < 1:
                     raise ValueError("input encoding counts must be >= 1")
-                added_at[alphabet.index[name]] = 0
+                added_at[o] = 0
         for k, step in enumerate(self.steps):
             prev = -1
             for o, c in step:
@@ -146,13 +157,23 @@ class StepProgram:
                 added_at[o] = k
                 prev = o
         object.__setattr__(self, "added_at", tuple(added_at))
-        for zero, one in self.output_decoding:
-            self._known(zero)
-            self._known(one)
+        unencoded = [gid for gid in self.input_order if gid not in choices]
+        if unencoded:
+            raise ValueError(f"inputs {unencoded} have no encoding")
+        object.__setattr__(
+            self, "input_choices", tuple(choices[gid] for gid in self.input_order)
+        )
+        object.__setattr__(
+            self,
+            "output_ordinals",
+            tuple((self._ordinal(zero), self._ordinal(one)) for zero, one in self.output_decoding),
+        )
 
-    def _known(self, name: str) -> None:
-        if name not in self.alphabet.index:
-            raise ValueError(f"species {name!r} not in alphabet")
+    def _ordinal(self, name: str) -> int:
+        try:
+            return self.alphabet.index[name]
+        except KeyError:
+            raise ValueError(f"species {name!r} not in alphabet") from None
 
     @property
     def step_count(self) -> int:
@@ -164,9 +185,8 @@ class StepProgram:
         as sorted (ordinal, count) pairs."""
         chosen = input_bits(self.input_order, bits)
         merge: dict[int, int] = {}
-        for gid in self.input_order:
-            name, count = self.input_encoding[gid][chosen[gid]]
-            o = self.alphabet.ordinal(name)
+        for gid, choice in zip(self.input_order, self.input_choices):
+            o, count = choice[chosen[gid]]
             merge[o] = merge.get(o, 0) + count
         return tuple(sorted(merge.items()))
 
@@ -271,8 +291,15 @@ class _PreparedRules:
         fires a rule.  A step enters, as the enumerator does, with the
         applicable rules among those ready at it, in rule order: the
         previous step ended with none enabled, and no step re-adds a
-        species.  A firing swap-removes, in rule order, every enabled
-        rule it pushed below a need.
+        species.  A step that readies no rule fires none.  A firing
+        swap-removes, in rule order, every enabled rule it pushed below
+        a need.
+
+        Each draw is ``rng.randrange(len(enabled))`` with CPython's
+        rejection sampler (``Random._randbelow_with_getrandbits``)
+        inlined: the same ``getrandbits`` calls, so the same rules fire
+        and every per-seed trace is unchanged.  ``tests/data/traces.json``
+        pins those traces.
 
         Appends a line per firing to ``trace`` and each step's terminal
         counts to ``per_step`` when given.  Returns (final counts, peak
@@ -280,7 +307,7 @@ class _PreparedRules:
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
         rules, ready_by_step = self.rules, self.ready_by_step
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         counts = [0] * len(watch)
         pos = [-1] * len(rules)
         volume = peak = apps = 0
@@ -290,13 +317,19 @@ class _PreparedRules:
                 volume += c
             if volume > peak:
                 peak = volume
-            enabled = self.applicable(counts, ready_by_step[k])
+            ready = ready_by_step[k]
+            enabled = self.applicable(counts, ready) if ready else []
             for i, q in enumerate(enabled):
                 pos[q] = i
 
             # Fire to a terminal.
             while enabled:
-                q = enabled[randrange(len(enabled))]
+                n = len(enabled)
+                width = n.bit_length()
+                pick = getrandbits(width)
+                while pick >= n:
+                    pick = getrandbits(width)
+                q = enabled[pick]
                 for o, d in delta[q]:
                     c = counts[o] + d
                     counts[o] = c
@@ -367,12 +400,16 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
 
     An output decodes to 1 when its 1-species is present and its
     0-species absent (0 symmetric); otherwise the entry is the string
-    ``"ambiguous"`` or ``"missing"``.
+    ``"ambiguous"`` or ``"missing"``.  The configuration must be over
+    the program's alphabet, since outputs are read by ordinal.
     """
+    if config.alphabet != program.alphabet:
+        raise ValueError("configuration is over another alphabet than the program")
+    counts = config.counts
     out: list[object] = []
-    for zero, one in program.output_decoding:
-        c0 = config.get(zero)
-        c1 = config.get(one)
+    for zero, one in program.output_ordinals:
+        c0 = counts[zero]
+        c1 = counts[one]
         if c1 >= 1 and c0 == 0:
             out.append(1)
         elif c0 >= 1 and c1 == 0:

@@ -7,14 +7,33 @@ step candidates, no ample sets.  The library itself fires rules only through
 ``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
 as a program so tests can drive both from one.
 
+``run_recording_rng`` runs a program with its trace and keeps the
+``Random`` it drew from; ``replay_draws`` replays that trace by name and
+advances a fresh ``Random(seed)`` by one ``randrange(n)`` per firing, n
+the number of rules applicable before it, so the two states can be
+compared.
+
 ``reference_demand_growth`` is the lower-bound check without the suffix
 read-out: it compiles every chain of the worst-case family in full.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+import random
+from collections.abc import Iterable, Sequence
+from types import SimpleNamespace
+from unittest import mock
 
-from stepcrn import Configuration, Rule, build_stage_chain, compile_circuit_exp, fibonacci
+from stepcrn import (
+    Configuration,
+    Rule,
+    RunResult,
+    Schedule,
+    build_stage_chain,
+    compile_circuit_exp,
+    fibonacci,
+    run_program,
+)
+from stepcrn import engine
 from stepcrn.engine import StepProgram
 from stepcrn.lowerbound import GrowthRow, StageSpec
 
@@ -84,6 +103,49 @@ def reference_program_terminals(program: StepProgram, bits) -> set[Configuration
             reached |= reference_terminals(entry, program.rules)
         frontier = reached
     return frontier
+
+
+def run_recording_rng(program: StepProgram, bits, seed: int) -> tuple[RunResult, random.Random]:
+    """``run_program`` with ``trace=True``, and the ``Random`` it drew
+    from, in the state the run left it."""
+    made: list[random.Random] = []
+
+    def recording(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    with mock.patch.object(engine, "random", SimpleNamespace(Random=recording)):
+        result = run_program(program, bits, Schedule(seed), trace=True)
+    (rng,) = made
+    return result, rng
+
+
+def replay_draws(
+    program: StepProgram, bits, seed: int, trace: Sequence[str]
+) -> tuple[Configuration, random.Random]:
+    """Fire the rules ``trace`` names, step by step, and draw
+    ``randrange(n)`` from a fresh ``Random(seed)`` before each firing,
+    n the number of rules applicable then.  A disabled rule never
+    revives, so those are exactly the rules the scheduler draws among.
+    Returns the final configuration and the advanced ``Random``."""
+    by_text = {r.text: r for r in program.rules}
+    rng = random.Random(seed)
+    inputs = program.input_step(bits)
+    lines = iter(trace)
+    config = Configuration(program.alphabet, (0,) * len(program.alphabet))
+    for k, step in enumerate(program.steps):
+        counts = list(config.counts)
+        for o, c in step + inputs if k == 0 else step:
+            counts[o] += c
+        config = Configuration(program.alphabet, tuple(counts))
+        while n := sum(applicable(config, r) for r in program.rules):
+            rng.randrange(n)
+            line = next(lines)
+            head = f"step={k} rule="
+            assert line.startswith(head), (line, k)
+            config = apply_rule(config, by_text[line[len(head):line.rindex(" volume=")]])
+    assert next(lines, None) is None, "the trace fires past a terminal"
+    return config, rng
 
 
 def reference_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[GrowthRow]:

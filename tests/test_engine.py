@@ -1,7 +1,5 @@
 import json
-import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +26,7 @@ from stepcrn.lowering import (
     compile_formula,
 )
 
-from reference import is_terminal, one_step
+from reference import is_terminal, one_step, replay_draws, run_recording_rng
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -169,6 +167,49 @@ def test_decode_basic_and_errors():
     assert decode_output(_cfg(ab, **{"y[7]T": 2}), prog) == [1]
     assert decode_output(_cfg(ab, **{"y[7]F": 1, "y[7]T": 1}), prog) == ["ambiguous"]
     assert decode_output(_cfg(ab), prog) == ["missing"]
+
+
+def test_decode_refuses_a_configuration_over_another_alphabet():
+    # Outputs are read by ordinal, so a configuration over an alphabet
+    # that merely contains the output names is refused, not misread.
+    ab = Alphabet(["y[7]F", "y[7]T"])
+    prog = _tiny_program(ab, [], [()], [("y[7]F", "y[7]T")])
+    wider = Alphabet(["z", "y[7]T", "y[7]F"])
+    with pytest.raises(ValueError, match="another alphabet"):
+        decode_output(_cfg(wider, **{"y[7]T": 1}), prog)
+    assert decode_output(_cfg(Alphabet(ab.names), **{"y[7]T": 1}), prog) == [1]
+
+
+def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
+    # Step 1 adds C, which only C + E reads, and E arrives at step 2:
+    # step 1 readies no rule, fires none, and still has its entry.
+    prog = program_from_text(
+        "alphabet: A B C D E\nrules:\nA + B -> .\nC + E -> .\nD + E -> .\n"
+        "steps:\nstep 0: A=2, B=1\nstep 1: C=2\nstep 2: D=1, E=2\n"
+        "outputs:\n0 0=B 1=A\n"
+    )
+    assert engine._prepared(prog).ready_by_step == ((0,), (), (1, 2))
+    for seed in range(3):
+        result = run_program(prog, (), Schedule(seed), per_step_terminal=True)
+        per_step = [t.as_dict() for t in result.per_step_terminal]
+        assert len(per_step) == prog.step_count
+        assert per_step[:2] == [{"A": 1}, {"A": 1, "C": 2}]
+        assert result.final.volume == 2
+
+
+def test_program_refuses_an_input_without_an_encoding():
+    ab = Alphabet(["A", "B"])
+    with pytest.raises(ValueError, match=r"inputs \[2\] have no encoding"):
+        StepProgram(
+            name="t",
+            backend="test",
+            alphabet=ab,
+            rules=(),
+            steps=((),),
+            input_order=(1, 2),
+            input_encoding={1: (("A", 1), ("B", 1))},
+            output_decoding=(),
+        )
 
 
 def test_input_step_merges_shared_species():
@@ -318,27 +359,30 @@ def test_static_volume_counts_the_larger_input_choice():
     assert run_program(prog, "0").peak_volume == 2
 
 
-class _CountingRandom(random.Random):
-    draws = 0
-
-    def randrange(self, *args, **kwargs):
-        _CountingRandom.draws += 1
-        return super().randrange(*args, **kwargs)
-
-
-def test_run_program_draws_once_per_application(monkeypatch):
-    monkeypatch.setattr(engine, "random", SimpleNamespace(Random=_CountingRandom))
+def test_run_program_draws_once_per_application():
+    # The engine's Random ends where a fresh Random(seed) ends after one
+    # randrange(n) per firing, n the number of enabled rules before it:
+    # this pins both the number of draws and the range of each.
     circuit = parse_circuit(
         "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\n"
         "gate 4 MAJ 1 2 3\ngate 5 AND 1 4\ngate 6 OR 4 2\noutputs 5 6 6\n"
     )
-    for compiler in (compile_circuit_exp, compile_circuit_catalyst):
-        prog, _ = compiler(circuit)
+    # 20 rules share B, and 10 copies of B (7, and 1 per input) shrink the
+    # enabled set from 20 to 11, so the draws cross a power of two.
+    wide = program_from_text(
+        "alphabet: B " + " ".join(f"X{i}" for i in range(20)) + "\nrules:\n"
+        + "".join(f"B + X{i} -> .\n" for i in range(20)) + "steps:\nstep 0: B=7, "
+        + ", ".join(f"X{i}=1" for i in range(20)) + "\ninputs:\n1 0=B:1 1=B:1\n"
+        "2 0=B:1 1=B:1\n3 0=B:1 1=B:1\noutputs:\n"
+    )
+    programs = [compiler(circuit)[0] for compiler in (compile_circuit_exp, compile_circuit_catalyst)]
+    for prog in programs + [wide]:
         for seed in range(5):
-            _CountingRandom.draws = 0
-            result = run_program(prog, "101", Schedule(seed))
-            assert result.applications > 0
-            assert _CountingRandom.draws == result.applications
+            result, rng = run_recording_rng(prog, "101", seed)
+            assert result.applications == len(result.trace) > 0
+            final, replayed = replay_draws(prog, "101", seed, result.trace)
+            assert final == result.final
+            assert replayed.getstate() == rng.getstate()
 
 
 MAJ_NET = (

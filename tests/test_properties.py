@@ -35,6 +35,8 @@ from reference import (
     one_step,
     reference_program_terminals,
     reference_terminals,
+    replay_draws,
+    run_recording_rng,
 )
 
 AB = Alphabet([f"s{i}" for i in range(6)])
@@ -209,6 +211,33 @@ def test_multi_step_runs_with_staggered_species(rule_list, steps, seed):
     terminals = enumerate_program_terminals(program, ())
     assert result.final in terminals
     assert terminals == reference_program_terminals(program, ())
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(rules.filter(is_void_family), min_size=1, max_size=5),
+    staggered_steps(),
+    st.integers(0, 10_000),
+)
+def test_each_application_draws_once_among_the_enabled_rules(rule_list, steps, seed):
+    # Replaying the trace with one randrange(n) per firing, n the rules
+    # applicable before it, leaves a fresh Random(seed) in the state the
+    # run left its own: one draw per application, each over the
+    # enabled set.
+    program = StepProgram(
+        name="p",
+        backend="test",
+        alphabet=AB,
+        rules=tuple(rule_list),
+        steps=steps,
+        input_order=(),
+        input_encoding={},
+        output_decoding=(),
+    )
+    result, rng = run_recording_rng(program, (), seed)
+    final, replayed = replay_draws(program, (), seed, result.trace)
+    assert final == result.final
+    assert replayed.getstate() == rng.getstate()
 
 
 @pytest.mark.parametrize("net", sorted(WORKED_NETS))
