@@ -19,9 +19,6 @@ from .crn import (
     Alphabet,
     Configuration,
     Rule,
-    RuleClass,
-    RuleFamily,
-    classify_rule,
     format_rule,
     parse_rule,
 )

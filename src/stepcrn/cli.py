@@ -158,18 +158,14 @@ def _merge(job: VerifyJob, parts) -> VerifySummary:
     return summary
 
 
-def verify_job(job: VerifyJob) -> VerifySummary:
-    """Verify every assignment of the job in this process."""
-    return _verify_chunk(job, list(enumerate(_assignments(job))))[0]
-
-
-def verify_job_parallel(job: VerifyJob, jobs: int) -> VerifySummary:
-    """:func:`verify_job` split over at most ``jobs`` worker processes,
-    one per non-empty chunk of assignments."""
+def verify_job(job: VerifyJob, jobs: int = 1) -> VerifySummary:
+    """Verify every assignment of the job over at most ``jobs`` worker
+    processes, one per non-empty chunk of assignments, or in this
+    process when one chunk is all there is."""
     indexed = list(enumerate(_assignments(job)))
     workers = min(jobs, len(indexed))
     if workers <= 1:
-        return verify_job(job)
+        return _verify_chunk(job, indexed)[0]
     chunks = [indexed[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _merge(job, pool.map(_verify_chunk, [job] * workers, chunks))
@@ -308,7 +304,7 @@ def cmd_verify(args) -> int:
         seeds=_parse_seeds(args.seeds),
         exhaustive=args.exhaustive,
     )
-    summary = verify_job_parallel(job, args.jobs)
+    summary = verify_job(job, args.jobs)
     if args.json:
         print(json.dumps(summary.to_json_obj(), sort_keys=True))
     else:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 
 SPECIES_RE = re.compile(
     r"^(?:[dk][xy]\[\d+\]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$"
@@ -95,7 +94,7 @@ class Configuration:
     def __post_init__(self):
         if len(self.counts) != len(self.alphabet):
             raise ValueError("counts length does not match alphabet")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError("negative species count")
 
     @classmethod
@@ -121,19 +120,6 @@ class Configuration:
     def __repr__(self) -> str:  # pragma: no cover
         inner = ", ".join(f"{n}:{c}" for n, c in self.as_dict().items())
         return "{" + inner + "}"
-
-
-class RuleFamily(Enum):
-    TRUE_VOID = "true-void"
-    CATALYTIC_VOID = "catalytic-void"
-    AUTOGENESIS = "autogenesis"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class RuleClass:
-    size: tuple[int, int]
-    family: RuleFamily
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,19 +164,6 @@ class Rule:
             delta = tuple(sorted([(o, d) for o, d in net.items() if d]))
         object.__setattr__(self, "delta", delta)
 
-    @classmethod
-    def make(
-        cls,
-        alphabet: Alphabet,
-        reactants: Mapping[str, int] | Iterable[str],
-        products: Mapping[str, int] | Iterable[str] = (),
-    ) -> "Rule":
-        return cls(
-            alphabet,
-            _sparse(alphabet, reactants),
-            _sparse(alphabet, products) if products else (),
-        )
-
     @property
     def text(self) -> str:
         return format_rule(self)
@@ -199,32 +172,7 @@ class Rule:
         return self.text
 
 
-def _sparse(alphabet: Alphabet, spec) -> tuple[tuple[int, int], ...]:
-    acc: dict[int, int] = {}
-    items = spec.items() if isinstance(spec, Mapping) else ((n, 1) for n in spec)
-    for name, c in items:
-        o = alphabet.ordinal(name)
-        acc[o] = acc.get(o, 0) + c
-    return tuple(sorted((o, c) for o, c in acc.items() if c))
-
-
 # -- operations ------------------------------------------------------------------
-
-
-def classify_rule(rule: Rule) -> RuleClass:
-    """Size (reactant volume, product volume) and family of a rule."""
-    vol_r = sum(c for _, c in rule.reactants)
-    vol_p = sum(c for _, c in rule.products)
-    deltas = [d for _, d in rule.delta]
-    if not deltas:
-        family = RuleFamily.OTHER  # no net change (pure catalysis)
-    elif all(d <= 0 for d in deltas):
-        family = RuleFamily.TRUE_VOID if vol_p == 0 else RuleFamily.CATALYTIC_VOID
-    elif all(d >= 0 for d in deltas):
-        family = RuleFamily.AUTOGENESIS
-    else:
-        family = RuleFamily.OTHER
-    return RuleClass(size=(vol_r, vol_p), family=family)
 
 
 def is_void_family(rule: Rule) -> bool:

@@ -87,10 +87,11 @@ class StepProgram:
     ``steps`` holds one sparse addition per step: ``(ordinal, count)``
     pairs sorted by ordinal, each count >= 1, so a program costs memory
     in its non-zero additions, not in steps x species.
-    ``input_encoding`` maps an input id to the (species, count) merged
-    into step 0 for bit 0 and bit 1; exactly one of the two is merged
-    per run.  ``output_decoding`` pairs (species-for-0, species-for-1)
-    per declared output.
+    ``input_encoding`` maps each input id of ``input_order``, and no
+    other, to the (species, count) merged into step 0 for bit 0 and
+    bit 1; exactly one of the two is merged per run.
+    ``output_decoding`` pairs (species-for-0, species-for-1) per
+    declared output.
 
     Each species, input species included, is added at one step, so a
     rule disabled at a terminal stays disabled: the reactant it lacks
@@ -160,6 +161,9 @@ class StepProgram:
         unencoded = [gid for gid in self.input_order if gid not in choices]
         if unencoded:
             raise ValueError(f"inputs {unencoded} have no encoding")
+        unlisted = sorted(set(choices) - set(self.input_order))
+        if unlisted:
+            raise ValueError(f"encoded inputs {unlisted} are not in input_order")
         object.__setattr__(
             self, "input_choices", tuple(choices[gid] for gid in self.input_order)
         )

@@ -7,6 +7,9 @@ step candidates, no ample sets.  The library itself fires rules only through
 ``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
 as a program so tests can drive both from one.
 
+``rule_size`` is a rule's (reactant volume, product volume): a void
+rule of size (2, 0) is a true-void pair, one of size (2, 1) catalytic.
+
 ``run_recording_rng`` runs a program with its trace and keeps the
 ``Random`` it drew from; ``replay_draws`` replays that trace by name and
 advances a fresh ``Random(seed)`` by one ``randrange(n)`` per firing, n
@@ -51,6 +54,11 @@ def apply_rule(config: Configuration, rule: Rule) -> Configuration:
     for o, d in rule.delta:
         counts[o] += d
     return Configuration(config.alphabet, tuple(counts))
+
+
+def rule_size(rule: Rule) -> tuple[int, int]:
+    """A rule's size: (reactant volume, product volume)."""
+    return sum(c for _, c in rule.reactants), sum(c for _, c in rule.products)
 
 
 def is_terminal(config: Configuration, rules: Iterable[Rule]) -> bool:

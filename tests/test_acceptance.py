@@ -15,9 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from stepcrn import (
-    RuleFamily,
     Schedule,
-    classify_rule,
     compile_circuit_catalyst,
     compile_circuit_exp,
     compile_formula,
@@ -31,6 +29,7 @@ from stepcrn import (
     to_netlist,
 )
 from stepcrn.corpus import CorpusSpec, generate_circuits
+from stepcrn.crn import is_void_family
 from stepcrn.engine import DEFAULT_STATE_CAP, StateCapExceeded
 from stepcrn.lowerbound import check_demand_growth
 from stepcrn.lowering import (
@@ -43,6 +42,8 @@ from stepcrn.lowering import (
     VOLUME_C,
     compile_backend,
 )
+
+from reference import rule_size
 
 SEEDS_25 = tuple(range(25))
 SEEDS_SUITE5 = (0, 1, 2)
@@ -461,24 +462,18 @@ def test_criterion_08_rule_purity(suite4_circuits, suite5_circuits):
     for circuit in suite4_circuits[:50]:
         program, _ = compile_formula(circuit)
         for rule in program.rules:
-            cls = classify_rule(rule)
-            assert cls.family is RuleFamily.TRUE_VOID and cls.size == (2, 0)
+            assert is_void_family(rule) and rule_size(rule) == (2, 0)
             pure += 1
     for circuit in suite5_circuits[:25]:
         program, _ = compile_circuit_exp(circuit)
         for rule in program.rules:
-            cls = classify_rule(rule)
-            assert cls.family is RuleFamily.TRUE_VOID and cls.size == (2, 0)
+            assert is_void_family(rule) and rule_size(rule) == (2, 0)
             pure += 1
         program, _ = compile_circuit_catalyst(circuit)
         seen_catalytic = False
         for rule in program.rules:
-            cls = classify_rule(rule)
-            assert (cls.size, cls.family) in {
-                ((2, 0), RuleFamily.TRUE_VOID),
-                ((2, 1), RuleFamily.CATALYTIC_VOID),
-            }
-            seen_catalytic |= cls.family is RuleFamily.CATALYTIC_VOID
+            assert is_void_family(rule) and rule_size(rule) in {(2, 0), (2, 1)}
+            seen_catalytic |= rule_size(rule) == (2, 1)
             pure += 1
         assert seen_catalytic
     print(f"\ncriterion 8 PASS: {pure} rules, all in the permitted families")

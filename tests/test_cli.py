@@ -386,11 +386,11 @@ def test_verify_pool_is_sized_to_non_empty_chunks(monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
     _PoolRecorder.sizes = []
     and_job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0, 1))
-    assert cli.verify_job_parallel(and_job, 64) == verify_job(and_job)
+    assert verify_job(and_job, 64) == verify_job(and_job)
     fig_job = VerifyJob(parse_circuit(FIG_NET), "formula", seeds=(0,))
-    assert cli.verify_job_parallel(fig_job, 3) == verify_job(fig_job)
+    assert verify_job(fig_job, 3) == verify_job(fig_job)
     one = VerifyJob(parse_circuit("circuit k\ngate 1 CONST_ONE\noutputs 1\n"), "formula")
-    assert cli.verify_job_parallel(one, 8) == verify_job(one)
+    assert verify_job(one, 8) == verify_job(one)
     assert _PoolRecorder.sizes == [4, 3]
 
 
@@ -472,7 +472,7 @@ def test_lowerbound_depth_20_output_is_pinned(capsys):
 _BOUNDARY_CASES = [
     ("compile_backend", lambda net, prog, out: ["compile", net, "-o", out]),
     ("run_program", lambda net, prog, out: ["run", prog, "1001"]),
-    ("verify_job_parallel", lambda net, prog, out: ["verify", net]),
+    ("verify_job", lambda net, prog, out: ["verify", net]),
     ("check_demand_growth", lambda net, prog, out: ["lowerbound", "--max-depth", "2"]),
     ("generate_circuits", lambda net, prog, out: ["gen-corpus", "--out", out]),
 ]

@@ -2,17 +2,11 @@ import pickle
 
 import pytest
 
-from stepcrn import (
-    Alphabet,
-    Configuration,
-    Rule,
-    RuleFamily,
-    classify_rule,
-    parse_rule,
-)
+from stepcrn import Alphabet, Configuration, Rule, parse_rule
+from stepcrn.crn import is_void_family
 from stepcrn.lowering import _rule
 
-from reference import applicable, apply_rule, is_terminal
+from reference import applicable, apply_rule, is_terminal, rule_size
 
 AB = Alphabet(["A", "B", "C", "Y", "X", "H", "O", "W"])
 
@@ -21,107 +15,91 @@ def cfg(**counts):
     return Configuration.from_dict(AB, counts)
 
 
-def test_classify_pair_annihilation():
-    r = Rule.make(AB, ("A", "B"))
-    cls = classify_rule(r)
-    assert cls.size == (2, 0) and cls.family is RuleFamily.TRUE_VOID
-
-
-def test_classify_catalytic():
-    r = Rule.make(AB, ("Y", "X"), ("Y",))
-    cls = classify_rule(r)
-    assert cls.size == (2, 1) and cls.family is RuleFamily.CATALYTIC_VOID
-
-
-def test_classify_other_and_sizes():
-    r = Rule.make(AB, {"H": 2, "O": 1}, {"W": 1})
-    cls = classify_rule(r)
-    assert cls.size == (3, 1) and cls.family is RuleFamily.OTHER
-
-
-def test_classify_autogenesis():
-    r = Rule.make(AB, ("A",), ("A", "B"))
-    assert classify_rule(r).family is RuleFamily.AUTOGENESIS
+@pytest.mark.parametrize(
+    "text, void",
+    [
+        ("A + B -> .", True),
+        ("Y + X -> Y", True),
+        ("2 H + O -> W", False),
+        ("A -> A + B", False),
+        ("A -> A", False),  # no net change: its delta is empty
+    ],
+)
+def test_is_void_family(text, void):
+    assert is_void_family(parse_rule(text, AB)) is void
 
 
 def test_empty_reactants_rejected():
     with pytest.raises(ValueError):
-        Rule.make(AB, (), ("A",))
+        parse_rule(". -> A", AB)
 
 
 def test_classification_stable_under_alphabet_reordering():
     ab2 = Alphabet(list(reversed(AB.names)))
-    r1 = Rule.make(AB, ("Y", "X"), ("Y",))
-    r2 = Rule.make(ab2, ("Y", "X"), ("Y",))
-    assert classify_rule(r1) == classify_rule(r2)
+    r1, r2 = parse_rule("Y + X -> Y", AB), parse_rule("Y + X -> Y", ab2)
+    assert is_void_family(r1) and is_void_family(r2)
+    assert rule_size(r1) == rule_size(r2) == (2, 1)
 
 
 def test_applicable_basic():
-    r = Rule.make(AB, ("A", "B"))
+    r = parse_rule("A + B -> .", AB)
     assert applicable(cfg(A=1, B=1), r)
     assert not applicable(cfg(A=1), r)
 
 
 def test_applicable_self_pair():
-    r = Rule.make(AB, {"A": 2})
+    r = parse_rule("2 A -> .", AB)
     assert applicable(cfg(A=2), r)
     assert not applicable(cfg(A=1), r)
 
 
 def test_apply_pair_to_empty():
-    out = apply_rule(cfg(A=1, B=1), Rule.make(AB, ("A", "B")))
+    out = apply_rule(cfg(A=1, B=1), parse_rule("A + B -> .", AB))
     assert out.as_dict() == {}
 
 
 def test_apply_catalyst_preserved():
-    out = apply_rule(cfg(Y=1, X=3), Rule.make(AB, ("Y", "X"), ("Y",)))
+    out = apply_rule(cfg(Y=1, X=3), parse_rule("Y + X -> Y", AB))
     assert out.as_dict() == {"Y": 1, "X": 2}
 
 
 def test_apply_self_pair():
-    out = apply_rule(cfg(A=2), Rule.make(AB, {"A": 2}))
+    out = apply_rule(cfg(A=2), parse_rule("2 A -> .", AB))
     assert out.as_dict() == {}
 
 
 def test_apply_requires_applicability():
     with pytest.raises(ValueError):
-        apply_rule(cfg(A=1), Rule.make(AB, ("A", "B")))
+        apply_rule(cfg(A=1), parse_rule("A + B -> .", AB))
 
 
 def test_is_terminal():
-    rules = [Rule.make(AB, ("A", "B"))]
+    rules = [parse_rule("A + B -> .", AB)]
     assert is_terminal(cfg(A=1), rules)
     assert not is_terminal(cfg(A=1, B=1), rules)
     assert is_terminal(cfg(), rules)
 
 
 def test_void_application_shrinks_volume_by_size_difference():
-    for reactants, products in [
-        ({"A": 1, "B": 1}, {}),
-        ({"A": 2}, {}),
-        ({"Y": 1, "X": 1}, {"Y": 1}),
-    ]:
-        r = Rule.make(AB, reactants, products)
-        i, j = classify_rule(r).size
+    for text in ["A + B -> .", "2 A -> .", "Y + X -> Y"]:
+        r = parse_rule(text, AB)
+        i, j = rule_size(r)
         before = cfg(A=3, B=3, Y=2, X=2)
         after = apply_rule(before, r)
         assert before.volume - after.volume == i - j
 
 
 def test_rule_text_round_trip():
-    for r in [
-        Rule.make(AB, ("A", "B")),
-        Rule.make(AB, {"A": 2}),
-        Rule.make(AB, ("Y", "X"), ("Y",)),
-        Rule.make(AB, {"H": 2, "O": 1}, {"W": 1}),
-    ]:
+    for text in ["A + B -> .", "2 A -> .", "Y + X -> Y", "2 H + O -> W"]:
+        r = parse_rule(text, AB)
         assert parse_rule(r.text, AB) == r
 
 
 def test_rule_text_forms():
-    assert Rule.make(AB, ("A", "B")).text == "A + B -> ."
-    assert Rule.make(AB, ("Y", "X"), ("Y",)).text == "Y + X -> Y"
-    assert parse_rule("2 A -> .", AB) == Rule.make(AB, {"A": 2})
+    assert parse_rule("B + A -> .", AB).text == "A + B -> ."
+    assert parse_rule("X + Y -> Y", AB).text == "Y + X -> Y"
+    assert parse_rule("2 A -> .", AB) == parse_rule("A + A -> .", AB)
+    assert parse_rule("2 A -> .", AB).text == "A + A -> ."
 
 
 def test_configuration_views():
@@ -131,6 +109,8 @@ def test_configuration_views():
     assert c.as_dict() == {"A": 2, "X": 1}
     with pytest.raises(ValueError):
         Configuration(AB, (-1,) * len(AB))
+    empty = Configuration(Alphabet([]), ())
+    assert empty.volume == 0 and empty.as_dict() == {}
 
 
 # -- rule construction ----------------------------------------------------------
@@ -141,14 +121,15 @@ def test_configuration_views():
     [
         (("B", "A"), ("A", "B"), ()),
         (("Y", "X", "Y"), ("Y", "X"), ("Y",)),
-        (("X", "X"), {"X": 2}, ()),
+        (("X", "X"), ("X", "X"), ()),
     ],
 )
 def test_ordinal_helper_and_make_build_equal_rules(ordinal_args, reactants, products):
-    fast, made = _rule(AB, *ordinal_args), Rule.make(AB, reactants, products)
-    assert fast == made and hash(fast) == hash(made)
-    assert fast.delta == made.delta
-    assert fast.text == made.text
+    text = f"{' + '.join(reactants)} -> {' + '.join(products) or '.'}"
+    fast, parsed = _rule(AB, *ordinal_args), parse_rule(text, AB)
+    assert fast == parsed and hash(fast) == hash(parsed)
+    assert fast.delta == parsed.delta
+    assert fast.text == parsed.text
 
 
 def test_delta_merges_unsorted_or_repeated_reactants():
@@ -158,18 +139,18 @@ def test_delta_merges_unsorted_or_repeated_reactants():
 
 
 def test_delta_is_not_part_of_equality():
-    r = Rule.make(AB, ("A", "B"))
-    twin = Rule.make(AB, ("A", "B"))
+    r = parse_rule("A + B -> .", AB)
+    twin = parse_rule("A + B -> .", AB)
     object.__setattr__(twin, "delta", ())
     assert r == twin and hash(r) == hash(twin)
 
 
 def test_rule_has_no_instance_dict():
-    assert not hasattr(Rule.make(AB, ("A", "B")), "__dict__")
+    assert not hasattr(parse_rule("A + B -> .", AB), "__dict__")
 
 
 @pytest.mark.parametrize(
-    "rule", [Rule.make(AB, ("A", "B")), Rule.make(AB, ("Y", "X"), ("Y",)), Rule.make(AB, {"X": 2})]
+    "rule", [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB), parse_rule("2 X -> .", AB)]
 )
 def test_rule_pickle_round_trip(rule):
     back = pickle.loads(pickle.dumps(rule))

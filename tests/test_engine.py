@@ -6,7 +6,6 @@ import pytest
 from stepcrn import (
     Alphabet,
     Configuration,
-    Rule,
     Schedule,
     StateCapExceeded,
     decode_output,
@@ -40,7 +39,7 @@ def _cfg(ab, **counts):
 
 def test_run_step_trivial_annihilation():
     ab = Alphabet(["A", "B"])
-    rules = [Rule.make(ab, ("A", "B"))]
+    rules = [parse_rule("A + B -> .", ab)]
     out = run_program(one_step(_cfg(ab, A=1, B=1), rules), ()).final
     assert out.as_dict() == {}
 
@@ -53,9 +52,9 @@ def test_run_step_and_gate_example():
     ]
     ab = Alphabet(names)
     rules = [
-        Rule.make(ab, ("x[1]T", "y[1->4]F")),
-        Rule.make(ab, ("x[2]T", "y[2->4]F")),
-        Rule.make(ab, ("x[3]F", "y[4]T")),
+        parse_rule("x[1]T + y[1->4]F -> .", ab),
+        parse_rule("x[2]T + y[2->4]F -> .", ab),
+        parse_rule("x[3]F + y[4]T -> .", ab),
     ]
     entry = _cfg(ab, **{
         "x[1]T": 1, "x[2]T": 1, "x[3]F": 1,
@@ -73,8 +72,8 @@ def test_run_step_or_gate_example():
     names = ["x[1]F", "x[2]T", "y[1->1]T", "y[2->1]T", "y[1]F"]
     ab = Alphabet(names)
     rules = [
-        Rule.make(ab, ("x[1]F", "y[1->1]T")),
-        Rule.make(ab, ("x[2]T", "y[1]F")),
+        parse_rule("x[1]F + y[1->1]T -> .", ab),
+        parse_rule("x[2]T + y[1]F -> .", ab),
     ]
     entry = _cfg(ab, **{"x[1]F": 1, "x[2]T": 1, "y[1->1]T": 1, "y[2->1]T": 1, "y[1]F": 1})
     out = run_program(one_step(entry, rules), ()).final
@@ -83,7 +82,7 @@ def test_run_step_or_gate_example():
 
 def test_run_step_checks_every_reactant_and_its_need():
     ab = Alphabet(["A", "B", "C"])
-    rules = [Rule.make(ab, ("A", "B", "C")), Rule.make(ab, {"A": 2, "C": 1}, {"A": 1})]
+    rules = [parse_rule("A + B + C -> .", ab), parse_rule("2 A + C -> A", ab)]
     start = _cfg(ab, A=1, C=1)
     assert run_program(one_step(start, rules), ()).final == start
     program = one_step(_cfg(ab, A=3, B=1, C=2), rules)
@@ -93,7 +92,7 @@ def test_run_step_checks_every_reactant_and_its_need():
 
 def test_enumerate_two_maximal_schedules():
     ab = Alphabet(["A", "B", "C"])
-    rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("A", "C"))]
+    rules = [parse_rule("A + B -> .", ab), parse_rule("A + C -> .", ab)]
     terms = enumerate_program_terminals(one_step(_cfg(ab, A=1, B=1, C=1), rules), ())
     assert {frozenset(t.as_dict().items()) for t in terms} == {
         frozenset({("C", 1)}),
@@ -103,14 +102,14 @@ def test_enumerate_two_maximal_schedules():
 
 def test_enumerate_single_terminal():
     ab = Alphabet(["A", "B"])
-    program = one_step(_cfg(ab, A=2, B=1), [Rule.make(ab, ("A", "B"))])
+    program = one_step(_cfg(ab, A=2, B=1), [parse_rule("A + B -> .", ab)])
     terms = enumerate_program_terminals(program, ())
     assert [t.as_dict() for t in terms] == [{"A": 1}]
 
 
 def test_enumerate_state_cap():
     ab = Alphabet(["A", "B"])
-    program = one_step(_cfg(ab, A=30, B=30), [Rule.make(ab, ("A", "B"))])
+    program = one_step(_cfg(ab, A=30, B=30), [parse_rule("A + B -> .", ab)])
     with pytest.raises(StateCapExceeded) as exc:
         enumerate_program_terminals(program, (), state_cap=5)
     assert exc.value.step == 0
@@ -122,7 +121,7 @@ def test_enumerate_fires_independent_rules_in_one_order():
     # configurations; firing one independent component per state visits
     # 31 + 30 of them, all of which count toward the cap.
     ab = Alphabet(["A", "B", "C", "D"])
-    rules = [Rule.make(ab, ("A", "B")), Rule.make(ab, ("C", "D"))]
+    rules = [parse_rule("A + B -> .", ab), parse_rule("C + D -> .", ab)]
     program = one_step(_cfg(ab, A=30, B=30, C=30, D=30), rules)
     assert [t.as_dict() for t in enumerate_program_terminals(program, (), state_cap=100)] == [{}]
     with pytest.raises(StateCapExceeded):
@@ -212,6 +211,23 @@ def test_program_refuses_an_input_without_an_encoding():
         )
 
 
+def test_program_refuses_an_encoding_for_an_unlisted_input():
+    # Input 1 is encoded but not in input_order: no assignment can set
+    # it, so its species would only skew added_at and the static volume.
+    ab = Alphabet(["A", "B"])
+    with pytest.raises(ValueError, match=r"encoded inputs \[1\] are not in input_order"):
+        StepProgram(
+            name="t",
+            backend="test",
+            alphabet=ab,
+            rules=(),
+            steps=(((0, 1),),),
+            input_order=(),
+            input_encoding={1: (("B", 4), ("B", 4))},
+            output_decoding=(),
+        )
+
+
 def test_input_step_merges_shared_species():
     # Two inputs naming one species for the same bit merge their counts;
     # either bit of any input may add its species at step 0.
@@ -220,7 +236,7 @@ def test_input_step_merges_shared_species():
         name="t",
         backend="test",
         alphabet=ab,
-        rules=(Rule.make(ab, ("A", "B")),),
+        rules=(parse_rule("A + B -> .", ab),),
         steps=(((2, 1),),),
         input_order=(1, 2),
         input_encoding={1: (("B", 1), ("A", 1)), 2: (("C", 3), ("A", 2))},
@@ -237,11 +253,11 @@ def test_input_step_merges_shared_species():
 def test_non_void_rules_are_rejected():
     ab = Alphabet(["A", "B"])
     # A -> A + B raises a count: a run would never terminate.
-    grow = Rule.make(ab, ("A",), ("A", "B"))
+    grow = parse_rule("A -> A + B", ab)
     with pytest.raises(ValueError, match="not void"):
         _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
     with pytest.raises(ValueError, match="not void"):
-        one_step(_cfg(ab, A=1), [Rule.make(ab, ("A", "B")), grow])
+        one_step(_cfg(ab, A=1), [parse_rule("A + B -> .", ab), grow])
     with pytest.raises(ValueError, match="not void"):
         one_step(_cfg(ab, A=1), [grow])
 
@@ -327,7 +343,7 @@ def test_program_exhaustive_state_cap():
     assert exc.value.step == 0
     # Step 0 visits only its entry; step 1's pairs need more than 3.
     ab = Alphabet(["A", "B", "C"])
-    prog = _tiny_program(ab, [Rule.make(ab, ("A", "B"))], [((2, 1),), ((0, 5), (1, 5))], [])
+    prog = _tiny_program(ab, [parse_rule("A + B -> .", ab)], [((2, 1),), ((0, 5), (1, 5))], [])
     with pytest.raises(StateCapExceeded, match=r"^step 1: ") as exc:
         enumerate_program_terminals(prog, (), state_cap=3)
     assert exc.value.step == 1
@@ -336,9 +352,9 @@ def test_program_exhaustive_state_cap():
 def test_program_rejects_a_rule_over_another_alphabet():
     ab, other = Alphabet(["A", "B"]), Alphabet(["B", "A"])
     with pytest.raises(ValueError, match="another alphabet"):
-        _tiny_program(ab, [Rule.make(other, ("A", "B"))], [((0, 1),)], [("A", "B")])
+        _tiny_program(ab, [parse_rule("A + B -> .", other)], [((0, 1),)], [("A", "B")])
     same = Alphabet(["A", "B"])
-    assert _tiny_program(ab, [Rule.make(same, ("A", "B"))], [((0, 1),)], [("A", "B")])
+    assert _tiny_program(ab, [parse_rule("A + B -> .", same)], [((0, 1),)], [("A", "B")])
 
 
 def test_program_rejects_malformed_step_entries():
@@ -505,7 +521,7 @@ def test_addition_discipline_rejects_a_species_added_at_two_steps():
             name="p",
             backend="test",
             alphabet=ab,
-            rules=(Rule.make(ab, ("A", "B")),),
+            rules=(parse_rule("A + B -> .", ab),),
             steps=steps,
             input_order=(1,),
             input_encoding={1: (("B", 1), ("C", 1))},

@@ -5,10 +5,7 @@ from stepcrn import (
     CircuitError,
     Configuration,
     GateKind,
-    Rule,
-    RuleFamily,
     Schedule,
-    classify_rule,
     compile_circuit_catalyst,
     compile_circuit_exp,
     compile_formula,
@@ -19,12 +16,14 @@ from stepcrn import (
     lower_gate,
     normalize,
     parse_circuit,
+    parse_rule,
     program_to_text,
     run_program,
 )
+from stepcrn.crn import is_void_family
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend
 
-from reference import one_step
+from reference import one_step, rule_size
 
 FIG_FORMULA = """
 circuit fig
@@ -275,21 +274,15 @@ def test_void_backends_emit_only_true_void_pairs():
     for compiler in (compile_formula, compile_circuit_exp):
         prog, _ = compiler(parse_circuit(FIG_FORMULA))
         for rule in prog.rules:
-            cls = classify_rule(rule)
-            assert cls.family is RuleFamily.TRUE_VOID and cls.size == (2, 0)
+            assert is_void_family(rule) and rule_size(rule) == (2, 0)
 
 
 def test_catalyst_emits_only_void_families():
     prog, _ = compile_circuit_catalyst(parse_circuit(FANOUT2_AND))
-    sizes = set()
-    for rule in prog.rules:
-        cls = classify_rule(rule)
-        sizes.add((cls.size, cls.family))
-    assert sizes <= {
-        ((2, 0), RuleFamily.TRUE_VOID),
-        ((2, 1), RuleFamily.CATALYTIC_VOID),
-    }
-    assert ((2, 1), RuleFamily.CATALYTIC_VOID) in sizes
+    assert all(is_void_family(rule) for rule in prog.rules)
+    sizes = {rule_size(rule) for rule in prog.rules}
+    assert sizes <= {(2, 0), (2, 1)}
+    assert (2, 1) in sizes
 
 
 def _owning_gate(name):
@@ -358,11 +351,14 @@ def test_vote_pools_can_skew_without_isolation():
     ]
     ab = Alphabet(names)
     rules = [
-        Rule.make(ab, ("x[3]F", "y[5]T")),
-        Rule.make(ab, ("x[4]F", "y[5]T")),
-        Rule.make(ab, ("x[1]T", "a[6]F")),
-        Rule.make(ab, ("x[2]T", "a[6]F")),
-        Rule.make(ab, ("x[3]F", "a[6]T")),
+        parse_rule(t, ab)
+        for t in (
+            "x[3]F + y[5]T -> .",
+            "x[4]F + y[5]T -> .",
+            "x[1]T + a[6]F -> .",
+            "x[2]T + a[6]F -> .",
+            "x[3]F + a[6]T -> .",
+        )
     ]
     entry = Configuration.from_dict(
         ab,

@@ -11,14 +11,13 @@ from stepcrn import (
     Configuration,
     GateKind,
     Rule,
-    RuleFamily,
     Schedule,
-    classify_rule,
     decode_output,
     demand_analysis,
     enumerate_program_terminals,
     evaluate,
     parse_circuit,
+    parse_rule,
     run_program,
     stats,
 )
@@ -36,6 +35,7 @@ from reference import (
     reference_program_terminals,
     reference_terminals,
     replay_draws,
+    rule_size,
     run_recording_rng,
 )
 
@@ -61,15 +61,9 @@ def test_apply_never_goes_negative(config, rule):
 
 @given(configs, rules)
 def test_void_application_shrinks_volume_exactly(config, rule):
-    cls = classify_rule(rule)
-    assert is_void_family(rule) == (
-        cls.family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID)
-    )
-    if cls.family in (RuleFamily.TRUE_VOID, RuleFamily.CATALYTIC_VOID) and applicable(
-        config, rule
-    ):
+    if is_void_family(rule) and applicable(config, rule):
         out = apply_rule(config, rule)
-        i, j = cls.size
+        i, j = rule_size(rule)
         assert config.volume - out.volume == i - j
 
 
@@ -262,7 +256,7 @@ def test_void_runs_halt_within_entry_volume(seed):
     pool = []
     for a in names:
         for b in names:
-            pool.append(Rule.make(ab, (a, b)) if a != b else Rule.make(ab, {a: 2}))
+            pool.append(parse_rule(f"{a} + {b} -> .", ab))
     chosen = rng.sample(pool, k=rng.randint(1, 6))
     counts = {n: rng.randint(0, 5) for n in names}
     start = Configuration.from_dict(ab, counts)

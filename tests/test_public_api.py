@@ -7,10 +7,10 @@ import stepcrn
 PUBLIC_NAMES = [
     "Alphabet", "Circuit", "CircuitError", "CircuitStats", "CompilationReport",
     "Configuration", "CorpusSpec", "Gate", "GateKind", "GateLowering",
-    "LoweringError", "NetlistParseError", "NormalizationInfo", "Rule", "RuleClass",
-    "RuleFamily", "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
+    "LoweringError", "NetlistParseError", "NormalizationInfo", "Rule",
+    "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
     "StepProgram", "build_stage_chain", "check_demand_growth",
-    "classify_rule", "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
+    "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
     "compile_formula", "decode_output", "demand_analysis", "encode_input",
     "enumerate_program_terminals", "evaluate", "fibonacci", "format_rule",
     "generate_circuits", "lower_gate", "min_copy_bounds", "normalize", "parse_circuit",
