@@ -33,14 +33,14 @@ from .lowering import BACKENDS, compile_backend
 
 DEFAULT_SEEDS = tuple(range(25))
 DEFAULT_ALL_INPUTS_CAP = 12
+DEFAULT_RANDOM_COUNT = 16
 
 
 @dataclass(frozen=True)
 class VerifyJob:
     circuit: Circuit
     backend: str
-    input_mode: str = "all"  # "all" or "random"
-    random_count: int = 16
+    random_count: int | None = None  # None: every assignment
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     exhaustive: bool = False
 
@@ -74,7 +74,7 @@ class VerifySummary:
 
 def _assignments(job: VerifyJob) -> list[tuple[int, ...]]:
     n = len(job.circuit.input_ids)
-    if job.input_mode == "all":
+    if job.random_count is None:
         if n > DEFAULT_ALL_INPUTS_CAP:
             raise CircuitError(
                 f"{n} inputs exceed the all-assignments cap {DEFAULT_ALL_INPUTS_CAP}; "
@@ -200,17 +200,19 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _parse_inputs(text: str) -> tuple[str, int]:
+def _parse_inputs(text: str) -> int | None:
     """``--inputs``: ``all``, ``random`` or ``random:N`` with N >= 1, as
-    a (mode, random count) pair."""
+    the random count, ``None`` for ``all``."""
+    if text == "all":
+        return None
     mode, sep, n = text.partition(":")
     try:
-        count = int(n) if sep else VerifyJob.random_count
+        count = int(n) if sep else DEFAULT_RANDOM_COUNT
     except ValueError:
         count = 0
-    if (mode != "random" and text != "all") or count < 1:
+    if mode != "random" or count < 1:
         raise CliInputError(f"bad --inputs {text!r} (use all or random[:N], N >= 1)")
-    return mode, count
+    return count
 
 
 def _read(path: str) -> str:
@@ -293,14 +295,13 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     circuit = parse_circuit(_read(args.circuit))
-    mode, count = _parse_inputs(args.inputs)
+    random_count = _parse_inputs(args.inputs)
     if args.jobs < 1:
         raise CliInputError(f"--jobs {args.jobs} must be >= 1")
     job = VerifyJob(
         circuit=circuit,
         backend=args.backend,
-        input_mode=mode,
-        random_count=count,
+        random_count=random_count,
         seeds=_parse_seeds(args.seeds),
         exhaustive=args.exhaustive,
     )
@@ -322,8 +323,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if args.max_depth < 1:
-        raise CliInputError(f"--max-depth {args.max_depth} must be >= 1")
     rows = check_demand_growth(args.max_depth)
     bounds = min_copy_bounds(args.max_depth)
     if args.json:

@@ -82,28 +82,23 @@ def _check_void(rule: Rule) -> None:
 
 @dataclass(frozen=True)
 class StepProgram:
-    """A rule set plus an ordered sequence of species additions.
+    """A rule set, an ordered sequence of species additions and an
+    input/output encoding, all by species ordinal.
 
     ``steps`` holds one sparse addition per step: ``(ordinal, count)``
     pairs sorted by ordinal, each count >= 1, so a program costs memory
     in its non-zero additions, not in steps x species.
-    ``input_encoding`` maps each input id of ``input_order``, and no
-    other, to the (species, count) merged into step 0 for bit 0 and
-    bit 1; exactly one of the two is merged per run.
-    ``output_decoding`` pairs (species-for-0, species-for-1) per
-    declared output.
+    ``inputs`` lists, in bit order, one ``(gate id, (ordinal, count),
+    (ordinal, count))`` entry per input: the species merged into step 0
+    for bit 0 and for bit 1; exactly one of the two is merged per run.
+    ``outputs`` pairs the (0-species, 1-species) ordinals per declared
+    output.  Species names appear only in the text form.
 
     Each species, input species included, is added at one step, so a
     rule disabled at a terminal stays disabled: the reactant it lacks
     never returns.  ``added_at[o]`` is that step for ordinal ``o`` (0
     for an input species, ``len(steps)`` when no step adds it); a
     program that adds a species at a second step is refused.
-
-    ``input_choices`` and ``output_ordinals`` hold the same encodings by
-    ordinal, so a run looks up no species name: ``input_choices[i]`` is
-    the (ordinal, count) pair for bit 0 and for bit 1 of input
-    ``input_order[i]``, and ``output_ordinals[j]`` the ordinals of
-    output ``j``'s (species-for-0, species-for-1).
     """
 
     name: str
@@ -111,14 +106,9 @@ class StepProgram:
     alphabet: Alphabet
     rules: tuple[Rule, ...]
     steps: tuple[Step, ...]
-    input_order: tuple[int, ...]
-    input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]]
-    output_decoding: tuple[tuple[str, str], ...]
+    inputs: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
+    outputs: tuple[tuple[int, int], ...]
     added_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    input_choices: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    output_ordinals: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     # Rule tables shared by every run, built on the first run.
     _prepared: _PreparedRules | None = field(
         default=None, init=False, repr=False, compare=False
@@ -130,17 +120,23 @@ class StepProgram:
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
             _check_void(rule)
-        if self.input_encoding and not self.steps:
+        if self.inputs and not self.steps:
             raise ValueError("a program with inputs needs a step 0 to merge them into")
         n = len(self.alphabet)
         added_at = [len(self.steps)] * n
-        choices = {}
-        for gid, pair in self.input_encoding.items():
-            choices[gid] = tuple((self._ordinal(name), count) for name, count in pair)
-            for o, count in choices[gid]:
+        gids = set()
+        for gid, zero, one in self.inputs:
+            if gid in gids:
+                raise ValueError(f"input {gid} listed twice")
+            gids.add(gid)
+            for o, count in (zero, one):
+                if not 0 <= o < n:
+                    raise ValueError(f"input {gid}: ordinal {o} is outside the alphabet")
                 if count < 1:
                     raise ValueError("input encoding counts must be >= 1")
                 added_at[o] = 0
+        if any(not 0 <= o < n for pair in self.outputs for o in pair):
+            raise ValueError("output ordinals must be in the alphabet")
         for k, step in enumerate(self.steps):
             prev = -1
             for o, c in step:
@@ -158,26 +154,6 @@ class StepProgram:
                 added_at[o] = k
                 prev = o
         object.__setattr__(self, "added_at", tuple(added_at))
-        unencoded = [gid for gid in self.input_order if gid not in choices]
-        if unencoded:
-            raise ValueError(f"inputs {unencoded} have no encoding")
-        unlisted = sorted(set(choices) - set(self.input_order))
-        if unlisted:
-            raise ValueError(f"encoded inputs {unlisted} are not in input_order")
-        object.__setattr__(
-            self, "input_choices", tuple(choices[gid] for gid in self.input_order)
-        )
-        object.__setattr__(
-            self,
-            "output_ordinals",
-            tuple((self._ordinal(zero), self._ordinal(one)) for zero, one in self.output_decoding),
-        )
-
-    def _ordinal(self, name: str) -> int:
-        try:
-            return self.alphabet.index[name]
-        except KeyError:
-            raise ValueError(f"species {name!r} not in alphabet") from None
 
     @property
     def step_count(self) -> int:
@@ -187,10 +163,11 @@ class StepProgram:
         """The species an input assignment (any form
         :func:`~stepcrn.circuits.input_bits` takes) merges into step 0,
         as sorted (ordinal, count) pairs."""
-        chosen = input_bits(self.input_order, bits)
+        inputs = self.inputs
+        chosen = input_bits([gid for gid, _, _ in inputs], bits)
         merge: dict[int, int] = {}
-        for gid, choice in zip(self.input_order, self.input_choices):
-            o, count = choice[chosen[gid]]
+        for gid, zero, one in inputs:
+            o, count = one if chosen[gid] else zero
             merge[o] = merge.get(o, 0) + count
         return tuple(sorted(merge.items()))
 
@@ -198,7 +175,7 @@ class StepProgram:
         """Copies added over all steps plus the input merge, at the
         larger count of each input's two bit choices."""
         total = sum(c for step in self.steps for _, c in step)
-        total += sum(max(n0, n1) for (_, n0), (_, n1) in self.input_encoding.values())
+        total += sum(max(n0, n1) for _, (_, n0), (_, n1) in self.inputs)
         return total
 
 
@@ -411,7 +388,7 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
         raise ValueError("configuration is over another alphabet than the program")
     counts = config.counts
     out: list[object] = []
-    for zero, one in program.output_ordinals:
+    for zero, one in program.outputs:
         c0 = counts[zero]
         c1 = counts[one]
         if c1 >= 1 and c0 == 0:
@@ -581,12 +558,11 @@ def program_to_text(program: StepProgram) -> str:
         parts = ", ".join(f"{names[o]}={c}" for o, c in step)
         lines.append(f"step {k}: {parts}")
     lines.append("inputs:")
-    for gid in program.input_order:
-        (sp0, n0), (sp1, n1) = program.input_encoding[gid]
-        lines.append(f"{gid} 0={sp0}:{n0} 1={sp1}:{n1}")
+    for gid, (o0, n0), (o1, n1) in program.inputs:
+        lines.append(f"{gid} 0={names[o0]}:{n0} 1={names[o1]}:{n1}")
     lines.append("outputs:")
-    for j, (sp0, sp1) in enumerate(program.output_decoding):
-        lines.append(f"{j} 0={sp0} 1={sp1}")
+    for j, (o0, o1) in enumerate(program.outputs):
+        lines.append(f"{j} 0={names[o0]} 1={names[o1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -598,15 +574,15 @@ def program_from_text(text: str) -> StepProgram:
     alphabet: Alphabet | None = None
     rules: list[Rule] = []
     steps: list[Step] = []
-    input_order: list[int] = []
-    input_encoding: dict[int, tuple[tuple[str, int], tuple[str, int]]] = {}
-    output_decoding: list[tuple[str, str]] = []
+    inputs: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+    declared: set[int] = set()
+    outputs: list[tuple[int, int]] = []
     section = None
 
-    def species(sp: str) -> str:
+    def species(sp: str) -> int:
         if sp not in alphabet.index:
             raise ValueError(f"unknown species {sp!r}")
-        return sp
+        return alphabet.index[sp]
 
     def count(token: str) -> int:
         try:
@@ -660,26 +636,26 @@ def program_from_text(text: str) -> StepProgram:
                 if rest:
                     for item in rest.split(","):
                         sp, _, cnt = item.strip().partition("=")
-                        o = alphabet.ordinal(species(sp))
+                        o = species(sp)
                         acc[o] = acc.get(o, 0) + count(cnt)
                 steps.append(tuple(sorted(acc.items())))
             elif section == "inputs":
                 parts = line.split()
                 gid = int(parts[0])
-                if gid in input_encoding:
+                if gid in declared:
                     raise ValueError(f"input {gid} declared twice")
+                declared.add(gid)
                 enc = {}
                 for bit, entry in by_bit(parts[1:], f"input {gid}").items():
                     sp, _, cnt = entry.partition(":")
                     enc[bit] = (species(sp), count(cnt))
-                input_order.append(gid)
-                input_encoding[gid] = (enc["0"], enc["1"])
+                inputs.append((gid, enc["0"], enc["1"]))
             elif section == "outputs":
                 parts = line.split()
-                if parts[0] != str(len(output_decoding)):
+                if parts[0] != str(len(outputs)):
                     raise ValueError(f"output {parts[0]} out of order")
                 pair = by_bit(parts[1:], f"output {parts[0]}")
-                output_decoding.append((species(pair["0"]), species(pair["1"])))
+                outputs.append((species(pair["0"]), species(pair["1"])))
             else:
                 raise ValueError("line outside any section")
         except (KeyError, IndexError, ValueError) as e:
@@ -692,7 +668,6 @@ def program_from_text(text: str) -> StepProgram:
         alphabet=alphabet,
         rules=tuple(rules),
         steps=tuple(steps),
-        input_order=tuple(input_order),
-        input_encoding=input_encoding,
-        output_decoding=tuple(output_decoding),
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
     )

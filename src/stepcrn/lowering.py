@@ -62,7 +62,7 @@ from .crn import (
 from .engine import Step, StepProgram
 
 # Repo-documented resource-bound constants (see README):
-#   species <= SPECIES_C * gates          (formula, exp; catalyst + 4*depth + 2 deleters)
+#   species <= SPECIES_C * gates          (formula, exp; catalyst + 4*sources + 4*depth + 2)
 #   steps   <= STEPS_C * depth + STEPS_C0 (formula, exp)
 #   steps   <= CAT_STEPS_C * depth + CAT_STEPS_C0 (catalyst)
 #   volume  <= VOLUME_C * gates           (formula: static and peak)
@@ -462,21 +462,19 @@ def _assemble(
         steps.append(_step(alphabet, convert))
         sweep("y", k)
 
-    input_encoding = {
-        gid: ((y_name(gid, False), multiplicity[gid]), (y_name(gid, True), multiplicity[gid]))
-        for gid in norm.input_ids
-    }
+    index = alphabet.index
+    inputs = []
+    for gid in norm.input_ids:
+        m = multiplicity[gid]
+        inputs.append((gid, (index[y_name(gid, False)], m), (index[y_name(gid, True)], m)))
     program = StepProgram(
         name=name,
         backend=backend,
         alphabet=alphabet,
         rules=tuple(rules),
         steps=tuple(steps),
-        input_order=norm.input_ids,
-        input_encoding=input_encoding,
-        output_decoding=tuple(
-            (x_name(o, False), x_name(o, True)) for o in norm.outputs
-        ),
+        inputs=tuple(inputs),
+        outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),
     )
     return program, completion
 
@@ -625,7 +623,8 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
 
     st = stats(norm)
     predicted = {
-        "species": SPECIES_C * max(st.gate_count, 1) + 4 * st.depth + 2,
+        # 4 species per source (y[i]T/F, x[i]T/F), 4·D + 2 deleters.
+        "species": SPECIES_C * max(st.gate_count, 1) + 4 * (len(norm.sources()) + st.depth) + 2,
         "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
         "peak_volume": RESIDENT_C * max(st.width, 1),
     }

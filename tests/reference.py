@@ -75,9 +75,8 @@ def one_step(config: Configuration, rules: Iterable[Rule]) -> StepProgram:
         alphabet=config.alphabet,
         rules=tuple(rules),
         steps=(tuple((o, c) for o, c in enumerate(config.counts) if c),),
-        input_order=(),
-        input_encoding={},
-        output_decoding=(),
+        inputs=(),
+        outputs=(),
     )
 
 

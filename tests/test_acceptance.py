@@ -451,9 +451,11 @@ def test_criterion_07_resource_bounds(suite4_results, suite5_results):
         width = max(cat.normalized.width, 1)
         assert r["cat_peak"] <= RESIDENT_C * width, (r["name"], r["cat_peak"], width)
         assert cat.step_count <= CAT_STEPS_C * max(cat.normalized.depth, 1) + CAT_STEPS_C0
+        assert cat.species_count <= cat.predicted["species"], r["name"]
     print(
         "\ncriterion 7 PASS: species<=8G, steps<=4D+2, volume<=8G (formula); "
-        "static<=8G*F^D (exp); resident<=8W (catalyst) on 100% of instances"
+        "static<=8G*F^D (exp); resident<=8W, species<=8G+4S+4D+2 (catalyst) "
+        "on 100% of instances"
     )
 
 

@@ -449,7 +449,7 @@ def test_lowerbound_table(capsys):
 def test_lowerbound_bad_max_depth_exits_2(capsys, depth):
     assert main(["lowerbound", "--max-depth", depth]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "--max-depth" in captured.err
+    assert captured.err == "error: depth must be >= 1\n"
     assert captured.out == ""
 
 

@@ -17,10 +17,12 @@ from stepcrn import (
     CorpusSpec,
     build_stage_chain,
     generate_circuits,
+    normalize,
     parse_circuit,
     program_to_text,
+    stats,
 )
-from stepcrn.lowering import compile_backend
+from stepcrn.lowering import SPECIES_C, compile_backend
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
 
@@ -95,6 +97,21 @@ def test_compiled_programs_and_reports_match_the_recorded_digests():
     assert sorted(got) == sorted(recorded)
     changed = [k for k in recorded if got[k] != recorded[k]]
     assert not changed, f"compiled output changed for {changed}"
+
+
+def test_catalyst_species_stay_under_the_predicted_bound():
+    # 8·G + 4·S + 4·D + 2: eight species per gate, four per source
+    # (y[i]T/F, x[i]T/F) and the 4·D + 2 deleters, over the normalized
+    # circuit.  f0004 meets it exactly.
+    for key, circuit, backend in _compiles():
+        if backend != "catalyst":
+            continue
+        _, report = compile_backend(circuit, backend)
+        norm, _ = normalize(circuit, align_outputs=True)
+        st = stats(norm)
+        bound = SPECIES_C * max(st.gate_count, 1) + 4 * (len(norm.sources()) + st.depth) + 2
+        assert report.predicted["species"] == bound, key
+        assert report.species_count <= bound, (key, report.species_count, bound)
 
 
 if __name__ == "__main__":

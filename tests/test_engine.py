@@ -153,15 +153,14 @@ def _tiny_program(alphabet, rules, steps, outputs):
         alphabet=alphabet,
         rules=tuple(rules),
         steps=tuple(steps),
-        input_order=(),
-        input_encoding={},
-        output_decoding=tuple(outputs),
+        inputs=(),
+        outputs=tuple(outputs),
     )
 
 
 def test_decode_basic_and_errors():
     ab = Alphabet(["y[7]F", "y[7]T"])
-    prog = _tiny_program(ab, [], [()], [("y[7]F", "y[7]T")])
+    prog = _tiny_program(ab, [], [()], [(0, 1)])
     assert decode_output(_cfg(ab, **{"y[7]F": 1}), prog) == [0]
     assert decode_output(_cfg(ab, **{"y[7]T": 2}), prog) == [1]
     assert decode_output(_cfg(ab, **{"y[7]F": 1, "y[7]T": 1}), prog) == ["ambiguous"]
@@ -172,7 +171,7 @@ def test_decode_refuses_a_configuration_over_another_alphabet():
     # Outputs are read by ordinal, so a configuration over an alphabet
     # that merely contains the output names is refused, not misread.
     ab = Alphabet(["y[7]F", "y[7]T"])
-    prog = _tiny_program(ab, [], [()], [("y[7]F", "y[7]T")])
+    prog = _tiny_program(ab, [], [()], [(0, 1)])
     wider = Alphabet(["z", "y[7]T", "y[7]F"])
     with pytest.raises(ValueError, match="another alphabet"):
         decode_output(_cfg(wider, **{"y[7]T": 1}), prog)
@@ -196,36 +195,39 @@ def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
         assert result.final.volume == 2
 
 
-def test_program_refuses_an_input_without_an_encoding():
-    ab = Alphabet(["A", "B"])
-    with pytest.raises(ValueError, match=r"inputs \[2\] have no encoding"):
-        StepProgram(
-            name="t",
-            backend="test",
-            alphabet=ab,
-            rules=(),
-            steps=((),),
-            input_order=(1, 2),
-            input_encoding={1: (("A", 1), ("B", 1))},
-            output_decoding=(),
-        )
+def _io_program(inputs, outputs=()):
+    return StepProgram(
+        name="t",
+        backend="test",
+        alphabet=Alphabet(["A", "B"]),
+        rules=(),
+        steps=((),),
+        inputs=inputs,
+        outputs=outputs,
+    )
 
 
-def test_program_refuses_an_encoding_for_an_unlisted_input():
-    # Input 1 is encoded but not in input_order: no assignment can set
-    # it, so its species would only skew added_at and the static volume.
-    ab = Alphabet(["A", "B"])
-    with pytest.raises(ValueError, match=r"encoded inputs \[1\] are not in input_order"):
-        StepProgram(
-            name="t",
-            backend="test",
-            alphabet=ab,
-            rules=(),
-            steps=(((0, 1),),),
-            input_order=(),
-            input_encoding={1: (("B", 4), ("B", 4))},
-            output_decoding=(),
-        )
+def test_program_refuses_an_input_listed_twice():
+    # Listed twice, input 1 would merge its species twice per run, above
+    # what static_volume() counts.
+    with pytest.raises(ValueError, match="input 1 listed twice"):
+        _io_program(((1, (0, 1), (1, 1)), (1, (0, 1), (1, 1))))
+    assert _io_program(((1, (0, 1), (1, 1)), (2, (0, 1), (1, 1)))).static_volume() == 2
+
+
+def test_program_refuses_an_ordinal_outside_the_alphabet():
+    with pytest.raises(ValueError, match="input 1: ordinal 2 is outside the alphabet"):
+        _io_program(((1, (0, 1), (2, 1)),))
+    with pytest.raises(ValueError, match="input 1: ordinal -1 is outside the alphabet"):
+        _io_program(((1, (-1, 1), (1, 1)),))
+    with pytest.raises(ValueError, match="output ordinals must be in the alphabet"):
+        _io_program((), ((0, 2),))
+    assert _io_program((), ((0, 1),)).outputs == ((0, 1),)
+
+
+def test_program_refuses_an_input_count_of_zero():
+    with pytest.raises(ValueError, match="input encoding counts must be >= 1"):
+        _io_program(((1, (0, 1), (1, 0)),))
 
 
 def test_input_step_merges_shared_species():
@@ -238,9 +240,8 @@ def test_input_step_merges_shared_species():
         alphabet=ab,
         rules=(parse_rule("A + B -> .", ab),),
         steps=(((2, 1),),),
-        input_order=(1, 2),
-        input_encoding={1: (("B", 1), ("A", 1)), 2: (("C", 3), ("A", 2))},
-        output_decoding=(("B", "A"),),
+        inputs=((1, (1, 1), (0, 1)), (2, (2, 3), (0, 2))),
+        outputs=((1, 0),),
     )
     assert prog.input_step("11") == ((0, 3),)
     assert prog.input_step({1: 0, 2: 0}) == ((1, 1), (2, 3))
@@ -255,7 +256,7 @@ def test_non_void_rules_are_rejected():
     # A -> A + B raises a count: a run would never terminate.
     grow = parse_rule("A -> A + B", ab)
     with pytest.raises(ValueError, match="not void"):
-        _tiny_program(ab, [grow], [((0, 1),)], [("A", "B")])
+        _tiny_program(ab, [grow], [((0, 1),)], [(0, 1)])
     with pytest.raises(ValueError, match="not void"):
         one_step(_cfg(ab, A=1), [parse_rule("A + B -> .", ab), grow])
     with pytest.raises(ValueError, match="not void"):
@@ -323,14 +324,18 @@ def test_program_text_round_trip():
 
 
 def test_program_exhaustive_matches_runs():
+    # Under every backend, each run's decode is every terminal's, and no
+    # run holds more copies than the program adds.
     c = parse_circuit(
         "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
     )
-    prog, _ = compile_formula(c)
-    for bits in ("00", "01", "10", "11"):
-        want = run_program(prog, bits, Schedule(0)).decoded
-        terms = enumerate_program_terminals(prog, bits)
-        assert {tuple(decode_output(t, prog)) for t in terms} == {want}
+    for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
+        prog, _ = compiler(c)
+        for bits in ("00", "01", "10", "11"):
+            result = run_program(prog, bits, Schedule(0))
+            assert result.peak_volume <= prog.static_volume()
+            terms = enumerate_program_terminals(prog, bits)
+            assert {tuple(decode_output(t, prog)) for t in terms} == {result.decoded}
 
 
 def test_program_exhaustive_state_cap():
@@ -352,17 +357,17 @@ def test_program_exhaustive_state_cap():
 def test_program_rejects_a_rule_over_another_alphabet():
     ab, other = Alphabet(["A", "B"]), Alphabet(["B", "A"])
     with pytest.raises(ValueError, match="another alphabet"):
-        _tiny_program(ab, [parse_rule("A + B -> .", other)], [((0, 1),)], [("A", "B")])
+        _tiny_program(ab, [parse_rule("A + B -> .", other)], [((0, 1),)], [(0, 1)])
     same = Alphabet(["A", "B"])
-    assert _tiny_program(ab, [parse_rule("A + B -> .", same)], [((0, 1),)], [("A", "B")])
+    assert _tiny_program(ab, [parse_rule("A + B -> .", same)], [((0, 1),)], [(0, 1)])
 
 
 def test_program_rejects_malformed_step_entries():
     ab = Alphabet(["A", "B"])
     for steps in ([((1, 1), (0, 1))], [((0, 1), (0, 1))], [((0, 0),)], [((2, 1),)], [((-1, 1),)]):
         with pytest.raises(ValueError):
-            _tiny_program(ab, [], steps, [("A", "B")])
-    assert _tiny_program(ab, [], [((0, 1), (1, 2)), ()], [("A", "B")]).static_volume() == 3
+            _tiny_program(ab, [], steps, [(0, 1)])
+    assert _tiny_program(ab, [], [((0, 1), (1, 2)), ()], [(0, 1)]).static_volume() == 3
 
 
 def test_static_volume_counts_the_larger_input_choice():
@@ -523,9 +528,8 @@ def test_addition_discipline_rejects_a_species_added_at_two_steps():
             alphabet=ab,
             rules=(parse_rule("A + B -> .", ab),),
             steps=steps,
-            input_order=(1,),
-            input_encoding={1: (("B", 1), ("C", 1))},
-            output_decoding=(("B", "C"),),
+            inputs=((1, (1, 1), (2, 1)),),
+            outputs=((1, 2),),
         )
 
     assert program(((0, 1),), ()).added_at == (0, 0, 0)

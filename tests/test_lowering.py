@@ -151,7 +151,7 @@ def test_formula_backend_rejects_circuits():
         compile_formula(parse_circuit(FANOUT2_AND))
 
 
-def test_formula_input_encoding():
+def test_formula_encode_input():
     prog, _ = compile_formula(
         parse_circuit("circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n")
     )
@@ -203,8 +203,8 @@ def test_exp_equals_formula_on_formulas():
     assert p1.steps == p2.steps
     assert [r.text for r in p1.rules] == [r.text for r in p2.rules]
     assert p1.alphabet == p2.alphabet
-    assert p1.input_encoding == p2.input_encoding
-    assert p1.output_decoding == p2.output_decoding
+    assert p1.inputs == p2.inputs
+    assert p1.outputs == p2.outputs
 
 
 def test_exp_binary_chain_demand_grows():

@@ -195,9 +195,8 @@ def test_multi_step_runs_with_staggered_species(rule_list, steps, seed):
         alphabet=AB,
         rules=tuple(rule_list),
         steps=steps,
-        input_order=(),
-        input_encoding={},
-        output_decoding=(),
+        inputs=(),
+        outputs=(),
     )
     result = run_program(program, (), Schedule(seed), per_step_terminal=True)
     for term in result.per_step_terminal:
@@ -224,9 +223,8 @@ def test_each_application_draws_once_among_the_enabled_rules(rule_list, steps, s
         alphabet=AB,
         rules=tuple(rule_list),
         steps=steps,
-        input_order=(),
-        input_encoding={},
-        output_decoding=(),
+        inputs=(),
+        outputs=(),
     )
     result, rng = run_recording_rng(program, (), seed)
     final, replayed = replay_draws(program, (), seed, result.trace)
