@@ -42,7 +42,6 @@ from .lowering import (
     compile_circuit_catalyst,
     compile_circuit_exp,
     compile_formula,
-    encode_input,
     lower_gate,
     normalize,
 )

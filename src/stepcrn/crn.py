@@ -5,17 +5,8 @@ rules are sparse (ordinal, count) pairs for reactants and products.  All
 counts are plain Python ints, so the exponential-volume compiler can
 exceed 64-bit ranges without ceremony.
 
-Species emitted by the compilers follow this grammar (one token, no
-whitespace):
-
-    x[<i>]T | x[<i>]F        per-wire input carrier for gate <i>
-    y[<i>]T | y[<i>]F        single-form gate output
-    y[<j>-><i>]T|F           per-input gate output (input <j> into gate <i>)
-    a[<i>]T|F, b[<i>]T|F     majority-gate vote and tally helpers
-    dx[<k>], dy[<k>]         catalyst sweepers of level <k>
-    kx[<k>], ky[<k>]         killers of those sweepers
-
-The engine itself accepts any whitespace-free species token.
+A species is any whitespace-free token; the compilers' naming grammar
+lives in :mod:`stepcrn.lowering`, and nothing here reads it.
 
 Rule text is one rule per line: reactants joined by `` + ``, then
 ``->``, then products (``.`` for none).  A catalytic rule repeats the
@@ -23,33 +14,8 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-
-SPECIES_RE = re.compile(
-    r"^(?:[dk][xy]\[\d+\]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$"
-)
-
-
-def x_name(gid: int, bit: bool) -> str:
-    return f"x[{gid}]{'T' if bit else 'F'}"
-
-
-def y_name(gid: int, bit: bool) -> str:
-    return f"y[{gid}]{'T' if bit else 'F'}"
-
-
-def y_arrow_name(src: int, dst: int, bit: bool) -> str:
-    return f"y[{src}->{dst}]{'T' if bit else 'F'}"
-
-
-def a_name(gid: int, bit: bool) -> str:
-    return f"a[{gid}]{'T' if bit else 'F'}"
-
-
-def b_name(gid: int, bit: bool) -> str:
-    return f"b[{gid}]{'T' if bit else 'F'}"
 
 
 class Alphabet:

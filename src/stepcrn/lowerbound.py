@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .circuits import Circuit, Gate, GateKind
-from .crn import x_name
-from .lowering import compile_circuit_exp
+from .lowering import compile_circuit_exp, x_name
 
 Row = tuple[int, int, int]
 
@@ -90,17 +89,8 @@ def _emit_stage(
 
     outs: list[int] = []
     for bit in range(3):
+        # Rows 111 -> 111 and 011 -> 000 give every bit one to seven minterms.
         minterms = [row for row, out in table.items() if out[bit] == 1]
-        if not minterms:
-            gates.append(Gate(next_id, GateKind.CONST_ZERO))
-            outs.append(next_id)
-            next_id += 1
-            continue
-        if len(minterms) == 8:
-            gates.append(Gate(next_id, GateKind.CONST_ONE))
-            outs.append(next_id)
-            next_id += 1
-            continue
         term_ids = []
         for row in sorted(minterms):
             literals = tuple(

@@ -32,6 +32,16 @@ target pool was already emptied by another input) could otherwise dump
 those copies into the tally pools under an adversarial schedule and
 skew the vote.  Single-consumer buffers make such spares impossible.
 Buffering is done with fan-in-1 OR gates and reported.
+
+Species emitted by the compilers follow this grammar (one token, no
+whitespace); :func:`lower_gate` names every species a gate owns:
+
+    x[<i>]T | x[<i>]F        per-wire input carrier for gate <i>
+    y[<i>]T | y[<i>]F        single-form gate output
+    y[<j>-><i>]T|F           per-input gate output (input <j> into gate <i>)
+    a[<i>]T|F, b[<i>]T|F     majority-gate vote and tally helpers
+    dx[<k>], dy[<k>]         catalyst sweepers of level <k>
+    kx[<k>], ky[<k>]         killers of those sweepers
 """
 from __future__ import annotations
 
@@ -50,15 +60,7 @@ from .circuits import (
     max_fanout_any,
     stats,
 )
-from .crn import (
-    Alphabet,
-    Rule,
-    a_name,
-    b_name,
-    x_name,
-    y_arrow_name,
-    y_name,
-)
+from .crn import Alphabet, Rule
 from .engine import Step, StepProgram
 
 # Repo-documented resource-bound constants (see README):
@@ -84,11 +86,18 @@ class LoweringError(CircuitError):
 
 @dataclass(frozen=True)
 class GateLowering:
-    """Per-gate additions and annihilation rules, before demand scaling
-    is applied to anything but the addition counts."""
+    """One gate's species, additions and annihilation rules; only the
+    addition counts scale with the gate's multiplicity.
 
-    gate_id: int
-    kind: GateKind
+    ``species`` lists every species the gate owns, in alphabet order:
+    MAJ helpers, true forms, false forms, then the carriers
+    ``x[i]T``/``x[i]F`` its consumers read.  ``forms`` splits the
+    species that can carry the gate's result into (true forms, false
+    forms).  A source adds nothing at its level and has no rules.
+    """
+
+    species: tuple[str, ...]
+    forms: tuple[tuple[str, ...], tuple[str, ...]]
     additions: tuple[dict, ...]  # one dict per gate sub-step
     rules: tuple[tuple[str, str], ...]  # annihilating reactant pairs
 
@@ -117,7 +126,6 @@ class CompilationReport:
     max_input_multiplicity: int
     demand: dict[int, int]
     predicted: dict[str, int]
-    completion_step: dict[int, int] = field(repr=False, default_factory=dict)
     # Seconds spent in normalize, lowering (alphabet, per-gate lowering and
     # rules) and assembly (steps, program checks, report); kept out of
     # comparisons and of the text and JSON forms.
@@ -162,6 +170,26 @@ class CompilationReport:
 # -- per-gate lowering -------------------------------------------------------
 
 
+def x_name(gid: int, bit: bool) -> str:
+    return f"x[{gid}]{'T' if bit else 'F'}"
+
+
+def y_name(gid: int, bit: bool) -> str:
+    return f"y[{gid}]{'T' if bit else 'F'}"
+
+
+def y_arrow_name(src: int, dst: int, bit: bool) -> str:
+    return f"y[{src}->{dst}]{'T' if bit else 'F'}"
+
+
+def a_name(gid: int, bit: bool) -> str:
+    return f"a[{gid}]{'T' if bit else 'F'}"
+
+
+def b_name(gid: int, bit: bool) -> str:
+    return f"b[{gid}]{'T' if bit else 'F'}"
+
+
 # The input value that decides an AND (0) or OR (1) on its own.  The
 # gate's result species ``y[i]`` of the other value survives unless some
 # input shows the controlling value; each input's arrow form
@@ -176,69 +204,53 @@ def lower_gate(
     fan_in: Sequence[int],
     multiplicity: int = 1,
 ) -> GateLowering:
-    """Additions and rules computing one gate at the given output
-    multiplicity.  ``fan_in`` lists input gate ids, duplicates allowed;
-    rules are count-free so only addition counts scale."""
+    """Species, additions and rules computing one gate of any kind at
+    the given output multiplicity.  ``fan_in`` lists input gate ids,
+    duplicates allowed; rules are count-free so only addition counts
+    scale."""
     if multiplicity < 1:
         raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
     m = multiplicity
     fan_in = tuple(fan_in)
     distinct = sorted(set(fan_in))
+    true, false = y_name(gate_id, True), y_name(gate_id, False)
+    forms: tuple[tuple[str, ...], tuple[str, ...]] = ((true,), (false,))
+    helpers: tuple[str, ...] = ()
+    additions: tuple[dict, ...] = ()
+    rules: list[tuple[str, str]] = []
     if kind in _CONTROLLING:
         c = _CONTROLLING[kind]
-        adds: dict[str, int] = {y_name(gate_id, not c): m}
+        result = y_name(gate_id, not c)
+        arrows = tuple(y_arrow_name(j, gate_id, c) for j in distinct)
+        forms = (arrows, (result,)) if c else ((result,), arrows)
+        adds: dict[str, int] = {result: m}
         for j in fan_in:
             arrow = y_arrow_name(j, gate_id, c)
             adds[arrow] = adds.get(arrow, 0) + m
-        rules = []
-        for j in distinct:
-            rules.append((x_name(j, not c), y_arrow_name(j, gate_id, c)))
-            rules.append((x_name(j, c), y_name(gate_id, not c)))
-        return GateLowering(gate_id, kind, (adds,), tuple(rules))
-    if kind is GateKind.NOT:
+        additions = (adds,)
+        for j, arrow in zip(distinct, arrows):
+            rules.append((x_name(j, not c), arrow))
+            rules.append((x_name(j, c), result))
+    elif kind is GateKind.NOT:
         (j,) = fan_in
-        adds = {y_name(gate_id, True): m, y_name(gate_id, False): m}
-        rules = (
-            (x_name(j, True), y_name(gate_id, True)),
-            (x_name(j, False), y_name(gate_id, False)),
-        )
-        return GateLowering(gate_id, kind, (adds,), rules)
-    if kind is GateKind.MAJ:
+        additions = ({true: m, false: m},)
+        rules = [(x_name(j, True), true), (x_name(j, False), false)]
+    elif kind is GateKind.MAJ:
         n_raw = len(fan_in)
-        pad = 1 if n_raw % 2 == 0 else 0
-        n = n_raw + pad
-        step1 = {
-            a_name(gate_id, True): n_raw * m,
-            a_name(gate_id, False): (n_raw + pad) * m,
-        }
-        step2 = {}
-        if n // 2:
-            step2 = {b_name(gate_id, True): (n // 2) * m, b_name(gate_id, False): (n // 2) * m}
-        step3 = {y_name(gate_id, True): m, y_name(gate_id, False): m}
-        rules = []
+        n = n_raw + (1 if n_raw % 2 == 0 else 0)
+        helpers = (
+            a_name(gate_id, True), a_name(gate_id, False),
+            b_name(gate_id, True), b_name(gate_id, False),
+        )
+        a_true, a_false, b_true, b_false = helpers
+        step2 = {b_true: (n // 2) * m, b_false: (n // 2) * m} if n // 2 else {}
+        additions = ({a_true: n_raw * m, a_false: n * m}, step2, {true: m, false: m})
         for j in distinct:
-            rules.append((x_name(j, True), a_name(gate_id, False)))
-            rules.append((x_name(j, False), a_name(gate_id, True)))
-        rules.append((a_name(gate_id, True), b_name(gate_id, False)))
-        rules.append((a_name(gate_id, False), b_name(gate_id, True)))
-        rules.append((a_name(gate_id, True), y_name(gate_id, False)))
-        rules.append((a_name(gate_id, False), y_name(gate_id, True)))
-        return GateLowering(gate_id, kind, (step1, step2, step3), tuple(rules))
-    raise LoweringError(f"gate {gate_id}: no lowering for kind {kind.value}")
-
-
-def _output_forms(circuit: Circuit, gid: int) -> tuple[list[str], list[str]]:
-    """Species forms that can carry the gate's result, split into
-    (true forms, false forms)."""
-    g = circuit.by_id[gid]
-    if g.kind not in _CONTROLLING:
-        return [y_name(gid, True)], [y_name(gid, False)]
-    c = _CONTROLLING[g.kind]
-    forms = {
-        not c: [y_name(gid, not c)],
-        c: [y_arrow_name(j, gid, c) for j in sorted(set(g.inputs))],
-    }
-    return forms[True], forms[False]
+            rules.append((x_name(j, True), a_false))
+            rules.append((x_name(j, False), a_true))
+        rules += [(a_true, b_false), (a_false, b_true), (a_true, false), (a_false, true)]
+    species = helpers + forms[0] + forms[1] + (x_name(gate_id, True), x_name(gate_id, False))
+    return GateLowering(species, forms, additions, tuple(rules))
 
 
 # -- normalization -----------------------------------------------------------
@@ -329,20 +341,12 @@ def _deleters(axis: str, level: int) -> tuple[str, str]:
     return f"d{axis}[{level}]", f"k{axis}[{level}]"
 
 
-def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
-    names: list[str] = []
-    for g in circuit.gates:
-        gid = g.gid
-        if g.kind is GateKind.MAJ:
-            names += [
-                a_name(gid, True), a_name(gid, False),
-                b_name(gid, True), b_name(gid, False),
-                y_name(gid, True), y_name(gid, False),
-            ]
-        else:
-            true_forms, false_forms = _output_forms(circuit, gid)
-            names += true_forms + false_forms
-        names += [x_name(gid, True), x_name(gid, False)]
+def _species_for(
+    circuit: Circuit, lowerings: Mapping[int, GateLowering], deleters: bool
+) -> Alphabet:
+    """Every gate's species in declaration order, then, with
+    ``deleters``, the catalyst backend's sweepers and killers."""
+    names = [s for g in circuit.gates for s in lowerings[g.gid].species]
     if deleters:
         depth = max(circuit.level.values())
         names += [s for k in range(1, depth + 1) for s in _deleters("x", k)]
@@ -350,17 +354,13 @@ def _species_for(circuit: Circuit, deleters: bool) -> Alphabet:
     return Alphabet(names)
 
 
-def _conversion_pairs(circuit: Circuit, gid: int) -> list[tuple[str, str]]:
+def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
     """(output form, input carrier of the other polarity) pairs: a
     surviving form deletes the carriers that disagree with it."""
-    true_forms, false_forms = _output_forms(circuit, gid)
+    true_forms, false_forms = low.forms
     return [(f, x_name(gid, False)) for f in true_forms] + [
         (f, x_name(gid, True)) for f in false_forms
     ]
-
-
-def _const_bit(kind: GateKind) -> bool:
-    return kind is GateKind.CONST_ONE
 
 
 def _source_merges(circuit: Circuit, demand: Mapping[int, int]) -> dict[str, int]:
@@ -368,7 +368,7 @@ def _source_merges(circuit: Circuit, demand: Mapping[int, int]) -> dict[str, int
     merges: dict[str, int] = {}
     for g in circuit.sources():
         if g.kind is not GateKind.INPUT:
-            merges[y_name(g.gid, _const_bit(g.kind))] = demand[g.gid]
+            merges[y_name(g.gid, g.kind is GateKind.CONST_ONE)] = demand[g.gid]
     return merges
 
 
@@ -399,13 +399,13 @@ def _lower_levels(
     circuit: Circuit, multiplicity: Mapping[int, int]
 ) -> tuple[list[list[int]], dict[int, GateLowering]]:
     """Gate ids grouped by depth level, each group in declaration order
-    (level 0 holds the sources), and every non-source gate's lowering at
-    its multiplicity, in level order."""
+    (level 0 holds the sources), and every gate's lowering at its
+    multiplicity, in level order."""
     levels: list[list[int]] = [[] for _ in range(max(circuit.level.values()) + 1)]
     for g in circuit.gates:
         levels[circuit.level[g.gid]].append(g.gid)
     lowerings = {}
-    for group in levels[1:]:
+    for group in levels:
         for gid in group:
             g = circuit.by_id[gid]
             lowerings[gid] = lower_gate(g.kind, gid, g.inputs, multiplicity[gid])
@@ -423,7 +423,7 @@ def _assemble(
     multiplicity: Mapping[int, int],
     copies: Mapping[int, int],
     sweeps: bool = False,
-) -> tuple[StepProgram, dict[int, int]]:
+) -> StepProgram:
     """Build and check the step program shared by every backend.
 
     Step 0 adds the constant sources' species and converts every source
@@ -432,8 +432,7 @@ def _assemble(
     ``copies`` carriers.  With ``sweeps``, level k's gate sub-steps are
     followed by the sweeper and killer steps of ``dx[k]`` and every
     conversion step by those of ``dy[k]``.  Sources and inputs enter at
-    their ``multiplicity``.  Returns the program and each gate's
-    completion step.
+    their ``multiplicity``.
     """
     steps: list[Step] = []
 
@@ -441,7 +440,6 @@ def _assemble(
         if sweeps:
             steps.extend(_step(alphabet, {s: 1}) for s in _deleters(axis, level))
 
-    completion = {gid: 0 for gid in levels[0]}
     for k, group in enumerate(levels):
         if k:
             for sub in range(max(len(lowerings[gid].additions) for gid in group)):
@@ -451,8 +449,6 @@ def _assemble(
                     if sub < len(subs):
                         for species, c in subs[sub].items():
                             adds[species] = adds.get(species, 0) + c
-                    if sub == len(subs) - 1:
-                        completion[gid] = len(steps)
                 steps.append(_step(alphabet, adds))
             sweep("x", k)
         convert = _source_merges(norm, multiplicity) if k == 0 else {}
@@ -467,7 +463,7 @@ def _assemble(
     for gid in norm.input_ids:
         m = multiplicity[gid]
         inputs.append((gid, (index[y_name(gid, False)], m), (index[y_name(gid, True)], m)))
-    program = StepProgram(
+    return StepProgram(
         name=name,
         backend=backend,
         alphabet=alphabet,
@@ -476,7 +472,6 @@ def _assemble(
         inputs=tuple(inputs),
         outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),
     )
-    return program, completion
 
 
 def _base_report(
@@ -488,7 +483,6 @@ def _base_report(
     program: StepProgram,
     demand: Mapping[int, int],
     predicted: dict[str, int],
-    completion: dict[int, int],
 ) -> CompilationReport:
     return CompilationReport(
         backend=backend,
@@ -504,7 +498,6 @@ def _base_report(
         ),
         demand=dict(demand),
         predicted=predicted,
-        completion_step=completion,
     )
 
 
@@ -516,19 +509,18 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     norm, info = normalize(circuit)
     t1 = time.perf_counter()
     demand = demand_analysis(norm)
-    alphabet = _species_for(norm, deleters=False)
     levels, lowerings = _lower_levels(norm, demand)
+    alphabet = _species_for(norm, lowerings, deleters=False)
 
     rules: list[Rule] = []
     for group in levels:
         for gid in group:
-            if gid in lowerings:
-                rules += [_rule(alphabet, *pair) for pair in lowerings[gid].rules]
+            rules += [_rule(alphabet, *pair) for pair in lowerings[gid].rules]
         for gid in group:
-            rules += [_rule(alphabet, *pair) for pair in _conversion_pairs(norm, gid)]
+            rules += [_rule(alphabet, *pair) for pair in _conversion_pairs(gid, lowerings[gid])]
 
     t2 = time.perf_counter()
-    program, completion = _assemble(
+    program = _assemble(
         backend, circuit.name, norm, alphabet, rules, levels, lowerings, demand, demand
     )
 
@@ -545,9 +537,7 @@ def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, Compilat
     else:
         fanout = max(max_fanout_any(norm), 1)
         predicted["static_volume"] = VOLUME_C * gate_count * fanout**depth
-    report = _base_report(
-        backend, circuit, norm, st, info, program, demand, predicted, completion
-    )
+    report = _base_report(backend, circuit, norm, st, info, program, demand, predicted)
     report.timings = _timings(t0, t1, t2)
     return program, report
 
@@ -577,12 +567,12 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     t0 = time.perf_counter()
     norm, info = normalize(circuit, align_outputs=True)
     t1 = time.perf_counter()
-    alphabet = _species_for(norm, deleters=True)
     # Strict single-copy inputs: demand degenerates to fan-out copies of
     # each gate's input carrier.
     ones = {g.gid: 1 for g in norm.gates}
     copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
     levels, lowerings = _lower_levels(norm, ones)
+    alphabet = _species_for(norm, lowerings, deleters=True)
     depth, level = len(levels) - 1, norm.level
 
     rules = [_rule(alphabet, *pair) for low in lowerings.values() for pair in low.rules]
@@ -593,7 +583,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     # Each sweep deletes what its level left behind: the carriers level
     # k read and its MAJ helpers go to dx[k], its output forms to dy[k].
     # The deepest carriers are the decoded outputs and stay.
-    pairs = {g.gid: _conversion_pairs(norm, g.gid) for g in norm.gates}
+    pairs = {g.gid: _conversion_pairs(g.gid, lowerings[g.gid]) for g in norm.gates}
     for g in norm.gates:
         for form, carrier in pairs[g.gid]:
             catalytic(form, carrier)
@@ -603,11 +593,12 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
             sweeper = _deleters("x", k + 1)[0]
             catalytic(sweeper, x_name(g.gid, True))
             catalytic(sweeper, x_name(g.gid, False))
-        if g.kind is GateKind.MAJ:
-            sweeper = _deleters("x", k)[0]
-            for bit in (True, False):
-                catalytic(sweeper, a_name(g.gid, bit))
-                catalytic(sweeper, b_name(g.gid, bit))
+        # The helpers lead the gate's species in (T, F) pairs.  The true
+        # ones are swept first: rule order fixes each seed's draws.
+        low = lowerings[g.gid]
+        helpers = low.species[: -2 - len(low.forms[0]) - len(low.forms[1])]
+        for helper in helpers[::2] + helpers[1::2]:
+            catalytic(_deleters("x", k)[0], helper)
     rules += [_rule(alphabet, *_deleters("x", k)) for k in range(1, depth + 1)]
     for g in norm.gates:
         sweeper = _deleters("y", level[g.gid])[0]
@@ -616,7 +607,7 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
     rules += [_rule(alphabet, *_deleters("y", k)) for k in range(depth + 1)]
 
     t2 = time.perf_counter()
-    program, completion = _assemble(
+    program = _assemble(
         "catalyst", circuit.name, norm, alphabet, rules, levels, lowerings, ones, copies,
         sweeps=True,
     )
@@ -628,20 +619,9 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
         "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
         "peak_volume": RESIDENT_C * max(st.width, 1),
     }
-    report = _base_report(
-        "catalyst", circuit, norm, st, info, program, ones, predicted, completion
-    )
+    report = _base_report("catalyst", circuit, norm, st, info, program, ones, predicted)
     report.timings = _timings(t0, t1, t2)
     return program, report
-
-
-# -- input encoding ------------------------------------------------------------
-
-
-def encode_input(program: StepProgram, bits) -> dict[str, int]:
-    """The demand-scaled species merged into step 0 for an input
-    assignment; never contains both polarity species of one input."""
-    return {program.alphabet.names[o]: c for o, c in program.input_step(bits)}
 
 
 BACKENDS = {

@@ -120,6 +120,17 @@ def test_run_decodes_and_prints(fig_net, tmp_path, capsys):
     assert "peak_volume:" in printed and "steps: 5" in printed
 
 
+def test_run_json_prints_the_run(fig_net, tmp_path, capsys):
+    out = str(tmp_path / "fig.prog")
+    main(["compile", fig_net, "-o", out])
+    capsys.readouterr()
+    assert main(["run", out, "1001", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert sorted(result) == ["applications", "output", "peak_volume", "steps", "terminal"]
+    assert result["output"] == ["0"] and result["steps"] == 5
+    assert result["terminal"] == {"x[7]F": 1}
+
+
 def test_run_bad_bitstring_exits_2(fig_net, tmp_path, capsys):
     out = str(tmp_path / "fig.prog")
     main(["compile", fig_net, "-o", out])
@@ -257,6 +268,28 @@ def test_verify_bad_random_input_count_exits_2(fig_net, capsys, inputs):
     assert "--inputs" in capsys.readouterr().err
 
 
+def test_verify_random_inputs_are_counted_and_repeatable(fig_net, capsys):
+    argv = ["verify", fig_net, "--inputs", "random:5", "--seeds", "0:2", "--json"]
+    printed = []
+    for extra in ([], [], ["--jobs", "2"]):
+        assert main(argv + extra) == 0
+        printed.append(capsys.readouterr().out)
+    summary = json.loads(printed[0])
+    assert summary["assignments"] == 5 and summary["runs"] == 10
+    assert printed[1] == printed[0] and printed[2] == printed[0]
+
+
+def test_verify_all_inputs_over_the_cap_exits_2(tmp_path, capsys):
+    ids = " ".join(str(i) for i in range(1, 14))
+    net = tmp_path / "wide.net"
+    net.write_text(
+        "circuit wide\n" + "".join(f"gate {i} INPUT\n" for i in range(1, 14))
+        + f"gate 14 AND {ids}\noutputs 14\n"
+    )
+    assert main(["verify", str(net), "--inputs", "all"]) == 2
+    assert "13 inputs exceed the all-assignments cap" in _input_error(capsys)
+
+
 def test_verify_never_passes_with_zero_runs():
     circuit = parse_circuit(FIG_NET)
     summary = verify_job(VerifyJob(circuit, "formula", seeds=()))
@@ -320,6 +353,20 @@ def test_parallel_merge_reports_the_serial_counterexample(monkeypatch):
         chunks = [indexed[i::workers] for i in range(workers)]
         parts = [cli._verify_chunk(job, chunk) for chunk in reversed(chunks)]
         assert cli._merge(job, parts).to_json_obj() == serial.to_json_obj()
+
+
+def test_verify_text_prints_the_counterexample(monkeypatch, tmp_path, capsys):
+    def wrong(circuit, bits):
+        return [1 - b for b in evaluate(circuit, bits)]
+
+    monkeypatch.setattr(cli, "evaluate", wrong)
+    net = tmp_path / "a.net"
+    net.write_text(AND_NET)
+    assert main(["verify", str(net), "--seeds", "0:1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a backend=formula: 0/4 runs passed, 0 exhaustive checks, 0 skipped"
+    counterexample = json.loads(lines[1].removeprefix("counterexample: "))
+    assert counterexample["input"] == "00" and counterexample["expected"] == [1]
 
 
 def test_verify_rejects_the_removed_cap_flag(fig_net, capsys):
@@ -499,3 +546,61 @@ def test_main_reports_only_value_errors_as_input_errors(
     else:
         with pytest.raises(exc, match="boom"):
             main(argv)
+
+
+# Malformed input that the readers already refuse: each case exits 2
+# with one error line.
+_MALFORMED = [
+    # netlist parser
+    ("duplicate-header", "net", "circuit a\ncircuit b\ngate 1 INPUT\noutputs 1\n",
+     "line 2: duplicate circuit header"),
+    ("unnamed-circuit", "net", "circuit\ngate 1 INPUT\noutputs 1\n",
+     "line 1: expected: circuit <name>"),
+    ("short-gate", "net", "circuit a\ngate 1\noutputs 1\n",
+     "line 2: expected: gate <id> <KIND>"),
+    ("empty-outputs", "net", "circuit a\ngate 1 INPUT\noutputs\n",
+     "line 3: outputs line lists no gates"),
+    ("unknown-directive", "net", "circuit a\nfrob 1\ngate 1 INPUT\noutputs 1\n",
+     "line 2: unknown directive 'frob'"),
+    ("missing-header", "net", "gate 1 INPUT\noutputs 1\n", "missing circuit header"),
+    ("gate-id-x", "net", "circuit a\ngate x INPUT\noutputs 1\n",
+     "line 2: expected gate id, got 'x'"),
+    ("gate-id-0", "net", "circuit a\ngate 0 INPUT\noutputs 0\n",
+     "line 2: gate ids are positive, got 0"),
+    # netlist validation
+    ("no-gates", "net", "circuit a\noutputs 1\n", "circuit has no gates"),
+    ("source-with-input", "net", "circuit a\ngate 1 INPUT 1\noutputs 1\n",
+     "gate 1: INPUT takes no inputs"),
+    ("and-without-inputs", "net", "circuit a\ngate 1 INPUT\ngate 2 AND\noutputs 2\n",
+     "gate 2: AND needs fan-in >= 1"),
+    ("unknown-output", "net", "circuit a\ngate 1 INPUT\noutputs 5\n", "unknown output gate 5"),
+    # program file
+    ("step-1-first", "prog", "alphabet: A B\nsteps:\nstep 1: A=1\n",
+     "line 3: step 1 out of order"),
+    ("outside-sections", "prog", "alphabet: A B\nA + B -> .\n",
+     "line 2: line outside any section"),
+    ("rule-before-alphabet", "prog", "rules:\nA + B -> .\nalphabet: A B\n",
+     "line 2: program file must declare its alphabet first"),
+    ("no-alphabet", "prog", "program p\nrules:\n", "program file has no alphabet"),
+    ("zero-count", "prog", "alphabet: A B\nsteps:\nstep 0: A=0\n",
+     "line 3: count 0 is not positive"),
+    ("rule-without-arrow", "prog", "alphabet: A B\nrules:\nA + B\n",
+     "line 3: bad rule (no ' -> ')"),
+    ("bad-term", "prog", "alphabet: A B\nrules:\n2 3 A -> .\n",
+     "line 3: bad rule term '2 3 A'"),
+    ("unknown-species", "prog", "alphabet: A B\nrules:\nA + C -> .\n",
+     "line 3: species 'C' not in alphabet"),
+]
+
+
+@pytest.mark.parametrize(
+    "suffix, text, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, suffix, text, message):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    argv = ["verify", str(path)] if suffix == "net" else ["run", str(path), "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err

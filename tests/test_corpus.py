@@ -33,6 +33,13 @@ def test_force_maj_every():
         assert any(g.kind is GateKind.MAJ for g in circuits[i].non_sources())
 
 
+def test_force_maj_every_in_dag_mode():
+    spec = CorpusSpec(count=6, seed=4, maj_fraction=0.0)
+    assert not spec.formula
+    for circuit in generate_circuits(spec, force_maj_every=1):
+        assert any(g.kind is GateKind.MAJ for g in circuit.non_sources())
+
+
 def test_dag_mode_respects_ranges():
     spec = CorpusSpec(
         count=12, seed=5, depth=(2, 4), gates=(4, 20),

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from stepcrn import (
+    GateKind,
     build_stage_chain,
     check_demand_growth,
     evaluate,
@@ -37,10 +40,14 @@ def test_stage_matches_fixed_rows():
 
 
 def test_stage_matches_full_table_exhaustively():
-    spec = StageSpec()
-    circuit = build_stage_chain(1, spec)
-    for row, want in spec.table().items():
-        assert _eval3(circuit, row) == want, row
+    # Every one of the 8**3 completions: no output bit is ever constant.
+    outs = [((i >> 2) & 1, (i >> 1) & 1, i & 1) for i in range(8)]
+    for choice in itertools.product(outs, repeat=len(FREE_ROWS)):
+        spec = StageSpec(completion=dict(zip(FREE_ROWS, choice)))
+        circuit = build_stage_chain(1, spec)
+        assert all(g.kind is GateKind.INPUT for g in circuit.sources())
+        for row, want in spec.table().items():
+            assert _eval3(circuit, row) == want, (choice, row)
 
 
 def test_alternate_completion_is_honored():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stepcrn import (
@@ -10,7 +12,6 @@ from stepcrn import (
     compile_circuit_exp,
     compile_formula,
     decode_output,
-    encode_input,
     enumerate_program_terminals,
     evaluate,
     lower_gate,
@@ -21,7 +22,7 @@ from stepcrn import (
     run_program,
 )
 from stepcrn.crn import is_void_family
-from stepcrn.lowering import BACKENDS, LoweringError, compile_backend
+from stepcrn.lowering import BACKENDS, LoweringError, compile_backend, x_name
 
 from reference import one_step, rule_size
 
@@ -52,6 +53,11 @@ def _step_dict(prog, k):
     }
 
 
+def _encode_input(prog, bits):
+    """The species an input assignment merges into step 0, by name."""
+    return {prog.alphabet.names[o]: c for o, c in prog.input_step(bits)}
+
+
 # -- lower_gate ---------------------------------------------------------------
 
 
@@ -63,6 +69,10 @@ def test_lower_and_gate():
     }
     assert ("x[1]T", "y[1->4]F") in low.rules
     assert ("x[1]F", "y[4]T") in low.rules
+    assert low.forms == (("y[4]T",), ("y[1->4]F", "y[2->4]F", "y[3->4]F"))
+    assert low.species == (
+        "y[4]T", "y[1->4]F", "y[2->4]F", "y[3->4]F", "x[4]T", "x[4]F",
+    )
 
 
 def test_lower_or_gate_mirrors_and():
@@ -72,12 +82,16 @@ def test_lower_or_gate_mirrors_and():
         ("x[1]F", "y[1->4]T"), ("x[1]T", "y[4]F"),
         ("x[2]F", "y[2->4]T"), ("x[2]T", "y[4]F"),
     )
+    assert low.forms == (("y[1->4]T", "y[2->4]T"), ("y[4]F",))
+    assert low.species == ("y[1->4]T", "y[2->4]T", "y[4]F", "x[4]T", "x[4]F")
 
 
 def test_lower_not_with_multiplicity():
     low = lower_gate(GateKind.NOT, 2, (1,), multiplicity=3)
     assert low.additions[0] == {"y[2]T": 3, "y[2]F": 3}
     assert set(low.rules) == {("x[1]T", "y[2]T"), ("x[1]F", "y[2]F")}
+    assert low.forms == (("y[2]T",), ("y[2]F",))
+    assert low.species == ("y[2]T", "y[2]F", "x[2]T", "x[2]F")
 
 
 def test_lower_maj_three_steps():
@@ -86,6 +100,10 @@ def test_lower_maj_three_steps():
     assert low.additions[0] == {"a[9]T": 3, "a[9]F": 3}
     assert low.additions[1] == {"b[9]T": 1, "b[9]F": 1}
     assert low.additions[2] == {"y[9]T": 1, "y[9]F": 1}
+    assert low.forms == (("y[9]T",), ("y[9]F",))
+    assert low.species == (
+        "a[9]T", "a[9]F", "b[9]T", "b[9]F", "y[9]T", "y[9]F", "x[9]T", "x[9]F",
+    )
 
 
 def test_lower_maj_even_fan_in_pads_false():
@@ -94,9 +112,14 @@ def test_lower_maj_even_fan_in_pads_false():
     assert low.additions[1] == {"b[9]T": 2, "b[9]F": 2}
 
 
-def test_lower_gate_rejects_sources():
-    with pytest.raises(LoweringError):
-        lower_gate(GateKind.INPUT, 1, ())
+@pytest.mark.parametrize(
+    "kind", [GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE], ids=lambda k: k.value
+)
+def test_lower_gate_on_a_source_adds_nothing(kind):
+    low = lower_gate(kind, 1, ())
+    assert low.additions == () and low.rules == ()
+    assert low.forms == (("y[1]T",), ("y[1]F",))
+    assert low.species == ("y[1]T", "y[1]F", "x[1]T", "x[1]F")
 
 
 # -- formula backend -------------------------------------------------------------
@@ -155,7 +178,7 @@ def test_formula_encode_input():
     prog, _ = compile_formula(
         parse_circuit("circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n")
     )
-    assert encode_input(prog, "10") == {"y[1]T": 1, "y[2]F": 1}
+    assert _encode_input(prog, "10") == {"y[1]T": 1, "y[2]F": 1}
 
 
 @pytest.mark.parametrize("bits", ["21", "1", {1: 1}])
@@ -163,10 +186,10 @@ def test_formula_encode_input():
     "call",
     [
         lambda c, p, bits: evaluate(c, bits),
-        lambda c, p, bits: encode_input(p, bits),
+        lambda c, p, bits: p.input_step(bits),
         lambda c, p, bits: run_program(p, bits, Schedule(0)),
     ],
-    ids=["evaluate", "encode_input", "run_program"],
+    ids=["evaluate", "input_step", "run_program"],
 )
 def test_bad_input_bits_rejected_by_every_caller(call, bits):
     c = parse_circuit("circuit a\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n")
@@ -179,7 +202,7 @@ def test_constant_circuit_empty_merge():
     prog, _ = compile_formula(
         parse_circuit("circuit k\ngate 1 CONST_ONE\ngate 2 NOT 1\noutputs 2\n")
     )
-    assert encode_input(prog, "") == {}
+    assert _encode_input(prog, "") == {}
     assert run_program(prog, "", Schedule(0)).decoded == (0,)
 
 
@@ -190,7 +213,7 @@ def test_exp_fanout_two_copies():
     c = parse_circuit(FANOUT2_AND)
     prog, report = compile_circuit_exp(c)
     assert report.demand[1] == 2 and report.max_input_multiplicity == 2
-    assert encode_input(prog, "10") == {"y[3]T": 2, "y[2]F": 2}
+    assert _encode_input(prog, "10") == {"y[3]T": 2, "y[2]F": 2}
     result = run_program(prog, "10", Schedule(0), per_step_terminal=True)
     assert result.per_step_terminal[1].as_dict() == {"y[2->1]F": 2}
     assert result.decoded == (0, 0)
@@ -230,7 +253,7 @@ def test_catalyst_cycle_and_decode():
     c = parse_circuit(FANOUT2_AND)
     prog, report = compile_circuit_catalyst(c)
     # strict inputs: one copy each
-    assert encode_input(prog, "10") == {"y[3]T": 1, "y[2]F": 1}
+    assert _encode_input(prog, "10") == {"y[3]T": 1, "y[2]F": 1}
     result = run_program(prog, "10", Schedule(1))
     assert result.decoded == (0, 0)
     # sweepers killed, every spent carrier swept: only the decode copies remain
@@ -316,13 +339,18 @@ def test_each_species_added_at_one_step():
 
 
 def test_completion_order_strictly_increases_along_paths():
-    c = parse_circuit(FIG_FORMULA)
+    # Every species a gate's lowering adds comes after the carriers of
+    # each of its inputs.
     for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
-        prog, report = compiler(c)
+        c = parse_circuit(FIG_FORMULA if compiler is compile_formula else CLASH)
+        prog, _ = compiler(c)
         norm, _ = normalize(c, align_outputs=(compiler is compile_circuit_catalyst))
+        added_at = {name: prog.added_at[o] for name, o in prog.alphabet.index.items()}
         for g in norm.gates:
+            added = {s for sub in lower_gate(g.kind, g.gid, g.inputs).additions for s in sub}
             for ref in g.inputs:
-                assert report.completion_step[ref] < report.completion_step[g.gid]
+                carriers = max(added_at[x_name(ref, bit)] for bit in (True, False))
+                assert all(added_at[s] > carriers for s in added), (g, ref)
 
 
 # -- majority-input isolation -----------------------------------------------------
@@ -398,9 +426,11 @@ def test_normalize_spans_every_wire_one_level():
             assert norm.level[g.gid] - norm.level[ref] == 1
 
 
-def test_compiled_species_follow_the_grammar():
-    from stepcrn.crn import SPECIES_RE
+# The species grammar of the ``stepcrn.lowering`` docstring.
+SPECIES_RE = re.compile(r"^(?:[dk][xy]\[\d+\]|[xab]\[\d+\][TF]|y\[\d+(?:->\d+)?\][TF])$")
 
+
+def test_compiled_species_follow_the_grammar():
     for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
         circuit = parse_circuit(FIG_FORMULA if compiler is compile_formula else CLASH)
         prog, _ = compiler(circuit)

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
     "StepProgram", "build_stage_chain", "check_demand_growth",
     "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
-    "compile_formula", "decode_output", "demand_analysis", "encode_input",
+    "compile_formula", "decode_output", "demand_analysis",
     "enumerate_program_terminals", "evaluate", "fibonacci", "format_rule",
     "generate_circuits", "lower_gate", "min_copy_bounds", "normalize", "parse_circuit",
     "parse_rule", "program_from_text", "program_to_text", "run_program", "stats",
