@@ -73,18 +73,22 @@ class VerifySummary:
 
 
 def _assignments(job: VerifyJob) -> list[tuple[int, ...]]:
+    """Every assignment, or ``random_count`` distinct ones drawn from the
+    first seed; a count that covers every assignment means every one."""
     n = len(job.circuit.input_ids)
-    if job.random_count is None:
-        if n > DEFAULT_ALL_INPUTS_CAP:
+    count = job.random_count
+    if count is None or count >= 1 << n:
+        if count is None and n > DEFAULT_ALL_INPUTS_CAP:
             raise CircuitError(
                 f"{n} inputs exceed the all-assignments cap {DEFAULT_ALL_INPUTS_CAP}; "
                 "use random mode"
             )
         return [tuple((i >> k) & 1 for k in range(n)) for i in range(1 << n)]
     rng_bits = random.Random(job.seeds[0] if job.seeds else 0)
-    return [
-        tuple(rng_bits.randint(0, 1) for _ in range(n)) for _ in range(job.random_count)
-    ]
+    drawn: dict[tuple[int, ...], None] = {}
+    while len(drawn) < count:
+        drawn[tuple(rng_bits.randint(0, 1) for _ in range(n))] = None
+    return list(drawn)
 
 
 def _verify_chunk(

@@ -109,16 +109,20 @@ class Rule:
         reactants, products = self.reactants, self.products
         if not reactants:
             raise ValueError("rule needs at least one reactant with positive count")
-        ordered, prev = True, -1
+        ordered, prev, size = True, -1, len(self.alphabet.names)
         for o, c in reactants:
             if c <= 0:
                 raise ValueError("rule needs at least one reactant with positive count")
+            if not 0 <= o < size:
+                raise ValueError(f"reactant ordinal {o} is outside the alphabet")
             if o <= prev:
                 ordered = False
             prev = o
-        for _, c in products:
+        for o, c in products:
             if c <= 0:
                 raise ValueError("product counts must be positive")
+            if not 0 <= o < size:
+                raise ValueError(f"product ordinal {o} is outside the alphabet")
         if ordered and not products:
             delta = tuple([(o, -c) for o, c in reactants])
         else:
@@ -169,7 +173,7 @@ def parse_rule(text: str, alphabet: Alphabet) -> Rule:
     are accepted too).  The arrow is space-delimited because species
     names themselves may contain ``->``."""
     if " -> " not in text:
-        raise ValueError(f"bad rule (no ' -> '): {text!r}")
+        raise ValueError("bad rule (no ' -> ')")  # the caller has the text
     lhs, rhs = text.split(" -> ", 1)
     return Rule(
         alphabet,

@@ -16,12 +16,17 @@ Three backends share one per-gate rule scheme:
 
 Every species, under every backend, is added at exactly one step.
 
-The step skeleton per depth level is: one gate step (three for levels
+One routine, :func:`_compile`, builds every backend's program.  The
+step skeleton per depth level is: one gate step (three for levels
 containing MAJ gates: vote conversion, tally annihilation, output
 conversion), then a conversion step that turns surviving output species
-into the next level's input species.  Step 0 converts the initial
-per-source species; the conversion after the last level produces the
-species the decoder reads.
+into the next level's input species, as many carrier copies of each
+polarity as the level after it reads.  Step 0 adds the constant
+sources' species and converts every source; the conversion after the
+last level produces the species the decoder reads.  Sources and inputs
+enter at their gate's multiplicity.  Under ``catalyst``, level k's gate
+sub-steps are followed by the sweeper and killer steps of ``dx[k]``,
+and every conversion step by those of ``dy[k]``.
 
 Before lowering, circuits are normalized so that every wire spans
 exactly one depth level and every MAJ gate reads from producers that
@@ -332,26 +337,13 @@ def normalize(
     return norm, info
 
 
-# -- shared assembly ---------------------------------------------------------
+# -- compilation ---------------------------------------------------------------
 
 
 def _deleters(axis: str, level: int) -> tuple[str, str]:
     """The sweeper and the killer of the catalyst backend's ``axis``
     sweep at ``level``, each added alone at its own step."""
     return f"d{axis}[{level}]", f"k{axis}[{level}]"
-
-
-def _species_for(
-    circuit: Circuit, lowerings: Mapping[int, GateLowering], deleters: bool
-) -> Alphabet:
-    """Every gate's species in declaration order, then, with
-    ``deleters``, the catalyst backend's sweepers and killers."""
-    names = [s for g in circuit.gates for s in lowerings[g.gid].species]
-    if deleters:
-        depth = max(circuit.level.values())
-        names += [s for k in range(1, depth + 1) for s in _deleters("x", k)]
-        names += [s for k in range(depth + 1) for s in _deleters("y", k)]
-    return Alphabet(names)
 
 
 def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
@@ -361,15 +353,6 @@ def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
     return [(f, x_name(gid, False)) for f in true_forms] + [
         (f, x_name(gid, True)) for f in false_forms
     ]
-
-
-def _source_merges(circuit: Circuit, demand: Mapping[int, int]) -> dict[str, int]:
-    """Fixed step-0 additions for constant sources."""
-    merges: dict[str, int] = {}
-    for g in circuit.sources():
-        if g.kind is not GateKind.INPUT:
-            merges[y_name(g.gid, g.kind is GateKind.CONST_ONE)] = demand[g.gid]
-    return merges
 
 
 def _rule(alphabet: Alphabet, first: str, second: str, product: str | None = None) -> Rule:
@@ -384,197 +367,28 @@ def _rule(alphabet: Alphabet, first: str, second: str, product: str | None = Non
     return Rule(alphabet, reactants, ((index[product], 1),) if product else ())
 
 
-def _step(alphabet: Alphabet, adds: Mapping[str, int]) -> Step:
-    """One step's additions as sorted (ordinal, count) pairs."""
-    return tuple(sorted((alphabet.ordinal(name), c) for name, c in adds.items()))
-
-
-def _timings(t0: float, t1: float, t2: float) -> dict[str, float]:
-    """``CompilationReport.timings`` for a compile that started at
-    ``t0``, finished normalizing at ``t1`` and lowering at ``t2``."""
-    return {"normalize_s": t1 - t0, "lower_s": t2 - t1, "assemble_s": time.perf_counter() - t2}
-
-
-def _lower_levels(
-    circuit: Circuit, multiplicity: Mapping[int, int]
-) -> tuple[list[list[int]], dict[int, GateLowering]]:
-    """Gate ids grouped by depth level, each group in declaration order
-    (level 0 holds the sources), and every gate's lowering at its
-    multiplicity, in level order."""
-    levels: list[list[int]] = [[] for _ in range(max(circuit.level.values()) + 1)]
-    for g in circuit.gates:
-        levels[circuit.level[g.gid]].append(g.gid)
-    lowerings = {}
-    for group in levels:
-        for gid in group:
-            g = circuit.by_id[gid]
-            lowerings[gid] = lower_gate(g.kind, gid, g.inputs, multiplicity[gid])
-    return levels, lowerings
-
-
-def _assemble(
-    backend: str,
-    name: str,
-    norm: Circuit,
-    alphabet: Alphabet,
-    rules: list[Rule],
-    levels: list[list[int]],
-    lowerings: Mapping[int, GateLowering],
-    multiplicity: Mapping[int, int],
-    copies: Mapping[int, int],
-    sweeps: bool = False,
-) -> StepProgram:
-    """Build and check the step program shared by every backend.
-
-    Step 0 adds the constant sources' species and converts every source
-    into ``copies`` input carriers of each polarity.  Each later level
-    adds its gates' sub-steps, then the step converting its outputs into
-    ``copies`` carriers.  With ``sweeps``, level k's gate sub-steps are
-    followed by the sweeper and killer steps of ``dx[k]`` and every
-    conversion step by those of ``dy[k]``.  Sources and inputs enter at
-    their ``multiplicity``.
-    """
-    steps: list[Step] = []
-
-    def sweep(axis: str, level: int) -> None:
-        if sweeps:
-            steps.extend(_step(alphabet, {s: 1}) for s in _deleters(axis, level))
-
-    for k, group in enumerate(levels):
-        if k:
-            for sub in range(max(len(lowerings[gid].additions) for gid in group)):
-                adds: dict[str, int] = {}
-                for gid in group:
-                    subs = lowerings[gid].additions
-                    if sub < len(subs):
-                        for species, c in subs[sub].items():
-                            adds[species] = adds.get(species, 0) + c
-                steps.append(_step(alphabet, adds))
-            sweep("x", k)
-        convert = _source_merges(norm, multiplicity) if k == 0 else {}
-        for gid in group:
-            convert[x_name(gid, True)] = copies[gid]
-            convert[x_name(gid, False)] = copies[gid]
-        steps.append(_step(alphabet, convert))
-        sweep("y", k)
-
-    index = alphabet.index
-    inputs = []
-    for gid in norm.input_ids:
-        m = multiplicity[gid]
-        inputs.append((gid, (index[y_name(gid, False)], m), (index[y_name(gid, True)], m)))
-    return StepProgram(
-        name=name,
-        backend=backend,
-        alphabet=alphabet,
-        rules=tuple(rules),
-        steps=tuple(steps),
-        inputs=tuple(inputs),
-        outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),
-    )
-
-
-def _base_report(
-    backend: str,
-    circuit: Circuit,
-    norm: Circuit,
-    normalized: CircuitStats,
-    info: NormalizationInfo,
-    program: StepProgram,
-    demand: Mapping[int, int],
-    predicted: dict[str, int],
-) -> CompilationReport:
-    return CompilationReport(
-        backend=backend,
-        circuit_name=circuit.name,
-        original=stats(circuit),
-        normalized=normalized,
-        buffers=info,
-        species_count=len(program.alphabet),
-        step_count=program.step_count,
-        static_volume=program.static_volume(),
-        max_input_multiplicity=max(
-            (demand[g.gid] for g in norm.sources()), default=0
-        ),
-        demand=dict(demand),
-        predicted=predicted,
-    )
-
-
-# -- (2,0) backends ----------------------------------------------------------
-
-
-def _compile_void(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationReport]:
-    t0 = time.perf_counter()
-    norm, info = normalize(circuit)
-    t1 = time.perf_counter()
-    demand = demand_analysis(norm)
-    levels, lowerings = _lower_levels(norm, demand)
-    alphabet = _species_for(norm, lowerings, deleters=False)
-
+def _void_rules(
+    alphabet: Alphabet, levels: list[list[int]], lowerings: Mapping[int, GateLowering]
+) -> list[Rule]:
+    """Per level, its gates' annihilations, then the annihilating
+    conversions of their outputs."""
     rules: list[Rule] = []
     for group in levels:
         for gid in group:
             rules += [_rule(alphabet, *pair) for pair in lowerings[gid].rules]
         for gid in group:
             rules += [_rule(alphabet, *pair) for pair in _conversion_pairs(gid, lowerings[gid])]
-
-    t2 = time.perf_counter()
-    program = _assemble(
-        backend, circuit.name, norm, alphabet, rules, levels, lowerings, demand, demand
-    )
-
-    st = stats(norm)
-    gate_count = max(st.gate_count, 1)
-    depth = max(st.depth, 1)
-    predicted = {
-        "species": SPECIES_C * gate_count,
-        "steps": STEPS_C * depth + STEPS_C0,
-    }
-    if backend == "formula":
-        predicted["static_volume"] = VOLUME_C * gate_count
-        predicted["peak_volume"] = VOLUME_C * gate_count
-    else:
-        fanout = max(max_fanout_any(norm), 1)
-        predicted["static_volume"] = VOLUME_C * gate_count * fanout**depth
-    report = _base_report(backend, circuit, norm, st, info, program, demand, predicted)
-    report.timings = _timings(t0, t1, t2)
-    return program, report
+    return rules
 
 
-def compile_formula(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
-    """Lower a formula (all non-source fan-out 1, single output)."""
-    if not circuit.is_formula:
-        raise LoweringError(
-            "formula backend needs fan-out 1 everywhere and a single output"
-        )
-    return _compile_void(circuit, "formula")
-
-
-def compile_circuit_exp(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
-    """Lower an arbitrary circuit; every gate's additions are scaled by
-    its copy demand, so input multiplicities grow with fan-out and
-    depth."""
-    return _compile_void(circuit, "exp")
-
-
-# -- catalyst backend ----------------------------------------------------------
-
-
-def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
-    """Lower a circuit with (2,0) gate rules plus (2,1) catalytic
-    conversion and sweeper rules; strict single-copy inputs."""
-    t0 = time.perf_counter()
-    norm, info = normalize(circuit, align_outputs=True)
-    t1 = time.perf_counter()
-    # Strict single-copy inputs: demand degenerates to fan-out copies of
-    # each gate's input carrier.
-    ones = {g.gid: 1 for g in norm.gates}
-    copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
-    levels, lowerings = _lower_levels(norm, ones)
-    alphabet = _species_for(norm, lowerings, deleters=True)
-    depth, level = len(levels) - 1, norm.level
-
+def _catalyst_rules(
+    alphabet: Alphabet, norm: Circuit, lowerings: Mapping[int, GateLowering]
+) -> list[Rule]:
+    """Every gate's annihilations in level order, then, each in
+    declaration order, the catalytic conversions, the x-sweeps and the
+    y-sweeps, each sweep followed by its killers."""
+    level = norm.level
+    depth = max(level.values())
     rules = [_rule(alphabet, *pair) for low in lowerings.values() for pair in low.rules]
 
     def catalytic(catalyst: str, consumed: str) -> None:
@@ -605,23 +419,153 @@ def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, Compilation
         for form, _ in pairs[g.gid]:
             catalytic(sweeper, form)
     rules += [_rule(alphabet, *_deleters("y", k)) for k in range(depth + 1)]
+    return rules
 
+
+def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationReport]:
+    """Normalize, lower and assemble ``circuit`` under ``backend``.
+
+    The backends differ in four ways only: the catalyst backend routes
+    every output to the deepest level, gives each gate multiplicity 1
+    and fan-out carrier copies where the (2,0) backends use its copy
+    demand for both, builds catalytic conversions and sweeps instead of
+    annihilating conversions, and adds the sweep steps.
+    """
+    catalyst = backend == "catalyst"
+    t0 = time.perf_counter()
+    norm, info = normalize(circuit, align_outputs=catalyst)
+    t1 = time.perf_counter()
+    if catalyst:
+        # Strict single-copy inputs: demand degenerates to fan-out copies
+        # of each gate's input carrier.
+        multiplicity = {g.gid: 1 for g in norm.gates}
+        copies = {g.gid: norm.fanout(g.gid) for g in norm.gates}
+    else:
+        multiplicity = copies = demand_analysis(norm)
+
+    # Gate ids by depth level, each group in declaration order (level 0
+    # holds the sources).  Gates are lowered in level order, the order
+    # in which _catalyst_rules emits their annihilations.
+    depth = max(norm.level.values())
+    levels: list[list[int]] = [[] for _ in range(depth + 1)]
+    for g in norm.gates:
+        levels[norm.level[g.gid]].append(g.gid)
+    lowerings: dict[int, GateLowering] = {}
+    for group in levels:
+        for gid in group:
+            g = norm.by_id[gid]
+            lowerings[gid] = lower_gate(g.kind, gid, g.inputs, multiplicity[gid])
+
+    # Every gate's species in declaration order, then the sweepers and
+    # killers.
+    names = [s for g in norm.gates for s in lowerings[g.gid].species]
+    if catalyst:
+        names += [s for k in range(1, depth + 1) for s in _deleters("x", k)]
+        names += [s for k in range(depth + 1) for s in _deleters("y", k)]
+    alphabet = Alphabet(names)
+    index = alphabet.index
+    if catalyst:
+        rules = _catalyst_rules(alphabet, norm, lowerings)
+    else:
+        rules = _void_rules(alphabet, levels, lowerings)
     t2 = time.perf_counter()
-    program = _assemble(
-        "catalyst", circuit.name, norm, alphabet, rules, levels, lowerings, ones, copies,
-        sweeps=True,
+
+    def step(adds: Mapping[str, int]) -> Step:
+        return tuple(sorted((index[name], c) for name, c in adds.items()))
+
+    steps: list[Step] = []
+    for k, group in enumerate(levels):
+        if k:
+            for sub in range(max(len(lowerings[gid].additions) for gid in group)):
+                adds: dict[str, int] = {}
+                for gid in group:
+                    subs = lowerings[gid].additions
+                    if sub < len(subs):
+                        for species, c in subs[sub].items():
+                            adds[species] = adds.get(species, 0) + c
+                steps.append(step(adds))
+            if catalyst:
+                steps += [((index[s], 1),) for s in _deleters("x", k)]
+        convert = {}
+        for gid in group:
+            convert[x_name(gid, True)] = convert[x_name(gid, False)] = copies[gid]
+        if k == 0:  # the constant sources' own species
+            for g in norm.sources():
+                if g.kind is not GateKind.INPUT:
+                    convert[y_name(g.gid, g.kind is GateKind.CONST_ONE)] = multiplicity[g.gid]
+        steps.append(step(convert))
+        if catalyst:
+            steps += [((index[s], 1),) for s in _deleters("y", k)]
+
+    inputs = []
+    for gid in norm.input_ids:
+        m = multiplicity[gid]
+        inputs.append((gid, (index[y_name(gid, False)], m), (index[y_name(gid, True)], m)))
+    program = StepProgram(
+        name=circuit.name,
+        backend=backend,
+        alphabet=alphabet,
+        rules=tuple(rules),
+        steps=tuple(steps),
+        inputs=tuple(inputs),
+        outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),
     )
 
     st = stats(norm)
-    predicted = {
-        # 4 species per source (y[i]T/F, x[i]T/F), 4·D + 2 deleters.
-        "species": SPECIES_C * max(st.gate_count, 1) + 4 * (len(norm.sources()) + st.depth) + 2,
-        "steps": CAT_STEPS_C * max(st.depth, 1) + CAT_STEPS_C0,
-        "peak_volume": RESIDENT_C * max(st.width, 1),
-    }
-    report = _base_report("catalyst", circuit, norm, st, info, program, ones, predicted)
-    report.timings = _timings(t0, t1, t2)
-    return program, report
+    gates, d = max(st.gate_count, 1), max(depth, 1)
+    if catalyst:
+        predicted = {
+            # 4 species per source (y[i]T/F, x[i]T/F), 4·D + 2 deleters.
+            "species": SPECIES_C * gates + 4 * (len(norm.sources()) + depth) + 2,
+            "steps": CAT_STEPS_C * d + CAT_STEPS_C0,
+            "peak_volume": RESIDENT_C * max(st.width, 1),
+        }
+    else:
+        predicted = {"species": SPECIES_C * gates, "steps": STEPS_C * d + STEPS_C0}
+        if backend == "formula":
+            predicted["static_volume"] = predicted["peak_volume"] = VOLUME_C * gates
+        else:
+            predicted["static_volume"] = VOLUME_C * gates * max(max_fanout_any(norm), 1) ** d
+    return program, CompilationReport(
+        backend=backend,
+        circuit_name=circuit.name,
+        original=stats(circuit),
+        normalized=st,
+        buffers=info,
+        species_count=len(alphabet),
+        step_count=program.step_count,
+        static_volume=program.static_volume(),
+        max_input_multiplicity=max((multiplicity[g.gid] for g in norm.sources()), default=0),
+        demand=dict(multiplicity),
+        predicted=predicted,
+        timings={
+            "normalize_s": t1 - t0,
+            "lower_s": t2 - t1,
+            "assemble_s": time.perf_counter() - t2,
+        },
+    )
+
+
+def compile_formula(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
+    """Lower a formula (all non-source fan-out 1, single output)."""
+    if not circuit.is_formula:
+        raise LoweringError(
+            "formula backend needs fan-out 1 everywhere and a single output"
+        )
+    return _compile(circuit, "formula")
+
+
+def compile_circuit_exp(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
+    """Lower an arbitrary circuit; every gate's additions are scaled by
+    its copy demand, so input multiplicities grow with fan-out and
+    depth."""
+    return _compile(circuit, "exp")
+
+
+def compile_circuit_catalyst(circuit: Circuit) -> tuple[StepProgram, CompilationReport]:
+    """Lower a circuit with (2,0) gate rules plus (2,1) catalytic
+    conversion and sweeper rules; strict single-copy inputs."""
+    return _compile(circuit, "catalyst")
 
 
 BACKENDS = {

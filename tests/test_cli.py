@@ -279,6 +279,24 @@ def test_verify_random_inputs_are_counted_and_repeatable(fig_net, capsys):
     assert printed[1] == printed[0] and printed[2] == printed[0]
 
 
+def test_verify_random_inputs_are_distinct_and_capped_at_every_assignment(tmp_path, capsys):
+    net = tmp_path / "a.net"
+    net.write_text(AND_NET)
+    assert main(["verify", str(net), "--inputs", "random", "--seeds", "0:2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["assignments"] == 4
+    fig = VerifyJob(parse_circuit(FIG_NET), "formula", random_count=5, seeds=(0, 1))
+    drawn = cli._assignments(fig)
+    assert len(drawn) == len(set(drawn)) == 5
+    # 70 inputs: more assignments than a machine integer counts.
+    ids = " ".join(str(i) for i in range(1, 71))
+    wide = parse_circuit(
+        "circuit wide\n" + "".join(f"gate {i} INPUT\n" for i in range(1, 71))
+        + f"gate 71 AND {ids}\noutputs 71\n"
+    )
+    drawn = cli._assignments(VerifyJob(wide, "formula", random_count=3))
+    assert len(set(drawn)) == 3 and all(len(bits) == 70 for bits in drawn)
+
+
 def test_verify_all_inputs_over_the_cap_exits_2(tmp_path, capsys):
     ids = " ".join(str(i) for i in range(1, 14))
     net = tmp_path / "wide.net"
@@ -549,58 +567,76 @@ def test_main_reports_only_value_errors_as_input_errors(
 
 
 # Malformed input that the readers already refuse: each case exits 2
-# with one error line.
+# with exactly one error line.  ``verify`` reads the text as a circuit
+# file, ``run`` as a program file, and ``gen-corpus`` takes it as flags.
 _MALFORMED = [
     # netlist parser
-    ("duplicate-header", "net", "circuit a\ncircuit b\ngate 1 INPUT\noutputs 1\n",
+    ("duplicate-header", "verify", "circuit a\ncircuit b\ngate 1 INPUT\noutputs 1\n",
      "line 2: duplicate circuit header"),
-    ("unnamed-circuit", "net", "circuit\ngate 1 INPUT\noutputs 1\n",
+    ("unnamed-circuit", "verify", "circuit\ngate 1 INPUT\noutputs 1\n",
      "line 1: expected: circuit <name>"),
-    ("short-gate", "net", "circuit a\ngate 1\noutputs 1\n",
-     "line 2: expected: gate <id> <KIND>"),
-    ("empty-outputs", "net", "circuit a\ngate 1 INPUT\noutputs\n",
+    ("short-gate", "verify", "circuit a\ngate 1\noutputs 1\n",
+     "line 2: expected: gate <id> <KIND> [inputs...]"),
+    ("empty-outputs", "verify", "circuit a\ngate 1 INPUT\noutputs\n",
      "line 3: outputs line lists no gates"),
-    ("unknown-directive", "net", "circuit a\nfrob 1\ngate 1 INPUT\noutputs 1\n",
+    ("unknown-directive", "verify", "circuit a\nfrob 1\ngate 1 INPUT\noutputs 1\n",
      "line 2: unknown directive 'frob'"),
-    ("missing-header", "net", "gate 1 INPUT\noutputs 1\n", "missing circuit header"),
-    ("gate-id-x", "net", "circuit a\ngate x INPUT\noutputs 1\n",
+    ("missing-header", "verify", "gate 1 INPUT\noutputs 1\n", "missing circuit header"),
+    ("gate-id-x", "verify", "circuit a\ngate x INPUT\noutputs 1\n",
      "line 2: expected gate id, got 'x'"),
-    ("gate-id-0", "net", "circuit a\ngate 0 INPUT\noutputs 0\n",
+    ("gate-id-0", "verify", "circuit a\ngate 0 INPUT\noutputs 0\n",
      "line 2: gate ids are positive, got 0"),
+    # JSON circuits
+    ("json-gate-id-0", "verify", '{"gates": [{"id": 0, "kind": "INPUT"}], "outputs": [0]}',
+     "gate id must be positive, got 0"),
+    ("json-gate-id-negative", "verify", '{"gates": [{"id": -3, "kind": "INPUT"}], "outputs": [-3]}',
+     "gate id must be positive, got -3"),
+    ("json-no-outputs", "verify", '{"gates": [{"id": 1, "kind": "INPUT"}], "outputs": []}',
+     "circuit has no outputs"),
+    ("json-truncated", "verify", '{"gates": [',
+     "line 1: bad JSON: Expecting value: line 1 column 12 (char 11)"),
     # netlist validation
-    ("no-gates", "net", "circuit a\noutputs 1\n", "circuit has no gates"),
-    ("source-with-input", "net", "circuit a\ngate 1 INPUT 1\noutputs 1\n",
+    ("no-gates", "verify", "circuit a\noutputs 1\n", "circuit has no gates"),
+    ("source-with-input", "verify", "circuit a\ngate 1 INPUT 1\noutputs 1\n",
      "gate 1: INPUT takes no inputs"),
-    ("and-without-inputs", "net", "circuit a\ngate 1 INPUT\ngate 2 AND\noutputs 2\n",
+    ("and-without-inputs", "verify", "circuit a\ngate 1 INPUT\ngate 2 AND\noutputs 2\n",
      "gate 2: AND needs fan-in >= 1"),
-    ("unknown-output", "net", "circuit a\ngate 1 INPUT\noutputs 5\n", "unknown output gate 5"),
+    ("unknown-output", "verify", "circuit a\ngate 1 INPUT\noutputs 5\n",
+     "unknown output gate 5"),
     # program file
-    ("step-1-first", "prog", "alphabet: A B\nsteps:\nstep 1: A=1\n",
-     "line 3: step 1 out of order"),
-    ("outside-sections", "prog", "alphabet: A B\nA + B -> .\n",
-     "line 2: line outside any section"),
-    ("rule-before-alphabet", "prog", "rules:\nA + B -> .\nalphabet: A B\n",
-     "line 2: program file must declare its alphabet first"),
-    ("no-alphabet", "prog", "program p\nrules:\n", "program file has no alphabet"),
-    ("zero-count", "prog", "alphabet: A B\nsteps:\nstep 0: A=0\n",
-     "line 3: count 0 is not positive"),
-    ("rule-without-arrow", "prog", "alphabet: A B\nrules:\nA + B\n",
-     "line 3: bad rule (no ' -> ')"),
-    ("bad-term", "prog", "alphabet: A B\nrules:\n2 3 A -> .\n",
-     "line 3: bad rule term '2 3 A'"),
-    ("unknown-species", "prog", "alphabet: A B\nrules:\nA + C -> .\n",
-     "line 3: species 'C' not in alphabet"),
+    ("step-1-first", "run", "alphabet: A B\nsteps:\nstep 1: A=1\n",
+     "line 3: step 1 out of order: 'step 1: A=1'"),
+    ("outside-sections", "run", "alphabet: A B\nA + B -> .\n",
+     "line 2: line outside any section: 'A + B -> .'"),
+    ("rule-before-alphabet", "run", "rules:\nA + B -> .\nalphabet: A B\n",
+     "line 2: program file must declare its alphabet first: 'A + B -> .'"),
+    ("no-alphabet", "run", "program p\nrules:\n", "program file has no alphabet"),
+    ("duplicate-species", "run", "alphabet: A A\nrules:\n",
+     "line 1: duplicate species 'A': 'alphabet: A A'"),
+    ("zero-count", "run", "alphabet: A B\nsteps:\nstep 0: A=0\n",
+     "line 3: count 0 is not positive: 'step 0: A=0'"),
+    ("rule-without-arrow", "run", "alphabet: A B\nrules:\nA + B\n",
+     "line 3: bad rule (no ' -> '): 'A + B'"),
+    ("bad-term", "run", "alphabet: A B\nrules:\n2 3 A -> .\n",
+     "line 3: bad rule term '2 3 A': '2 3 A -> .'"),
+    ("unknown-species", "run", "alphabet: A B\nrules:\nA + C -> .\n",
+     "line 3: species 'C' not in alphabet: 'A + C -> .'"),
+    # corpus specification
+    ("maj-fraction-2", "gen-corpus", "--maj-fraction 2", "maj_fraction must be in [0, 1]"),
 ]
 
 
 @pytest.mark.parametrize(
-    "suffix, text, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+    "command, text, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
 )
-def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, suffix, text, message):
-    path = tmp_path / f"bad.{suffix}"
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad"
     path.write_text(text)
-    argv = ["verify", str(path)] if suffix == "net" else ["run", str(path), "1"]
+    argv = {
+        "verify": ["verify", str(path)],
+        "run": ["run", str(path), "1"],
+        "gen-corpus": ["gen-corpus", "--out", str(path) + ".d"] + text.split(),
+    }[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and captured.err == f"error: {message}\n"

@@ -172,6 +172,22 @@ def test_bad_counts_raise_the_same_messages(reactants, products, message):
         Rule(AB, reactants, products)
 
 
+@pytest.mark.parametrize(
+    "reactants, products, message",
+    [
+        (((0, 1), (5, 1)), (), "reactant ordinal 5 is outside the alphabet"),
+        (((-1, 1), (0, 1)), (), "reactant ordinal -1 is outside the alphabet"),
+        (((0, 1), (1, 1)), ((2, 1),), "product ordinal 2 is outside the alphabet"),
+        (((0, 1), (1, 1)), ((-2, 1),), "product ordinal -2 is outside the alphabet"),
+    ],
+)
+def test_rule_refuses_ordinals_outside_its_alphabet(reactants, products, message):
+    # Such a rule would index past the alphabet, or wrap round to its
+    # last species, when a run fires it or the program is printed.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Rule(Alphabet(["A", "B"]), reactants, products)
+
+
 @pytest.mark.parametrize("name", ["", "x\tT", "a\u00a0b", "y\u2003", " A", "B\n"])
 def test_alphabet_rejects_empty_and_whitespace_names(name):
     with pytest.raises(ValueError, match="bad species name"):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -219,15 +220,37 @@ def test_exp_fanout_two_copies():
     assert result.decoded == (0, 0)
 
 
+MAJ_CONST_FORMULA = """
+circuit majc
+gate 1 INPUT
+gate 2 INPUT
+gate 3 INPUT
+gate 4 CONST_ONE
+gate 5 MAJ 1 2 3
+gate 6 AND 5 4
+outputs 6
+"""
+
+
 def test_exp_equals_formula_on_formulas():
-    c = parse_circuit(FIG_FORMULA)
-    p1, _ = compile_formula(c)
-    p2, _ = compile_circuit_exp(c)
-    assert p1.steps == p2.steps
-    assert [r.text for r in p1.rules] == [r.text for r in p2.rules]
-    assert p1.alphabet == p2.alphabet
-    assert p1.inputs == p2.inputs
-    assert p1.outputs == p2.outputs
+    # On a formula every copy demand is 1, so the two (2,0) backends
+    # build one program and one report, apart from the backend's name
+    # and its predicted bounds.
+    for text in (FIG_FORMULA, MAJ_CONST_FORMULA):
+        c = parse_circuit(text)
+        p1, r1 = compile_formula(c)
+        p2, r2 = compile_circuit_exp(c)
+        assert p1.steps == p2.steps
+        assert [r.text for r in p1.rules] == [r.text for r in p2.rules]
+        assert p1.alphabet == p2.alphabet
+        assert p1.inputs == p2.inputs
+        assert p1.outputs == p2.outputs
+        t1, t2 = program_to_text(p1).splitlines(), program_to_text(p2).splitlines()
+        assert (t1[1], t2[1]) == ("backend: formula", "backend: exp")
+        assert t1[:1] + t1[2:] == t2[:1] + t2[2:]
+        j1, j2 = r1.to_json_obj(), r2.to_json_obj()
+        assert [k for k in j1 if j1[k] != j2[k]] == ["backend", "predicted"]
+        assert replace(r1, backend="exp", predicted=r2.predicted) == r2
 
 
 def test_exp_binary_chain_demand_grows():
