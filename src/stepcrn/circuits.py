@@ -197,23 +197,19 @@ def input_bits(input_ids: Sequence[int], bits) -> dict[int, int]:
     """Map an input assignment onto INPUT gate ids.
 
     ``bits`` is a string or sequence of bits aligned with ``input_ids``
-    (INPUT declaration order), or a mapping from input gate id to bit.
-    Raises :class:`CircuitError` on a wrong length, mismatched ids or a
-    bit other than 0/1.
+    (INPUT declaration order).  Raises :class:`CircuitError` on a
+    mapping (iterating ``{gate id: bit}`` would read its ids as bits), a
+    wrong length or a bit other than 0/1.
     """
     if isinstance(bits, Mapping):
-        if set(bits) != set(input_ids):
-            missing = sorted(set(input_ids) - set(bits))
-            extra = sorted(set(bits) - set(input_ids), key=str)
-            raise CircuitError(f"bad assignment (missing {missing}, extra {extra})")
-        items = bits.items()
-    else:
-        seq = list(bits)
-        if len(seq) != len(input_ids):
-            raise CircuitError(f"expected {len(input_ids)} input bits, got {len(seq)}")
-        items = zip(input_ids, seq)
+        raise CircuitError(
+            "an input assignment is a bit string or a sequence of bits, not a mapping"
+        )
+    seq = list(bits)
+    if len(seq) != len(input_ids):
+        raise CircuitError(f"expected {len(input_ids)} input bits, got {len(seq)}")
     try:
-        return {gid: _BIT[b] for gid, b in items}
+        return {gid: _BIT[b] for gid, b in zip(input_ids, seq)}
     except (KeyError, TypeError):
         raise CircuitError("input bits must be 0 or 1") from None
 
@@ -387,13 +383,3 @@ def to_netlist(circuit: Circuit) -> str:
     lines.append("outputs " + " ".join(str(o) for o in circuit.outputs))
     return "\n".join(lines) + "\n"
 
-
-def to_json_obj(circuit: Circuit) -> dict:
-    return {
-        "name": circuit.name,
-        "gates": [
-            {"id": g.gid, "kind": g.kind.value, "inputs": list(g.inputs)}
-            for g in circuit.gates
-        ],
-        "outputs": list(circuit.outputs),
-    }

@@ -276,7 +276,7 @@ def cmd_run(args) -> int:
                 {
                     "output": [str(b) for b in result.decoded],
                     "peak_volume": result.peak_volume,
-                    "steps": result.step_count,
+                    "steps": program.step_count,
                     "applications": result.applications,
                     "terminal": result.final.as_dict(),
                 },
@@ -290,7 +290,7 @@ def cmd_run(args) -> int:
         )
         print(f"output: {rendered}")
         print(f"peak_volume: {result.peak_volume}")
-        print(f"steps: {result.step_count}")
+        print(f"steps: {program.step_count}")
         for j, b in enumerate(result.decoded):
             if not isinstance(b, int):
                 print(f"decode error at output {j}: {b}", file=sys.stderr)

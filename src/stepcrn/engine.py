@@ -57,17 +57,12 @@ class StateCapExceeded(RuntimeError):
 
 DEFAULT_STATE_CAP = 20_000
 
-RANDOM_MAXIMAL = "random-maximal"
-
 
 @dataclass(frozen=True)
 class Schedule:
-    seed: int = 0
-    policy: str = RANDOM_MAXIMAL
+    """The seed of one randomized maximal schedule."""
 
-    def __post_init__(self):
-        if self.policy != RANDOM_MAXIMAL:
-            raise ValueError(f"unknown schedule policy {self.policy!r}")
+    seed: int = 0
 
 
 Step = tuple[tuple[int, int], ...]
@@ -182,9 +177,7 @@ class StepProgram:
 @dataclass(frozen=True)
 class RunResult:
     final: Configuration
-    per_step_terminal: tuple[Configuration, ...]  # empty unless requested
     peak_volume: int
-    step_count: int
     applications: int
     decoded: tuple[object, ...]
     trace: tuple[str, ...] | None = None
@@ -261,7 +254,6 @@ class _PreparedRules:
         inputs: Step,
         rng: random.Random,
         trace: list[str] | None = None,
-        per_step: list[tuple[int, ...]] | None = None,
     ) -> tuple[list[int], int, int]:
         """Run every step from the empty configuration, ``inputs`` merged
         into step 0: add the step's species, then fire uniformly-drawn
@@ -282,9 +274,8 @@ class _PreparedRules:
         and every per-seed trace is unchanged.  ``tests/data/traces.json``
         pins those traces.
 
-        Appends a line per firing to ``trace`` and each step's terminal
-        counts to ``per_step`` when given.  Returns (final counts, peak
-        volume, applications).
+        Appends a line per firing to ``trace`` when given.  Returns
+        (final counts, peak volume, applications).
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
         rules, ready_by_step = self.rules, self.ready_by_step
@@ -327,8 +318,6 @@ class _PreparedRules:
                 apps += 1
                 if trace is not None:
                     trace.append(f"step={k} rule={rules[q].text} volume={volume}")
-            if per_step is not None:
-                per_step.append(tuple(counts))
         return counts, peak, apps
 
 
@@ -349,27 +338,21 @@ def run_program(
     sched: Schedule = Schedule(),
     *,
     trace: bool = False,
-    per_step_terminal: bool = False,
 ) -> RunResult:
     """Execute every step of the program and decode the final terminal.
 
-    With ``per_step_terminal`` the result also keeps the terminal
-    configuration reached at every step; by default it keeps none.
+    The terminal after step k is the final terminal of the same program
+    cut after step k, under the same schedule.
     """
     inputs = program.input_step(bits)
-    prep = _prepared(program)
-    alphabet = program.alphabet
     trace_lines: list[str] | None = [] if trace else None
-    per_step: list[tuple[int, ...]] | None = [] if per_step_terminal else None
-    counts, peak, apps = prep.run(
-        program.steps, inputs, random.Random(sched.seed), trace_lines, per_step
+    counts, peak, apps = _prepared(program).run(
+        program.steps, inputs, random.Random(sched.seed), trace_lines
     )
-    final = Configuration(alphabet, tuple(counts))
+    final = Configuration(program.alphabet, tuple(counts))
     return RunResult(
         final=final,
-        per_step_terminal=tuple(Configuration(alphabet, c) for c in per_step or ()),
         peak_volume=peak,
-        step_count=len(program.steps),
         applications=apps,
         decoded=tuple(decode_output(final, program)),
         trace=tuple(trace_lines) if trace_lines is not None else None,
@@ -637,7 +620,9 @@ def program_from_text(text: str) -> StepProgram:
                     for item in rest.split(","):
                         sp, _, cnt = item.strip().partition("=")
                         o = species(sp)
-                        acc[o] = acc.get(o, 0) + count(cnt)
+                        if o in acc:
+                            raise ValueError(f"species {sp!r} listed twice in one step")
+                        acc[o] = count(cnt)
                 steps.append(tuple(sorted(acc.items())))
             elif section == "inputs":
                 parts = line.split()

@@ -14,13 +14,18 @@ rule of size (2, 0) is a true-void pair, one of size (2, 1) catalytic.
 ``Random`` it drew from; ``replay_draws`` replays that trace by name and
 advances a fresh ``Random(seed)`` by one ``randrange(n)`` per firing, n
 the number of rules applicable before it, so the two states can be
-compared.
+compared.  The replay fails when the run leaves a step with a rule
+still applicable, so it also checks that every step ends terminal.
+
+``terminal_after`` is a run's terminal after step k, read as the final
+terminal of the same program cut after step k.
 
 ``reference_demand_growth`` is the lower-bound check without the suffix
 read-out: it compiles every chain of the worst-case family in full.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
@@ -147,12 +152,20 @@ def replay_draws(
         config = Configuration(program.alphabet, tuple(counts))
         while n := sum(applicable(config, r) for r in program.rules):
             rng.randrange(n)
-            line = next(lines)
+            line = next(lines, "")
             head = f"step={k} rule="
-            assert line.startswith(head), (line, k)
+            assert line.startswith(head), f"step {k} ends with a rule applicable: {line!r}"
             config = apply_rule(config, by_text[line[len(head):line.rindex(" volume=")]])
     assert next(lines, None) is None, "the trace fires past a terminal"
     return config, rng
+
+
+def terminal_after(program: StepProgram, bits, seed: int, k: int) -> Configuration:
+    """The terminal a ``Schedule(seed)`` run reaches after step ``k``:
+    the final terminal of the program cut after step ``k``, since a
+    run's draws up to then do not depend on later steps."""
+    prefix = dataclasses.replace(program, steps=program.steps[: k + 1])
+    return run_program(prefix, bits, Schedule(seed)).final
 
 
 def reference_demand_growth(max_depth: int, spec: StageSpec = StageSpec()) -> list[GrowthRow]:

@@ -43,7 +43,7 @@ from stepcrn.lowering import (
     compile_backend,
 )
 
-from reference import rule_size
+from reference import rule_size, terminal_after
 
 SEEDS_25 = tuple(range(25))
 SEEDS_SUITE5 = (0, 1, 2)
@@ -231,10 +231,9 @@ def test_criterion_01_and_gate_worked_example():
     t0 = time.perf_counter()
     circuit = parse_circuit(AND3_NET)
     program, _ = compile_formula(circuit)
-    result = run_program(program, "110", Schedule(0), per_step_terminal=True)
     # gate step leaves exactly the one false-output carrier and nothing else
-    assert result.per_step_terminal[1].as_dict() == {"y[3->4]F": 1}
-    assert result.decoded == (0,)
+    assert terminal_after(program, "110", 0, 1).as_dict() == {"y[3->4]F": 1}
+    assert run_program(program, "110", Schedule(0)).decoded == (0,)
     terminals = enumerate_program_terminals(program, "110")
     assert {tuple(decode_output(t, program)) for t in terminals} == {(0,)}
     elapsed = time.perf_counter() - t0
@@ -247,9 +246,8 @@ def test_criterion_02_fanout_two_copies():
     circuit = parse_circuit(FANOUT2_NET)
     program, report = compile_circuit_exp(circuit)
     assert report.max_input_multiplicity == 2
-    result = run_program(program, "10", Schedule(0), per_step_terminal=True)
-    assert result.per_step_terminal[1].as_dict() == {"y[2->1]F": 2}
-    assert result.decoded == (0, 0)
+    assert terminal_after(program, "10", 0, 1).as_dict() == {"y[2->1]F": 2}
+    assert run_program(program, "10", Schedule(0)).decoded == (0, 0)
     terminals = enumerate_program_terminals(program, "10")
     assert {tuple(decode_output(t, program)) for t in terminals} == {(0, 0)}
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,6 @@ from stepcrn import (
     stats,
     to_netlist,
 )
-from stepcrn.circuits import to_json_obj
 
 FIG_FORMULA = """
 circuit fig
@@ -50,7 +49,19 @@ def test_parse_fig_formula():
 
 
 def test_parse_json_form():
-    obj = to_json_obj(parse_circuit(FIG_FORMULA))
+    obj = {
+        "name": "fig",
+        "gates": [
+            {"id": 1, "kind": "INPUT"},
+            {"id": 2, "kind": "INPUT"},
+            {"id": 3, "kind": "INPUT"},
+            {"id": 4, "kind": "INPUT"},
+            {"id": 5, "kind": "AND", "inputs": [1, 2]},
+            {"id": 6, "kind": "AND", "inputs": [3, 4]},
+            {"id": 7, "kind": "OR", "inputs": [5, 6]},
+        ],
+        "outputs": [7],
+    }
     c = parse_circuit(json.dumps(obj))
     assert c.is_formula and stats(c).depth == 2
 
@@ -147,7 +158,11 @@ def test_assignment_errors():
     with pytest.raises(CircuitError):
         evaluate(c, "1")
     with pytest.raises(CircuitError):
-        evaluate(c, {1: 1, 2: 0, 9: 1})
+        evaluate(c, [1, 0, 1])
+    # A mapping is refused, not iterated: list({1: 0}) is [1].
+    one = parse_circuit("circuit n\ngate 1 INPUT\ngate 2 NOT 1\noutputs 2\n")
+    with pytest.raises(CircuitError, match="mapping"):
+        evaluate(one, {1: 0})
 
 
 # -- statistics ---------------------------------------------------------------

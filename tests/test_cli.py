@@ -615,6 +615,8 @@ _MALFORMED = [
      "line 1: duplicate species 'A': 'alphabet: A A'"),
     ("zero-count", "run", "alphabet: A B\nsteps:\nstep 0: A=0\n",
      "line 3: count 0 is not positive: 'step 0: A=0'"),
+    ("step-repeats-species", "run", "alphabet: A B\nsteps:\nstep 0: A=1, A=2, B=1\n",
+     "line 3: species 'A' listed twice in one step: 'step 0: A=1, A=2, B=1'"),
     ("rule-without-arrow", "run", "alphabet: A B\nrules:\nA + B\n",
      "line 3: bad rule (no ' -> '): 'A + B'"),
     ("bad-term", "run", "alphabet: A B\nrules:\n2 3 A -> .\n",

@@ -25,7 +25,7 @@ from stepcrn.lowering import (
     compile_formula,
 )
 
-from reference import is_terminal, one_step, replay_draws, run_recording_rng
+from reference import one_step, replay_draws, run_recording_rng, terminal_after
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -180,7 +180,7 @@ def test_decode_refuses_a_configuration_over_another_alphabet():
 
 def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
     # Step 1 adds C, which only C + E reads, and E arrives at step 2:
-    # step 1 readies no rule, fires none, and still has its entry.
+    # step 1 readies no rule, fires none, and still ends terminal.
     prog = program_from_text(
         "alphabet: A B C D E\nrules:\nA + B -> .\nC + E -> .\nD + E -> .\n"
         "steps:\nstep 0: A=2, B=1\nstep 1: C=2\nstep 2: D=1, E=2\n"
@@ -188,11 +188,9 @@ def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
     )
     assert engine._prepared(prog).ready_by_step == ((0,), (), (1, 2))
     for seed in range(3):
-        result = run_program(prog, (), Schedule(seed), per_step_terminal=True)
-        per_step = [t.as_dict() for t in result.per_step_terminal]
-        assert len(per_step) == prog.step_count
-        assert per_step[:2] == [{"A": 1}, {"A": 1, "C": 2}]
-        assert result.final.volume == 2
+        per_step = [terminal_after(prog, (), seed, k).as_dict() for k in (0, 1)]
+        assert per_step == [{"A": 1}, {"A": 1, "C": 2}]
+        assert run_program(prog, (), Schedule(seed)).final.volume == 2
 
 
 def _io_program(inputs, outputs=()):
@@ -244,7 +242,7 @@ def test_input_step_merges_shared_species():
         outputs=((1, 0),),
     )
     assert prog.input_step("11") == ((0, 3),)
-    assert prog.input_step({1: 0, 2: 0}) == ((1, 1), (2, 3))
+    assert prog.input_step("00") == ((1, 1), (2, 3))
     assert prog.added_at == (0, 0, 0)
     assert run_program(prog, "01", Schedule(0)).final.as_dict() == {"A": 1, "C": 1}
     terminals = enumerate_program_terminals(prog, "01")
@@ -289,7 +287,7 @@ def test_run_program_input_validation():
     with pytest.raises(ValueError):
         run_program(prog, "10", Schedule(0))
     with pytest.raises(ValueError):
-        run_program(prog, {1: 1, 9: 0}, Schedule(0))
+        run_program(prog, [9], Schedule(0))
 
 
 def test_per_step_terminals_are_terminal():
@@ -297,12 +295,9 @@ def test_per_step_terminals_are_terminal():
         "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\noutputs 3\n"
     )
     prog, _ = compile_formula(c)
-    assert run_program(prog, "10", Schedule(3)).per_step_terminal == ()
-    result = run_program(prog, "10", Schedule(3), per_step_terminal=True)
-    assert len(result.per_step_terminal) == prog.step_count
-    for term in result.per_step_terminal:
-        assert is_terminal(term, prog.rules)
-    assert result.final == result.per_step_terminal[-1]
+    result = run_program(prog, "10", Schedule(3), trace=True)
+    final, _ = replay_draws(prog, "10", 3, result.trace)  # fails on a non-terminal step
+    assert final == result.final
     assert result.peak_volume >= result.final.volume
 
 

@@ -18,7 +18,7 @@ from reference import reference_demand_growth
 
 
 def _eval3(circuit, row):
-    return tuple(evaluate(circuit, {g: b for g, b in zip(circuit.input_ids, row)}))
+    return tuple(evaluate(circuit, row))
 
 
 def iterate_stage(spec, row, times):

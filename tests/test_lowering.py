@@ -25,7 +25,7 @@ from stepcrn import (
 from stepcrn.crn import is_void_family
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend, x_name
 
-from reference import one_step, rule_size
+from reference import one_step, rule_size, terminal_after
 
 FIG_FORMULA = """
 circuit fig
@@ -182,7 +182,7 @@ def test_formula_encode_input():
     assert _encode_input(prog, "10") == {"y[1]T": 1, "y[2]F": 1}
 
 
-@pytest.mark.parametrize("bits", ["21", "1", {1: 1}])
+@pytest.mark.parametrize("bits", ["21", "1", {1: 1}, {1: 0, 2: 1}])
 @pytest.mark.parametrize(
     "call",
     [
@@ -215,9 +215,8 @@ def test_exp_fanout_two_copies():
     prog, report = compile_circuit_exp(c)
     assert report.demand[1] == 2 and report.max_input_multiplicity == 2
     assert _encode_input(prog, "10") == {"y[3]T": 2, "y[2]F": 2}
-    result = run_program(prog, "10", Schedule(0), per_step_terminal=True)
-    assert result.per_step_terminal[1].as_dict() == {"y[2->1]F": 2}
-    assert result.decoded == (0, 0)
+    assert terminal_after(prog, "10", 0, 1).as_dict() == {"y[2->1]F": 2}
+    assert run_program(prog, "10", Schedule(0)).decoded == (0, 0)
 
 
 MAJ_CONST_FORMULA = """

@@ -198,9 +198,9 @@ def test_multi_step_runs_with_staggered_species(rule_list, steps, seed):
         inputs=(),
         outputs=(),
     )
-    result = run_program(program, (), Schedule(seed), per_step_terminal=True)
-    for term in result.per_step_terminal:
-        assert is_terminal(term, rule_list)
+    result = run_program(program, (), Schedule(seed), trace=True)
+    final, _ = replay_draws(program, (), seed, result.trace)  # fails on a non-terminal step
+    assert final == result.final
     terminals = enumerate_program_terminals(program, ())
     assert result.final in terminals
     assert terminals == reference_program_terminals(program, ())
@@ -240,10 +240,9 @@ def test_catalyst_per_step_terminals_are_terminal(net):
     for i in range(1 << n):
         bits = [(i >> k) & 1 for k in range(n)]
         for seed in range(3):
-            result = run_program(program, bits, Schedule(seed), per_step_terminal=True)
-            assert len(result.per_step_terminal) == program.step_count
-            for term in result.per_step_terminal:
-                assert is_terminal(term, program.rules), (bits, seed)
+            result = run_program(program, bits, Schedule(seed), trace=True)
+            final, _ = replay_draws(program, bits, seed, result.trace)
+            assert final == result.final, (bits, seed)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
