@@ -19,7 +19,6 @@ from .crn import (
     Alphabet,
     Configuration,
     Rule,
-    format_rule,
     parse_rule,
 )
 from .engine import (

@@ -21,9 +21,6 @@ Conventions fixed here and relied on everywhere else:
 * Input bits are assigned to INPUT gates in netlist declaration order.
 * A gate's fan-out counts its outgoing wires plus its occurrences in the
   output list (an output designation consumes one copy of the result).
-* MAJ with an even number of input wires gets one implicit constant-0
-  vote, so ties resolve to 0.  The compilers implement the same padding,
-  keeping evaluator and compiled programs aligned by construction.
 """
 from __future__ import annotations
 
@@ -86,6 +83,11 @@ class Circuit:
     # -- construction helpers -------------------------------------------------
 
     def _validate(self) -> None:
+        # The name is a netlist and program file token.
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise CircuitError(
+                f"circuit name must be one token without whitespace or '#', got {self.name!r}"
+            )
         if not self.gates:
             raise CircuitError("circuit has no gates")
         if not self.outputs:
@@ -238,10 +240,8 @@ def evaluate(circuit: Circuit, assignment) -> list[int]:
                 value[gid] = int(any(ins))
             elif g.kind is GateKind.NOT:
                 value[gid] = 1 - ins[0]
-            else:  # MAJ; even fan-in gets one implicit false vote
-                true_votes = sum(ins)
-                false_votes = len(ins) - true_votes + (1 if len(ins) % 2 == 0 else 0)
-                value[gid] = int(true_votes > false_votes)
+            else:  # MAJ: more than half of its wires true
+                value[gid] = int(2 * sum(ins) > len(ins))
     return [value[o] for o in circuit.outputs]
 
 

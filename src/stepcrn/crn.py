@@ -14,7 +14,7 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -63,19 +63,9 @@ class Configuration:
         if min(self.counts, default=0) < 0:
             raise ValueError("negative species count")
 
-    @classmethod
-    def from_dict(cls, alphabet: Alphabet, d: Mapping[str, int]) -> "Configuration":
-        counts = [0] * len(alphabet)
-        for name, c in d.items():
-            counts[alphabet.ordinal(name)] += c
-        return cls(alphabet, tuple(counts))
-
     @property
     def volume(self) -> int:
         return sum(self.counts)
-
-    def get(self, name: str) -> int:
-        return self.counts[self.alphabet.ordinal(name)]
 
     def as_dict(self) -> dict[str, int]:
         """Sparse view for display: only species with nonzero count."""
@@ -136,7 +126,10 @@ class Rule:
 
     @property
     def text(self) -> str:
-        return format_rule(self)
+        names = self.alphabet.names
+        lhs = " + ".join(names[o] for o, c in self.reactants for _ in range(c))
+        rhs = " + ".join(names[o] for o, c in self.products for _ in range(c))
+        return f"{lhs} -> {rhs or '.'}"
 
     def __str__(self) -> str:  # pragma: no cover
         return self.text
@@ -152,20 +145,6 @@ def is_void_family(rule: Rule) -> bool:
 
 
 # -- rule text -----------------------------------------------------------------
-
-
-def format_rule(rule: Rule) -> str:
-    names = rule.alphabet.names
-    lhs = " + ".join(
-        part for o, c in rule.reactants for part in [names[o]] * c
-    )
-    if rule.products:
-        rhs = " + ".join(
-            part for o, c in rule.products for part in [names[o]] * c
-        )
-    else:
-        rhs = "."
-    return f"{lhs} -> {rhs}"
 
 
 def parse_rule(text: str, alphabet: Alphabet) -> Rule:

@@ -98,7 +98,8 @@ class GateLowering:
     MAJ helpers, true forms, false forms, then the carriers
     ``x[i]T``/``x[i]F`` its consumers read.  ``forms`` splits the
     species that can carry the gate's result into (true forms, false
-    forms).  A source adds nothing at its level and has no rules.
+    forms).  A constant owns only its value's form.  A source adds
+    nothing at its level and has no rules.
     """
 
     species: tuple[str, ...]
@@ -241,19 +242,25 @@ def lower_gate(
         additions = ({true: m, false: m},)
         rules = [(x_name(j, True), true), (x_name(j, False), false)]
     elif kind is GateKind.MAJ:
-        n_raw = len(fan_in)
-        n = n_raw + (1 if n_raw % 2 == 0 else 0)
-        helpers = (
-            a_name(gate_id, True), a_name(gate_id, False),
-            b_name(gate_id, True), b_name(gate_id, False),
-        )
-        a_true, a_false, b_true, b_false = helpers
-        step2 = {b_true: (n // 2) * m, b_false: (n // 2) * m} if n // 2 else {}
-        additions = ({a_true: n_raw * m, a_false: n * m}, step2, {true: m, false: m})
+        # More than half of the n wires true: at least t of them.  Each
+        # wire deletes m copies of the vote against it, so k true wires
+        # leave k·m a[i]T and (n - k)·m a[i]F.  The tally deletes
+        # (t - 1)·m of the first and (n - t)·m of the second, so exactly
+        # one survives, to delete the other result form.
+        n = len(fan_in)
+        t = n // 2 + 1
+        a_true, a_false = a_name(gate_id, True), a_name(gate_id, False)
+        b_true, b_false = b_name(gate_id, True), b_name(gate_id, False)
+        tally = {b: c * m for b, c in ((b_true, n - t), (b_false, t - 1)) if c}
+        helpers = (a_true, a_false, *tally)
+        additions = ({a_true: n * m, a_false: n * m}, tally, {true: m, false: m})
         for j in distinct:
             rules.append((x_name(j, True), a_false))
             rules.append((x_name(j, False), a_true))
-        rules += [(a_true, b_false), (a_false, b_true), (a_true, false), (a_false, true)]
+        rules += [pair for pair in ((a_true, b_false), (a_false, b_true)) if pair[1] in tally]
+        rules += [(a_true, false), (a_false, true)]
+    elif kind is not GateKind.INPUT:  # a constant has only its value's form
+        forms = ((true,), ()) if kind is GateKind.CONST_ONE else ((), (false,))
     species = helpers + forms[0] + forms[1] + (x_name(gate_id, True), x_name(gate_id, False))
     return GateLowering(species, forms, additions, tuple(rules))
 
@@ -407,12 +414,14 @@ def _catalyst_rules(
             sweeper = _deleters("x", k + 1)[0]
             catalytic(sweeper, x_name(g.gid, True))
             catalytic(sweeper, x_name(g.gid, False))
-        # The helpers lead the gate's species in (T, F) pairs.  The true
-        # ones are swept first: rule order fixes each seed's draws.
+        # A MAJ's helpers lead its species.  The true ones are swept
+        # first: rule order fixes each seed's draws.
         low = lowerings[g.gid]
         helpers = low.species[: -2 - len(low.forms[0]) - len(low.forms[1])]
-        for helper in helpers[::2] + helpers[1::2]:
-            catalytic(_deleters("x", k)[0], helper)
+        if helpers:
+            sweeper = _deleters("x", k)[0]
+            for helper in sorted(helpers, key=lambda s: s.endswith("F")):
+                catalytic(sweeper, helper)
     rules += [_rule(alphabet, *_deleters("x", k)) for k in range(1, depth + 1)]
     for g in norm.gates:
         sweeper = _deleters("y", level[g.gid])[0]
@@ -489,10 +498,11 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
         convert = {}
         for gid in group:
             convert[x_name(gid, True)] = convert[x_name(gid, False)] = copies[gid]
-        if k == 0:  # the constant sources' own species
+        if k == 0:  # each constant's one form, as its lowering names it
             for g in norm.sources():
                 if g.kind is not GateKind.INPUT:
-                    convert[y_name(g.gid, g.kind is GateKind.CONST_ONE)] = multiplicity[g.gid]
+                    (form,) = sum(lowerings[g.gid].forms, ())
+                    convert[form] = multiplicity[g.gid]
         steps.append(step(convert))
         if catalyst:
             steps += [((index[s], 1),) for s in _deleters("y", k)]
@@ -515,7 +525,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
     gates, d = max(st.gate_count, 1), max(depth, 1)
     if catalyst:
         predicted = {
-            # 4 species per source (y[i]T/F, x[i]T/F), 4·D + 2 deleters.
+            # At most 4 species per source (y[i]T/F, x[i]T/F), 4·D + 2 deleters.
             "species": SPECIES_C * gates + 4 * (len(norm.sources()) + depth) + 2,
             "steps": CAT_STEPS_C * d + CAT_STEPS_C0,
             "peak_volume": RESIDENT_C * max(st.width, 1),

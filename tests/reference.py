@@ -7,6 +7,9 @@ step candidates, no ample sets.  The library itself fires rules only through
 ``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
 as a program so tests can drive both from one.
 
+``configuration`` builds a configuration from counts by name, and
+``count`` reads one species' count by name.
+
 ``rule_size`` is a rule's (reactant volume, product volume): a void
 rule of size (2, 0) is a true-void pair, one of size (2, 1) catalytic.
 
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from types import SimpleNamespace
 from unittest import mock
 
 from stepcrn import (
+    Alphabet,
     Configuration,
     Rule,
     RunResult,
@@ -44,6 +48,19 @@ from stepcrn import (
 from stepcrn import engine
 from stepcrn.engine import StepProgram
 from stepcrn.lowerbound import GrowthRow, StageSpec
+
+
+def configuration(alphabet: Alphabet, counts: Mapping[str, int]) -> Configuration:
+    """The configuration holding ``counts``, by species name."""
+    dense = [0] * len(alphabet)
+    for name, c in counts.items():
+        dense[alphabet.ordinal(name)] += c
+    return Configuration(alphabet, tuple(dense))
+
+
+def count(config: Configuration, name: str) -> int:
+    """The count of species ``name`` in ``config``."""
+    return config.counts[config.alphabet.ordinal(name)]
 
 
 def applicable(config: Configuration, rule: Rule) -> bool:

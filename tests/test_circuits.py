@@ -140,7 +140,7 @@ def test_maj_even_fan_in_ties_to_zero():
     c = parse_circuit(
         "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 4 MAJ 1 2\noutputs 4\n"
     )
-    # one implicit false vote: 1,1 -> true; 1,0 -> false
+    # more than half of the wires must be true, so a tie is false
     assert evaluate(c, "11") == [1]
     assert evaluate(c, "10") == [0]
     assert evaluate(c, "00") == [0]

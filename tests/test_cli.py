@@ -595,6 +595,13 @@ _MALFORMED = [
      "circuit has no outputs"),
     ("json-truncated", "verify", '{"gates": [',
      "line 1: bad JSON: Expecting value: line 1 column 12 (char 11)"),
+    ("json-empty-name", "verify", '{"name": "", "gates": [{"id": 1, "kind": "INPUT"}], "outputs": [1]}',
+     "circuit name must be one token without whitespace or '#', got ''"),
+    ("json-name-with-newline", "verify",
+     '{"name": "x\\ny", "gates": [{"id": 1, "kind": "INPUT"}], "outputs": [1]}',
+     "circuit name must be one token without whitespace or '#', got 'x\\ny'"),
+    ("json-name-with-hash", "verify", '{"name": "a#b", "gates": [{"id": 1, "kind": "INPUT"}], "outputs": [1]}',
+     "circuit name must be one token without whitespace or '#', got 'a#b'"),
     # netlist validation
     ("no-gates", "verify", "circuit a\noutputs 1\n", "circuit has no gates"),
     ("source-with-input", "verify", "circuit a\ngate 1 INPUT 1\noutputs 1\n",

@@ -22,7 +22,7 @@ from stepcrn import (
     program_to_text,
     stats,
 )
-from stepcrn.lowering import SPECIES_C, compile_backend
+from stepcrn.lowering import BACKENDS, SPECIES_C, compile_backend
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
 
@@ -99,8 +99,23 @@ def test_compiled_programs_and_reports_match_the_recorded_digests():
     assert not changed, f"compiled output changed for {changed}"
 
 
+# Constants of both values, and MAJ gates of fan-in 1, 2 and 4.
+CONST_NET = (
+    "circuit k\ngate 1 INPUT\ngate 2 CONST_ONE\ngate 3 CONST_ZERO\n"
+    "gate 4 MAJ 1 2\ngate 5 MAJ 3\ngate 6 MAJ 4 5 1 1\noutputs 6\n"
+)
+
+
+def test_every_compiled_species_is_added_at_some_step():
+    # No compile names a species whose count is 0: a step adds each one.
+    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
+    for key, circuit, backend in compiles:
+        program, _ = compile_backend(circuit, backend)
+        assert all(k < program.step_count for k in program.added_at), key
+
+
 def test_catalyst_species_stay_under_the_predicted_bound():
-    # 8·G + 4·S + 4·D + 2: eight species per gate, four per source
+    # 8·G + 4·S + 4·D + 2: eight species per gate, at most four per source
     # (y[i]T/F, x[i]T/F) and the 4·D + 2 deleters, over the normalized
     # circuit.  f0004 meets it exactly.
     for key, circuit, backend in _compiles():

@@ -6,13 +6,13 @@ from stepcrn import Alphabet, Configuration, Rule, parse_rule
 from stepcrn.crn import is_void_family
 from stepcrn.lowering import _rule
 
-from reference import applicable, apply_rule, is_terminal, rule_size
+from reference import applicable, apply_rule, configuration, count, is_terminal, rule_size
 
 AB = Alphabet(["A", "B", "C", "Y", "X", "H", "O", "W"])
 
 
 def cfg(**counts):
-    return Configuration.from_dict(AB, counts)
+    return configuration(AB, counts)
 
 
 @pytest.mark.parametrize(
@@ -105,7 +105,7 @@ def test_rule_text_forms():
 def test_configuration_views():
     c = cfg(A=2, X=1)
     assert c.volume == 3
-    assert c.get("A") == 2 and c.get("B") == 0
+    assert count(c, "A") == 2 and count(c, "B") == 0
     assert c.as_dict() == {"A": 2, "X": 1}
     with pytest.raises(ValueError):
         Configuration(AB, (-1,) * len(AB))

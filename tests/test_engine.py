@@ -5,7 +5,6 @@ import pytest
 
 from stepcrn import (
     Alphabet,
-    Configuration,
     Schedule,
     StateCapExceeded,
     decode_output,
@@ -25,7 +24,7 @@ from stepcrn.lowering import (
     compile_formula,
 )
 
-from reference import one_step, replay_draws, run_recording_rng, terminal_after
+from reference import configuration, one_step, replay_draws, run_recording_rng, terminal_after
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -34,7 +33,7 @@ FIG_NET = (
 
 
 def _cfg(ab, **counts):
-    return Configuration.from_dict(ab, counts)
+    return configuration(ab, counts)
 
 
 def test_run_step_trivial_annihilation():

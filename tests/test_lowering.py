@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 
@@ -6,7 +7,6 @@ import pytest
 from stepcrn import (
     Alphabet,
     CircuitError,
-    Configuration,
     GateKind,
     Schedule,
     compile_circuit_catalyst,
@@ -25,7 +25,7 @@ from stepcrn import (
 from stepcrn.crn import is_void_family
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend, x_name
 
-from reference import one_step, rule_size, terminal_after
+from reference import configuration, count, one_step, rule_size, terminal_after
 
 FIG_FORMULA = """
 circuit fig
@@ -107,20 +107,45 @@ def test_lower_maj_three_steps():
     )
 
 
-def test_lower_maj_even_fan_in_pads_false():
-    low = lower_gate(GateKind.MAJ, 9, (1, 2, 3, 4))
-    assert low.additions[0] == {"a[9]T": 4, "a[9]F": 5}
-    assert low.additions[1] == {"b[9]T": 2, "b[9]F": 2}
+@pytest.mark.parametrize(
+    "n, tally",
+    [
+        (1, {}),
+        (2, {"b[9]F": 2}),
+        (3, {"b[9]T": 2, "b[9]F": 2}),
+        (4, {"b[9]T": 2, "b[9]F": 4}),
+    ],
+    ids=[f"fan-in-{n}" for n in range(1, 5)],
+)
+def test_lower_maj_tallies_only_its_real_wires(n, tally):
+    # t = n // 2 + 1 of n wires: b[9]F gets (t - 1)·m copies and b[9]T
+    # (n - t)·m, here at m = 2; a tally species with no copies is not
+    # named, and neither is its rule.
+    wires = tuple(range(1, n + 1))
+    low = lower_gate(GateKind.MAJ, 9, wires, multiplicity=2)
+    assert low.additions == ({"a[9]T": 2 * n, "a[9]F": 2 * n}, tally, {"y[9]T": 2, "y[9]F": 2})
+    votes = [(f"x[{j}]{bit}", f"a[9]{'F' if bit == 'T' else 'T'}") for j in wires for bit in "TF"]
+    tallies = [pair for pair in (("a[9]T", "b[9]F"), ("a[9]F", "b[9]T")) if pair[1] in tally]
+    assert low.rules == tuple(votes + tallies + [("a[9]T", "y[9]F"), ("a[9]F", "y[9]T")])
+    assert low.species == ("a[9]T", "a[9]F", *sorted(tally, reverse=True),
+                           "y[9]T", "y[9]F", "x[9]T", "x[9]F")
 
 
 @pytest.mark.parametrize(
-    "kind", [GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE], ids=lambda k: k.value
+    "kind, forms",
+    [
+        (GateKind.INPUT, (("y[1]T",), ("y[1]F",))),
+        (GateKind.CONST_ZERO, ((), ("y[1]F",))),
+        (GateKind.CONST_ONE, (("y[1]T",), ())),
+    ],
+    ids=["INPUT", "CONST_ZERO", "CONST_ONE"],
 )
-def test_lower_gate_on_a_source_adds_nothing(kind):
+def test_lower_gate_on_a_source_adds_nothing(kind, forms):
+    # A constant owns only its value's form, which step 0 adds.
     low = lower_gate(kind, 1, ())
     assert low.additions == () and low.rules == ()
-    assert low.forms == (("y[1]T",), ("y[1]F",))
-    assert low.species == ("y[1]T", "y[1]F", "x[1]T", "x[1]F")
+    assert low.forms == forms
+    assert low.species == forms[0] + forms[1] + ("x[1]T", "x[1]F")
 
 
 # -- formula backend -------------------------------------------------------------
@@ -375,6 +400,37 @@ def test_completion_order_strictly_increases_along_paths():
                 assert all(added_at[s] > carriers for s in added), (g, ref)
 
 
+# -- the majority lemma -------------------------------------------------------------
+
+
+# MAJ wire lists of fan-in 1 to 6: distinct inputs, then each input read
+# twice (the odd one out once).
+_MAJ_WIRES = [tuple(range(1, n + 1)) for n in range(1, 7)] + [
+    tuple(1 + i // 2 for i in range(n)) for n in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("compiler", [compile_circuit_exp, compile_circuit_catalyst],
+                         ids=["exp", "catalyst"])
+def test_maj_decodes_more_than_half_of_its_wires_on_every_assignment(compiler):
+    # A lone MAJ at every fan-in, duplicate wires included: every
+    # terminal of every assignment decodes to whether more than half of
+    # the wires are true, a tie being false, and so does evaluate.
+    for wires in _MAJ_WIRES:
+        inputs = sorted(set(wires))
+        c = parse_circuit(
+            "circuit maj\n" + "".join(f"gate {j} INPUT\n" for j in inputs)
+            + f"gate 9 MAJ {' '.join(map(str, wires))}\noutputs 9\n"
+        )
+        prog, _ = compiler(c)
+        for bits in itertools.product((0, 1), repeat=len(inputs)):
+            true_wires = sum(bits[inputs.index(j)] for j in wires)
+            want = (int(2 * true_wires > len(wires)),)
+            assert tuple(evaluate(c, bits)) == want
+            decoded = {tuple(decode_output(t, prog)) for t in enumerate_program_terminals(prog, bits)}
+            assert decoded == {want}, (wires, bits)
+
+
 # -- majority-input isolation -----------------------------------------------------
 
 
@@ -410,7 +466,7 @@ def test_vote_pools_can_skew_without_isolation():
             "x[3]F + a[6]T -> .",
         )
     ]
-    entry = Configuration.from_dict(
+    entry = configuration(
         ab,
         {
             "x[1]T": 1, "x[2]T": 1, "x[3]F": 2, "x[4]F": 1,
@@ -419,7 +475,7 @@ def test_vote_pools_can_skew_without_isolation():
         },
     )
     pools = {
-        (t.get("a[6]T"), t.get("a[6]F"))
+        (count(t, "a[6]T"), count(t, "a[6]F"))
         for t in enumerate_program_terminals(one_step(entry, rules), ())
     }
     assert (2, 1) in pools  # the intended 2:1 tally

@@ -30,6 +30,7 @@ from stepcrn.lowering import compile_backend
 from reference import (
     applicable,
     apply_rule,
+    configuration,
     is_terminal,
     one_step,
     reference_program_terminals,
@@ -44,7 +45,7 @@ AB = Alphabet([f"s{i}" for i in range(6)])
 sparse_counts = st.dictionaries(
     st.sampled_from(AB.names), st.integers(min_value=1, max_value=4), max_size=4
 )
-configs = sparse_counts.map(lambda d: Configuration.from_dict(AB, d))
+configs = sparse_counts.map(lambda d: configuration(AB, d))
 rules = st.tuples(
     sparse_counts.filter(lambda d: d),
     sparse_counts,
@@ -256,7 +257,7 @@ def test_void_runs_halt_within_entry_volume(seed):
             pool.append(parse_rule(f"{a} + {b} -> .", ab))
     chosen = rng.sample(pool, k=rng.randint(1, 6))
     counts = {n: rng.randint(0, 5) for n in names}
-    start = Configuration.from_dict(ab, counts)
+    start = configuration(ab, counts)
     out = run_program(one_step(start, chosen), (), Schedule(seed)).final
     # each application removes two copies, so the run halted within volume/2 steps
     assert out.volume <= start.volume

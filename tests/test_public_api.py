@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "StepProgram", "build_stage_chain", "check_demand_growth",
     "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
     "compile_formula", "decode_output", "demand_analysis",
-    "enumerate_program_terminals", "evaluate", "fibonacci", "format_rule",
+    "enumerate_program_terminals", "evaluate", "fibonacci",
     "generate_circuits", "lower_gate", "min_copy_bounds", "normalize", "parse_circuit",
     "parse_rule", "program_from_text", "program_to_text", "run_program", "stats",
     "to_netlist",
