@@ -19,6 +19,7 @@ from .crn import (
     Alphabet,
     Configuration,
     Rule,
+    RuleTable,
     parse_rule,
 )
 from .engine import (

@@ -1,8 +1,12 @@
 """Species alphabets, multiset configurations, and annihilation rules.
 
-Configurations are dense count vectors over a frozen, ordered alphabet;
-rules are sparse (ordinal, count) pairs for reactants and products.  All
-counts are plain Python ints, so the exponential-volume compiler can
+Configurations are dense count vectors over a frozen, ordered alphabet.
+A program keeps its rules in one flat :class:`RuleTable`, which lists
+each rule's reactant ordinals, the copies of each it needs, and the
+copies of each it removes.  A :class:`Rule` holds one rule as sparse
+(ordinal, count) pairs for reactants and products; it exists only where
+rules meet text or a caller: :func:`parse_rule`, and indexing a table.
+All counts are plain Python ints, so the exponential-volume compiler can
 exceed 64-bit ranges without ceremony.
 
 A species is any whitespace-free token; the compilers' naming grammar
@@ -14,8 +18,11 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count
+from operator import ge, le, lt
 
 
 class Alphabet:
@@ -82,12 +89,10 @@ class Configuration:
 class Rule:
     """A reaction: sparse reactant and product count vectors.
 
-    ``reactants``/``products`` are sorted (ordinal, count) pairs with
-    positive counts.  The net change (products - reactants) is cached
-    for the engine.  Construction is lean, because compiles build tens
-    of thousands of rules: slots instead of a per-instance ``__dict__``,
-    and a rule without products takes its ``delta`` straight from sorted,
-    distinct reactants.
+    ``reactants``/``products`` are (ordinal, count) pairs with positive
+    counts; :func:`parse_rule` and :class:`RuleTable` give them sorted
+    and distinct.  ``delta`` is the net change (products - reactants),
+    sorted by ordinal, without zero entries.
     """
 
     alphabet: Alphabet
@@ -96,32 +101,25 @@ class Rule:
     delta: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        reactants, products = self.reactants, self.products
-        if not reactants:
+        if not self.reactants:
             raise ValueError("rule needs at least one reactant with positive count")
-        ordered, prev, size = True, -1, len(self.alphabet.names)
-        for o, c in reactants:
+        size = len(self.alphabet.names)
+        for o, c in self.reactants:
             if c <= 0:
                 raise ValueError("rule needs at least one reactant with positive count")
             if not 0 <= o < size:
                 raise ValueError(f"reactant ordinal {o} is outside the alphabet")
-            if o <= prev:
-                ordered = False
-            prev = o
-        for o, c in products:
+        for o, c in self.products:
             if c <= 0:
                 raise ValueError("product counts must be positive")
             if not 0 <= o < size:
                 raise ValueError(f"product ordinal {o} is outside the alphabet")
-        if ordered and not products:
-            delta = tuple([(o, -c) for o, c in reactants])
-        else:
-            net: dict[int, int] = {}
-            for o, c in reactants:
-                net[o] = net.get(o, 0) - c
-            for o, c in products:
-                net[o] = net.get(o, 0) + c
-            delta = tuple(sorted([(o, d) for o, d in net.items() if d]))
+        net: dict[int, int] = {}
+        for o, c in self.reactants:
+            net[o] = net.get(o, 0) - c
+        for o, c in self.products:
+            net[o] = net.get(o, 0) + c
+        delta = tuple(sorted([(o, d) for o, d in net.items() if d]))
         object.__setattr__(self, "delta", delta)
 
     @property
@@ -133,6 +131,123 @@ class Rule:
 
     def __str__(self) -> str:  # pragma: no cover
         return self.text
+
+
+def _not_void(text: str) -> ValueError:
+    return ValueError(f"rule {text!r} is not void: it must lower some count and raise none")
+
+
+class RuleTable(Sequence):
+    """A rule set as one flat, immutable table, in CSR form.
+
+    Rule ``q`` owns the entries ``start[q]`` up to ``start[q + 1]`` of
+    three columns: ``species`` holds its reactant ordinals, sorted and
+    distinct; ``need`` the copies of each it needs, all >= 1; and
+    ``loss`` the copies of each it removes, its need minus the copies it
+    puts back.  A product is always one of the reactants, so
+    ``A + B -> .`` is ``(A, 1, 1), (B, 1, 1)``, and the catalytic
+    ``Y + X -> Y`` is ``(X, 1, 1), (Y, 1, 0)`` when X has the lower
+    ordinal.
+
+    Every rule must be void-family: it lowers some count and raises
+    none, so each loss is between 0 and the need and one is positive.
+    Construction checks this, the ordinal range, the order and the
+    needs once, with the messages :class:`Rule` and :func:`parse_rule`
+    give.  Compilers fill the columns straight from ordinals; a
+    :class:`Rule` is built only when the table is indexed or iterated,
+    for rule text and for callers, and ``len`` costs O(1).
+    """
+
+    __slots__ = ("alphabet", "start", "species", "need", "loss")
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        start: Iterable[int],
+        species: Iterable[int],
+        need: Iterable[int],
+        loss: Iterable[int],
+    ):
+        self.alphabet = alphabet
+        self.start, self.species = start, species = tuple(start), tuple(species)
+        self.need, self.loss = need, loss = tuple(need), tuple(loss)
+        size, bound = len(species), len(alphabet.names)
+        if not start or start[0] != 0 or start[-1] != size or len(need) != size or len(loss) != size:
+            raise ValueError("rule table offsets and columns do not match")
+        # The checks run over whole columns; a failed one then finds the
+        # rule its message names.
+        if not all(map(lt, start, start[1:])) or min(need, default=1) < 1:
+            raise ValueError("rule needs at least one reactant with positive count")
+        if size and (min(species) < 0 or max(species) >= bound):
+            o = next(o for o in species if not 0 <= o < bound)
+            raise ValueError(f"reactant ordinal {o} is outside the alphabet")
+        # An entry not above the one before it must open a rule.
+        unsorted = set(compress(count(1), map(ge, species, species[1:]))) - set(start)
+        if unsorted:
+            q = bisect_right(start, min(unsorted)) - 1
+            raise ValueError(f"rule {q}: reactant ordinals must be sorted and distinct")
+        if not all(map(le, loss, need)):
+            raise ValueError("product counts must be positive")
+        # Void: no loss below 0, and a positive loss in every rule.
+        if min(loss, default=0) < 0:
+            e = next(e for e, d in enumerate(loss) if d < 0)
+            raise _not_void(self[bisect_right(start, e) - 1].text)
+        lost = list(accumulate(loss, initial=0))
+        lost = list(map(lost.__getitem__, start))  # lost before each rule
+        if not all(map(lt, lost, lost[1:])):
+            raise _not_void(self[next(q for q, (a, b) in enumerate(zip(lost, lost[1:])) if a == b)].text)
+
+    @classmethod
+    def from_rules(cls, alphabet: Alphabet, rules: Iterable[Rule]) -> RuleTable:
+        """The table of ``rules``, in their order; each must be over
+        ``alphabet`` and void-family."""
+        start, species, need, loss = [0], [], [], []
+        for rule in rules:
+            if rule.alphabet is not alphabet and rule.alphabet != alphabet:
+                raise ValueError(f"rule {rule.text!r} is over another alphabet")
+            if not is_void_family(rule):
+                raise _not_void(rule.text)
+            lost = dict(rule.delta)  # void: only reactants, all below 0
+            reads: dict[int, int] = {}
+            for o, c in rule.reactants:
+                reads[o] = reads.get(o, 0) + c
+            for o, c in sorted(reads.items()):
+                species.append(o)
+                need.append(c)
+                loss.append(-lost.get(o, 0))
+            start.append(len(species))
+        return cls(alphabet, start, species, need, loss)
+
+    def _rule(self, q: int) -> Rule:
+        i, j = self.start[q], self.start[q + 1]
+        species, need, loss = self.species, self.need, self.loss
+        kept = tuple((species[e], need[e] - loss[e]) for e in range(i, j) if need[e] > loss[e])
+        return Rule(self.alphabet, tuple(zip(species[i:j], need[i:j])), kept)
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, q):
+        picked = range(len(self))[q]
+        if isinstance(picked, range):
+            return tuple(map(self._rule, picked))
+        return self._rule(picked)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, RuleTable)
+            and self.alphabet == other.alphabet
+            and self.start == other.start
+            and self.species == other.species
+            and self.need == other.need
+            and self.loss == other.loss
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.species, self.need, self.loss))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"RuleTable({len(self)} rules)"
 
 
 # -- operations ------------------------------------------------------------------

@@ -12,7 +12,10 @@ and compare the two with it.
 
 Every rule must be void-family: it lowers some count and raises none.
 Each application then strictly shrinks the volume, so every run
-terminates; a program rejects any other rule.
+terminates; a program rejects any other rule.  A program holds its
+rules as one :class:`~stepcrn.crn.RuleTable`, and both paths read flat
+tables built from it: neither builds a :class:`~stepcrn.crn.Rule`,
+except to print the rule text of a traced firing.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -37,12 +40,15 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import add
 
 from .circuits import input_bits
 from .crn import (
     Alphabet,
     Configuration,
     Rule,
+    RuleTable,
     is_void_family,
     parse_rule,
 )
@@ -68,17 +74,15 @@ class Schedule:
 Step = tuple[tuple[int, int], ...]
 
 
-def _check_void(rule: Rule) -> None:
-    if not is_void_family(rule):
-        raise ValueError(
-            f"rule {rule.text!r} is not void: it must lower some count and raise none"
-        )
-
-
 @dataclass(frozen=True)
 class StepProgram:
     """A rule set, an ordered sequence of species additions and an
     input/output encoding, all by species ordinal.
+
+    ``rules`` is one :class:`~stepcrn.crn.RuleTable`, which checked
+    every rule when it was built.  Rule objects given instead are
+    converted into one; indexing or iterating ``program.rules`` builds
+    rule objects again, one per rule read.
 
     ``steps`` holds one sparse addition per step: ``(ordinal, count)``
     pairs sorted by ordinal, each count >= 1, so a program costs memory
@@ -99,7 +103,7 @@ class StepProgram:
     name: str
     backend: str
     alphabet: Alphabet
-    rules: tuple[Rule, ...]
+    rules: RuleTable
     steps: tuple[Step, ...]
     inputs: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
     outputs: tuple[tuple[int, int], ...]
@@ -111,10 +115,10 @@ class StepProgram:
 
     def __post_init__(self):
         alphabet = self.alphabet
-        for rule in self.rules:
-            if rule.alphabet is not alphabet and rule.alphabet != alphabet:
-                raise ValueError(f"rule {rule.text!r} is over another alphabet")
-            _check_void(rule)
+        if not isinstance(self.rules, RuleTable):
+            object.__setattr__(self, "rules", RuleTable.from_rules(alphabet, self.rules))
+        elif self.rules.alphabet is not alphabet and self.rules.alphabet != alphabet:
+            raise ValueError("the rule table is over another alphabet")
         if self.inputs and not self.steps:
             raise ValueError("a program with inputs needs a step 0 to merge them into")
         n = len(self.alphabet)
@@ -192,58 +196,82 @@ class RunResult:
 
 class _PreparedRules:
     """Rule tables shared by the randomized scheduler and the exhaustive
-    search.
+    search, built from the program's :class:`~stepcrn.crn.RuleTable`
+    without building a rule object.
 
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
     rules that consume species ``o`` and ``needs[o]`` how many copies
     each needs, so when a firing lowers ``o`` below a rule's need that
-    rule leaves the enabled set at once.
+    rule leaves the enabled set at once.  ``delta[q]`` holds rule
+    ``q``'s (ordinal, -loss) pairs for its positive losses.
 
     Void rules never raise a count, so only additions enable a rule, and
     a program adds each species at one step.  A rule is therefore
     checked at its ready step alone, the step that adds its last
     reactant: ``ready_by_step[k]`` lists those rules in rule order, and
     holds each rule at most once.  Programs keep these tables for their
-    lifetime, so they hold flat tuples of shared objects.
+    lifetime, so they hold flat tuples.
     """
 
     def __init__(self, program: StepProgram):
         added_at = program.added_at
-        self.rules = rules = tuple(program.rules)
-        self.delta = tuple(r.delta for r in rules)
+        self.table = table = program.rules
+        start, species, need, loss = table.start, table.species, table.need, table.loss
+        heads, ends = start[:-1], start[1:]
+        tails = [j - 1 for j in ends]
+        # Rules share one (o, 1) read and one ((o, -1),) delta per species,
+        # so these tables allocate little beyond the rule table.
+        ones = list(zip(range(len(added_at)), repeat(1)))
+        solo = [((o, -1),) for o in range(len(added_at))]
+        reads = [ones[o] if c == 1 else (o, c) for o, c in zip(species, need)]
+        lowers = [(solo[o] if d == 1 else ((o, -d),)) if d else () for o, d in zip(species, loss)]
+        # Most rules have two reactant species, and a delta joins the
+        # first's and the last's lowerings; CPython gives ``t`` itself for
+        # ``() + t``, so a rule that lowers one species shares its delta.
+        delta = list(map(add, map(lowers.__getitem__, heads), map(lowers.__getitem__, tails)))
+        odd = [q for q, i, j in zip(count(), heads, ends) if j - i != 2]
+        for q in odd:
+            delta[q] = sum(lowers[start[q] : ends[q]], ())
+        self.delta = tuple(delta)
+        # Applicability checks read a rule's first and last reactant
+        # inline; the rare rule with more than two reactant species is
+        # checked whole, from ``wide``.
+        self.first = first = tuple(map(reads.__getitem__, heads))
+        self.last = last = tuple(map(reads.__getitem__, tails))
+        self.wide = wide = {
+            q: tuple(reads[start[q] : ends[q]]) for q in odd if ends[q] - start[q] > 2
+        }
         watch: list[list[int]] = [[] for _ in added_at]
         needs: list[list[int]] = [[] for _ in added_at]
+        max_need = [0] * len(added_at)
         never = len(program.steps)
         by_step: list[list[int]] = [[] for _ in range(never)]
-        for q, r in enumerate(rules):
+        for q, a, b in zip(count(), first, last):
             ready = 0
-            for o, need in r.reactants:
+            for o, c in wide.get(q) or ((a, b) if a != b else (a,)):
                 watch[o].append(q)
-                needs[o].append(need)
-                ready = max(ready, added_at[o])
+                needs[o].append(c)
+                if c > max_need[o]:
+                    max_need[o] = c
+                if added_at[o] > ready:
+                    ready = added_at[o]
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
         self.ready_by_step = tuple(map(tuple, by_step))
         self.watch = tuple(map(tuple, watch))
         self.needs = tuple(map(tuple, needs))
-        self.max_need = tuple(max(w, default=0) for w in self.needs)
-        # Applicability checks read a rule's first and last reactant
-        # inline; the rare rule with more than two reactant species is
-        # checked whole.
-        self.first = tuple(r.reactants[0] for r in rules)
-        self.last = tuple(r.reactants[-1] for r in rules)
-        self.wide = frozenset(q for q, r in enumerate(rules) if len(r.reactants) > 2)
+        self.max_need = tuple(max_need)
 
     def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
         """The rules among ``candidates`` whose reactants ``counts``
         covers, in candidate order."""
-        first, last, wide, rules = self.first, self.last, self.wide, self.rules
+        first, last, wide = self.first, self.last, self.wide
         out = []
         for q in candidates:
             a, na = first[q]
             b, nb = last[q]
             if counts[a] >= na and counts[b] >= nb and (
-                q not in wide or all(counts[o] >= c for o, c in rules[q].reactants)
+                q not in wide or all(counts[o] >= c for o, c in wide[q])
             ):
                 out.append(q)
         return out
@@ -274,14 +302,15 @@ class _PreparedRules:
         and every per-seed trace is unchanged.  ``tests/data/traces.json``
         pins those traces.
 
-        Appends a line per firing to ``trace`` when given.  Returns
+        Appends a line per firing to ``trace`` when given, with the rule
+        text of a rule object built for it.  Returns
         (final counts, peak volume, applications).
         """
         delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
-        rules, ready_by_step = self.rules, self.ready_by_step
+        table, ready_by_step = self.table, self.ready_by_step
         getrandbits = rng.getrandbits
         counts = [0] * len(watch)
-        pos = [-1] * len(rules)
+        pos = [-1] * len(delta)
         volume = peak = apps = 0
         for k, step in enumerate(steps):
             for o, c in (step + inputs if k == 0 else step):
@@ -317,7 +346,7 @@ class _PreparedRules:
                                 pos[r] = -1
                 apps += 1
                 if trace is not None:
-                    trace.append(f"step={k} rule={rules[q].text} volume={volume}")
+                    trace.append(f"step={k} rule={table[q].text} volume={volume}")
         return counts, peak, apps
 
 
@@ -426,11 +455,11 @@ def _search_terminals(
 
     Every configuration the search visits counts toward ``state_cap``.
     """
-    rules, delta = prep.rules, prep.delta
+    delta = prep.delta
     watch, needs, max_need = prep.watch, prep.needs, prep.max_need
     terminals: set[tuple[int, ...]] = set()
     visited: set[tuple[int, ...]] = set(entries)
-    stack = [(e, _components(prep.applicable(e, candidates), rules)) for e in entries]
+    stack = [(e, _components(prep.applicable(e, candidates), prep)) for e in entries]
     while stack:
         cur, components = stack.pop()
         if not components:
@@ -454,23 +483,24 @@ def _search_terminals(
             visited.add(key)
             if dead:
                 left = [r for r in ample if r not in dead]
-                stack.append((key, rest + _components(left, rules)))
+                stack.append((key, rest + _components(left, prep)))
             else:
                 stack.append((key, components))
     return terminals
 
 
-def _components(enabled: list[int], rules: Sequence[Rule]) -> list[list[int]]:
+def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
     """``enabled`` split into connected components: two rules connect
     when they share a reactant species that some enabled rule lowers, so
     a catalyst that none of them deletes joins nothing."""
     if len(enabled) < 2:
         return [enabled] if enabled else []
+    start, species, delta = prep.table.start, prep.table.species, prep.delta
     # users[o]: the enabled rules reading o, for each species o that an
     # enabled rule lowers.
-    users: dict[int, list[int]] = {o: [] for q in enabled for o, _ in rules[q].delta}
+    users: dict[int, list[int]] = {o: [] for q in enabled for o, _ in delta[q]}
     for q in enabled:
-        for o, _ in rules[q].reactants:
+        for o in species[start[q] : start[q + 1]]:
             if o in users:
                 users[o].append(q)
     components = []
@@ -481,7 +511,7 @@ def _components(enabled: list[int], rules: Sequence[Rule]) -> list[list[int]]:
         seen.add(q)
         component = [q]
         for p in component:  # grows as the walk reaches new rules
-            for o, _ in rules[p].reactants:
+            for o in species[start[p] : start[p + 1]]:
                 for r in users.get(o, ()):
                     if r not in seen:
                         seen.add(r)
@@ -607,7 +637,8 @@ def program_from_text(text: str) -> StepProgram:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
                 rule = parse_rule(line, alphabet)
-                _check_void(rule)  # here, so the error names the line
+                if not is_void_family(rule):  # here, so the error names the line
+                    raise ValueError("rule is not void: it must lower some count and raise none")
                 rules.append(rule)
             elif section == "steps":
                 head, _, rest = line.partition(":")

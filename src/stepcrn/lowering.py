@@ -65,7 +65,7 @@ from .circuits import (
     max_fanout_any,
     stats,
 )
-from .crn import Alphabet, Rule
+from .crn import Alphabet, RuleTable
 from .engine import Step, StepProgram
 
 # Repo-documented resource-bound constants (see README):
@@ -362,44 +362,63 @@ def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
     ]
 
 
-def _rule(alphabet: Alphabet, first: str, second: str, product: str | None = None) -> Rule:
-    """The compiled rule ``first + second -> product`` (``.`` without a
-    product), built straight from ordinals: both reactants have count 1,
-    or count 2 when they are one species."""
-    index = alphabet.index
-    a, b = index[first], index[second]
-    if a > b:
-        a, b = b, a
-    reactants = ((a, 1), (b, 1)) if a < b else ((a, 2),)
-    return Rule(alphabet, reactants, ((index[product], 1),) if product else ())
+class _RuleColumns:
+    """The columns of a :class:`~stepcrn.crn.RuleTable`, filled one
+    compiled rule at a time, in emission order, from ordinals.  Every
+    compiled rule reads one copy each of two distinct species."""
+
+    def __init__(self, alphabet: Alphabet):
+        self.alphabet = alphabet
+        self.index = alphabet.index
+        self.species: list[int] = []
+        self.loss: list[int] = []
+
+    def add(self, first: str, second: str, catalytic: bool = False) -> None:
+        """``first + second -> .``, or ``first + second -> first`` when
+        ``catalytic``."""
+        a, b = self.index[first], self.index[second]
+        lost = 0 if catalytic else 1
+        if a < b:
+            self.species += (a, b)
+            self.loss += (lost, 1)
+        else:  # a == b fails the table's check: reactants must be distinct
+            self.species += (b, a)
+            self.loss += (1, lost)
+
+    def table(self) -> RuleTable:
+        n = len(self.species)
+        return RuleTable(self.alphabet, range(0, n + 1, 2), self.species, [1] * n, self.loss)
 
 
 def _void_rules(
     alphabet: Alphabet, levels: list[list[int]], lowerings: Mapping[int, GateLowering]
-) -> list[Rule]:
+) -> RuleTable:
     """Per level, its gates' annihilations, then the annihilating
     conversions of their outputs."""
-    rules: list[Rule] = []
+    rules = _RuleColumns(alphabet)
     for group in levels:
         for gid in group:
-            rules += [_rule(alphabet, *pair) for pair in lowerings[gid].rules]
+            for pair in lowerings[gid].rules:
+                rules.add(*pair)
         for gid in group:
-            rules += [_rule(alphabet, *pair) for pair in _conversion_pairs(gid, lowerings[gid])]
-    return rules
+            for pair in _conversion_pairs(gid, lowerings[gid]):
+                rules.add(*pair)
+    return rules.table()
 
 
 def _catalyst_rules(
     alphabet: Alphabet, norm: Circuit, lowerings: Mapping[int, GateLowering]
-) -> list[Rule]:
+) -> RuleTable:
     """Every gate's annihilations in level order, then, each in
     declaration order, the catalytic conversions, the x-sweeps and the
     y-sweeps, each sweep followed by its killers."""
     level = norm.level
     depth = max(level.values())
-    rules = [_rule(alphabet, *pair) for low in lowerings.values() for pair in low.rules]
-
-    def catalytic(catalyst: str, consumed: str) -> None:
-        rules.append(_rule(alphabet, catalyst, consumed, catalyst))
+    rules = _RuleColumns(alphabet)
+    add = rules.add
+    for low in lowerings.values():
+        for pair in low.rules:
+            add(*pair)
 
     # Each sweep deletes what its level left behind: the carriers level
     # k read and its MAJ helpers go to dx[k], its output forms to dy[k].
@@ -407,13 +426,13 @@ def _catalyst_rules(
     pairs = {g.gid: _conversion_pairs(g.gid, lowerings[g.gid]) for g in norm.gates}
     for g in norm.gates:
         for form, carrier in pairs[g.gid]:
-            catalytic(form, carrier)
+            add(form, carrier, True)
     for g in norm.gates:
         k = level[g.gid]
         if k < depth:
             sweeper = _deleters("x", k + 1)[0]
-            catalytic(sweeper, x_name(g.gid, True))
-            catalytic(sweeper, x_name(g.gid, False))
+            add(sweeper, x_name(g.gid, True), True)
+            add(sweeper, x_name(g.gid, False), True)
         # A MAJ's helpers lead its species.  The true ones are swept
         # first: rule order fixes each seed's draws.
         low = lowerings[g.gid]
@@ -421,14 +440,16 @@ def _catalyst_rules(
         if helpers:
             sweeper = _deleters("x", k)[0]
             for helper in sorted(helpers, key=lambda s: s.endswith("F")):
-                catalytic(sweeper, helper)
-    rules += [_rule(alphabet, *_deleters("x", k)) for k in range(1, depth + 1)]
+                add(sweeper, helper, True)
+    for k in range(1, depth + 1):
+        add(*_deleters("x", k))
     for g in norm.gates:
         sweeper = _deleters("y", level[g.gid])[0]
         for form, _ in pairs[g.gid]:
-            catalytic(sweeper, form)
-    rules += [_rule(alphabet, *_deleters("y", k)) for k in range(depth + 1)]
-    return rules
+            add(sweeper, form, True)
+    for k in range(depth + 1):
+        add(*_deleters("y", k))
+    return rules.table()
 
 
 def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationReport]:
@@ -515,7 +536,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
         name=circuit.name,
         backend=backend,
         alphabet=alphabet,
-        rules=tuple(rules),
+        rules=rules,
         steps=tuple(steps),
         inputs=tuple(inputs),
         outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),

@@ -630,6 +630,12 @@ _MALFORMED = [
      "line 3: bad rule term '2 3 A': '2 3 A -> .'"),
     ("unknown-species", "run", "alphabet: A B\nrules:\nA + C -> .\n",
      "line 3: species 'C' not in alphabet: 'A + C -> .'"),
+    ("rule-raises-a-reactant", "run", "alphabet: A B\nrules:\nA -> A + B\n",
+     "line 3: rule is not void: it must lower some count and raise none: 'A -> A + B'"),
+    ("rule-makes-a-product", "run", "alphabet: A B C\nrules:\nA + B -> C\n",
+     "line 3: rule is not void: it must lower some count and raise none: 'A + B -> C'"),
+    ("rule-needs-zero", "run", "alphabet: A B\nrules:\n0 A + B -> .\n",
+     "line 3: rule needs at least one reactant with positive count: '0 A + B -> .'"),
     # corpus specification
     ("maj-fraction-2", "gen-corpus", "--maj-fraction 2", "maj_fraction must be in [0, 1]"),
 ]

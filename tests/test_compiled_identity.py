@@ -19,9 +19,11 @@ from stepcrn import (
     generate_circuits,
     normalize,
     parse_circuit,
+    program_from_text,
     program_to_text,
     stats,
 )
+from stepcrn import engine
 from stepcrn.lowering import BACKENDS, SPECIES_C, compile_backend
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
@@ -112,6 +114,20 @@ def test_every_compiled_species_is_added_at_some_step():
     for key, circuit, backend in compiles:
         program, _ = compile_backend(circuit, backend)
         assert all(k < program.step_count for k in program.added_at), key
+
+
+def test_rule_tables_survive_the_text_round_trip():
+    # Text back to a program gives the same rule table, the same rule
+    # objects and the same tables for runs and searches.
+    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
+    for key, circuit, backend in compiles:
+        program, _ = compile_backend(circuit, backend)
+        back = program_from_text(program_to_text(program))
+        assert back.rules == program.rules, key
+        assert list(back.rules) == list(program.rules), key
+        ours, theirs = engine._prepared(program), engine._prepared(back)
+        for table in ("delta", "watch", "needs", "max_need", "first", "last", "wide", "ready_by_step"):
+            assert getattr(ours, table) == getattr(theirs, table), (key, table)
 
 
 def test_catalyst_species_stay_under_the_predicted_bound():

@@ -2,9 +2,9 @@ import pickle
 
 import pytest
 
-from stepcrn import Alphabet, Configuration, Rule, parse_rule
+from stepcrn import Alphabet, Configuration, Rule, RuleTable, parse_rule
 from stepcrn.crn import is_void_family
-from stepcrn.lowering import _rule
+from stepcrn.lowering import _RuleColumns
 
 from reference import applicable, apply_rule, configuration, count, is_terminal, rule_size
 
@@ -120,16 +120,75 @@ def test_configuration_views():
     "ordinal_args, reactants, products",
     [
         (("B", "A"), ("A", "B"), ()),
-        (("Y", "X", "Y"), ("Y", "X"), ("Y",)),
-        (("X", "X"), ("X", "X"), ()),
+        (("Y", "X", True), ("Y", "X"), ("Y",)),
+        (("X", "Y", True), ("Y", "X"), ("X",)),
     ],
 )
 def test_ordinal_helper_and_make_build_equal_rules(ordinal_args, reactants, products):
+    # The compiler's columns and parse_rule give one table and one rule.
     text = f"{' + '.join(reactants)} -> {' + '.join(products) or '.'}"
-    fast, parsed = _rule(AB, *ordinal_args), parse_rule(text, AB)
-    assert fast == parsed and hash(fast) == hash(parsed)
-    assert fast.delta == parsed.delta
-    assert fast.text == parsed.text
+    columns = _RuleColumns(AB)
+    columns.add(*ordinal_args)
+    table, parsed = columns.table(), parse_rule(text, AB)
+    assert table == RuleTable.from_rules(AB, [parsed]) and hash(table) == hash(
+        RuleTable.from_rules(AB, [parsed])
+    )
+    assert table[0] == parsed and table[0].delta == parsed.delta
+    assert table[0].text == parsed.text
+
+
+def _by_rule(reactants, products):
+    with pytest.raises(ValueError) as refused:
+        RuleTable.from_rules(AB, [Rule(AB, reactants, products)])
+    return str(refused.value)
+
+
+def _by_table(reactants, products):
+    kept = dict(products)
+    with pytest.raises(ValueError) as refused:
+        RuleTable(
+            AB,
+            (0, len(reactants)),
+            [o for o, _ in reactants],
+            [c for _, c in reactants],
+            [c - kept.get(o, 0) for o, c in reactants],
+        )
+    return str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "reactants, products, message",
+    [
+        (((0, 1), (8, 1)), (), "reactant ordinal 8 is outside the alphabet"),
+        (((-1, 1), (0, 1)), (), "reactant ordinal -1 is outside the alphabet"),
+        (((0, 0), (1, 1)), (), "rule needs at least one reactant with positive count"),
+        (((0, 1),), ((0, 2),), "rule 'A -> A + A' is not void: it must lower some count and raise none"),
+        (((0, 1),), ((0, 1),), "rule 'A -> A' is not void: it must lower some count and raise none"),
+    ],
+)
+def test_table_refuses_what_a_rule_refuses_with_the_same_message(reactants, products, message):
+    assert _by_rule(reactants, products) == _by_table(reactants, products) == message
+
+
+def test_table_refuses_unsorted_or_repeated_reactants():
+    for species in ((1, 0), (1, 1)):
+        with pytest.raises(ValueError, match=r"^rule 0: reactant ordinals must be sorted and distinct$"):
+            RuleTable(AB, (0, 2), species, (1, 1), (1, 1))
+    # So a compiled rule naming one species twice is refused too.
+    columns = _RuleColumns(AB)
+    columns.add("X", "X")
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        columns.table()
+
+
+def test_table_indexing_builds_rules_and_len_does_not():
+    table = RuleTable.from_rules(AB, [parse_rule(t, AB) for t in ("A + B -> .", "Y + X -> Y", "2 X -> .")])
+    assert len(table) == 3 and table.start == (0, 2, 4, 5)
+    assert [r.text for r in table] == ["A + B -> .", "Y + X -> Y", "X + X -> ."]
+    assert table[-1] == parse_rule("2 X -> .", AB) and table[1:] == (table[1], table[2])
+    with pytest.raises(IndexError):
+        table[3]
+    assert pickle.loads(pickle.dumps(table)) == table
 
 
 def test_delta_merges_unsorted_or_repeated_reactants():

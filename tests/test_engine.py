@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from stepcrn import (
     program_to_text,
     run_program,
 )
-from stepcrn import engine
+from stepcrn import crn, engine
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import (
     compile_backend,
@@ -130,10 +131,11 @@ def test_enumerate_fires_independent_rules_in_one_order():
 def test_components_connect_only_through_a_lowered_species():
     ab = Alphabet(["c", "a", "b", "d"])
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c", "c + d -> .")]
+    prep = engine._prepared(_tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], []))
     # Both rules read c, but neither lowers it.
-    assert engine._components([0, 1], rules) == [[0], [1]]
+    assert engine._components([0, 1], prep) == [[0], [1]]
     # c + d -> . lowers c, which every rule reads.
-    assert engine._components([0, 1, 2], rules) == [[0, 1, 2]]
+    assert engine._components([0, 1, 2], prep) == [[0, 1, 2]]
 
 
 def test_enumerate_does_not_interleave_gates_sharing_a_catalyst():
@@ -508,6 +510,28 @@ def test_catalyst_entry_checks_follow_firings():
             _CountingTable.reads = 0
             run_program(program, "10110010", Schedule(seed))
             assert 0 < _CountingTable.reads <= len(program.rules)
+
+
+def test_catalyst_compile_and_untraced_run_build_no_rule_object(monkeypatch):
+    # Rules live in the program's rule table; a rule object is built only
+    # to read rule text, here for each traced firing.
+    built = []
+    check = crn.Rule.__post_init__
+
+    def counting(rule):
+        built.append(rule)
+        check(rule)
+
+    monkeypatch.setattr(crn.Rule, "__post_init__", counting)
+    program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, 6)))
+    run_program(program, "10110010", Schedule(0))
+    prefix = replace(program, steps=program.steps[:4])
+    assert prefix.rules is program.rules and len(program.rules) > 0
+    assert built == []
+    traced = run_program(program, "10110010", Schedule(0), trace=True)
+    assert len(built) == traced.applications
+    texts = {rule.text for rule in program.rules}
+    assert {line.split(" rule=")[1].rsplit(" volume=")[0] for line in traced.trace} <= texts
 
 
 def test_addition_discipline_rejects_a_species_added_at_two_steps():

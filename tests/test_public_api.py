@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Alphabet", "Circuit", "CircuitError", "CircuitStats", "CompilationReport",
     "Configuration", "CorpusSpec", "Gate", "GateKind", "GateLowering",
     "LoweringError", "NetlistParseError", "NormalizationInfo", "Rule",
-    "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
+    "RuleTable", "RunResult", "Schedule", "StageSpec", "StateCapExceeded",
     "StepProgram", "build_stage_chain", "check_demand_growth",
     "compile_backend", "compile_circuit_catalyst", "compile_circuit_exp",
     "compile_formula", "decode_output", "demand_analysis",
