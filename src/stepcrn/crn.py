@@ -3,14 +3,18 @@
 Configurations are dense count vectors over a frozen, ordered alphabet.
 A program keeps its rules in one flat :class:`RuleTable`, which lists
 each rule's reactant ordinals, the copies of each it needs, and the
-copies of each it removes.  A :class:`Rule` holds one rule as sparse
-(ordinal, count) pairs for reactants and products; it exists only where
-rules meet text or a caller: :func:`parse_rule`, and indexing a table.
-All counts are plain Python ints, so the exponential-volume compiler can
+copies of each it removes.  Building a table is the one place a rule is
+checked: every rule must be void, lowering some count and raising none.
+A :class:`Rule` is a plain record of one rule as sparse (ordinal,
+count) pairs for reactants and products; it exists only where rules
+meet text or a caller: :func:`parse_rule`, and indexing a table.  All
+counts are plain Python ints, so the exponential-volume compiler can
 exceed 64-bit ranges without ceremony.
 
-A species is any whitespace-free token; the compilers' naming grammar
-lives in :mod:`stepcrn.lowering`, and nothing here reads it.
+A species is any whitespace-free token except ``.``, ``->``, a name
+holding ``+`` and a name starting with ``#``, which rule text and
+program files read otherwise; the compilers' naming grammar lives in
+:mod:`stepcrn.lowering`, and nothing here reads it.
 
 Rule text is one rule per line: reactants joined by `` + ``, then
 ``->``, then products (``.`` for none).  A catalytic rule repeats the
@@ -18,7 +22,6 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count
@@ -32,7 +35,9 @@ class Alphabet:
         self.names = tuple(names)
         self.index: dict[str, int] = {}
         for i, n in enumerate(self.names):
-            if n.split() != [n]:  # empty, or holds whitespace
+            # Empty or holding whitespace, or read otherwise by rule text
+            # (``.``, ``->``, ``+``) or by a program file (``#`` comments).
+            if n.split() != [n] or n in (".", "->") or "+" in n or n[0] == "#":
                 raise ValueError(f"bad species name {n!r}")
             if n in self.index:
                 raise ValueError(f"duplicate species {n!r}")
@@ -87,12 +92,14 @@ class Configuration:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """A reaction: sparse reactant and product count vectors.
+    """A reaction as a plain record: sparse reactant and product count
+    vectors.
 
-    ``reactants``/``products`` are (ordinal, count) pairs with positive
-    counts; :func:`parse_rule` and :class:`RuleTable` give them sorted
-    and distinct.  ``delta`` is the net change (products - reactants),
-    sorted by ordinal, without zero entries.
+    ``reactants``/``products`` are (ordinal, count) pairs.  A rule is
+    not checked when it is built; :class:`RuleTable` checks it, and
+    :func:`parse_rule` and indexing a table give it void, with positive
+    counts, sorted and distinct.  ``delta`` is the net change, products
+    minus reactants, sorted by ordinal, without zero entries.
     """
 
     alphabet: Alphabet
@@ -101,19 +108,6 @@ class Rule:
     delta: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.reactants:
-            raise ValueError("rule needs at least one reactant with positive count")
-        size = len(self.alphabet.names)
-        for o, c in self.reactants:
-            if c <= 0:
-                raise ValueError("rule needs at least one reactant with positive count")
-            if not 0 <= o < size:
-                raise ValueError(f"reactant ordinal {o} is outside the alphabet")
-        for o, c in self.products:
-            if c <= 0:
-                raise ValueError("product counts must be positive")
-            if not 0 <= o < size:
-                raise ValueError(f"product ordinal {o} is outside the alphabet")
         net: dict[int, int] = {}
         for o, c in self.reactants:
             net[o] = net.get(o, 0) - c
@@ -133,8 +127,9 @@ class Rule:
         return self.text
 
 
-def _not_void(text: str) -> ValueError:
-    return ValueError(f"rule {text!r} is not void: it must lower some count and raise none")
+# The refusals shared by the table's own checks and :meth:`RuleTable.from_rules`.
+_BAD_PRODUCT = "product counts must be positive"
+_NOT_VOID = "rule is not void: it must lower some count and raise none"
 
 
 class RuleTable(Sequence):
@@ -149,13 +144,13 @@ class RuleTable(Sequence):
     ``Y + X -> Y`` is ``(X, 1, 1), (Y, 1, 0)`` when X has the lower
     ordinal.
 
-    Every rule must be void-family: it lowers some count and raises
-    none, so each loss is between 0 and the need and one is positive.
-    Construction checks this, the ordinal range, the order and the
-    needs once, with the messages :class:`Rule` and :func:`parse_rule`
-    give.  Compilers fill the columns straight from ordinals; a
-    :class:`Rule` is built only when the table is indexed or iterated,
-    for rule text and for callers, and ``len`` costs O(1).
+    Construction is the one place a rule is checked.  Every rule must be
+    void: it lowers some count and raises none, so each loss is between
+    0 and the need and one is positive.  The ordinal range, the order
+    and the needs are checked too.  A refusal does not name the rule;
+    the caller has it.  Compilers fill the columns straight from
+    ordinals; a :class:`Rule` is built only when the table is indexed or
+    iterated, for rule text and for callers, and ``len`` costs O(1).
     """
 
     __slots__ = ("alphabet", "start", "species", "need", "loss")
@@ -174,47 +169,46 @@ class RuleTable(Sequence):
         size, bound = len(species), len(alphabet.names)
         if not start or start[0] != 0 or start[-1] != size or len(need) != size or len(loss) != size:
             raise ValueError("rule table offsets and columns do not match")
-        # The checks run over whole columns; a failed one then finds the
-        # rule its message names.
         if not all(map(lt, start, start[1:])) or min(need, default=1) < 1:
             raise ValueError("rule needs at least one reactant with positive count")
         if size and (min(species) < 0 or max(species) >= bound):
             o = next(o for o in species if not 0 <= o < bound)
             raise ValueError(f"reactant ordinal {o} is outside the alphabet")
         # An entry not above the one before it must open a rule.
-        unsorted = set(compress(count(1), map(ge, species, species[1:]))) - set(start)
-        if unsorted:
-            q = bisect_right(start, min(unsorted)) - 1
-            raise ValueError(f"rule {q}: reactant ordinals must be sorted and distinct")
+        if not set(compress(count(1), map(ge, species, species[1:]))) <= set(start):
+            raise ValueError("reactant ordinals must be sorted and distinct")
         if not all(map(le, loss, need)):
-            raise ValueError("product counts must be positive")
+            raise ValueError(_BAD_PRODUCT)
         # Void: no loss below 0, and a positive loss in every rule.
-        if min(loss, default=0) < 0:
-            e = next(e for e, d in enumerate(loss) if d < 0)
-            raise _not_void(self[bisect_right(start, e) - 1].text)
         lost = list(accumulate(loss, initial=0))
         lost = list(map(lost.__getitem__, start))  # lost before each rule
-        if not all(map(lt, lost, lost[1:])):
-            raise _not_void(self[next(q for q, (a, b) in enumerate(zip(lost, lost[1:])) if a == b)].text)
+        if min(loss, default=0) < 0 or not all(map(lt, lost, lost[1:])):
+            raise ValueError(_NOT_VOID)
 
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rules: Iterable[Rule]) -> RuleTable:
-        """The table of ``rules``, in their order; each must be over
-        ``alphabet`` and void-family."""
+        """The table of ``rules``, in their order, each over ``alphabet``;
+        a rule's repeated reactants are merged and sorted.  Beyond the
+        table's checks, every product must be one of the rule's
+        reactants, with a count >= 1: the columns hold no other."""
         start, species, need, loss = [0], [], [], []
         for rule in rules:
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
-            if not is_void_family(rule):
-                raise _not_void(rule.text)
-            lost = dict(rule.delta)  # void: only reactants, all below 0
             reads: dict[int, int] = {}
             for o, c in rule.reactants:
                 reads[o] = reads.get(o, 0) + c
-            for o, c in sorted(reads.items()):
+            kept = dict.fromkeys(reads, 0)
+            for o, c in rule.products:
+                if c < 1:
+                    raise ValueError(_BAD_PRODUCT)
+                if o not in kept:  # it would raise a count
+                    raise ValueError(_NOT_VOID)
+                kept[o] += c
+            for o in sorted(reads):
                 species.append(o)
-                need.append(c)
-                loss.append(-lost.get(o, 0))
+                need.append(reads[o])
+                loss.append(reads[o] - kept[o])
             start.append(len(species))
         return cls(alphabet, start, species, need, loss)
 
@@ -250,39 +244,26 @@ class RuleTable(Sequence):
         return f"RuleTable({len(self)} rules)"
 
 
-# -- operations ------------------------------------------------------------------
-
-
-def is_void_family(rule: Rule) -> bool:
-    """True iff the rule is true-void or catalytic-void: it lowers some
-    count and raises none (``delta`` holds no zero entries)."""
-    return bool(rule.delta) and all(d < 0 for _, d in rule.delta)
-
-
 # -- rule text -----------------------------------------------------------------
 
 
 def parse_rule(text: str, alphabet: Alphabet) -> Rule:
     """Parse ``A + B -> .`` style rule text (coefficients like ``2 A``
-    are accepted too).  The arrow is space-delimited because species
-    names themselves may contain ``->``."""
+    are accepted too; ``.`` is the empty side) into the rule a one-row
+    :class:`RuleTable` reads back, so a rule that is not void is
+    refused.  The arrow is space-delimited because species names
+    themselves may contain ``->``."""
     if " -> " not in text:
         raise ValueError("bad rule (no ' -> ')")  # the caller has the text
     lhs, rhs = text.split(" -> ", 1)
-    return Rule(
-        alphabet,
-        _parse_side(lhs, alphabet, empty_ok=False),
-        _parse_side(rhs, alphabet, empty_ok=True),
-    )
+    rule = Rule(alphabet, _parse_side(lhs, alphabet), _parse_side(rhs, alphabet))
+    return RuleTable.from_rules(alphabet, [rule])[0]
 
 
-def _parse_side(side: str, alphabet: Alphabet, empty_ok: bool) -> tuple[tuple[int, int], ...]:
-    side = side.strip()
-    if side in (".", "", "0"):
-        if not empty_ok:
-            raise ValueError("rule has no reactants")
+def _parse_side(side: str, alphabet: Alphabet) -> tuple[tuple[int, int], ...]:
+    if side.strip() == ".":
         return ()
-    acc: dict[int, int] = {}
+    terms = []
     for term in side.split("+"):
         parts = term.split()
         if len(parts) == 1:
@@ -291,6 +272,5 @@ def _parse_side(side: str, alphabet: Alphabet, empty_ok: bool) -> tuple[tuple[in
             coeff, name = int(parts[0]), parts[1]
         else:
             raise ValueError(f"bad rule term {term.strip()!r}")
-        o = alphabet.ordinal(name)
-        acc[o] = acc.get(o, 0) + coeff
-    return tuple(sorted(acc.items()))
+        terms.append((alphabet.ordinal(name), coeff))
+    return tuple(terms)

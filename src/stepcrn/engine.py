@@ -10,11 +10,12 @@ is the ground truth the verifier uses to check that decoding is schedule
 independent.  The tests keep an unreduced, name-level reference of both
 and compare the two with it.
 
-Every rule must be void-family: it lowers some count and raises none.
-Each application then strictly shrinks the volume, so every run
-terminates; a program rejects any other rule.  A program holds its
-rules as one :class:`~stepcrn.crn.RuleTable`, and both paths read flat
-tables built from it: neither builds a :class:`~stepcrn.crn.Rule`,
+Every rule must be void: it lowers some count and raises none.  Each
+application then strictly shrinks the volume, so every run terminates.
+A program holds its rules as one :class:`~stepcrn.crn.RuleTable`,
+whose construction is the one rule check and refuses any other rule;
+the engine checks no rule again.  Both paths read flat tables built
+from it: neither builds a :class:`~stepcrn.crn.Rule`, a plain record,
 except to print the rule text of a traced firing.
 
 A randomized run costs time per firing, not per rule and step.  The
@@ -44,14 +45,7 @@ from itertools import count, repeat
 from operator import add
 
 from .circuits import input_bits
-from .crn import (
-    Alphabet,
-    Configuration,
-    Rule,
-    RuleTable,
-    is_void_family,
-    parse_rule,
-)
+from .crn import Alphabet, Configuration, Rule, RuleTable, parse_rule
 
 
 class StateCapExceeded(RuntimeError):
@@ -616,19 +610,19 @@ def program_from_text(text: str) -> StepProgram:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("program "):
-            name = line.split(None, 1)[1]
-            continue
-        if line.startswith("backend:"):
-            backend = line.split(":", 1)[1].strip()
-            continue
         if line in ("rules:", "steps:", "inputs:", "outputs:"):
             section = line[:-1]
             continue
-        if line.startswith("step ") and section in ("steps", "rules"):
-            section = "steps"
         try:
-            if line.startswith("alphabet:"):
+            # The header precedes every section, so no section's line,
+            # whatever species it names, reads as a header line.
+            if section is None and line.startswith("program "):
+                name = line.split(None, 1)[1]
+                continue
+            if section is None and line.startswith("backend:"):
+                backend = line.split(":", 1)[1].strip()
+                continue
+            if section is None and line.startswith("alphabet:"):
                 if alphabet is not None:
                     raise ValueError("alphabet declared twice")
                 alphabet = Alphabet(line.split(":", 1)[1].split())
@@ -636,10 +630,7 @@ def program_from_text(text: str) -> StepProgram:
             if alphabet is None:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
-                rule = parse_rule(line, alphabet)
-                if not is_void_family(rule):  # here, so the error names the line
-                    raise ValueError("rule is not void: it must lower some count and raise none")
-                rules.append(rule)
+                rules.append(parse_rule(line, alphabet))
             elif section == "steps":
                 head, _, rest = line.partition(":")
                 k = int(head.split()[1])
@@ -649,7 +640,7 @@ def program_from_text(text: str) -> StepProgram:
                 rest = rest.strip()
                 if rest:
                     for item in rest.split(","):
-                        sp, _, cnt = item.strip().partition("=")
+                        sp, _, cnt = item.strip().rpartition("=")
                         o = species(sp)
                         if o in acc:
                             raise ValueError(f"species {sp!r} listed twice in one step")
@@ -663,7 +654,7 @@ def program_from_text(text: str) -> StepProgram:
                 declared.add(gid)
                 enc = {}
                 for bit, entry in by_bit(parts[1:], f"input {gid}").items():
-                    sp, _, cnt = entry.partition(":")
+                    sp, _, cnt = entry.rpartition(":")
                     enc[bit] = (species(sp), count(cnt))
                 inputs.append((gid, enc["0"], enc["1"]))
             elif section == "outputs":

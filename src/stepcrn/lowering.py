@@ -19,9 +19,10 @@ Every species, under every backend, is added at exactly one step.
 One routine, :func:`_compile`, builds every backend's program.  The
 step skeleton per depth level is: one gate step (three for levels
 containing MAJ gates: vote conversion, tally annihilation, output
-conversion), then a conversion step that turns surviving output species
-into the next level's input species, as many carrier copies of each
-polarity as the level after it reads.  Step 0 adds the constant
+conversion; no tally step when every MAJ gate of the level has fan-in
+1, for it would add nothing), then a conversion step that turns
+surviving output species into the next level's input species, as many
+carrier copies of each polarity as the level after it reads.  Step 0 adds the constant
 sources' species and converts every source; the conversion after the
 last level produces the species the decoder reads.  Sources and inputs
 enter at their gate's multiplicity.  Under ``catalyst``, level k's gate
@@ -513,7 +514,8 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
                     if sub < len(subs):
                         for species, c in subs[sub].items():
                             adds[species] = adds.get(species, 0) + c
-                steps.append(step(adds))
+                if adds:  # the tally of fan-in-1 MAJ gates only adds nothing
+                    steps.append(step(adds))
             if catalyst:
                 steps += [((index[s], 1),) for s in _deleters("x", k)]
         convert = {}

