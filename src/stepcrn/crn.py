@@ -12,8 +12,8 @@ counts are plain Python ints, so the exponential-volume compiler can
 exceed 64-bit ranges without ceremony.
 
 A species is any whitespace-free token except ``.``, ``->``, a name
-holding ``+`` and a name starting with ``#``, which rule text and
-program files read otherwise; the compilers' naming grammar lives in
+holding ``+`` or ``,`` and a name starting with ``#``, which rule text
+and program files read otherwise; the compilers' naming grammar lives in
 :mod:`stepcrn.lowering`, and nothing here reads it.
 
 Rule text is one rule per line: reactants joined by `` + ``, then
@@ -36,8 +36,9 @@ class Alphabet:
         self.index: dict[str, int] = {}
         for i, n in enumerate(self.names):
             # Empty or holding whitespace, or read otherwise by rule text
-            # (``.``, ``->``, ``+``) or by a program file (``#`` comments).
-            if n.split() != [n] or n in (".", "->") or "+" in n or n[0] == "#":
+            # (``.``, ``->``, ``+``) or by a program file (``,`` between
+            # step entries, ``#`` comments).
+            if n.split() != [n] or n in (".", "->") or "+" in n or "," in n or n[0] == "#":
                 raise ValueError(f"bad species name {n!r}")
             if n in self.index:
                 raise ValueError(f"duplicate species {n!r}")
@@ -253,11 +254,18 @@ def parse_rule(text: str, alphabet: Alphabet) -> Rule:
     :class:`RuleTable` reads back, so a rule that is not void is
     refused.  The arrow is space-delimited because species names
     themselves may contain ``->``."""
+    return rule_row(text, alphabet)[0]
+
+
+def rule_row(text: str, alphabet: Alphabet) -> RuleTable:
+    """The one-row :class:`RuleTable` of one line of rule text, as
+    :func:`parse_rule` reads it; a program file joins its rows' columns
+    into its table."""
     if " -> " not in text:
         raise ValueError("bad rule (no ' -> ')")  # the caller has the text
     lhs, rhs = text.split(" -> ", 1)
     rule = Rule(alphabet, _parse_side(lhs, alphabet), _parse_side(rhs, alphabet))
-    return RuleTable.from_rules(alphabet, [rule])[0]
+    return RuleTable.from_rules(alphabet, [rule])
 
 
 def _parse_side(side: str, alphabet: Alphabet) -> tuple[tuple[int, int], ...]:

@@ -34,18 +34,24 @@ a species the other reads, so rules that share only a catalyst
 (``dx[k]``, ``y[i]T``) commute.  Each configuration therefore fires only
 one connected component of its enabled rules (an ample set), and the
 interleavings of independent gates are explored once, not in every
-order.
+order.  A step's search also depends only on the counts its ready rules
+read, so entries that agree on those counts share one search (the cone
+of influence of the step, after Clarke, Grumberg and Peled, *Model
+Checking*, 1999), and a rule list is split into components once per
+step.  The state cap bounds the configurations a step holds, each
+counted once.
 """
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from operator import add
 
 from .circuits import input_bits
-from .crn import Alphabet, Configuration, Rule, RuleTable, parse_rule
+from .crn import Alphabet, Configuration, RuleTable, rule_row
 
 
 class StateCapExceeded(RuntimeError):
@@ -108,6 +114,11 @@ class StepProgram:
     )
 
     def __post_init__(self):
+        # The name is the program file's header token.
+        if self.name.split() != [self.name] or "#" in self.name:
+            raise ValueError(
+                f"program name must be one token without whitespace or '#', got {self.name!r}"
+            )
         alphabet = self.alphabet
         if not isinstance(self.rules, RuleTable):
             object.__setattr__(self, "rules", RuleTable.from_rules(alphabet, self.rules))
@@ -255,6 +266,17 @@ class _PreparedRules:
         self.watch = tuple(map(tuple, watch))
         self.needs = tuple(map(tuple, needs))
         self.max_need = tuple(max_need)
+
+    @cached_property
+    def reads_by_step(self) -> tuple[tuple[int, ...], ...]:
+        """``reads_by_step[k]``: the sorted species that the rules ready
+        at step k read.  Only the enumerator reads it, so it is built on
+        the enumerator's first use and a run never pays for it."""
+        start, species = self.table.start, self.table.species
+        return tuple(
+            tuple(sorted({o for q in ready for o in species[start[q] : start[q + 1]]}))
+            for ready in self.ready_by_step
+        )
 
     def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
         """The rules among ``candidates`` whose reactants ``counts``
@@ -412,13 +434,15 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
 
 
 def _search_terminals(
-    entries: set[tuple[int, ...]],
+    entry: tuple[int, ...],
     candidates: Sequence[int],
     prep: _PreparedRules,
     state_cap: int,
+    visited: dict[tuple[int, ...], tuple[int, ...]],
+    splits: dict[tuple[int, ...], list[list[int]]],
 ) -> set[tuple[int, ...]]:
-    """Every terminal reachable from any of ``entries``, whose enabled
-    rules all lie among ``candidates``.
+    """Every terminal reachable from ``entry``, whose enabled rules all
+    lie among ``candidates``.
 
     Each stack entry carries its configuration and its enabled rules,
     split into connected components: two rules connect when they share
@@ -428,7 +452,10 @@ def _search_terminals(
     pushed below a need.  Those read a species the fired rule lowers, so
     they share its component, and only it is split again; no rule of
     another component lowers a species it reads.  The other components
-    stay closed under the relation, if coarser than it requires.
+    stay closed under the relation, if coarser than it requires.  The
+    split of the surviving rules is a function of that rule list alone,
+    so ``splits`` keeps each split the step has made, keyed by the rule
+    tuple, and a repeated list is not split again.
 
     Each configuration fires only the rules of its smallest component
     (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
@@ -447,13 +474,18 @@ def _search_terminals(
     - Volume strictly drops, so the state graph is acyclic and needs no
       cycle proviso.
 
-    Every configuration the search visits counts toward ``state_cap``.
+    ``visited`` is shared by the searches of one step, and maps each
+    configuration to the entry whose search reached it.  A configuration
+    an earlier search reached is explored again, since its terminals
+    belong to this entry too, but it is counted once.  ``entry`` joins
+    ``visited`` unchecked; the search raises :class:`StateCapExceeded`
+    once a configuration it adds takes ``visited`` past ``state_cap``.
     """
     delta = prep.delta
     watch, needs, max_need = prep.watch, prep.needs, prep.max_need
     terminals: set[tuple[int, ...]] = set()
-    visited: set[tuple[int, ...]] = set(entries)
-    stack = [(e, _components(prep.applicable(e, candidates), prep)) for e in entries]
+    visited[entry] = entry
+    stack = [(entry, _components(prep.applicable(entry, candidates), prep))]
     while stack:
         cur, components = stack.pop()
         if not components:
@@ -470,14 +502,22 @@ def _search_terminals(
                 if c < max_need[o]:
                     dead += [r for r, need in zip(watch[o], needs[o]) if c < need]
             key = tuple(nxt)
-            if key in visited:
+            root = visited.get(key)
+            if root is entry:
                 continue
-            if len(visited) >= state_cap:
+            visited[key] = entry
+            if root is None and len(visited) > state_cap:
                 raise StateCapExceeded(f"more than {state_cap} configurations reachable")
-            visited.add(key)
             if dead:
                 left = [r for r in ample if r not in dead]
-                stack.append((key, rest + _components(left, prep)))
+                if len(left) < 2:
+                    split = _components(left, prep)
+                else:
+                    survivors = tuple(left)
+                    split = splits.get(survivors)
+                    if split is None:
+                        split = splits[survivors] = _components(left, prep)
+                stack.append((key, rest + split))
             else:
                 stack.append((key, components))
     return terminals
@@ -526,9 +566,29 @@ def enumerate_program_terminals(
     step k, combined with step k+1's additions, seeds the next
     exploration.  Those entries check only the rules step k+1 is
     ready for: a rule disabled at a terminal revives only through an
-    addition, and no step adds a species an earlier step added.  Each
-    step's search raises :class:`StateCapExceeded`, with that step as
-    its ``step``, once it visits more than ``state_cap`` configurations.
+    addition, and no step adds a species an earlier step added.
+
+    A step searches once per distinct read state.  Its entries are
+    grouped by their counts on ``reads_by_step[k]``, the species its
+    ready rules read, and one entry of each group is searched.  Every
+    other member reaches the same terminals, each with the member's own
+    counts outside those species.  This keeps every terminal:
+
+    - Only rules ready at step k can fire in it, and each reads only
+      species of ``reads_by_step[k]``.
+    - A rule's ``delta`` touches only its own reactants.
+    - So which rules are enabled, what a firing changes, and hence every
+      path and terminal from an entry depend only on its counts on those
+      species; the others ride along unchanged.
+
+    A step with one entry is searched as it is, without a group key.
+    The searches of a step share one set of visited configurations
+    (see :func:`_search_terminals`), and each terminal derived for a
+    group member joins it too.  Every configuration in it is one that a
+    search of each entry would reach, so it never holds more than such
+    searches would visit.  Once a configuration added to it, other than
+    a searched entry, takes it past ``state_cap``, the step raises
+    :class:`StateCapExceeded`, with that step as its ``step``.
     """
     inputs = program.input_step(bits)
     prep = _prepared(program)
@@ -537,14 +597,39 @@ def enumerate_program_terminals(
     frontier: set[tuple[int, ...]] = {(0,) * n}
     for k, step in enumerate(program.steps):
         add = step + inputs if k == 0 else step
-        entries: set[tuple[int, ...]] = set()
+        entries: list[tuple[int, ...]] = []
         for term in frontier:
             entry = list(term)
             for o, c in add:
                 entry[o] += c
-            entries.add(tuple(entry))
+            entries.append(tuple(entry))
+        if len(entries) == 1:
+            reads, groups = (), (entries,)
+        else:
+            reads = prep.reads_by_step[k]
+            by_reads: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for entry in entries:
+                by_reads.setdefault(tuple([entry[o] for o in reads]), []).append(entry)
+            groups = by_reads.values()
+        visited: dict[tuple[int, ...], tuple[int, ...]] = {}
+        splits: dict[tuple[int, ...], list[list[int]]] = {}
+        frontier = set()
         try:
-            frontier = _search_terminals(entries, prep.ready_by_step[k], prep, state_cap)
+            for searched, *members in groups:
+                found = _search_terminals(searched, prep.ready_by_step[k], prep, state_cap, visited, splits)
+                frontier |= found
+                if not members:
+                    continue
+                for term in found:
+                    changed = [(o, term[o]) for o in reads if term[o] != searched[o]]
+                    for member in members:
+                        derived = list(member)
+                        for o, c in changed:
+                            derived[o] = c
+                        key = tuple(derived)
+                        if visited.setdefault(key, member) is member and len(visited) > state_cap:
+                            raise StateCapExceeded(f"more than {state_cap} configurations reachable")
+                        frontier.add(key)
         except StateCapExceeded as e:
             e.step, e.args = k, (f"step {k}: {e}",)
             raise
@@ -579,7 +664,8 @@ def program_from_text(text: str) -> StepProgram:
     name = "program"
     backend = "unknown"
     alphabet: Alphabet | None = None
-    rules: list[Rule] = []
+    # The rule table's columns, joined from each rule line's checked row.
+    start, rule_species, need, loss = [0], [], [], []
     steps: list[Step] = []
     inputs: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     declared: set[int] = set()
@@ -630,10 +716,17 @@ def program_from_text(text: str) -> StepProgram:
             if alphabet is None:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
-                rules.append(parse_rule(line, alphabet))
+                row = rule_row(line, alphabet)
+                rule_species += row.species
+                need += row.need
+                loss += row.loss
+                start.append(len(rule_species))
             elif section == "steps":
                 head, _, rest = line.partition(":")
-                k = int(head.split()[1])
+                words = head.split()
+                if len(words) != 2 or words[0] != "step":
+                    raise ValueError("not a step line")
+                k = int(words[1])
                 if k != len(steps):
                     raise ValueError(f"step {k} out of order")
                 acc: dict[int, int] = {}
@@ -673,7 +766,7 @@ def program_from_text(text: str) -> StepProgram:
         name=name,
         backend=backend,
         alphabet=alphabet,
-        rules=tuple(rules),
+        rules=RuleTable(alphabet, start, rule_species, need, loss),
         steps=tuple(steps),
         inputs=tuple(inputs),
         outputs=tuple(outputs),

@@ -339,11 +339,11 @@ def _check_exhaustive(instances):
 
 def test_criterion_06_confluence_ground_truth(suite4_circuits, suite5_circuits):
     # Only the state cap bounds the reduced search, and nearly every
-    # instance is decided.
+    # instance is decided: 1,047 of 1,052.
     t0 = time.perf_counter()
     checked, skipped = _check_exhaustive(_exhaustive_instances(suite4_circuits, suite5_circuits))
     assert checked + skipped == 1052
-    assert checked >= 1040, f"only {checked}/1052 decided under the state cap"
+    assert checked >= 1047, f"only {checked}/1052 decided under the state cap"
     elapsed = time.perf_counter() - t0
     print(
         f"\ncriterion 6 PASS: {checked} exhaustive instances decode uniformly "

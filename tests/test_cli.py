@@ -622,6 +622,12 @@ _MALFORMED = [
      "line 1: duplicate species 'A': 'alphabet: A A'"),
     ("zero-count", "run", "alphabet: A B\nsteps:\nstep 0: A=0\n",
      "line 3: count 0 is not positive: 'step 0: A=0'"),
+    ("step-line-without-step", "run", "alphabet: A B\nsteps:\nfrob 0: A=1\n",
+     "line 3: not a step line: 'frob 0: A=1'"),
+    ("comma-in-species", "run", "alphabet: a,b A\nrules:\n",
+     "line 1: bad species name 'a,b': 'alphabet: a,b A'"),
+    ("program-name-two-tokens", "run", "program a b\nalphabet: A B\nrules:\n",
+     "program name must be one token without whitespace or '#', got 'a b'"),
     ("step-repeats-species", "run", "alphabet: A B\nsteps:\nstep 0: A=1, A=2, B=1\n",
      "line 3: species 'A' listed twice in one step: 'step 0: A=1, A=2, B=1'"),
     ("rule-without-arrow", "run", "alphabet: A B\nrules:\nA + B\n",

@@ -10,6 +10,7 @@ from stepcrn import (
     StateCapExceeded,
     decode_output,
     enumerate_program_terminals,
+    evaluate,
     parse_circuit,
     parse_rule,
     program_from_text,
@@ -25,7 +26,14 @@ from stepcrn.lowering import (
     compile_formula,
 )
 
-from reference import configuration, one_step, replay_draws, run_recording_rng, terminal_after
+from reference import (
+    configuration,
+    one_step,
+    reference_program_terminals,
+    replay_draws,
+    run_recording_rng,
+    terminal_after,
+)
 
 FIG_NET = (
     "circuit f\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\ngate 4 INPUT\n"
@@ -145,6 +153,62 @@ def test_enumerate_does_not_interleave_gates_sharing_a_catalyst():
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c")]
     program = one_step(_cfg(ab, c=1, a=10, b=10), rules)
     assert [t.as_dict() for t in enumerate_program_terminals(program, (), state_cap=21)] == [{"c": 1}]
+
+
+def test_enumerate_searches_each_read_state_once(monkeypatch):
+    # Step 0 ends with B or with C; step 1 reads neither, so its two
+    # entries share one read state and one search.  That search visits
+    # 6 configurations, entry included, and reaches 3 terminals; the
+    # other entry's 3 terminals are derived from them, 9 in all.  A
+    # search of each entry would visit 12.
+    ab = Alphabet(["A", "B", "C", "X", "Y", "Z"])
+    rules = [parse_rule(t, ab) for t in ("A + B -> .", "A + C -> .", "X + Y -> .", "X + Z -> .")]
+    program = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1)), ((3, 2), (4, 2), (5, 2))], [])
+    searched = []
+    search = engine._search_terminals
+
+    def counting(entry, *args):
+        searched.append(entry)
+        return search(entry, *args)
+
+    monkeypatch.setattr(engine, "_search_terminals", counting)
+    terminals = enumerate_program_terminals(program, (), state_cap=9)
+    assert terminals == reference_program_terminals(program, ())
+    assert len(terminals) == 6 and len(searched) == 2
+    with pytest.raises(StateCapExceeded, match=r"^step 1: more than 8 ") as exc:
+        enumerate_program_terminals(program, (), state_cap=8)
+    assert exc.value.step == 1
+
+
+FANOUT_NET = (
+    "circuit fan\ngate 1 INPUT\ngate 2 INPUT\ngate 3 AND 1 2\ngate 4 OR 1 3\n"
+    "gate 5 NOT 3\noutputs 4 5\n"
+)
+
+
+@pytest.mark.parametrize("backend", ["exp", "catalyst"])
+def test_enumerate_matches_the_reference_on_broken_copies(backend):
+    # Gates 1 and 3 fan out.  Each broken copy lowers one addition by one
+    # copy, so some of its terminals decode wrong; the search must still
+    # find exactly the reference's terminals, wrong ones included.
+    circuit = parse_circuit(FANOUT_NET)
+    program, _ = compile_backend(circuit, backend)
+    copies = [program]
+    for k, step in enumerate(program.steps):
+        for i, (o, c) in enumerate(step):
+            lowered = step[:i] + (((o, c - 1),) if c > 1 else ()) + step[i + 1 :]
+            copies.append(replace(program, steps=program.steps[:k] + (lowered,) + program.steps[k + 1 :]))
+    wrong = 0
+    for copy in copies:
+        for bits in ("00", "01", "10", "11"):
+            terminals = enumerate_program_terminals(copy, bits)
+            assert terminals == reference_program_terminals(copy, bits), (copy.steps, bits)
+            want = tuple(evaluate(circuit, bits))
+            decodes = {tuple(decode_output(t, copy)) for t in terminals}
+            if copy is program:
+                assert decodes == {want}
+            wrong += decodes != {want}
+    assert wrong > 0
 
 
 def _tiny_program(alphabet, rules, steps, outputs):
@@ -320,7 +384,8 @@ def test_program_text_round_trip():
 
 
 @pytest.mark.parametrize(
-    "name", ["program", "backend:x", "alphabet:z", "step", "steps:", "0", "#x", ".", "->", "+", "a+b", "k=1"]
+    "name",
+    ["program", "backend:x", "alphabet:z", "step", "steps:", "0", "#x", ".", "->", "+", "a+b", "k=1", "a,b"],
 )
 def test_a_species_name_is_refused_or_survives_the_text_round_trip(name):
     # The name leads a rule line, is the catalyst a rule keeps, and is
@@ -342,6 +407,15 @@ def test_a_species_name_is_refused_or_survives_the_text_round_trip(name):
     text = program_to_text(prog)
     assert program_from_text(text) == prog
     assert program_to_text(program_from_text(text)) == text
+
+
+def test_program_name_is_one_token_so_the_header_reads_back():
+    ab = Alphabet(["A"])
+    for name in ("", "a b", "a#b", "x\ny"):
+        with pytest.raises(ValueError, match="program name must be one token"):
+            StepProgram(name=name, backend="test", alphabet=ab, rules=(), steps=(), inputs=(), outputs=())
+    prog = StepProgram(name="p-1.x", backend="test", alphabet=ab, rules=(), steps=(), inputs=(), outputs=())
+    assert program_from_text(program_to_text(prog)) == prog
 
 
 def test_program_exhaustive_matches_runs():
