@@ -25,7 +25,9 @@ enable a rule.  A program adds each species at one step, so a step
 checks only the rules whose last reactant it adds, and each rule is
 checked once.  A firing touches only the consumers of what it lowered.
 This is the dependency graph of Gibson and Bruck (J. Phys. Chem. A,
-2000): after an event, touch only what it affects.
+2000): after an event, touch only what it affects.  A species whose
+consumers each need one copy, as in every compiled program, drops them
+all when it reaches 0, without comparing a need.
 
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
@@ -207,8 +209,11 @@ class _PreparedRules:
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
     rules that consume species ``o`` and ``needs[o]`` how many copies
     each needs, so when a firing lowers ``o`` below a rule's need that
-    rule leaves the enabled set at once.  ``delta[q]`` holds rule
-    ``q``'s (ordinal, -loss) pairs for its positive losses.
+    rule leaves the enabled set at once.  ``max_need[o]`` is the largest
+    of those needs: when it is 1, a count below it is 0 and every rule
+    of ``watch[o]`` leaves without ``needs[o]`` being read.
+    ``delta[q]`` holds rule ``q``'s (ordinal, -loss) pairs for its
+    positive losses.
 
     Void rules never raise a count, so only additions enable a rule, and
     a program adds each species at one step.  A rule is therefore
@@ -310,7 +315,8 @@ class _PreparedRules:
         previous step ended with none enabled, and no step re-adds a
         species.  A step that readies no rule fires none.  A firing
         swap-removes, in rule order, every enabled rule it pushed below
-        a need.
+        a need: all of ``watch[o]`` when ``max_need[o]`` is 1, else
+        those whose need the new count misses.
 
         Each draw is ``rng.randrange(len(enabled))`` with CPython's
         rejection sampler (``Random._randbelow_with_getrandbits``)
@@ -351,9 +357,10 @@ class _PreparedRules:
                     c = counts[o] + d
                     counts[o] = c
                     volume += d
-                    if c < max_need[o]:
-                        for r, need in zip(watch[o], needs[o]):
-                            if c < need and pos[r] >= 0:
+                    m = max_need[o]
+                    if c < m:
+                        for r in watch[o] if m == 1 else [r for r, need in zip(watch[o], needs[o]) if c < need]:
+                            if pos[r] >= 0:
                                 i = pos[r]
                                 tail = enabled.pop()
                                 if tail != r:
@@ -452,10 +459,12 @@ def _search_terminals(
     pushed below a need.  Those read a species the fired rule lowers, so
     they share its component, and only it is split again; no rule of
     another component lowers a species it reads.  The other components
-    stay closed under the relation, if coarser than it requires.  The
-    split of the surviving rules is a function of that rule list alone,
-    so ``splits`` keeps each split the step has made, keyed by the rule
-    tuple, and a repeated list is not split again.
+    stay closed under the relation, if coarser than it requires.  A
+    species whose consumers each need one copy drops all of them when it
+    reaches 0, without comparing needs.  The split of the surviving
+    rules is a function of that rule list alone, so ``splits`` keeps
+    each split the step has made, keyed by the rule tuple, and a
+    repeated list is not split again.
 
     Each configuration fires only the rules of its smallest component
     (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
@@ -499,8 +508,9 @@ def _search_terminals(
             for o, d in delta[q]:
                 c = nxt[o] + d
                 nxt[o] = c
-                if c < max_need[o]:
-                    dead += [r for r, need in zip(watch[o], needs[o]) if c < need]
+                m = max_need[o]
+                if c < m:
+                    dead += watch[o] if m == 1 else [r for r, need in zip(watch[o], needs[o]) if c < need]
             key = tuple(nxt)
             root = visited.get(key)
             if root is entry:

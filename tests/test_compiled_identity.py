@@ -15,16 +15,21 @@ from pathlib import Path
 
 from stepcrn import (
     CorpusSpec,
+    Schedule,
     build_stage_chain,
+    enumerate_program_terminals,
     generate_circuits,
     normalize,
     parse_circuit,
     program_from_text,
     program_to_text,
+    run_program,
     stats,
 )
 from stepcrn import engine
 from stepcrn.lowering import BACKENDS, SPECIES_C, compile_backend
+
+from test_engine import _CountingTable
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
 
@@ -128,6 +133,26 @@ def test_rule_tables_survive_the_text_round_trip():
         ours, theirs = engine._prepared(program), engine._prepared(back)
         for table in ("delta", "watch", "needs", "max_need", "first", "last", "wide", "ready_by_step"):
             assert getattr(ours, table) == getattr(theirs, table), (key, table)
+
+
+def test_compiled_programs_drop_consumers_without_reading_needs():
+    # Every compiled rule reads one copy of each reactant, so a species
+    # whose count falls below its largest need is at 0, and every
+    # consumer leaves at once: neither the scheduler nor the search
+    # reads how many copies a consumer needs.
+    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
+    for key, circuit, backend in compiles:
+        program, _ = compile_backend(circuit, backend)
+        assert max(engine._prepared(program).max_need) <= 1, key
+    program, _ = compile_backend(parse_circuit(MAJ_NET), "catalyst")
+    prep = engine._prepared(program)
+    prep.needs = _CountingTable(prep.needs)
+    _CountingTable.reads = 0
+    for seed in range(3):
+        assert run_program(program, "101", Schedule(seed)).applications > 0
+    assert _CountingTable.reads == 0
+    assert len(enumerate_program_terminals(program, "101")) >= 1
+    assert _CountingTable.reads == 0
 
 
 def test_catalyst_species_stay_under_the_predicted_bound():

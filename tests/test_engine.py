@@ -98,6 +98,25 @@ def test_run_step_checks_every_reactant_and_its_need():
     assert {run_program(program, (), Schedule(s)).final for s in range(20)} <= terminals
 
 
+def test_mixed_needs_drop_only_the_consumers_below_their_need():
+    # A is read at need 1 and at need 2, so its consumers are filtered
+    # by need: A + B -> . takes A to 1, which drops only 2 A + C -> .,
+    # and B's exit drops A + B -> ., leaving {A: 1, C: 1}.
+    ab = Alphabet(["A", "B", "C"])
+    rules = [parse_rule("A + B -> .", ab), parse_rule("2 A + C -> .", ab)]
+    program = one_step(_cfg(ab, A=2, B=1, C=1), rules)
+    assert engine._prepared(program).max_need == (2, 1, 1)
+    want = {_cfg(ab, A=1, C=1), _cfg(ab, B=1)}
+    assert enumerate_program_terminals(program, ()) == reference_program_terminals(program, ()) == want
+    finals = set()
+    for seed in range(12):
+        result, rng = run_recording_rng(program, (), seed)
+        final, replayed = replay_draws(program, (), seed, result.trace)
+        assert final == result.final and replayed.getstate() == rng.getstate()
+        finals.add(result.final)
+    assert finals == want
+
+
 def test_enumerate_two_maximal_schedules():
     ab = Alphabet(["A", "B", "C"])
     rules = [parse_rule("A + B -> .", ab), parse_rule("A + C -> .", ab)]
