@@ -1,31 +1,31 @@
 """Species alphabets, multiset configurations, and annihilation rules.
 
 Configurations are dense count vectors over a frozen, ordered alphabet.
-A program keeps its rules in one flat :class:`RuleTable`, which lists
-each rule's reactant ordinals, the copies of each it needs, and the
-copies of each it removes.  Building a table is the one place a rule is
-checked: every rule must be void, lowering some count and raising none.
-A :class:`Rule` is a plain record of one rule as sparse (ordinal,
-count) pairs for reactants and products; it exists only where rules
-meet text or a caller: :func:`parse_rule`, and indexing a table.  All
-counts are plain Python ints, so the exponential-volume compiler can
-exceed 64-bit ranges without ceremony.
+A program keeps its rules in one flat :class:`RuleTable`.  Every rule
+reads two distinct species, one copy each, and is ``A + B -> .`` or the
+catalytic ``A + B -> A``: the (2,0) rules of the paper's circuit
+compiler and the catalyst backend's conversions and sweeps.  Building a
+table is the one place a rule is checked, and any other rule is
+refused.  A :class:`Rule` is a plain record of one rule as sparse
+(ordinal, count) pairs for reactants and products; it exists only where
+rules meet text or a caller: :func:`parse_rule`, and indexing a table.
+All counts are plain Python ints, so the exponential-volume compiler
+can exceed 64-bit ranges without ceremony.
 
 A species is any whitespace-free token except ``.``, ``->``, a name
 holding ``+`` or ``,`` and a name starting with ``#``, which rule text
 and program files read otherwise; the compilers' naming grammar lives in
 :mod:`stepcrn.lowering`, and nothing here reads it.
 
-Rule text is one rule per line: reactants joined by `` + ``, then
-``->``, then products (``.`` for none).  A catalytic rule repeats the
+Rule text is one rule per line: two reactant names joined by `` + ``,
+then ``->``, then ``.`` for no product.  A catalytic rule repeats the
 surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
-from operator import ge, le, lt
+from operator import lt
 
 
 class Alphabet:
@@ -98,9 +98,10 @@ class Rule:
 
     ``reactants``/``products`` are (ordinal, count) pairs.  A rule is
     not checked when it is built; :class:`RuleTable` checks it, and
-    :func:`parse_rule` and indexing a table give it void, with positive
-    counts, sorted and distinct.  ``delta`` is the net change, products
-    minus reactants, sorted by ordinal, without zero entries.
+    :func:`parse_rule` and indexing a table give it two sorted, distinct
+    reactants of count 1 and at most one of them as its product.
+    ``delta`` is the net change, products minus reactants, sorted by
+    ordinal, without zero entries.
     """
 
     alphabet: Alphabet
@@ -128,99 +129,77 @@ class Rule:
         return self.text
 
 
-# The refusals shared by the table's own checks and :meth:`RuleTable.from_rules`.
+# The refusals of :meth:`RuleTable.from_rules`; the table's own checks share _NOT_VOID.
+_SHAPE = "rule must read two distinct species, one copy each"
 _BAD_PRODUCT = "product counts must be positive"
 _NOT_VOID = "rule is not void: it must lower some count and raise none"
 
 
 class RuleTable(Sequence):
-    """A rule set as one flat, immutable table, in CSR form.
+    """A rule set as one flat, immutable table of three columns.
 
-    Rule ``q`` owns the entries ``start[q]`` up to ``start[q + 1]`` of
-    three columns: ``species`` holds its reactant ordinals, sorted and
-    distinct; ``need`` the copies of each it needs, all >= 1; and
-    ``loss`` the copies of each it removes, its need minus the copies it
-    puts back.  A product is always one of the reactants, so
-    ``A + B -> .`` is ``(A, 1, 1), (B, 1, 1)``, and the catalytic
-    ``Y + X -> Y`` is ``(X, 1, 1), (Y, 1, 0)`` when X has the lower
-    ordinal.
+    Every rule reads two distinct species, one copy each, and is
+    ``A + B -> .`` or the catalytic ``A + B -> A``.  Rule ``q`` reads
+    ``a[q]`` and ``b[q]``, with ``a[q] < b[q]``, and ``kept[q]`` is the
+    reactant it puts back, or -1 for none.  So ``A + B -> .`` is
+    ``(A, B, -1)``, and ``Y + X -> Y`` is ``(X, Y, Y)`` when X has the
+    lower ordinal.
 
-    Construction is the one place a rule is checked.  Every rule must be
-    void: it lowers some count and raises none, so each loss is between
-    0 and the need and one is positive.  The ordinal range, the order
-    and the needs are checked too.  A refusal does not name the rule;
-    the caller has it.  Compilers fill the columns straight from
-    ordinals; a :class:`Rule` is built only when the table is indexed or
-    iterated, for rule text and for callers, and ``len`` costs O(1).
+    Construction is the one place a rule is checked: the columns have
+    one length, both ordinals lie in the alphabet, ``a < b``, and
+    ``kept`` is -1, ``a`` or ``b``, so a rule lowers one or two counts
+    and raises none.  A refusal does not name the rule; the caller has
+    it.  Compilers fill the columns straight from ordinals; a
+    :class:`Rule` is built only when the table is indexed or iterated,
+    for rule text and for callers, and ``len`` costs O(1).
     """
 
-    __slots__ = ("alphabet", "start", "species", "need", "loss")
+    __slots__ = ("alphabet", "a", "b", "kept")
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        start: Iterable[int],
-        species: Iterable[int],
-        need: Iterable[int],
-        loss: Iterable[int],
-    ):
+    def __init__(self, alphabet: Alphabet, a: Iterable[int], b: Iterable[int], kept: Iterable[int]):
         self.alphabet = alphabet
-        self.start, self.species = start, species = tuple(start), tuple(species)
-        self.need, self.loss = need, loss = tuple(need), tuple(loss)
-        size, bound = len(species), len(alphabet.names)
-        if not start or start[0] != 0 or start[-1] != size or len(need) != size or len(loss) != size:
-            raise ValueError("rule table offsets and columns do not match")
-        if not all(map(lt, start, start[1:])) or min(need, default=1) < 1:
-            raise ValueError("rule needs at least one reactant with positive count")
-        if size and (min(species) < 0 or max(species) >= bound):
-            o = next(o for o in species if not 0 <= o < bound)
+        self.a, self.b, self.kept = a, b, kept = tuple(a), tuple(b), tuple(kept)
+        if not len(a) == len(b) == len(kept):
+            raise ValueError("rule table columns do not match")
+        bound = len(alphabet.names)
+        if a and (min(min(a), min(b)) < 0 or max(max(a), max(b)) >= bound):
+            o = next(o for pair in zip(a, b) for o in pair if not 0 <= o < bound)
             raise ValueError(f"reactant ordinal {o} is outside the alphabet")
-        # An entry not above the one before it must open a rule.
-        if not set(compress(count(1), map(ge, species, species[1:]))) <= set(start):
+        if not all(map(lt, a, b)):
             raise ValueError("reactant ordinals must be sorted and distinct")
-        if not all(map(le, loss, need)):
-            raise ValueError(_BAD_PRODUCT)
-        # Void: no loss below 0, and a positive loss in every rule.
-        lost = list(accumulate(loss, initial=0))
-        lost = list(map(lost.__getitem__, start))  # lost before each rule
-        if min(loss, default=0) < 0 or not all(map(lt, lost, lost[1:])):
+        if any(k != -1 and k != x and k != y for x, y, k in zip(a, b, kept)):
             raise ValueError(_NOT_VOID)
 
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rules: Iterable[Rule]) -> RuleTable:
-        """The table of ``rules``, in their order, each over ``alphabet``;
-        a rule's repeated reactants are merged and sorted.  Beyond the
-        table's checks, every product must be one of the rule's
-        reactants, with a count >= 1: the columns hold no other."""
-        start, species, need, loss = [0], [], [], []
+        """The table of ``rules``, in their order, each over ``alphabet``,
+        its reactants sorted.  A product count below 1 is refused, then
+        a rule whose net change raises a count or changes none, then
+        any other rule that does not read two distinct species, one copy
+        each.  What passes puts back at most one copy of one reactant."""
+        a, b, kept = [], [], []
         for rule in rules:
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
-            reads: dict[int, int] = {}
-            for o, c in rule.reactants:
-                reads[o] = reads.get(o, 0) + c
-            kept = dict.fromkeys(reads, 0)
-            for o, c in rule.products:
-                if c < 1:
-                    raise ValueError(_BAD_PRODUCT)
-                if o not in kept:  # it would raise a count
-                    raise ValueError(_NOT_VOID)
-                kept[o] += c
-            for o in sorted(reads):
-                species.append(o)
-                need.append(reads[o])
-                loss.append(reads[o] - kept[o])
-            start.append(len(species))
-        return cls(alphabet, start, species, need, loss)
+            if any(c < 1 for _, c in rule.products):
+                raise ValueError(_BAD_PRODUCT)
+            if not rule.delta or max(d for _, d in rule.delta) > 0:
+                raise ValueError(_NOT_VOID)
+            reads = rule.reactants
+            if [c for _, c in reads] != [1, 1] or reads[0][0] == reads[1][0]:
+                raise ValueError(_SHAPE)
+            x, y = sorted(o for o, _ in reads)
+            a.append(x)
+            b.append(y)
+            kept.append(rule.products[0][0] if rule.products else -1)
+        return cls(alphabet, a, b, kept)
 
     def _rule(self, q: int) -> Rule:
-        i, j = self.start[q], self.start[q + 1]
-        species, need, loss = self.species, self.need, self.loss
-        kept = tuple((species[e], need[e] - loss[e]) for e in range(i, j) if need[e] > loss[e])
-        return Rule(self.alphabet, tuple(zip(species[i:j], need[i:j])), kept)
+        k = self.kept[q]
+        return Rule(self.alphabet, ((self.a[q], 1), (self.b[q], 1)), ((k, 1),) if k >= 0 else ())
 
     def __len__(self) -> int:
-        return len(self.start) - 1
+        return len(self.a)
 
     def __getitem__(self, q):
         picked = range(len(self))[q]
@@ -232,14 +211,13 @@ class RuleTable(Sequence):
         return self is other or (
             isinstance(other, RuleTable)
             and self.alphabet == other.alphabet
-            and self.start == other.start
-            and self.species == other.species
-            and self.need == other.need
-            and self.loss == other.loss
+            and self.a == other.a
+            and self.b == other.b
+            and self.kept == other.kept
         )
 
     def __hash__(self) -> int:
-        return hash((self.start, self.species, self.need, self.loss))
+        return hash((self.a, self.b, self.kept))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RuleTable({len(self)} rules)"
@@ -249,11 +227,10 @@ class RuleTable(Sequence):
 
 
 def parse_rule(text: str, alphabet: Alphabet) -> Rule:
-    """Parse ``A + B -> .`` style rule text (coefficients like ``2 A``
-    are accepted too; ``.`` is the empty side) into the rule a one-row
-    :class:`RuleTable` reads back, so a rule that is not void is
-    refused.  The arrow is space-delimited because species names
-    themselves may contain ``->``."""
+    """Parse ``A + B -> .`` or ``A + B -> A`` rule text (``.`` is the
+    empty side) into the rule a one-row :class:`RuleTable` reads back,
+    so any other rule is refused.  The arrow is space-delimited because
+    species names themselves may contain ``->``."""
     return rule_row(text, alphabet)[0]
 
 
@@ -269,16 +246,13 @@ def rule_row(text: str, alphabet: Alphabet) -> RuleTable:
 
 
 def _parse_side(side: str, alphabet: Alphabet) -> tuple[tuple[int, int], ...]:
+    """One (ordinal, 1) pair per term of ``side``, each a species name."""
     if side.strip() == ".":
         return ()
     terms = []
     for term in side.split("+"):
         parts = term.split()
-        if len(parts) == 1:
-            coeff, name = 1, parts[0]
-        elif len(parts) == 2 and parts[0].isdigit():
-            coeff, name = int(parts[0]), parts[1]
-        else:
+        if len(parts) != 1:
             raise ValueError(f"bad rule term {term.strip()!r}")
-        terms.append((alphabet.ordinal(name), coeff))
+        terms.append((alphabet.ordinal(parts[0]), 1))
     return tuple(terms)

@@ -10,13 +10,15 @@ is the ground truth the verifier uses to check that decoding is schedule
 independent.  The tests keep an unreduced, name-level reference of both
 and compare the two with it.
 
-Every rule must be void: it lowers some count and raises none.  Each
-application then strictly shrinks the volume, so every run terminates.
-A program holds its rules as one :class:`~stepcrn.crn.RuleTable`,
-whose construction is the one rule check and refuses any other rule;
-the engine checks no rule again.  Both paths read flat tables built
-from it: neither builds a :class:`~stepcrn.crn.Rule`, a plain record,
-except to print the rule text of a traced firing.
+Every rule reads two distinct species, one copy each, and is
+``A + B -> .`` or the catalytic ``A + B -> A``.  Each application then
+lowers one or two counts by one and raises none, so every run
+terminates.  A program holds its rules as one
+:class:`~stepcrn.crn.RuleTable`, whose construction is the one rule
+check and refuses any other rule; the engine checks no rule again.
+Both paths read flat tables built from it: neither builds a
+:class:`~stepcrn.crn.Rule`, a plain record, except to print the rule
+text of a traced firing.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -25,9 +27,9 @@ enable a rule.  A program adds each species at one step, so a step
 checks only the rules whose last reactant it adds, and each rule is
 checked once.  A firing touches only the consumers of what it lowered.
 This is the dependency graph of Gibson and Bruck (J. Phys. Chem. A,
-2000): after an event, touch only what it affects.  A species whose
-consumers each need one copy, as in every compiled program, drops them
-all when it reaches 0, without comparing a need.
+2000): after an event, touch only what it affects.  Every rule reads one
+copy of each reactant, so a species drops all its consumers when it
+reaches 0, and none before.
 
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
@@ -49,8 +51,7 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
-from operator import add
+from itertools import count
 
 from .circuits import input_bits
 from .crn import Alphabet, Configuration, RuleTable, rule_row
@@ -207,95 +208,55 @@ class _PreparedRules:
     without building a rule object.
 
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
-    rules that consume species ``o`` and ``needs[o]`` how many copies
-    each needs, so when a firing lowers ``o`` below a rule's need that
-    rule leaves the enabled set at once.  ``max_need[o]`` is the largest
-    of those needs: when it is 1, a count below it is 0 and every rule
-    of ``watch[o]`` leaves without ``needs[o]`` being read.
-    ``delta[q]`` holds rule ``q``'s (ordinal, -loss) pairs for its
-    positive losses.
+    rules that read species ``o``; each reads one copy, so when a firing
+    takes ``o`` to 0 every rule of ``watch[o]`` leaves the enabled set
+    at once.  ``lowers[q]`` holds the species rule ``q`` lowers by one:
+    both reactants, or the one it does not keep.
 
-    Void rules never raise a count, so only additions enable a rule, and
-    a program adds each species at one step.  A rule is therefore
-    checked at its ready step alone, the step that adds its last
-    reactant: ``ready_by_step[k]`` lists those rules in rule order, and
-    holds each rule at most once.  Programs keep these tables for their
-    lifetime, so they hold flat tuples.
+    Rules never raise a count, so only additions enable a rule, and a
+    program adds each species at one step.  A rule is therefore checked
+    at its ready step alone, the step that adds its later reactant:
+    ``ready_by_step[k]`` lists those rules in rule order, and holds each
+    rule at most once.  Programs keep these tables for their lifetime,
+    so they hold flat tuples.
     """
 
     def __init__(self, program: StepProgram):
         added_at = program.added_at
         self.table = table = program.rules
-        start, species, need, loss = table.start, table.species, table.need, table.loss
-        heads, ends = start[:-1], start[1:]
-        tails = [j - 1 for j in ends]
-        # Rules share one (o, 1) read and one ((o, -1),) delta per species,
-        # so these tables allocate little beyond the rule table.
-        ones = list(zip(range(len(added_at)), repeat(1)))
-        solo = [((o, -1),) for o in range(len(added_at))]
-        reads = [ones[o] if c == 1 else (o, c) for o, c in zip(species, need)]
-        lowers = [(solo[o] if d == 1 else ((o, -d),)) if d else () for o, d in zip(species, loss)]
-        # Most rules have two reactant species, and a delta joins the
-        # first's and the last's lowerings; CPython gives ``t`` itself for
-        # ``() + t``, so a rule that lowers one species shares its delta.
-        delta = list(map(add, map(lowers.__getitem__, heads), map(lowers.__getitem__, tails)))
-        odd = [q for q, i, j in zip(count(), heads, ends) if j - i != 2]
-        for q in odd:
-            delta[q] = sum(lowers[start[q] : ends[q]], ())
-        self.delta = tuple(delta)
-        # Applicability checks read a rule's first and last reactant
-        # inline; the rare rule with more than two reactant species is
-        # checked whole, from ``wide``.
-        self.first = first = tuple(map(reads.__getitem__, heads))
-        self.last = last = tuple(map(reads.__getitem__, tails))
-        self.wide = wide = {
-            q: tuple(reads[start[q] : ends[q]]) for q in odd if ends[q] - start[q] > 2
-        }
+        # Rules that lower one species share one 1-tuple per species, so
+        # these tables allocate little beyond the rule table.
+        solo = [(o,) for o in range(len(added_at))]
+        self.lowers = tuple(
+            (x, y) if k < 0 else solo[y if k == x else x] for x, y, k in zip(table.a, table.b, table.kept)
+        )
         watch: list[list[int]] = [[] for _ in added_at]
-        needs: list[list[int]] = [[] for _ in added_at]
-        max_need = [0] * len(added_at)
         never = len(program.steps)
         by_step: list[list[int]] = [[] for _ in range(never)]
-        for q, a, b in zip(count(), first, last):
-            ready = 0
-            for o, c in wide.get(q) or ((a, b) if a != b else (a,)):
-                watch[o].append(q)
-                needs[o].append(c)
-                if c > max_need[o]:
-                    max_need[o] = c
-                if added_at[o] > ready:
-                    ready = added_at[o]
+        for q, x, y in zip(count(), table.a, table.b):
+            watch[x].append(q)
+            watch[y].append(q)
+            ready = added_at[x] if added_at[x] > added_at[y] else added_at[y]
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
         self.ready_by_step = tuple(map(tuple, by_step))
         self.watch = tuple(map(tuple, watch))
-        self.needs = tuple(map(tuple, needs))
-        self.max_need = tuple(max_need)
 
     @cached_property
     def reads_by_step(self) -> tuple[tuple[int, ...], ...]:
         """``reads_by_step[k]``: the sorted species that the rules ready
         at step k read.  Only the enumerator reads it, so it is built on
         the enumerator's first use and a run never pays for it."""
-        start, species = self.table.start, self.table.species
+        a, b = self.table.a, self.table.b
         return tuple(
-            tuple(sorted({o for q in ready for o in species[start[q] : start[q + 1]]}))
-            for ready in self.ready_by_step
+            tuple(sorted({a[q] for q in ready} | {b[q] for q in ready})) for ready in self.ready_by_step
         )
 
     def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
         """The rules among ``candidates`` whose reactants ``counts``
-        covers, in candidate order."""
-        first, last, wide = self.first, self.last, self.wide
-        out = []
-        for q in candidates:
-            a, na = first[q]
-            b, nb = last[q]
-            if counts[a] >= na and counts[b] >= nb and (
-                q not in wide or all(counts[o] >= c for o, c in wide[q])
-            ):
-                out.append(q)
-        return out
+        holds, in candidate order."""
+        a, b = self.table.a, self.table.b
+        return [q for q in candidates if counts[a[q]] and counts[b[q]]]
 
     def run(
         self,
@@ -314,9 +275,8 @@ class _PreparedRules:
         applicable rules among those ready at it, in rule order: the
         previous step ended with none enabled, and no step re-adds a
         species.  A step that readies no rule fires none.  A firing
-        swap-removes, in rule order, every enabled rule it pushed below
-        a need: all of ``watch[o]`` when ``max_need[o]`` is 1, else
-        those whose need the new count misses.
+        that takes a species ``o`` to 0 swap-removes, in rule order,
+        every enabled rule of ``watch[o]``.
 
         Each draw is ``rng.randrange(len(enabled))`` with CPython's
         rejection sampler (``Random._randbelow_with_getrandbits``)
@@ -328,11 +288,11 @@ class _PreparedRules:
         text of a rule object built for it.  Returns
         (final counts, peak volume, applications).
         """
-        delta, watch, needs, max_need = self.delta, self.watch, self.needs, self.max_need
+        lowers, watch = self.lowers, self.watch
         table, ready_by_step = self.table, self.ready_by_step
         getrandbits = rng.getrandbits
         counts = [0] * len(watch)
-        pos = [-1] * len(delta)
+        pos = [-1] * len(lowers)
         volume = peak = apps = 0
         for k, step in enumerate(steps):
             for o, c in (step + inputs if k == 0 else step):
@@ -353,15 +313,14 @@ class _PreparedRules:
                 while pick >= n:
                     pick = getrandbits(width)
                 q = enabled[pick]
-                for o, d in delta[q]:
-                    c = counts[o] + d
+                for o in lowers[q]:
+                    c = counts[o] - 1
                     counts[o] = c
-                    volume += d
-                    m = max_need[o]
-                    if c < m:
-                        for r in watch[o] if m == 1 else [r for r, need in zip(watch[o], needs[o]) if c < need]:
-                            if pos[r] >= 0:
-                                i = pos[r]
+                    volume -= 1
+                    if not c:
+                        for r in watch[o]:
+                            i = pos[r]
+                            if i >= 0:
                                 tail = enabled.pop()
                                 if tail != r:
                                     enabled[i] = tail
@@ -454,24 +413,22 @@ def _search_terminals(
     Each stack entry carries its configuration and its enabled rules,
     split into connected components: two rules connect when they share
     a reactant species that some enabled rule lowers (see
-    :func:`_components`).  Void rules never enable a rule, so a
-    successor's enabled rules are its parent's minus those the firing
-    pushed below a need.  Those read a species the fired rule lowers, so
+    :func:`_components`).  No firing enables a rule, so a successor's
+    enabled rules are its parent's minus the readers of each species the
+    firing took to 0.  Those read a species the fired rule lowers, so
     they share its component, and only it is split again; no rule of
     another component lowers a species it reads.  The other components
-    stay closed under the relation, if coarser than it requires.  A
-    species whose consumers each need one copy drops all of them when it
-    reaches 0, without comparing needs.  The split of the surviving
-    rules is a function of that rule list alone, so ``splits`` keeps
-    each split the step has made, keyed by the rule tuple, and a
-    repeated list is not split again.
+    stay closed under the relation, if coarser than it requires.  The
+    split of the surviving rules is a function of that rule list alone,
+    so ``splits`` keeps each split the step has made, keyed by the rule
+    tuple, and a repeated list is not split again.
 
     Each configuration fires only the rules of its smallest component
     (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
     terminal:
 
-    - A void rule's ``delta`` touches only its own reactants, and only
-      downward.
+    - A firing lowers only its own rule's reactants, and never raises
+      a count.
     - So a rule outside a component lowers no species that a component
       rule reads, and a component rule lowers none that an outside rule
       reads.
@@ -490,8 +447,7 @@ def _search_terminals(
     ``visited`` unchecked; the search raises :class:`StateCapExceeded`
     once a configuration it adds takes ``visited`` past ``state_cap``.
     """
-    delta = prep.delta
-    watch, needs, max_need = prep.watch, prep.needs, prep.max_need
+    lowers, watch = prep.lowers, prep.watch
     terminals: set[tuple[int, ...]] = set()
     visited[entry] = entry
     stack = [(entry, _components(prep.applicable(entry, candidates), prep))]
@@ -505,12 +461,11 @@ def _search_terminals(
         for q in ample:
             nxt = list(cur)
             dead: list[int] = []
-            for o, d in delta[q]:
-                c = nxt[o] + d
+            for o in lowers[q]:
+                c = nxt[o] - 1
                 nxt[o] = c
-                m = max_need[o]
-                if c < m:
-                    dead += watch[o] if m == 1 else [r for r, need in zip(watch[o], needs[o]) if c < need]
+                if not c:
+                    dead += watch[o]
             key = tuple(nxt)
             root = visited.get(key)
             if root is entry:
@@ -539,12 +494,12 @@ def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
     a catalyst that none of them deletes joins nothing."""
     if len(enabled) < 2:
         return [enabled] if enabled else []
-    start, species, delta = prep.table.start, prep.table.species, prep.delta
+    a, b, lowers = prep.table.a, prep.table.b, prep.lowers
     # users[o]: the enabled rules reading o, for each species o that an
     # enabled rule lowers.
-    users: dict[int, list[int]] = {o: [] for q in enabled for o, _ in delta[q]}
+    users: dict[int, list[int]] = {o: [] for q in enabled for o in lowers[q]}
     for q in enabled:
-        for o in species[start[q] : start[q + 1]]:
+        for o in (a[q], b[q]):
             if o in users:
                 users[o].append(q)
     components = []
@@ -555,7 +510,7 @@ def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
         seen.add(q)
         component = [q]
         for p in component:  # grows as the walk reaches new rules
-            for o in species[start[p] : start[p + 1]]:
+            for o in (a[p], b[p]):
                 for r in users.get(o, ()):
                     if r not in seen:
                         seen.add(r)
@@ -586,7 +541,7 @@ def enumerate_program_terminals(
 
     - Only rules ready at step k can fire in it, and each reads only
       species of ``reads_by_step[k]``.
-    - A rule's ``delta`` touches only its own reactants.
+    - A firing lowers only its own rule's reactants.
     - So which rules are enabled, what a firing changes, and hence every
       path and terminal from an entry depend only on its counts on those
       species; the others ride along unchanged.
@@ -675,7 +630,7 @@ def program_from_text(text: str) -> StepProgram:
     backend = "unknown"
     alphabet: Alphabet | None = None
     # The rule table's columns, joined from each rule line's checked row.
-    start, rule_species, need, loss = [0], [], [], []
+    a, b, kept = [], [], []
     steps: list[Step] = []
     inputs: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     declared: set[int] = set()
@@ -695,6 +650,13 @@ def program_from_text(text: str) -> StepProgram:
         if c < 1:
             raise ValueError(f"count {c} is not positive")
         return c
+
+    def counted(entry: str, sep: str) -> tuple[int, int]:
+        # A step's name=count or an input's name:count entry.
+        sp, found, cnt = entry.rpartition(sep)
+        if not found:
+            raise ValueError(f"entry {entry!r} has no {sep}count")
+        return species(sp), count(cnt)
 
     def by_bit(parts: list[str], what: str) -> dict[str, str]:
         entries = dict(part.partition("=")[::2] for part in parts)
@@ -727,10 +689,9 @@ def program_from_text(text: str) -> StepProgram:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
                 row = rule_row(line, alphabet)
-                rule_species += row.species
-                need += row.need
-                loss += row.loss
-                start.append(len(rule_species))
+                a += row.a
+                b += row.b
+                kept += row.kept
             elif section == "steps":
                 head, _, rest = line.partition(":")
                 words = head.split()
@@ -743,11 +704,10 @@ def program_from_text(text: str) -> StepProgram:
                 rest = rest.strip()
                 if rest:
                     for item in rest.split(","):
-                        sp, _, cnt = item.strip().rpartition("=")
-                        o = species(sp)
+                        o, c = counted(item.strip(), "=")
                         if o in acc:
-                            raise ValueError(f"species {sp!r} listed twice in one step")
-                        acc[o] = count(cnt)
+                            raise ValueError(f"species {alphabet.names[o]!r} listed twice in one step")
+                        acc[o] = c
                 steps.append(tuple(sorted(acc.items())))
             elif section == "inputs":
                 parts = line.split()
@@ -757,8 +717,7 @@ def program_from_text(text: str) -> StepProgram:
                 declared.add(gid)
                 enc = {}
                 for bit, entry in by_bit(parts[1:], f"input {gid}").items():
-                    sp, _, cnt = entry.rpartition(":")
-                    enc[bit] = (species(sp), count(cnt))
+                    enc[bit] = counted(entry, ":")
                 inputs.append((gid, enc["0"], enc["1"]))
             elif section == "outputs":
                 parts = line.split()
@@ -776,7 +735,7 @@ def program_from_text(text: str) -> StepProgram:
         name=name,
         backend=backend,
         alphabet=alphabet,
-        rules=RuleTable(alphabet, start, rule_species, need, loss),
+        rules=RuleTable(alphabet, a, b, kept),
         steps=tuple(steps),
         inputs=tuple(inputs),
         outputs=tuple(outputs),

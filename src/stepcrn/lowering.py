@@ -365,30 +365,27 @@ def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
 
 class _RuleColumns:
     """The columns of a :class:`~stepcrn.crn.RuleTable`, filled one
-    compiled rule at a time, in emission order, from ordinals.  Every
-    compiled rule reads one copy each of two distinct species."""
+    compiled rule at a time, in emission order, from ordinals."""
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.index = alphabet.index
-        self.species: list[int] = []
-        self.loss: list[int] = []
+        self.a: list[int] = []
+        self.b: list[int] = []
+        self.kept: list[int] = []
 
     def add(self, first: str, second: str, catalytic: bool = False) -> None:
         """``first + second -> .``, or ``first + second -> first`` when
         ``catalytic``."""
-        a, b = self.index[first], self.index[second]
-        lost = 0 if catalytic else 1
-        if a < b:
-            self.species += (a, b)
-            self.loss += (lost, 1)
-        else:  # a == b fails the table's check: reactants must be distinct
-            self.species += (b, a)
-            self.loss += (1, lost)
+        x, y = self.index[first], self.index[second]
+        self.kept.append(x if catalytic else -1)
+        if x > y:  # x == y fails the table's check: reactants must be distinct
+            x, y = y, x
+        self.a.append(x)
+        self.b.append(y)
 
     def table(self) -> RuleTable:
-        n = len(self.species)
-        return RuleTable(self.alphabet, range(0, n + 1, 2), self.species, [1] * n, self.loss)
+        return RuleTable(self.alphabet, self.a, self.b, self.kept)
 
 
 def _void_rules(

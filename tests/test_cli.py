@@ -641,7 +641,20 @@ _MALFORMED = [
     ("rule-makes-a-product", "run", "alphabet: A B C\nrules:\nA + B -> C\n",
      "line 3: rule is not void: it must lower some count and raise none: 'A + B -> C'"),
     ("rule-needs-zero", "run", "alphabet: A B\nrules:\n0 A + B -> .\n",
-     "line 3: rule needs at least one reactant with positive count: '0 A + B -> .'"),
+     "line 3: bad rule term '0 A': '0 A + B -> .'"),
+    # A rule must read two distinct species, one copy each.
+    ("rule-reads-a-species-twice", "run", "alphabet: A B\nrules:\nA + A -> .\n",
+     "line 3: rule must read two distinct species, one copy each: 'A + A -> .'"),
+    ("rule-with-a-coefficient", "run", "alphabet: A B\nrules:\n2 A + B -> .\n",
+     "line 3: bad rule term '2 A': '2 A + B -> .'"),
+    ("rule-reads-three-species", "run", "alphabet: A B C\nrules:\nA + B + C -> .\n",
+     "line 3: rule must read two distinct species, one copy each: 'A + B + C -> .'"),
+    ("rule-reads-one-species", "run", "alphabet: A B\nrules:\nA -> .\n",
+     "line 3: rule must read two distinct species, one copy each: 'A -> .'"),
+    ("step-entry-without-count", "run", "alphabet: A B\nsteps:\nstep 0: A\n",
+     "line 3: entry 'A' has no =count: 'step 0: A'"),
+    ("input-entry-without-count", "run", "alphabet: A B\nsteps:\nstep 0: A=1\ninputs:\n1 0=B 1=A:1\n",
+     "line 5: entry 'B' has no :count: '1 0=B 1=A:1'"),
     # corpus specification
     ("maj-fraction-2", "gen-corpus", "--maj-fraction 2", "maj_fraction must be in [0, 1]"),
 ]

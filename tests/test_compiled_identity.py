@@ -15,21 +15,17 @@ from pathlib import Path
 
 from stepcrn import (
     CorpusSpec,
-    Schedule,
     build_stage_chain,
-    enumerate_program_terminals,
     generate_circuits,
     normalize,
     parse_circuit,
+    parse_rule,
     program_from_text,
     program_to_text,
-    run_program,
     stats,
 )
 from stepcrn import engine
 from stepcrn.lowering import BACKENDS, SPECIES_C, compile_backend
-
-from test_engine import _CountingTable
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
 
@@ -131,28 +127,23 @@ def test_rule_tables_survive_the_text_round_trip():
         assert back.rules == program.rules, key
         assert list(back.rules) == list(program.rules), key
         ours, theirs = engine._prepared(program), engine._prepared(back)
-        for table in ("delta", "watch", "needs", "max_need", "first", "last", "wide", "ready_by_step"):
+        for table in ("lowers", "watch", "ready_by_step"):
             assert getattr(ours, table) == getattr(theirs, table), (key, table)
 
 
-def test_compiled_programs_drop_consumers_without_reading_needs():
-    # Every compiled rule reads one copy of each reactant, so a species
-    # whose count falls below its largest need is at 0, and every
-    # consumer leaves at once: neither the scheduler nor the search
-    # reads how many copies a consumer needs.
+def test_compiled_rules_have_the_two_shapes():
+    # Every compiled rule is A + B -> . or A + B -> A|B with A != B, and
+    # reads back from its text as the same rule.
     compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
+    compiles += [(f"m/{b}", parse_circuit(MAJ_NET), b) for b in ("exp", "catalyst")]
     for key, circuit, backend in compiles:
         program, _ = compile_backend(circuit, backend)
-        assert max(engine._prepared(program).max_need) <= 1, key
-    program, _ = compile_backend(parse_circuit(MAJ_NET), "catalyst")
-    prep = engine._prepared(program)
-    prep.needs = _CountingTable(prep.needs)
-    _CountingTable.reads = 0
-    for seed in range(3):
-        assert run_program(program, "101", Schedule(seed)).applications > 0
-    assert _CountingTable.reads == 0
-    assert len(enumerate_program_terminals(program, "101")) >= 1
-    assert _CountingTable.reads == 0
+        alphabet = program.alphabet
+        for rule in program.rules:
+            (a, ca), (b, cb) = rule.reactants
+            assert ca == cb == 1 and a != b, (key, rule.text)
+            assert rule.products in ((), ((a, 1),), ((b, 1),)), (key, rule.text)
+            assert parse_rule(rule.text, alphabet) == rule, (key, rule.text)
 
 
 def test_catalyst_species_stay_under_the_predicted_bound():

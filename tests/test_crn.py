@@ -14,7 +14,7 @@ def cfg(**counts):
     return configuration(AB, counts)
 
 
-@pytest.mark.parametrize("text", ["A -> A + B", "A + B -> C", "A -> A", "2 H + O -> W"])
+@pytest.mark.parametrize("text", ["A -> A + B", "A + B -> C", "A -> A", "A + B -> A + B", "A + B -> A + A"])
 def test_parse_rule_refuses_a_rule_that_is_not_void(text):
     # It raises a count, makes a species, or changes nothing.
     with pytest.raises(ValueError, match=r"^rule is not void: it must lower some count and raise none$"):
@@ -38,8 +38,24 @@ def test_applicable_basic():
     assert not applicable(cfg(A=1), r)
 
 
+# The reference helpers take any rule record; rule text holds only the
+# two shapes, so the self-pair 2 A -> . is built directly.
+SELF_PAIR = Rule(AB, ((0, 2),), ())
+
+
+def test_parse_rule_refuses_other_shapes():
+    # A void rule that does not read two distinct species, one copy each.
+    for text in ("A + A -> .", "A -> .", "A + B + C -> .", "A + B + C -> A"):
+        with pytest.raises(ValueError, match=r"^rule must read two distinct species, one copy each$"):
+            parse_rule(text, AB)
+    # Coefficients are no rule text.
+    for text in ("2 A -> .", "2 A + B -> .", "A + B -> 1 A"):
+        with pytest.raises(ValueError, match=r"^bad rule term '\d A'$"):
+            parse_rule(text, AB)
+
+
 def test_applicable_self_pair():
-    r = parse_rule("2 A -> .", AB)
+    r = SELF_PAIR
     assert applicable(cfg(A=2), r)
     assert not applicable(cfg(A=1), r)
 
@@ -55,7 +71,7 @@ def test_apply_catalyst_preserved():
 
 
 def test_apply_self_pair():
-    out = apply_rule(cfg(A=2), parse_rule("2 A -> .", AB))
+    out = apply_rule(cfg(A=2), SELF_PAIR)
     assert out.as_dict() == {}
 
 
@@ -72,8 +88,7 @@ def test_is_terminal():
 
 
 def test_void_application_shrinks_volume_by_size_difference():
-    for text in ["A + B -> .", "2 A -> .", "Y + X -> Y"]:
-        r = parse_rule(text, AB)
+    for r in [parse_rule("A + B -> .", AB), SELF_PAIR, parse_rule("Y + X -> Y", AB)]:
         i, j = rule_size(r)
         before = cfg(A=3, B=3, Y=2, X=2)
         after = apply_rule(before, r)
@@ -81,7 +96,7 @@ def test_void_application_shrinks_volume_by_size_difference():
 
 
 def test_rule_text_round_trip():
-    for text in ["A + B -> .", "2 A -> .", "Y + X -> Y", "2 H + O -> O"]:
+    for text in ["A + B -> .", "Y + X -> Y", "Y + X -> X", "H + O -> O"]:
         r = parse_rule(text, AB)
         assert parse_rule(r.text, AB) == r
 
@@ -89,8 +104,6 @@ def test_rule_text_round_trip():
 def test_rule_text_forms():
     assert parse_rule("B + A -> .", AB).text == "A + B -> ."
     assert parse_rule("X + Y -> Y", AB).text == "Y + X -> Y"
-    assert parse_rule("2 A -> .", AB) == parse_rule("A + A -> .", AB)
-    assert parse_rule("2 A -> .", AB).text == "A + A -> ."
 
 
 def test_configuration_views():
@@ -135,18 +148,13 @@ def _by_rule(reactants, products):
 
 
 def _by_table(reactants, products):
-    kept = dict(products)
+    (a, _), (b, _) = reactants
     with pytest.raises(ValueError) as refused:
-        RuleTable(
-            AB,
-            (0, len(reactants)),
-            [o for o, _ in reactants],
-            [c for _, c in reactants],
-            [c - kept.get(o, 0) for o, c in reactants],
-        )
+        RuleTable(AB, [a], [b], [products[0][0] if products else -1])
     return str(refused.value)
 
 
+_SHAPE = "rule must read two distinct species, one copy each"
 _NOT_VOID = "rule is not void: it must lower some count and raise none"
 
 
@@ -155,14 +163,14 @@ _NOT_VOID = "rule is not void: it must lower some count and raise none"
     [
         (((0, 1), (8, 1)), (), "reactant ordinal 8 is outside the alphabet"),
         (((-1, 1), (0, 1)), (), "reactant ordinal -1 is outside the alphabet"),
-        (((0, 0), (1, 1)), (), "rule needs at least one reactant with positive count"),
+        (((0, 0), (1, 1)), (), _SHAPE),
         (((0, 1),), ((0, 2),), _NOT_VOID),
-        (((0, 1),), ((0, 1),), _NOT_VOID),
-        ((), (), "rule needs at least one reactant with positive count"),
-        (((0, 0),), (), "rule needs at least one reactant with positive count"),
-        (((0, 1), (1, -1)), (), "rule needs at least one reactant with positive count"),
-        (((0, 1),), ((1, 0),), "product counts must be positive"),
-        (((0, 1),), ((1, -2),), "product counts must be positive"),
+        (((0, 1), (1, 1)), ((0, 1), (1, 1)), _NOT_VOID),
+        (((0, 1),), (), _SHAPE),
+        (((0, 2), (1, 1)), ((1, 1),), _SHAPE),
+        (((0, 1), (1, 1), (2, 1)), (), _SHAPE),
+        (((0, 1), (1, 1)), ((1, 0),), "product counts must be positive"),
+        (((0, 1), (1, 1)), ((1, -2),), "product counts must be positive"),
         # A product that is no reactant raises a count, inside the
         # alphabet or outside it.
         (((0, 1), (1, 1)), ((2, 1),), _NOT_VOID),
@@ -172,10 +180,11 @@ _NOT_VOID = "rule is not void: it must lower some count and raise none"
 )
 def test_table_refuses_what_a_rule_refuses_with_the_same_message(reactants, products, message):
     # The check's two entries, the columns and from_rules, refuse a rule
-    # with one message.  Only from_rules sees a product that is no
-    # reactant or has a count below 1: the columns cannot hold it.
+    # with one message.  The columns hold only two reactants of one copy
+    # each and at most one product of one copy: only from_rules sees the
+    # rest.
     assert _by_rule(reactants, products) == message
-    if all(c >= 1 and o in dict(reactants) for o, c in products):
+    if [c for _, c in reactants] == [1, 1] and [c for _, c in products] in ([], [1]):
         assert _by_table(reactants, products) == message
 
 
@@ -195,9 +204,9 @@ def test_rule_refuses_ordinals_outside_its_alphabet(reactants, products, message
 
 
 def test_table_refuses_unsorted_or_repeated_reactants():
-    for species in ((1, 0), (1, 1)):
+    for a, b in ((1, 0), (1, 1)):
         with pytest.raises(ValueError, match=r"^reactant ordinals must be sorted and distinct$"):
-            RuleTable(AB, (0, 2), species, (1, 1), (1, 1))
+            RuleTable(AB, [a], [b], [-1])
     # So a compiled rule naming one species twice is refused too.
     columns = _RuleColumns(AB)
     columns.add("X", "X")
@@ -205,11 +214,21 @@ def test_table_refuses_unsorted_or_repeated_reactants():
         columns.table()
 
 
+def test_table_columns_must_match_and_keep_a_reactant():
+    with pytest.raises(ValueError, match=r"^rule table columns do not match$"):
+        RuleTable(AB, [0, 1], [2], [-1])
+    # kept names a reactant, or is -1 for none.
+    for kept in (2, -2):
+        with pytest.raises(ValueError, match=r"^rule is not void"):
+            RuleTable(AB, [0], [1], [kept])
+    assert len(RuleTable(AB, [], [], [])) == 0
+
+
 def test_table_indexing_builds_rules_and_len_does_not():
-    table = RuleTable.from_rules(AB, [parse_rule(t, AB) for t in ("A + B -> .", "Y + X -> Y", "2 X -> .")])
-    assert len(table) == 3 and table.start == (0, 2, 4, 5)
-    assert [r.text for r in table] == ["A + B -> .", "Y + X -> Y", "X + X -> ."]
-    assert table[-1] == parse_rule("2 X -> .", AB) and table[1:] == (table[1], table[2])
+    table = RuleTable.from_rules(AB, [parse_rule(t, AB) for t in ("A + B -> .", "Y + X -> Y", "W + X -> X")])
+    assert len(table) == 3 and (table.a, table.b, table.kept) == ((0, 3, 4), (1, 4, 7), (-1, 3, 4))
+    assert [r.text for r in table] == ["A + B -> .", "Y + X -> Y", "X + W -> X"]
+    assert table[-1] == parse_rule("X + W -> X", AB) and table[1:] == (table[1], table[2])
     with pytest.raises(IndexError):
         table[3]
     assert pickle.loads(pickle.dumps(table)) == table
@@ -233,7 +252,7 @@ def test_rule_has_no_instance_dict():
 
 
 @pytest.mark.parametrize(
-    "rule", [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB), parse_rule("2 X -> .", AB)]
+    "rule", [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB), SELF_PAIR]
 )
 def test_rule_pickle_round_trip(rule):
     back = pickle.loads(pickle.dumps(rule))

@@ -88,33 +88,17 @@ def test_run_step_or_gate_example():
     assert out.as_dict() == {"y[2->1]T": 1}
 
 
-def test_run_step_checks_every_reactant_and_its_need():
+def test_programs_refuse_rules_of_other_shapes():
+    # A program holds only A + B -> . and A + B -> A: a void rule that
+    # reads three species, or two copies of one, is refused, from rule
+    # objects and from program text.
     ab = Alphabet(["A", "B", "C"])
-    rules = [parse_rule("A + B + C -> .", ab), parse_rule("2 A + C -> A", ab)]
-    start = _cfg(ab, A=1, C=1)
-    assert run_program(one_step(start, rules), ()).final == start
-    program = one_step(_cfg(ab, A=3, B=1, C=2), rules)
-    terminals = enumerate_program_terminals(program, ())
-    assert {run_program(program, (), Schedule(s)).final for s in range(20)} <= terminals
-
-
-def test_mixed_needs_drop_only_the_consumers_below_their_need():
-    # A is read at need 1 and at need 2, so its consumers are filtered
-    # by need: A + B -> . takes A to 1, which drops only 2 A + C -> .,
-    # and B's exit drops A + B -> ., leaving {A: 1, C: 1}.
-    ab = Alphabet(["A", "B", "C"])
-    rules = [parse_rule("A + B -> .", ab), parse_rule("2 A + C -> .", ab)]
-    program = one_step(_cfg(ab, A=2, B=1, C=1), rules)
-    assert engine._prepared(program).max_need == (2, 1, 1)
-    want = {_cfg(ab, A=1, C=1), _cfg(ab, B=1)}
-    assert enumerate_program_terminals(program, ()) == reference_program_terminals(program, ()) == want
-    finals = set()
-    for seed in range(12):
-        result, rng = run_recording_rng(program, (), seed)
-        final, replayed = replay_draws(program, (), seed, result.trace)
-        assert final == result.final and replayed.getstate() == rng.getstate()
-        finals.add(result.final)
-    assert finals == want
+    shape = "rule must read two distinct species, one copy each"
+    for rule in (crn.Rule(ab, ((0, 1), (1, 1), (2, 1)), ()), crn.Rule(ab, ((0, 2), (2, 1)), ((0, 1),))):
+        with pytest.raises(ValueError, match=f"^{shape}$"):
+            one_step(_cfg(ab, A=3, B=1, C=2), [rule])
+    with pytest.raises(ValueError, match=rf"^line 3: {shape}: 'A \+ B \+ C -> \.'$"):
+        program_from_text("alphabet: A B C\nrules:\nA + B + C -> .\n")
 
 
 def test_enumerate_two_maximal_schedules():
@@ -623,7 +607,7 @@ def test_catalyst_entry_checks_follow_firings():
         ready = [q for step in prep.ready_by_step for q in step]
         assert len(ready) == len(set(ready))
         # An entry check reads the rule's first reactant once.
-        prep.first = _CountingTable(prep.first)
+        program.rules.a = _CountingTable(program.rules.a)
         for seed in range(3):
             _CountingTable.reads = 0
             run_program(program, "10110010", Schedule(seed))
