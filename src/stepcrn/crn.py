@@ -5,10 +5,10 @@ A program keeps its rules in one flat :class:`RuleTable`.  Every rule
 reads two distinct species, one copy each, and is ``A + B -> .`` or the
 catalytic ``A + B -> A``: the (2,0) rules of the paper's circuit
 compiler and the catalyst backend's conversions and sweeps.  Building a
-table is the one place a rule is checked, and any other rule is
-refused.  A :class:`Rule` is a plain record of one rule as sparse
-(ordinal, count) pairs for reactants and products; it exists only where
-rules meet text or a caller: :func:`parse_rule`, and indexing a table.
+table is the one place a rule is checked, and rule text of any other
+rule is refused as it is read.  A :class:`Rule` is one row of a table,
+``(a, b, kept)``; it exists only where rules meet text or a caller:
+:func:`parse_rule`, and indexing a table.
 All counts are plain Python ints, so the exponential-volume compiler
 can exceed 64-bit ranges without ceremony.
 
@@ -23,8 +23,9 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lt
 
 
@@ -93,45 +94,30 @@ class Configuration:
 
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """A reaction as a plain record: sparse reactant and product count
-    vectors.
+    """One rule as the row a :class:`RuleTable` holds: it reads ``a``
+    and ``b`` and puts back ``kept``, or -1 for none.
 
-    ``reactants``/``products`` are (ordinal, count) pairs.  A rule is
-    not checked when it is built; :class:`RuleTable` checks it, and
-    :func:`parse_rule` and indexing a table give it two sorted, distinct
-    reactants of count 1 and at most one of them as its product.
-    ``delta`` is the net change, products minus reactants, sorted by
-    ordinal, without zero entries.
+    A rule is not checked when it is built; a table checks it when it
+    holds it.  :func:`parse_rule` and indexing a table give checked rows.
     """
 
     alphabet: Alphabet
-    reactants: tuple[tuple[int, int], ...]
-    products: tuple[tuple[int, int], ...]
-    delta: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        net: dict[int, int] = {}
-        for o, c in self.reactants:
-            net[o] = net.get(o, 0) - c
-        for o, c in self.products:
-            net[o] = net.get(o, 0) + c
-        delta = tuple(sorted([(o, d) for o, d in net.items() if d]))
-        object.__setattr__(self, "delta", delta)
+    a: int
+    b: int
+    kept: int
 
     @property
     def text(self) -> str:
         names = self.alphabet.names
-        lhs = " + ".join(names[o] for o, c in self.reactants for _ in range(c))
-        rhs = " + ".join(names[o] for o, c in self.products for _ in range(c))
-        return f"{lhs} -> {rhs or '.'}"
+        rhs = names[self.kept] if self.kept >= 0 else "."
+        return f"{names[self.a]} + {names[self.b]} -> {rhs}"
 
     def __str__(self) -> str:  # pragma: no cover
         return self.text
 
 
-# The refusals of :meth:`RuleTable.from_rules`; the table's own checks share _NOT_VOID.
+# The refusals of rule text; the table's own check shares _NOT_VOID.
 _SHAPE = "rule must read two distinct species, one copy each"
-_BAD_PRODUCT = "product counts must be positive"
 _NOT_VOID = "rule is not void: it must lower some count and raise none"
 
 
@@ -145,7 +131,7 @@ class RuleTable(Sequence):
     ``(A, B, -1)``, and ``Y + X -> Y`` is ``(X, Y, Y)`` when X has the
     lower ordinal.
 
-    Construction is the one place a rule is checked: the columns have
+    Construction is the one place a row is checked: the columns have
     one length, both ordinals lie in the alphabet, ``a < b``, and
     ``kept`` is -1, ``a`` or ``b``, so a rule lowers one or two counts
     and raises none.  A refusal does not name the rule; the caller has
@@ -172,31 +158,16 @@ class RuleTable(Sequence):
 
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rules: Iterable[Rule]) -> RuleTable:
-        """The table of ``rules``, in their order, each over ``alphabet``,
-        its reactants sorted.  A product count below 1 is refused, then
-        a rule whose net change raises a count or changes none, then
-        any other rule that does not read two distinct species, one copy
-        each.  What passes puts back at most one copy of one reactant."""
-        a, b, kept = [], [], []
+        """The table of the rows ``rules``, in their order, each over
+        ``alphabet``; the table checks them as it checks any columns."""
+        rules = tuple(rules)
         for rule in rules:
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
                 raise ValueError(f"rule {rule.text!r} is over another alphabet")
-            if any(c < 1 for _, c in rule.products):
-                raise ValueError(_BAD_PRODUCT)
-            if not rule.delta or max(d for _, d in rule.delta) > 0:
-                raise ValueError(_NOT_VOID)
-            reads = rule.reactants
-            if [c for _, c in reads] != [1, 1] or reads[0][0] == reads[1][0]:
-                raise ValueError(_SHAPE)
-            x, y = sorted(o for o, _ in reads)
-            a.append(x)
-            b.append(y)
-            kept.append(rule.products[0][0] if rule.products else -1)
-        return cls(alphabet, a, b, kept)
+        return cls(alphabet, (r.a for r in rules), (r.b for r in rules), (r.kept for r in rules))
 
     def _rule(self, q: int) -> Rule:
-        k = self.kept[q]
-        return Rule(self.alphabet, ((self.a[q], 1), (self.b[q], 1)), ((k, 1),) if k >= 0 else ())
+        return Rule(self.alphabet, self.a[q], self.b[q], self.kept[q])
 
     def __len__(self) -> int:
         return len(self.a)
@@ -228,31 +199,37 @@ class RuleTable(Sequence):
 
 def parse_rule(text: str, alphabet: Alphabet) -> Rule:
     """Parse ``A + B -> .`` or ``A + B -> A`` rule text (``.`` is the
-    empty side) into the rule a one-row :class:`RuleTable` reads back,
-    so any other rule is refused.  The arrow is space-delimited because
-    species names themselves may contain ``->``."""
+    empty side) into the row a one-row :class:`RuleTable` holds, so any
+    other rule is refused.  The arrow is space-delimited because species
+    names themselves may contain ``->``."""
     return rule_row(text, alphabet)[0]
 
 
 def rule_row(text: str, alphabet: Alphabet) -> RuleTable:
     """The one-row :class:`RuleTable` of one line of rule text, as
     :func:`parse_rule` reads it; a program file joins its rows' columns
-    into its table."""
+    into its table.  A rule that is not void is refused first, then one
+    that does not read two distinct species, one copy each."""
     if " -> " not in text:
         raise ValueError("bad rule (no ' -> ')")  # the caller has the text
     lhs, rhs = text.split(" -> ", 1)
-    rule = Rule(alphabet, _parse_side(lhs, alphabet), _parse_side(rhs, alphabet))
-    return RuleTable.from_rules(alphabet, [rule])
+    reads, puts = _parse_side(lhs, alphabet), _parse_side(rhs, alphabet)
+    if Counter(puts) - Counter(reads) or not Counter(reads) - Counter(puts):
+        raise ValueError(_NOT_VOID)
+    if len(reads) != 2 or reads[0] == reads[1]:
+        raise ValueError(_SHAPE)
+    # What is left puts back at most one of the two species it reads.
+    return RuleTable(alphabet, [min(reads)], [max(reads)], puts or [-1])
 
 
-def _parse_side(side: str, alphabet: Alphabet) -> tuple[tuple[int, int], ...]:
-    """One (ordinal, 1) pair per term of ``side``, each a species name."""
+def _parse_side(side: str, alphabet: Alphabet) -> list[int]:
+    """The ordinal of each term of ``side``, each a species name."""
     if side.strip() == ".":
-        return ()
+        return []
     terms = []
     for term in side.split("+"):
         parts = term.split()
         if len(parts) != 1:
             raise ValueError(f"bad rule term {term.strip()!r}")
-        terms.append((alphabet.ordinal(parts[0]), 1))
-    return tuple(terms)
+        terms.append(alphabet.ordinal(parts[0]))
+    return terms

@@ -17,8 +17,8 @@ terminates.  A program holds its rules as one
 :class:`~stepcrn.crn.RuleTable`, whose construction is the one rule
 check and refuses any other rule; the engine checks no rule again.
 Both paths read flat tables built from it: neither builds a
-:class:`~stepcrn.crn.Rule`, a plain record, except to print the rule
-text of a traced firing.
+:class:`~stepcrn.crn.Rule`, the record of one table row, except to
+print the rule text of a traced firing.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -83,9 +83,9 @@ class StepProgram:
     input/output encoding, all by species ordinal.
 
     ``rules`` is one :class:`~stepcrn.crn.RuleTable`, which checked
-    every rule when it was built.  Rule objects given instead are
-    converted into one; indexing or iterating ``program.rules`` builds
-    rule objects again, one per rule read.
+    every rule when it was built; anything else is refused with
+    :class:`TypeError`.  Indexing or iterating ``program.rules`` builds
+    one :class:`~stepcrn.crn.Rule` row per rule read.
 
     ``steps`` holds one sparse addition per step: ``(ordinal, count)``
     pairs sorted by ordinal, each count >= 1, so a program costs memory
@@ -124,8 +124,8 @@ class StepProgram:
             )
         alphabet = self.alphabet
         if not isinstance(self.rules, RuleTable):
-            object.__setattr__(self, "rules", RuleTable.from_rules(alphabet, self.rules))
-        elif self.rules.alphabet is not alphabet and self.rules.alphabet != alphabet:
+            raise TypeError(f"rules must be a RuleTable, got {type(self.rules).__name__}")
+        if self.rules.alphabet is not alphabet and self.rules.alphabet != alphabet:
             raise ValueError("the rule table is over another alphabet")
         if self.inputs and not self.steps:
             raise ValueError("a program with inputs needs a step 0 to merge them into")
@@ -642,11 +642,14 @@ def program_from_text(text: str) -> StepProgram:
             raise ValueError(f"unknown species {sp!r}")
         return alphabet.index[sp]
 
-    def count(token: str) -> int:
+    def integer(token: str, what: str) -> int:
         try:
-            c = int(token)
+            return int(token)
         except ValueError:
-            raise ValueError(f"count {token!r} is not an integer") from None
+            raise ValueError(f"{what} {token!r} is not an integer") from None
+
+    def count(token: str) -> int:
+        c = integer(token, "count")
         if c < 1:
             raise ValueError(f"count {c} is not positive")
         return c
@@ -697,7 +700,7 @@ def program_from_text(text: str) -> StepProgram:
                 words = head.split()
                 if len(words) != 2 or words[0] != "step":
                     raise ValueError("not a step line")
-                k = int(words[1])
+                k = integer(words[1], "step index")
                 if k != len(steps):
                     raise ValueError(f"step {k} out of order")
                 acc: dict[int, int] = {}
@@ -711,7 +714,7 @@ def program_from_text(text: str) -> StepProgram:
                 steps.append(tuple(sorted(acc.items())))
             elif section == "inputs":
                 parts = line.split()
-                gid = int(parts[0])
+                gid = integer(parts[0], "input id")
                 if gid in declared:
                     raise ValueError(f"input {gid} declared twice")
                 declared.add(gid)

@@ -1,17 +1,19 @@
 """The unreduced reference semantics the tests compare the engine with.
 
-Rules fire by name-level configuration arithmetic, and the reference
-search fires every applicable rule in every state: no tables, no
-step candidates, no ample sets.  The library itself fires rules only through
-``run_program`` and enumerates only through
-``enumerate_program_terminals``; ``one_step`` wraps a bare configuration
-as a program so tests can drive both from one.
+Rules are the two shapes a program holds, ``A + B -> .`` and
+``A + B -> A``, read as rows ``(a, b, kept)``.  They fire by plain
+configuration arithmetic, and the reference search fires every
+applicable rule in every state: no prepared tables, no step candidates,
+no ample sets.  Being unreduced is what makes it the reference.  The
+library itself fires rules only through ``run_program`` and enumerates
+only through ``enumerate_program_terminals``; ``one_step`` wraps a bare
+configuration as a program so tests can drive both from one.
 
 ``configuration`` builds a configuration from counts by name, and
 ``count`` reads one species' count by name.
 
-``rule_size`` is a rule's (reactant volume, product volume): a void
-rule of size (2, 0) is a true-void pair, one of size (2, 1) catalytic.
+``rule_size`` is a rule's (reactant volume, product volume): a rule of
+size (2, 0) is a true-void pair, one of size (2, 1) catalytic.
 
 ``run_recording_rng`` runs a program with its trace and keeps the
 ``Random`` it drew from; ``replay_draws`` replays that trace by name and
@@ -38,6 +40,7 @@ from stepcrn import (
     Alphabet,
     Configuration,
     Rule,
+    RuleTable,
     RunResult,
     Schedule,
     build_stage_chain,
@@ -64,8 +67,8 @@ def count(config: Configuration, name: str) -> int:
 
 
 def applicable(config: Configuration, rule: Rule) -> bool:
-    """True iff the configuration dominates the rule's reactants."""
-    return all(config.counts[o] >= c for o, c in rule.reactants)
+    """True iff the configuration holds both of the rule's reactants."""
+    return config.counts[rule.a] > 0 and config.counts[rule.b] > 0
 
 
 def apply_rule(config: Configuration, rule: Rule) -> Configuration:
@@ -73,14 +76,17 @@ def apply_rule(config: Configuration, rule: Rule) -> Configuration:
     if not applicable(config, rule):
         raise ValueError(f"rule not applicable: {rule.text}")
     counts = list(config.counts)
-    for o, d in rule.delta:
-        counts[o] += d
+    counts[rule.a] -= 1
+    counts[rule.b] -= 1
+    if rule.kept >= 0:
+        counts[rule.kept] += 1
     return Configuration(config.alphabet, tuple(counts))
 
 
 def rule_size(rule: Rule) -> tuple[int, int]:
-    """A rule's size: (reactant volume, product volume)."""
-    return sum(c for _, c in rule.reactants), sum(c for _, c in rule.products)
+    """A rule's size: (reactant volume, product volume).  A row reads
+    one copy each of two species."""
+    return 2, int(rule.kept >= 0)
 
 
 def is_terminal(config: Configuration, rules: Iterable[Rule]) -> bool:
@@ -95,7 +101,7 @@ def one_step(config: Configuration, rules: Iterable[Rule]) -> StepProgram:
         name="one-step",
         backend="test",
         alphabet=config.alphabet,
-        rules=tuple(rules),
+        rules=RuleTable.from_rules(config.alphabet, rules),
         steps=(tuple((o, c) for o, c in enumerate(config.counts) if c),),
         inputs=(),
         outputs=(),

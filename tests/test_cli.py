@@ -640,6 +640,10 @@ _MALFORMED = [
      "line 3: rule is not void: it must lower some count and raise none: 'A -> A + B'"),
     ("rule-makes-a-product", "run", "alphabet: A B C\nrules:\nA + B -> C\n",
      "line 3: rule is not void: it must lower some count and raise none: 'A + B -> C'"),
+    ("rule-from-nothing", "run", "alphabet: A B\nrules:\n. -> A\n",
+     "line 3: rule is not void: it must lower some count and raise none: '. -> A'"),
+    ("rule-changes-nothing", "run", "alphabet: A B\nrules:\nA -> A\n",
+     "line 3: rule is not void: it must lower some count and raise none: 'A -> A'"),
     ("rule-needs-zero", "run", "alphabet: A B\nrules:\n0 A + B -> .\n",
      "line 3: bad rule term '0 A': '0 A + B -> .'"),
     # A rule must read two distinct species, one copy each.
@@ -655,6 +659,10 @@ _MALFORMED = [
      "line 3: entry 'A' has no =count: 'step 0: A'"),
     ("input-entry-without-count", "run", "alphabet: A B\nsteps:\nstep 0: A=1\ninputs:\n1 0=B 1=A:1\n",
      "line 5: entry 'B' has no :count: '1 0=B 1=A:1'"),
+    ("step-index-not-an-integer", "run", "alphabet: A B\nsteps:\nstep x: A=1\n",
+     "line 3: step index 'x' is not an integer: 'step x: A=1'"),
+    ("input-id-not-an-integer", "run", "alphabet: A B\nsteps:\nstep 0: A=1\ninputs:\nx 0=B:1 1=A:1\n",
+     "line 5: input id 'x' is not an integer: 'x 0=B:1 1=A:1'"),
     # corpus specification
     ("maj-fraction-2", "gen-corpus", "--maj-fraction 2", "maj_fraction must be in [0, 1]"),
 ]

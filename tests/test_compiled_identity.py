@@ -140,9 +140,7 @@ def test_compiled_rules_have_the_two_shapes():
         program, _ = compile_backend(circuit, backend)
         alphabet = program.alphabet
         for rule in program.rules:
-            (a, ca), (b, cb) = rule.reactants
-            assert ca == cb == 1 and a != b, (key, rule.text)
-            assert rule.products in ((), ((a, 1),), ((b, 1),)), (key, rule.text)
+            assert rule.a < rule.b and rule.kept in (-1, rule.a, rule.b), (key, rule.text)
             assert parse_rule(rule.text, alphabet) == rule, (key, rule.text)
 
 

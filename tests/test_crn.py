@@ -14,9 +14,16 @@ def cfg(**counts):
     return configuration(AB, counts)
 
 
-@pytest.mark.parametrize("text", ["A -> A + B", "A + B -> C", "A -> A", "A + B -> A + B", "A + B -> A + A"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A -> A + B", "A + B -> C", "A -> A", "A + B -> A + B", "A + B -> A + A",
+        ". -> .", ". -> A + B", "A + A -> A + A",
+    ],
+)
 def test_parse_rule_refuses_a_rule_that_is_not_void(text):
-    # It raises a count, makes a species, or changes nothing.
+    # It raises a count, makes a species, or changes nothing, whatever
+    # shape its left side has.
     with pytest.raises(ValueError, match=r"^rule is not void: it must lower some count and raise none$"):
         parse_rule(text, AB)
 
@@ -32,32 +39,36 @@ def test_classification_stable_under_alphabet_reordering():
     assert rule_size(r1) == rule_size(r2) == (2, 1)
 
 
+def test_parse_rule_reads_every_term_before_judging_the_rule():
+    # A term that names no species is refused before the rule is found
+    # not void, or of another shape.
+    for text, message in (
+        ("A +  -> .", "bad rule term ''"),
+        ("A + B -> . + A", "species '.' not in alphabet"),
+        ("A + B -> D + A", "species 'D' not in alphabet"),
+        ("D -> .", "species 'D' not in alphabet"),
+    ):
+        with pytest.raises((KeyError, ValueError)) as refused:
+            parse_rule(text, AB)
+        assert refused.value.args[0] == message
+
+
 def test_applicable_basic():
     r = parse_rule("A + B -> .", AB)
     assert applicable(cfg(A=1, B=1), r)
     assert not applicable(cfg(A=1), r)
 
 
-# The reference helpers take any rule record; rule text holds only the
-# two shapes, so the self-pair 2 A -> . is built directly.
-SELF_PAIR = Rule(AB, ((0, 2),), ())
-
-
 def test_parse_rule_refuses_other_shapes():
     # A void rule that does not read two distinct species, one copy each.
-    for text in ("A + A -> .", "A -> .", "A + B + C -> .", "A + B + C -> A"):
+    for text in ("A + A -> .", "A -> .", "A + B + C -> .", "A + B + C -> A", "A + A -> A",
+                 "A + B + C -> A + B", "A + A + B -> A + A"):
         with pytest.raises(ValueError, match=r"^rule must read two distinct species, one copy each$"):
             parse_rule(text, AB)
     # Coefficients are no rule text.
     for text in ("2 A -> .", "2 A + B -> .", "A + B -> 1 A"):
         with pytest.raises(ValueError, match=r"^bad rule term '\d A'$"):
             parse_rule(text, AB)
-
-
-def test_applicable_self_pair():
-    r = SELF_PAIR
-    assert applicable(cfg(A=2), r)
-    assert not applicable(cfg(A=1), r)
 
 
 def test_apply_pair_to_empty():
@@ -68,11 +79,6 @@ def test_apply_pair_to_empty():
 def test_apply_catalyst_preserved():
     out = apply_rule(cfg(Y=1, X=3), parse_rule("Y + X -> Y", AB))
     assert out.as_dict() == {"Y": 1, "X": 2}
-
-
-def test_apply_self_pair():
-    out = apply_rule(cfg(A=2), SELF_PAIR)
-    assert out.as_dict() == {}
 
 
 def test_apply_requires_applicability():
@@ -88,7 +94,7 @@ def test_is_terminal():
 
 
 def test_void_application_shrinks_volume_by_size_difference():
-    for r in [parse_rule("A + B -> .", AB), SELF_PAIR, parse_rule("Y + X -> Y", AB)]:
+    for r in [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB)]:
         i, j = rule_size(r)
         before = cfg(A=3, B=3, Y=2, X=2)
         after = apply_rule(before, r)
@@ -104,6 +110,9 @@ def test_rule_text_round_trip():
 def test_rule_text_forms():
     assert parse_rule("B + A -> .", AB).text == "A + B -> ."
     assert parse_rule("X + Y -> Y", AB).text == "Y + X -> Y"
+    # A rule is its table row: Y and X are ordinals 3 and 4.
+    assert parse_rule("X + Y -> Y", AB) == Rule(AB, 3, 4, 3)
+    assert Rule(AB, 0, 1, -1).text == "A + B -> ."
 
 
 def test_configuration_views():
@@ -137,62 +146,39 @@ def test_ordinal_helper_and_make_build_equal_rules(ordinal_args, reactants, prod
     assert table == RuleTable.from_rules(AB, [parsed]) and hash(table) == hash(
         RuleTable.from_rules(AB, [parsed])
     )
-    assert table[0] == parsed and table[0].delta == parsed.delta
-    assert table[0].text == parsed.text
+    assert table[0] == parsed and table[0].text == parsed.text
 
 
-def _by_rule(reactants, products):
-    with pytest.raises(ValueError) as refused:
-        RuleTable.from_rules(AB, [Rule(AB, reactants, products)])
-    return str(refused.value)
-
-
-def _by_table(reactants, products):
-    (a, _), (b, _) = reactants
-    with pytest.raises(ValueError) as refused:
-        RuleTable(AB, [a], [b], [products[0][0] if products else -1])
-    return str(refused.value)
-
-
-_SHAPE = "rule must read two distinct species, one copy each"
 _NOT_VOID = "rule is not void: it must lower some count and raise none"
 
 
 @pytest.mark.parametrize(
     "reactants, products, message",
     [
-        (((0, 1), (8, 1)), (), "reactant ordinal 8 is outside the alphabet"),
-        (((-1, 1), (0, 1)), (), "reactant ordinal -1 is outside the alphabet"),
-        (((0, 0), (1, 1)), (), _SHAPE),
-        (((0, 1),), ((0, 2),), _NOT_VOID),
-        (((0, 1), (1, 1)), ((0, 1), (1, 1)), _NOT_VOID),
-        (((0, 1),), (), _SHAPE),
-        (((0, 2), (1, 1)), ((1, 1),), _SHAPE),
-        (((0, 1), (1, 1), (2, 1)), (), _SHAPE),
-        (((0, 1), (1, 1)), ((1, 0),), "product counts must be positive"),
-        (((0, 1), (1, 1)), ((1, -2),), "product counts must be positive"),
+        ((0, 8), (), "reactant ordinal 8 is outside the alphabet"),
+        ((-1, 0), (), "reactant ordinal -1 is outside the alphabet"),
         # A product that is no reactant raises a count, inside the
         # alphabet or outside it.
-        (((0, 1), (1, 1)), ((2, 1),), _NOT_VOID),
-        (((0, 1), (1, 1)), ((8, 1),), _NOT_VOID),
-        (((0, 1), (1, 1)), ((-2, 1),), _NOT_VOID),
+        ((0, 1), (2,), _NOT_VOID),
+        ((0, 1), (8,), _NOT_VOID),
+        ((0, 1), (-2,), _NOT_VOID),
     ],
 )
 def test_table_refuses_what_a_rule_refuses_with_the_same_message(reactants, products, message):
-    # The check's two entries, the columns and from_rules, refuse a rule
-    # with one message.  The columns hold only two reactants of one copy
-    # each and at most one product of one copy: only from_rules sees the
-    # rest.
-    assert _by_rule(reactants, products) == message
-    if [c for _, c in reactants] == [1, 1] and [c for _, c in products] in ([], [1]):
-        assert _by_table(reactants, products) == message
+    # The check's two entries, the columns and from_rules, refuse a row
+    # with one message.  ``products`` is what the row puts back.
+    row = Rule(AB, *reactants, products[0] if products else -1)
+    for build in (lambda: RuleTable.from_rules(AB, [row]), lambda: RuleTable(AB, [row.a], [row.b], [row.kept])):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
     "reactants, products, message",
     [
-        (((0, 1), (5, 1)), (), "reactant ordinal 5 is outside the alphabet"),
-        (((-1, 1), (0, 1)), (), "reactant ordinal -1 is outside the alphabet"),
+        ((0, 5), (), "reactant ordinal 5 is outside the alphabet"),
+        ((-1, 0), (), "reactant ordinal -1 is outside the alphabet"),
     ],
 )
 def test_rule_refuses_ordinals_outside_its_alphabet(reactants, products, message):
@@ -200,13 +186,15 @@ def test_rule_refuses_ordinals_outside_its_alphabet(reactants, products, message
     # last species, when a run fires it or the program is printed.
     ab = Alphabet(["A", "B"])
     with pytest.raises(ValueError, match=f"^{message}$"):
-        RuleTable.from_rules(ab, [Rule(ab, reactants, products)])
+        RuleTable.from_rules(ab, [Rule(ab, *reactants, products[0] if products else -1)])
 
 
 def test_table_refuses_unsorted_or_repeated_reactants():
     for a, b in ((1, 0), (1, 1)):
         with pytest.raises(ValueError, match=r"^reactant ordinals must be sorted and distinct$"):
             RuleTable(AB, [a], [b], [-1])
+        with pytest.raises(ValueError, match=r"^reactant ordinals must be sorted and distinct$"):
+            RuleTable.from_rules(AB, [Rule(AB, a, b, -1)])
     # So a compiled rule naming one species twice is refused too.
     columns = _RuleColumns(AB)
     columns.add("X", "X")
@@ -234,29 +222,16 @@ def test_table_indexing_builds_rules_and_len_does_not():
     assert pickle.loads(pickle.dumps(table)) == table
 
 
-def test_delta_merges_unsorted_or_repeated_reactants():
-    assert Rule(AB, ((3, 1), (1, 1)), ()).delta == ((1, -1), (3, -1))
-    assert Rule(AB, ((1, 1), (1, 1)), ()).delta == ((1, -2),)
-    assert Rule(AB, ((1, 1), (4, 1)), ((1, 1),)).delta == ((4, -1),)
-
-
-def test_delta_is_not_part_of_equality():
-    r = parse_rule("A + B -> .", AB)
-    twin = parse_rule("A + B -> .", AB)
-    object.__setattr__(twin, "delta", ())
-    assert r == twin and hash(r) == hash(twin)
-
-
 def test_rule_has_no_instance_dict():
     assert not hasattr(parse_rule("A + B -> .", AB), "__dict__")
 
 
 @pytest.mark.parametrize(
-    "rule", [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB), SELF_PAIR]
+    "rule", [parse_rule("A + B -> .", AB), parse_rule("Y + X -> Y", AB), parse_rule("Y + X -> X", AB)]
 )
 def test_rule_pickle_round_trip(rule):
     back = pickle.loads(pickle.dumps(rule))
-    assert back == rule and back.delta == rule.delta
+    assert back == rule and (back.a, back.b, back.kept) == (rule.a, rule.b, rule.kept)
 
 
 @pytest.mark.parametrize("name", ["", "x\tT", "a\u00a0b", "y\u2003", " A", "B\n"])

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from stepcrn import (
     run_program,
 )
 from stepcrn import crn, engine
+from stepcrn.crn import RuleTable, rule_row
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import (
     compile_backend,
@@ -89,16 +91,30 @@ def test_run_step_or_gate_example():
 
 
 def test_programs_refuse_rules_of_other_shapes():
-    # A program holds only A + B -> . and A + B -> A: a void rule that
-    # reads three species, or two copies of one, is refused, from rule
-    # objects and from program text.
+    # A program holds only A + B -> . and A + B -> A: a row that reads
+    # one species twice is refused, and so is a void rule in program
+    # text that reads three species, or two copies of one.
     ab = Alphabet(["A", "B", "C"])
+    for kept in (-1, 0):
+        with pytest.raises(ValueError, match="^reactant ordinals must be sorted and distinct$"):
+            one_step(_cfg(ab, A=3, B=1, C=2), [crn.Rule(ab, 0, 0, kept)])
     shape = "rule must read two distinct species, one copy each"
-    for rule in (crn.Rule(ab, ((0, 1), (1, 1), (2, 1)), ()), crn.Rule(ab, ((0, 2), (2, 1)), ((0, 1),))):
-        with pytest.raises(ValueError, match=f"^{shape}$"):
-            one_step(_cfg(ab, A=3, B=1, C=2), [rule])
-    with pytest.raises(ValueError, match=rf"^line 3: {shape}: 'A \+ B \+ C -> \.'$"):
-        program_from_text("alphabet: A B C\nrules:\nA + B + C -> .\n")
+    for line in ("A + B + C -> .", "A + A + C -> A"):
+        with pytest.raises(ValueError, match=rf"^line 3: {shape}: '{re.escape(line)}'$"):
+            program_from_text(f"alphabet: A B C\nrules:\n{line}\n")
+
+
+def test_program_takes_only_a_rule_table():
+    ab = Alphabet(["A", "B"])
+    rule = parse_rule("A + B -> .", ab)
+    for rules in ((rule,), [rule], ()):
+        with pytest.raises(TypeError, match="^rules must be a RuleTable, got "):
+            StepProgram(name="p", backend="test", alphabet=ab, rules=rules, steps=(), inputs=(), outputs=())
+    with pytest.raises(ValueError, match="^the rule table is over another alphabet$"):
+        StepProgram(
+            name="p", backend="test", alphabet=Alphabet(["A", "B", "C"]),
+            rules=RuleTable.from_rules(ab, [rule]), steps=(), inputs=(), outputs=(),
+        )
 
 
 def test_enumerate_two_maximal_schedules():
@@ -192,8 +208,9 @@ FANOUT_NET = (
 @pytest.mark.parametrize("backend", ["exp", "catalyst"])
 def test_enumerate_matches_the_reference_on_broken_copies(backend):
     # Gates 1 and 3 fan out.  Each broken copy lowers one addition by one
-    # copy, so some of its terminals decode wrong; the search must still
-    # find exactly the reference's terminals, wrong ones included.
+    # copy or drops one rule, so some of its terminals decode wrong; the
+    # search must still find exactly the reference's terminals, wrong
+    # ones included.
     circuit = parse_circuit(FANOUT_NET)
     program, _ = compile_backend(circuit, backend)
     copies = [program]
@@ -201,11 +218,15 @@ def test_enumerate_matches_the_reference_on_broken_copies(backend):
         for i, (o, c) in enumerate(step):
             lowered = step[:i] + (((o, c - 1),) if c > 1 else ()) + step[i + 1 :]
             copies.append(replace(program, steps=program.steps[:k] + (lowered,) + program.steps[k + 1 :]))
+    rules = tuple(program.rules)
+    for q in range(len(rules)):
+        dropped = RuleTable.from_rules(program.alphabet, rules[:q] + rules[q + 1 :])
+        copies.append(replace(program, rules=dropped))
     wrong = 0
     for copy in copies:
         for bits in ("00", "01", "10", "11"):
             terminals = enumerate_program_terminals(copy, bits)
-            assert terminals == reference_program_terminals(copy, bits), (copy.steps, bits)
+            assert terminals == reference_program_terminals(copy, bits), (copy.steps, len(copy.rules), bits)
             want = tuple(evaluate(circuit, bits))
             decodes = {tuple(decode_output(t, copy)) for t in terminals}
             if copy is program:
@@ -219,7 +240,7 @@ def _tiny_program(alphabet, rules, steps, outputs):
         name="t",
         backend="test",
         alphabet=alphabet,
-        rules=tuple(rules),
+        rules=RuleTable.from_rules(alphabet, rules),
         steps=tuple(steps),
         inputs=(),
         outputs=tuple(outputs),
@@ -262,11 +283,12 @@ def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
 
 
 def _io_program(inputs, outputs=()):
+    ab = Alphabet(["A", "B"])
     return StepProgram(
         name="t",
         backend="test",
-        alphabet=Alphabet(["A", "B"]),
-        rules=(),
+        alphabet=ab,
+        rules=RuleTable.from_rules(ab, ()),
         steps=((),),
         inputs=inputs,
         outputs=outputs,
@@ -304,7 +326,7 @@ def test_input_step_merges_shared_species():
         name="t",
         backend="test",
         alphabet=ab,
-        rules=(parse_rule("A + B -> .", ab),),
+        rules=rule_row("A + B -> .", ab),
         steps=(((2, 1),),),
         inputs=((1, (1, 1), (0, 1)), (2, (2, 3), (0, 2))),
         outputs=((1, 0),),
@@ -318,9 +340,9 @@ def test_input_step_merges_shared_species():
 
 
 def test_non_void_rules_are_rejected():
-    ab = Alphabet(["A", "B"])
-    # A -> A + B raises a count: a run would never terminate.
-    grow = crn.Rule(ab, ((0, 1),), ((0, 1), (1, 1)))
+    ab = Alphabet(["A", "B", "C"])
+    # A + B -> C raises a count, so a firing could enable a rule.
+    grow = crn.Rule(ab, 0, 1, 2)
     with pytest.raises(ValueError, match="not void"):
         _tiny_program(ab, [grow], [((0, 1),)], [(0, 1)])
     with pytest.raises(ValueError, match="not void"):
@@ -402,7 +424,7 @@ def test_a_species_name_is_refused_or_survives_the_text_round_trip(name):
         name="p",
         backend="test",
         alphabet=ab,
-        rules=(crn.Rule(ab, ((0, 1), (1, 1)), ()), crn.Rule(ab, ((0, 1), (2, 1)), ((0, 1),))),
+        rules=RuleTable.from_rules(ab, (crn.Rule(ab, 0, 1, -1), crn.Rule(ab, 0, 2, 0))),
         steps=(((0, 1),), ((1, 1), (2, 1))),
         inputs=((1, (0, 1), (0, 2)),),
         outputs=((0, 1),),
@@ -414,10 +436,11 @@ def test_a_species_name_is_refused_or_survives_the_text_round_trip(name):
 
 def test_program_name_is_one_token_so_the_header_reads_back():
     ab = Alphabet(["A"])
+    none = RuleTable.from_rules(ab, ())
     for name in ("", "a b", "a#b", "x\ny"):
         with pytest.raises(ValueError, match="program name must be one token"):
-            StepProgram(name=name, backend="test", alphabet=ab, rules=(), steps=(), inputs=(), outputs=())
-    prog = StepProgram(name="p-1.x", backend="test", alphabet=ab, rules=(), steps=(), inputs=(), outputs=())
+            StepProgram(name=name, backend="test", alphabet=ab, rules=none, steps=(), inputs=(), outputs=())
+    prog = StepProgram(name="p-1.x", backend="test", alphabet=ab, rules=none, steps=(), inputs=(), outputs=())
     assert program_from_text(program_to_text(prog)) == prog
 
 
@@ -618,13 +641,13 @@ def test_catalyst_compile_and_untraced_run_build_no_rule_object(monkeypatch):
     # Rules live in the program's rule table; a rule object is built only
     # to read rule text, here for each traced firing.
     built = []
-    check = crn.Rule.__post_init__
+    row = crn.RuleTable._rule
 
-    def counting(rule):
-        built.append(rule)
-        check(rule)
+    def counting(table, q):
+        built.append(q)
+        return row(table, q)
 
-    monkeypatch.setattr(crn.Rule, "__post_init__", counting)
+    monkeypatch.setattr(crn.RuleTable, "_rule", counting)
     program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, 6)))
     run_program(program, "10110010", Schedule(0))
     prefix = replace(program, steps=program.steps[:4])
@@ -646,7 +669,7 @@ def test_addition_discipline_rejects_a_species_added_at_two_steps():
             name="p",
             backend="test",
             alphabet=ab,
-            rules=(parse_rule("A + B -> .", ab),),
+            rules=rule_row("A + B -> .", ab),
             steps=steps,
             inputs=((1, (1, 1), (2, 1)),),
             outputs=((1, 2),),

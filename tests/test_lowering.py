@@ -387,7 +387,7 @@ def test_gate_species_not_shared_between_lowerings():
         for rule in prog.rules:
             owners = {
                 _owning_gate(prog.alphabet.names[o])
-                for o, _ in rule.reactants
+                for o in (rule.a, rule.b)
             } - {None}
             assert len(owners) <= 1, rule.text
 

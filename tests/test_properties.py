@@ -11,6 +11,7 @@ from stepcrn import (
     Configuration,
     GateKind,
     Rule,
+    RuleTable,
     Schedule,
     decode_output,
     demand_analysis,
@@ -47,15 +48,6 @@ sparse_counts = st.dictionaries(
 configs = sparse_counts.map(lambda d: configuration(AB, d))
 
 
-def _pairs(counts: dict) -> tuple:
-    return tuple(sorted((AB.ordinal(n), c) for n, c in counts.items()))
-
-
-rules = st.tuples(sparse_counts.filter(bool), sparse_counts).map(
-    lambda rp: Rule(AB, _pairs(rp[0]), _pairs(rp[1]))
-)
-
-
 # Two distinct species of AB, as sorted ordinals.
 species_pairs = st.lists(st.integers(0, len(AB) - 1), min_size=2, max_size=2, unique=True).map(sorted)
 
@@ -65,10 +57,10 @@ def void_rules(draw) -> Rule:
     """A rule of one of the two shapes: two distinct species, one copy
     each, and none or one of them kept."""
     a, b = draw(species_pairs)
-    return Rule(AB, ((a, 1), (b, 1)), draw(st.sampled_from([(), ((a, 1),), ((b, 1),)])))
+    return Rule(AB, a, b, draw(st.sampled_from([-1, a, b])))
 
 
-@given(configs, rules)
+@given(configs, void_rules())
 def test_apply_never_goes_negative(config, rule):
     if applicable(config, rule):
         out = apply_rule(config, rule)
@@ -112,19 +104,16 @@ def catalytic_rule_sets(draw):
 
     def catalytic(keep: int) -> Rule:
         drained = draw(st.sampled_from([o for o in range(6) if o != keep]))
-        return Rule(AB, tuple(sorted([(keep, 1), (drained, 1)])), ((keep, 1),))
+        return Rule(AB, *sorted([keep, drained]), keep)
 
     shared = [catalytic(CATALYST) for _ in range(draw(st.integers(2, 4)))]
     others = [catalytic(draw(st.integers(1, 5))) for _ in range(draw(st.integers(0, 1)))]
     # Rules without products, which delete s0 when they read it.
-    plain = [
-        Rule(AB, ((a, 1), (b, 1)), ())
-        for a, b in draw(st.lists(species_pairs, max_size=len(shared) - 1))
-    ]
+    plain = [Rule(AB, a, b, -1) for a, b in draw(st.lists(species_pairs, max_size=len(shared) - 1))]
     if draw(st.booleans()):
         # s0 + s_j -> s_j or s0 + s_j -> . lowers the catalyst.
         j = draw(st.integers(1, 5))
-        plain.append(Rule(AB, ((CATALYST, 1), (j, 1)), draw(st.sampled_from([(), ((j, 1),)]))))
+        plain.append(Rule(AB, CATALYST, j, draw(st.sampled_from([-1, j]))))
     chosen = shared + others + plain
     assert 2 * (len(shared) + len(others)) >= len(chosen)
     return draw(st.permutations(chosen))
@@ -192,7 +181,7 @@ def test_multi_step_runs_with_staggered_species(rule_list, steps, seed):
         name="p",
         backend="test",
         alphabet=AB,
-        rules=tuple(rule_list),
+        rules=RuleTable.from_rules(AB, rule_list),
         steps=steps,
         inputs=(),
         outputs=(),
@@ -220,7 +209,7 @@ def test_each_application_draws_once_among_the_enabled_rules(rule_list, steps, s
         name="p",
         backend="test",
         alphabet=AB,
-        rules=tuple(rule_list),
+        rules=RuleTable.from_rules(AB, rule_list),
         steps=steps,
         inputs=(),
         outputs=(),
