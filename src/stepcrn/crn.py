@@ -159,11 +159,13 @@ class RuleTable(Sequence):
     @classmethod
     def from_rules(cls, alphabet: Alphabet, rules: Iterable[Rule]) -> RuleTable:
         """The table of the rows ``rules``, in their order, each over
-        ``alphabet``; the table checks them as it checks any columns."""
+        ``alphabet``; the table checks them as it checks any columns.  A
+        row over another alphabet is refused by its position, since its
+        ordinals need not name a species of either alphabet."""
         rules = tuple(rules)
-        for rule in rules:
+        for q, rule in enumerate(rules):
             if rule.alphabet is not alphabet and rule.alphabet != alphabet:
-                raise ValueError(f"rule {rule.text!r} is over another alphabet")
+                raise ValueError(f"rule {q} is over another alphabet")
         return cls(alphabet, (r.a for r in rules), (r.b for r in rules), (r.kept for r in rules))
 
     def _rule(self, q: int) -> Rule:

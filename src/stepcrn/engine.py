@@ -16,9 +16,11 @@ lowers one or two counts by one and raises none, so every run
 terminates.  A program holds its rules as one
 :class:`~stepcrn.crn.RuleTable`, whose construction is the one rule
 check and refuses any other rule; the engine checks no rule again.
-Both paths read flat tables built from it: neither builds a
-:class:`~stepcrn.crn.Rule`, the record of one table row, except to
-print the rule text of a traced firing.
+Both paths read the table's columns and a few tables built from them:
+neither builds a :class:`~stepcrn.crn.Rule`, the record of one table
+row, except to print the rule text of a traced firing.  A firing reads
+the species it lowers from the columns, so a program's first run
+builds only lists of rule numbers, not an object per rule.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -210,27 +212,26 @@ class _PreparedRules:
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
     rules that read species ``o``; each reads one copy, so when a firing
     takes ``o`` to 0 every rule of ``watch[o]`` leaves the enabled set
-    at once.  ``lowers[q]`` holds the species rule ``q`` lowers by one:
-    both reactants, or the one it does not keep.
+    at once.  A firing reads the species it lowers from the table's
+    columns: ``a[q]`` and then ``b[q]``, each unless it is ``kept[q]``.
 
     Rules never raise a count, so only additions enable a rule, and a
     program adds each species at one step.  A rule is therefore checked
     at its ready step alone, the step that adds its later reactant:
     ``ready_by_step[k]`` lists those rules in rule order, and holds each
-    rule at most once.  Programs keep these tables for their lifetime,
-    so they hold flat tuples.
+    rule at most once.
+
+    A program's first run builds these tables in one pass of list
+    appends over the rule table: one list of rule numbers per species
+    and per step, and no object per rule, so that a cold run costs
+    little more than a warm one.  Tables only the enumerator reads are
+    built on its first use.
     """
 
     def __init__(self, program: StepProgram):
         added_at = program.added_at
         self.table = table = program.rules
-        # Rules that lower one species share one 1-tuple per species, so
-        # these tables allocate little beyond the rule table.
-        solo = [(o,) for o in range(len(added_at))]
-        self.lowers = tuple(
-            (x, y) if k < 0 else solo[y if k == x else x] for x, y, k in zip(table.a, table.b, table.kept)
-        )
-        watch: list[list[int]] = [[] for _ in added_at]
+        self.watch = watch = [[] for _ in added_at]
         never = len(program.steps)
         by_step: list[list[int]] = [[] for _ in range(never)]
         for q, x, y in zip(count(), table.a, table.b):
@@ -240,7 +241,14 @@ class _PreparedRules:
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
         self.ready_by_step = tuple(map(tuple, by_step))
-        self.watch = tuple(map(tuple, watch))
+
+    @cached_property
+    def lowers(self) -> tuple[tuple[int, ...], ...]:
+        """``lowers[q]``: the species rule ``q`` lowers by one, both
+        reactants or the one it does not keep.  Only the enumerator reads
+        it, so it is built on the enumerator's first use."""
+        t = self.table
+        return tuple((x, y) if k < 0 else (y,) if k == x else (x,) for x, y, k in zip(t.a, t.b, t.kept))
 
     @cached_property
     def reads_by_step(self) -> tuple[tuple[int, ...], ...]:
@@ -284,15 +292,19 @@ class _PreparedRules:
         and every per-seed trace is unchanged.  ``tests/data/traces.json``
         pins those traces.
 
+        A firing lowers ``a[q]`` unless it is ``kept[q]``, then ``b[q]``
+        unless it is ``kept[q]``, read from the rule table's columns.
+
         Appends a line per firing to ``trace`` when given, with the rule
         text of a rule object built for it.  Returns
         (final counts, peak volume, applications).
         """
-        lowers, watch = self.lowers, self.watch
-        table, ready_by_step = self.table, self.ready_by_step
+        watch, ready_by_step = self.watch, self.ready_by_step
+        table = self.table
+        a, b, kept = table.a, table.b, table.kept
         getrandbits = rng.getrandbits
         counts = [0] * len(watch)
-        pos = [-1] * len(lowers)
+        pos = [-1] * len(a)
         volume = peak = apps = 0
         for k, step in enumerate(steps):
             for o, c in (step + inputs if k == 0 else step):
@@ -313,7 +325,26 @@ class _PreparedRules:
                 while pick >= n:
                     pick = getrandbits(width)
                 q = enabled[pick]
-                for o in lowers[q]:
+                keep = kept[q]
+                # The two lowerings are written out, swap-remove and all,
+                # because a loop over (a[q], b[q]) made short runs
+                # measurably slower.
+                o = a[q]
+                if o != keep:
+                    c = counts[o] - 1
+                    counts[o] = c
+                    volume -= 1
+                    if not c:
+                        for r in watch[o]:
+                            i = pos[r]
+                            if i >= 0:
+                                tail = enabled.pop()
+                                if tail != r:
+                                    enabled[i] = tail
+                                    pos[tail] = i
+                                pos[r] = -1
+                o = b[q]
+                if o != keep:
                     c = counts[o] - 1
                     counts[o] = c
                     volume -= 1

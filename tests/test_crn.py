@@ -198,6 +198,15 @@ def test_rule_refuses_ordinals_outside_its_alphabet(reactants, products, message
         RuleTable.from_rules(ab, [Rule(ab, *reactants, products[0] if products else -1)])
 
 
+def test_from_rules_refuses_a_row_over_another_alphabet():
+    # The refusal names the row's position and reads no species name, so
+    # an ordinal outside the row's own alphabet is refused the same way.
+    ab, abc = Alphabet(["A", "B"]), Alphabet(["A", "B", "C"])
+    for rows in ([Rule(ab, 0, 1, -1)], [Rule(abc, 0, 1, -1), Rule(ab, 0, 5, -1)]):
+        with pytest.raises(ValueError, match=f"^rule {len(rows) - 1} is over another alphabet$"):
+            RuleTable.from_rules(abc, rows)
+
+
 def test_table_refuses_unsorted_or_repeated_reactants():
     # The refusal table checks both entries on rows out of order or
     # repeated; so a compiled rule naming one species twice is refused too.

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -629,12 +631,39 @@ def test_catalyst_entry_checks_follow_firings():
         prep = engine._prepared(program)
         ready = [q for step in prep.ready_by_step for q in step]
         assert len(ready) == len(set(ready))
-        # An entry check reads the rule's first reactant once.
+        # An entry check reads the rule's first reactant once, and so
+        # does each firing, which lowers it unless the rule keeps it.
         program.rules.a = _CountingTable(program.rules.a)
         for seed in range(3):
             _CountingTable.reads = 0
-            run_program(program, "10110010", Schedule(seed))
-            assert 0 < _CountingTable.reads <= len(program.rules)
+            result = run_program(program, "10110010", Schedule(seed))
+            assert 0 < _CountingTable.reads - result.applications <= len(program.rules)
+
+
+def test_prepared_rules_cost_at_most_100_bytes_per_rule():
+    # A program's first run builds its rule tables; they hold rule
+    # numbers in one list per species and per step, not an object per
+    # rule.
+    program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, 12)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prep = engine._PreparedRules(program)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert prep.ready_by_step and size <= 100 * len(program.rules), size / len(program.rules)
+
+
+def test_a_run_builds_no_enumerator_table():
+    program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(4, 3)))
+    run_program(program, "1011", Schedule(0))
+    built = vars(engine._prepared(program))
+    assert "reads_by_step" not in built and "lowers" not in built
+    enumerate_program_terminals(program, "1011")
+    assert {"reads_by_step", "lowers"} <= set(vars(engine._prepared(program)))
 
 
 def test_catalyst_compile_and_untraced_run_build_no_rule_object(monkeypatch):
