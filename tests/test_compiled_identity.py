@@ -25,13 +25,18 @@ from stepcrn import (
     stats,
 )
 from stepcrn import engine
-from stepcrn.lowering import BACKENDS, SPECIES_C, compile_backend
+from stepcrn.lowering import SPECIES_C, compile_backend
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
 
 MAJ_NET = (
     "circuit m\ngate 1 INPUT\ngate 2 INPUT\ngate 3 INPUT\n"
     "gate 4 MAJ 1 2 3\ngate 5 AND 1 4\ngate 6 OR 4 2\noutputs 5 6 6\n"
+)
+# Constants of both values, and MAJ gates of fan-in 1, 2 and 4.
+CONST_NET = (
+    "circuit k\ngate 1 INPUT\ngate 2 CONST_ONE\ngate 3 CONST_ZERO\n"
+    "gate 4 MAJ 1 2\ngate 5 MAJ 3\ngate 6 MAJ 4 5 1 1\noutputs 6\n"
 )
 
 
@@ -78,6 +83,7 @@ def _compiles():
     jobs += [(c, b) for c in dags + maj_dags for b in ("exp", "catalyst")]
     jobs += [(build_stage_chain(d), "exp") for d in (1, 5, 10)]
     jobs += [(parse_circuit(MAJ_NET), b) for b in ("exp", "catalyst")]
+    jobs += [(parse_circuit(CONST_NET), b) for b in ("formula", "exp", "catalyst")]
     jobs.append((parse_circuit(_layered_dag(random.Random(12), 12, 8)), "catalyst"))
     return [(f"{c.name}/{b}", c, b) for c, b in jobs]
 
@@ -102,17 +108,10 @@ def test_compiled_programs_and_reports_match_the_recorded_digests():
     assert not changed, f"compiled output changed for {changed}"
 
 
-# Constants of both values, and MAJ gates of fan-in 1, 2 and 4.
-CONST_NET = (
-    "circuit k\ngate 1 INPUT\ngate 2 CONST_ONE\ngate 3 CONST_ZERO\n"
-    "gate 4 MAJ 1 2\ngate 5 MAJ 3\ngate 6 MAJ 4 5 1 1\noutputs 6\n"
-)
-
 
 def test_every_compiled_species_is_added_at_some_step():
     # No compile names a species whose count is 0: a step adds each one.
-    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
-    for key, circuit, backend in compiles:
+    for key, circuit, backend in _compiles():
         program, _ = compile_backend(circuit, backend)
         assert all(k < program.step_count for k in program.added_at), key
 
@@ -120,8 +119,7 @@ def test_every_compiled_species_is_added_at_some_step():
 def test_rule_tables_survive_the_text_round_trip():
     # Text back to a program gives the same rule table, the same rule
     # objects and the same tables for runs and searches.
-    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
-    for key, circuit, backend in compiles:
+    for key, circuit, backend in _compiles():
         program, _ = compile_backend(circuit, backend)
         back = program_from_text(program_to_text(program))
         assert back.rules == program.rules, key
@@ -134,9 +132,7 @@ def test_rule_tables_survive_the_text_round_trip():
 def test_compiled_rules_have_the_two_shapes():
     # Every compiled rule is A + B -> . or A + B -> A|B with A != B, and
     # reads back from its text as the same rule.
-    compiles = _compiles() + [(f"k/{b}", parse_circuit(CONST_NET), b) for b in BACKENDS]
-    compiles += [(f"m/{b}", parse_circuit(MAJ_NET), b) for b in ("exp", "catalyst")]
-    for key, circuit, backend in compiles:
+    for key, circuit, backend in _compiles():
         program, _ = compile_backend(circuit, backend)
         alphabet = program.alphabet
         for rule in program.rules:
