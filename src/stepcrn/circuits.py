@@ -135,7 +135,7 @@ class Circuit:
             gid = ready.pop()
             order.append(gid)
             ins = by_id[gid].inputs
-            level[gid] = 0 if not ins else 1 + max(level[r] for r in ins)
+            level[gid] = 1 + max(map(level.__getitem__, ins)) if ins else 0
             for cid in consumers[gid]:
                 indeg[cid] -= 1
                 if indeg[cid] == 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import lt
+from operator import eq, lt
 
 
 class Alphabet:
@@ -153,7 +153,9 @@ class RuleTable(Sequence):
             raise ValueError(f"reactant ordinal {o} is outside the alphabet")
         if not all(map(lt, a, b)):
             raise ValueError("reactant ordinals must be sorted and distinct")
-        if any(k != -1 and k != x and k != y for x, y, k in zip(a, b, kept)):
+        # Each row counts once when kept is -1, a or b, and at most once,
+        # as a < b and both are ordinals.
+        if kept.count(-1) + sum(map(eq, kept, a)) + sum(map(eq, kept, b)) != len(kept):
             raise ValueError(_NOT_VOID)
 
     @classmethod

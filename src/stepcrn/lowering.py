@@ -16,6 +16,16 @@ Three backends share one per-gate rule scheme:
 
 Every species, under every backend, is added at exactly one step.
 
+One gate scheme, ``_scheme``, lowers each gate to the species it owns
+and its rules, forms and additions, all as indices into that block or
+into its producers' carriers; :func:`lower_gate` is its view by name.
+A species gets its ordinal by position: each gate's species are one
+contiguous block of the alphabet, in gate declaration order, and the
+catalyst backend's sweepers and killers follow.  The compiler emits the
+rule table's columns, the steps and the input/output encodings straight
+from block offsets, so it builds each species name once, for the
+alphabet, and looks none up.
+
 One routine, :func:`_compile`, builds every backend's program.  The
 step skeleton per depth level is: one gate step (three for levels
 containing MAJ gates: vote conversion, tally annihilation, output
@@ -93,7 +103,8 @@ class LoweringError(CircuitError):
 @dataclass(frozen=True)
 class GateLowering:
     """One gate's species, additions and annihilation rules; only the
-    addition counts scale with the gate's multiplicity.
+    addition counts scale with the gate's multiplicity.  This is the
+    compilers' gate scheme with every index replaced by its name.
 
     ``species`` lists every species the gate owns, in alphabet order:
     MAJ helpers, true forms, false forms, then the carriers
@@ -133,9 +144,10 @@ class CompilationReport:
     max_input_multiplicity: int
     demand: dict[int, int]
     predicted: dict[str, int]
-    # Seconds spent in normalize, lowering (alphabet, per-gate lowering and
-    # rules) and assembly (steps, program checks, report); kept out of
-    # comparisons and of the text and JSON forms.
+    # Seconds spent in normalize, lowering (gate schemes, alphabet, rule
+    # columns and the table's check) and assembly (steps, encodings,
+    # program checks, report); kept out of comparisons and of the text
+    # and JSON forms.
     timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def to_text(self) -> str:
@@ -197,12 +209,73 @@ def b_name(gid: int, bit: bool) -> str:
     return f"b[{gid}]{'T' if bit else 'F'}"
 
 
-# The input value that decides an AND (0) or OR (1) on its own.  The
-# gate's result species ``y[i]`` of the other value survives unless some
-# input shows the controlling value; each input's arrow form
-# ``y[j->i]`` carries the controlling value and survives when input j
-# shows it.
-_CONTROLLING = {GateKind.AND: False, GateKind.OR: True}
+def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
+    """One gate's lowering at multiplicity ``m``, as ``(names, helpers,
+    true, reads, rules, additions)``.
+
+    ``names`` are the species the gate owns, one alphabet block in this
+    order: ``helpers`` MAJ helpers, ``true`` true forms, the false forms,
+    then the carriers ``x[i]T``, ``x[i]F`` its consumers read.  A rule
+    is a pair of indices into the gate's view: index ``s`` below
+    ``len(names)`` is ``names[s]``, and ``len(names) + 2k`` and
+    ``len(names) + 2k + 1`` are ``x[j]T`` and ``x[j]F`` of the producer
+    ``j = reads[k]``.  ``additions`` holds one list of ``(s, count)``
+    pairs per gate sub-step, ``s`` ascending; only the counts scale with
+    ``m``.  The names follow :func:`x_name` and its siblings."""
+    if m < 1:
+        raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
+    reads = sorted(set(fan_in))
+    x, y = f"x[{gate_id}]", f"y[{gate_id}]"
+    if kind is GateKind.AND or kind is GateKind.OR:
+        # The controlling input value decides the gate on its own: 0 for
+        # AND, 1 for OR.  The result ``y[i]`` of the other value survives
+        # unless some input shows the controlling value; each input's
+        # arrow form ``y[j->i]`` carries the controlling value and
+        # survives when input j shows it.  The true forms lead.
+        c = kind is GateKind.OR
+        bit = "T" if c else "F"
+        arrow, at = (0, len(reads)) if c else (1, 0)
+        view = len(reads) + 3
+        arrows, rules, counts = [], [], []
+        for k, j in enumerate(reads):  # x[j] not c + y[j->i], x[j] c + y[i]
+            arrows.append(f"y[{j}->{gate_id}]{bit}")
+            rules += ((view + 2 * k + c, arrow + k), (view + 2 * k + 1 - c, at))
+            counts.append((arrow + k, fan_in.count(j) * m))
+        if c:
+            return (*arrows, y + "F", x + "T", x + "F"), 0, len(reads), reads, rules, (counts + [(at, m)],)
+        return (y + "T", *arrows, x + "T", x + "F"), 0, 1, reads, rules, ([(at, m)] + counts,)
+    helpers, rules, additions = (), [], ()
+    if kind is GateKind.NOT:
+        rules = [(4, 0), (5, 1)]  # x[j]T + y[i]T, x[j]F + y[i]F
+        additions = ([(0, m), (1, m)],)
+    elif kind is GateKind.MAJ:
+        # More than half of the n wires true: at least t of them.  Each
+        # wire deletes m copies of the vote against it, so k true wires
+        # leave k·m a[i]T and (n - k)·m a[i]F.  The tally deletes
+        # (t - 1)·m of the first and (n - t)·m of the second, so exactly
+        # one survives, to delete the other result form.  A tally
+        # species with no copies is not named.
+        n = len(fan_in)
+        t = n // 2 + 1
+        a, b = f"a[{gate_id}]", f"b[{gate_id}]"
+        helpers = (a + "T", a + "F") + (b + "T",) * (n > t) + (b + "F",) * (t > 1)
+        h = len(helpers)
+        for k in range(len(reads)):  # x[j]T + a[i]F, x[j]F + a[i]T
+            rules += ((h + 4 + 2 * k, 1), (h + 5 + 2 * k, 0))
+        tally = []
+        if n > t:  # b[i]T
+            tally.append((2, (n - t) * m))
+        if t > 1:  # a[i]T + b[i]F
+            tally.append((h - 1, (t - 1) * m))
+            rules.append((0, h - 1))
+        if n > t:  # a[i]F + b[i]T
+            rules.append((1, 2))
+        rules += [(0, h + 1), (1, h)]  # a[i]T + y[i]F, a[i]F + y[i]T
+        additions = ([(0, n * m), (1, n * m)], tally, [(h, m), (h + 1, m)])
+    elif kind is not GateKind.INPUT:  # a constant has only its value's form
+        one = kind is GateKind.CONST_ONE
+        return (y + ("T" if one else "F"), x + "T", x + "F"), 0, int(one), reads, rules, additions
+    return (*helpers, y + "T", y + "F", x + "T", x + "F"), len(helpers), 1, reads, rules, additions
 
 
 def lower_gate(
@@ -214,56 +287,15 @@ def lower_gate(
     """Species, additions and rules computing one gate of any kind at
     the given output multiplicity.  ``fan_in`` lists input gate ids,
     duplicates allowed; rules are count-free so only addition counts
-    scale."""
-    if multiplicity < 1:
-        raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
-    m = multiplicity
-    fan_in = tuple(fan_in)
-    distinct = sorted(set(fan_in))
-    true, false = y_name(gate_id, True), y_name(gate_id, False)
-    forms: tuple[tuple[str, ...], tuple[str, ...]] = ((true,), (false,))
-    helpers: tuple[str, ...] = ()
-    additions: tuple[dict, ...] = ()
-    rules: list[tuple[str, str]] = []
-    if kind in _CONTROLLING:
-        c = _CONTROLLING[kind]
-        result = y_name(gate_id, not c)
-        arrows = tuple(y_arrow_name(j, gate_id, c) for j in distinct)
-        forms = (arrows, (result,)) if c else ((result,), arrows)
-        adds: dict[str, int] = {result: m}
-        for j in fan_in:
-            arrow = y_arrow_name(j, gate_id, c)
-            adds[arrow] = adds.get(arrow, 0) + m
-        additions = (adds,)
-        for j, arrow in zip(distinct, arrows):
-            rules.append((x_name(j, not c), arrow))
-            rules.append((x_name(j, c), result))
-    elif kind is GateKind.NOT:
-        (j,) = fan_in
-        additions = ({true: m, false: m},)
-        rules = [(x_name(j, True), true), (x_name(j, False), false)]
-    elif kind is GateKind.MAJ:
-        # More than half of the n wires true: at least t of them.  Each
-        # wire deletes m copies of the vote against it, so k true wires
-        # leave k·m a[i]T and (n - k)·m a[i]F.  The tally deletes
-        # (t - 1)·m of the first and (n - t)·m of the second, so exactly
-        # one survives, to delete the other result form.
-        n = len(fan_in)
-        t = n // 2 + 1
-        a_true, a_false = a_name(gate_id, True), a_name(gate_id, False)
-        b_true, b_false = b_name(gate_id, True), b_name(gate_id, False)
-        tally = {b: c * m for b, c in ((b_true, n - t), (b_false, t - 1)) if c}
-        helpers = (a_true, a_false, *tally)
-        additions = ({a_true: n * m, a_false: n * m}, tally, {true: m, false: m})
-        for j in distinct:
-            rules.append((x_name(j, True), a_false))
-            rules.append((x_name(j, False), a_true))
-        rules += [pair for pair in ((a_true, b_false), (a_false, b_true)) if pair[1] in tally]
-        rules += [(a_true, false), (a_false, true)]
-    elif kind is not GateKind.INPUT:  # a constant has only its value's form
-        forms = ((true,), ()) if kind is GateKind.CONST_ONE else ((), (false,))
-    species = helpers + forms[0] + forms[1] + (x_name(gate_id, True), x_name(gate_id, False))
-    return GateLowering(species, forms, additions, tuple(rules))
+    scale.  This names what the compilers emit for the gate."""
+    names, h, true, reads, rules, additions = _scheme(kind, gate_id, tuple(fan_in), multiplicity)
+    view = names + tuple(x_name(j, bit) for j in reads for bit in (True, False))
+    return GateLowering(
+        names,
+        (names[h : h + true], names[h + true : -2]),
+        tuple({view[s]: c for s, c in sub} for sub in additions),
+        tuple((view[u], view[v]) for u, v in rules),
+    )
 
 
 # -- normalization -----------------------------------------------------------
@@ -354,102 +386,6 @@ def _deleters(axis: str, level: int) -> tuple[str, str]:
     return f"d{axis}[{level}]", f"k{axis}[{level}]"
 
 
-def _conversion_pairs(gid: int, low: GateLowering) -> list[tuple[str, str]]:
-    """(output form, input carrier of the other polarity) pairs: a
-    surviving form deletes the carriers that disagree with it."""
-    true_forms, false_forms = low.forms
-    return [(f, x_name(gid, False)) for f in true_forms] + [
-        (f, x_name(gid, True)) for f in false_forms
-    ]
-
-
-class _RuleColumns:
-    """The columns of a :class:`~stepcrn.crn.RuleTable`, filled one
-    compiled rule at a time, in emission order, from ordinals."""
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.index = alphabet.index
-        self.a: list[int] = []
-        self.b: list[int] = []
-        self.kept: list[int] = []
-
-    def add(self, first: str, second: str, catalytic: bool = False) -> None:
-        """``first + second -> .``, or ``first + second -> first`` when
-        ``catalytic``."""
-        x, y = self.index[first], self.index[second]
-        self.kept.append(x if catalytic else -1)
-        if x > y:  # x == y fails the table's check: reactants must be distinct
-            x, y = y, x
-        self.a.append(x)
-        self.b.append(y)
-
-    def table(self) -> RuleTable:
-        return RuleTable(self.alphabet, self.a, self.b, self.kept)
-
-
-def _void_rules(
-    alphabet: Alphabet, levels: list[list[int]], lowerings: Mapping[int, GateLowering]
-) -> RuleTable:
-    """Per level, its gates' annihilations, then the annihilating
-    conversions of their outputs."""
-    rules = _RuleColumns(alphabet)
-    for group in levels:
-        for gid in group:
-            for pair in lowerings[gid].rules:
-                rules.add(*pair)
-        for gid in group:
-            for pair in _conversion_pairs(gid, lowerings[gid]):
-                rules.add(*pair)
-    return rules.table()
-
-
-def _catalyst_rules(
-    alphabet: Alphabet, norm: Circuit, lowerings: Mapping[int, GateLowering]
-) -> RuleTable:
-    """Every gate's annihilations in level order, then, each in
-    declaration order, the catalytic conversions, the x-sweeps and the
-    y-sweeps, each sweep followed by its killers."""
-    level = norm.level
-    depth = max(level.values())
-    rules = _RuleColumns(alphabet)
-    add = rules.add
-    for low in lowerings.values():
-        for pair in low.rules:
-            add(*pair)
-
-    # Each sweep deletes what its level left behind: the carriers level
-    # k read and its MAJ helpers go to dx[k], its output forms to dy[k].
-    # The deepest carriers are the decoded outputs and stay.
-    pairs = {g.gid: _conversion_pairs(g.gid, lowerings[g.gid]) for g in norm.gates}
-    for g in norm.gates:
-        for form, carrier in pairs[g.gid]:
-            add(form, carrier, True)
-    for g in norm.gates:
-        k = level[g.gid]
-        if k < depth:
-            sweeper = _deleters("x", k + 1)[0]
-            add(sweeper, x_name(g.gid, True), True)
-            add(sweeper, x_name(g.gid, False), True)
-        # A MAJ's helpers lead its species.  The true ones are swept
-        # first: rule order fixes each seed's draws.
-        low = lowerings[g.gid]
-        helpers = low.species[: -2 - len(low.forms[0]) - len(low.forms[1])]
-        if helpers:
-            sweeper = _deleters("x", k)[0]
-            for helper in sorted(helpers, key=lambda s: s.endswith("F")):
-                add(sweeper, helper, True)
-    for k in range(1, depth + 1):
-        add(*_deleters("x", k))
-    for g in norm.gates:
-        sweeper = _deleters("y", level[g.gid])[0]
-        for form, _ in pairs[g.gid]:
-            add(sweeper, form, True)
-    for k in range(depth + 1):
-        add(*_deleters("y", k))
-    return rules.table()
-
-
 def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationReport]:
     """Normalize, lower and assemble ``circuit`` under ``backend``.
 
@@ -471,66 +407,146 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
     else:
         multiplicity = copies = demand_analysis(norm)
 
+    # Each gate's species are one block of the alphabet, in declaration
+    # order; the sweepers and killers follow.  ``base`` is a block's
+    # first ordinal and ``carrier`` that of its x[i]T, before x[i]F.
+    names: list[str] = []
+    schemes, base, carrier = {}, {}, {}
+    for g in norm.gates:
+        gid = g.gid
+        schemes[gid] = scheme = _scheme(g.kind, gid, g.inputs, multiplicity[gid])
+        base[gid] = len(names)
+        names += scheme[0]
+        carrier[gid] = len(names) - 2
     # Gate ids by depth level, each group in declaration order (level 0
-    # holds the sources).  Gates are lowered in level order, the order
-    # in which _catalyst_rules emits their annihilations.
-    depth = max(norm.level.values())
+    # holds the sources).
+    level = norm.level
+    depth = max(level.values())
     levels: list[list[int]] = [[] for _ in range(depth + 1)]
     for g in norm.gates:
-        levels[norm.level[g.gid]].append(g.gid)
-    lowerings: dict[int, GateLowering] = {}
-    for group in levels:
-        for gid in group:
-            g = norm.by_id[gid]
-            lowerings[gid] = lower_gate(g.kind, gid, g.inputs, multiplicity[gid])
-
-    # Every gate's species in declaration order, then the sweepers and
-    # killers.
-    names = [s for g in norm.gates for s in lowerings[g.gid].species]
+        levels[level[g.gid]].append(g.gid)
+    # The sweeper dx[k], k = 1..depth, is ordinal dx + 2k, and dy[k],
+    # k = 0..depth, is dy + 2k; each killer follows its sweeper.
+    dx, dy = len(names) - 2, len(names) + 2 * depth
     if catalyst:
         names += [s for k in range(1, depth + 1) for s in _deleters("x", k)]
         names += [s for k in range(depth + 1) for s in _deleters("y", k)]
     alphabet = Alphabet(names)
-    index = alphabet.index
+    # The alphabet's own ordinal objects, o[i] == i: the rules and steps
+    # share them, so a program holds one int object per species.
+    o = list(alphabet.index.values())
+
+    # The rule table's columns: rule q reads a[q] < b[q] and puts back
+    # kept[q], or -1 for none.
+    a: list[int] = []
+    b: list[int] = []
+
+    def gate_rules(group: list[int]) -> None:
+        for gid in group:
+            reads, rules = schemes[gid][3:5]
+            view = o[base[gid] : carrier[gid] + 2]
+            for j in reads:
+                view += o[carrier[j] : carrier[j] + 2]
+            for u, v in rules:
+                x, y = view[u], view[v]
+                if x < y:
+                    a.append(x)
+                    b.append(y)
+                else:
+                    a.append(y)
+                    b.append(x)
+
+    def forms(gid: int) -> list[int]:
+        """The gate's true forms, then its false forms."""
+        return o[base[gid] + schemes[gid][1] : carrier[gid]]
+
+    def conversions(group: list[int]) -> None:
+        # A surviving form deletes the carriers that disagree with it.
+        for gid in group:
+            x, f, true = carrier[gid], forms(gid), schemes[gid][2]
+            a.extend(f)
+            b.extend([o[x + 1]] * true + [o[x]] * (len(f) - true))
+
     if catalyst:
-        rules = _catalyst_rules(alphabet, norm, lowerings)
+        # Every gate's annihilations in level order, then, each in
+        # declaration order, the catalytic conversions, the x-sweeps and
+        # the y-sweeps, each sweep followed by its killers.  Each sweep
+        # deletes what its level left behind: the carriers level k read
+        # and its MAJ helpers go to dx[k], its output forms to dy[k].  The
+        # deepest carriers are the decoded outputs and stay.  A
+        # conversion keeps its form, a sweep its sweeper.
+        for group in levels:
+            gate_rules(group)
+        kept = [-1] * len(a)
+        order = [g.gid for g in norm.gates]
+        conversions(order)
+        kept += a[len(kept) :]
+        swept = len(a)
+        for gid in order:
+            k = level[gid]
+            if k < depth:
+                a.extend(o[carrier[gid] : carrier[gid] + 2])
+                b.extend([o[dx + 2 * k + 2]] * 2)
+            # A MAJ's helpers lead its block.  The true ones are swept
+            # first: rule order fixes each seed's draws.
+            block, h = schemes[gid][:2]
+            if h:
+                first = base[gid]
+                a.extend(o[first + i] for i in sorted(range(h), key=lambda i: block[i][-1] == "F"))
+                b.extend([o[dx + 2 * k]] * h)
+        kept += b[swept:] + [-1] * depth
+        a += o[dx + 2 : dy : 2]
+        b += o[dx + 3 : dy : 2]
+        swept = len(a)
+        for gid in order:
+            f = forms(gid)
+            a.extend(f)
+            b.extend([o[dy + 2 * level[gid]]] * len(f))
+        kept += b[swept:] + [-1] * (depth + 1)
+        a += o[dy::2]
+        b += o[dy + 1 :: 2]
     else:
-        rules = _void_rules(alphabet, levels, lowerings)
+        # Per level, its gates' annihilations, then the annihilating
+        # conversions of their outputs.
+        for group in levels:
+            gate_rules(group)
+            conversions(group)
+        kept = [-1] * len(a)
+    rules = RuleTable(alphabet, a, b, kept)
     t2 = time.perf_counter()
 
-    def step(adds: Mapping[str, int]) -> Step:
-        return tuple(sorted((index[name], c) for name, c in adds.items()))
-
+    # A step lists its entries by ordinal: blocks ascend along each
+    # group and a scheme's additions ascend within its block.
     steps: list[Step] = []
     for k, group in enumerate(levels):
         if k:
-            for sub in range(max(len(lowerings[gid].additions) for gid in group)):
-                adds: dict[str, int] = {}
-                for gid in group:
-                    subs = lowerings[gid].additions
-                    if sub < len(subs):
-                        for species, c in subs[sub].items():
-                            adds[species] = adds.get(species, 0) + c
+            subs = [schemes[gid][5] for gid in group]
+            for sub in range(max(map(len, subs))):
+                adds = [
+                    (o[base[gid] + s], c)
+                    for gid, additions in zip(group, subs)
+                    if sub < len(additions)
+                    for s, c in additions[sub]
+                ]
                 if adds:  # the tally of fan-in-1 MAJ gates only adds nothing
-                    steps.append(step(adds))
+                    steps.append(tuple(adds))
             if catalyst:
-                steps += [((index[s], 1),) for s in _deleters("x", k)]
-        convert = {}
+                steps += [((o[dx + 2 * k], 1),), ((o[dx + 2 * k + 1], 1),)]
+        convert = []
         for gid in group:
-            convert[x_name(gid, True)] = convert[x_name(gid, False)] = copies[gid]
-        if k == 0:  # each constant's one form, as its lowering names it
-            for g in norm.sources():
-                if g.kind is not GateKind.INPUT:
-                    (form,) = sum(lowerings[g.gid].forms, ())
-                    convert[form] = multiplicity[g.gid]
-        steps.append(step(convert))
+            if k == 0 and norm.by_id[gid].kind is not GateKind.INPUT:
+                convert.append((o[base[gid]], multiplicity[gid]))  # a constant's one form
+            x, c = carrier[gid], copies[gid]
+            convert += ((o[x], c), (o[x + 1], c))
+        steps.append(tuple(convert))
         if catalyst:
-            steps += [((index[s], 1),) for s in _deleters("y", k)]
+            steps += [((o[dy + 2 * k], 1),), ((o[dy + 2 * k + 1], 1),)]
 
-    inputs = []
-    for gid in norm.input_ids:
-        m = multiplicity[gid]
-        inputs.append((gid, (index[y_name(gid, False)], m), (index[y_name(gid, True)], m)))
+    # An input's block is y[i]T, y[i]F, x[i]T, x[i]F.
+    inputs = [
+        (gid, (o[base[gid] + 1], multiplicity[gid]), (o[base[gid]], multiplicity[gid]))
+        for gid in norm.input_ids
+    ]
     program = StepProgram(
         name=circuit.name,
         backend=backend,
@@ -538,7 +554,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
         rules=rules,
         steps=tuple(steps),
         inputs=tuple(inputs),
-        outputs=tuple((index[x_name(o, False)], index[x_name(o, True)]) for o in norm.outputs),
+        outputs=tuple((o[carrier[g] + 1], o[carrier[g]]) for g in norm.outputs),
     )
 
     st = stats(norm)

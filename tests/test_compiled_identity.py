@@ -17,6 +17,7 @@ from stepcrn import (
     CorpusSpec,
     build_stage_chain,
     generate_circuits,
+    lower_gate,
     normalize,
     parse_circuit,
     parse_rule,
@@ -138,6 +139,25 @@ def test_compiled_rules_have_the_two_shapes():
         for rule in program.rules:
             assert rule.a < rule.b and rule.kept in (-1, rule.a, rule.b), (key, rule.text)
             assert parse_rule(rule.text, alphabet) == rule, (key, rule.text)
+
+
+def test_every_gate_lowering_is_one_alphabet_block_and_its_rules_are_rows():
+    # One gate scheme: lower_gate's named view of each normalized gate
+    # names one block of the compiled alphabet, the blocks in gate
+    # declaration order, and each of its rules is a row of the table.
+    for key, circuit, backend in _compiles():
+        program, report = compile_backend(circuit, backend)
+        norm, _ = normalize(circuit, align_outputs=backend == "catalyst")
+        alphabet, table = program.alphabet, program.rules
+        rows = set(zip(table.a, table.b, table.kept))
+        start = 0
+        for g in norm.gates:
+            low = lower_gate(g.kind, g.gid, g.inputs, report.demand[g.gid])
+            assert alphabet.names[start : start + len(low.species)] == low.species, (key, g)
+            start += len(low.species)
+            for x, y in low.rules:
+                rule = parse_rule(f"{x} + {y} -> .", alphabet)
+                assert (rule.a, rule.b, rule.kept) in rows, (key, g, x, y)
 
 
 def test_catalyst_species_stay_under_the_predicted_bound():

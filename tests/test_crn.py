@@ -3,7 +3,6 @@ import pickle
 import pytest
 
 from stepcrn import Alphabet, Configuration, Rule, RuleTable, parse_rule
-from stepcrn.lowering import _RuleColumns
 
 from reference import applicable, apply_rule, configuration, count, is_terminal, rule_size
 
@@ -129,26 +128,6 @@ def test_configuration_views():
 # -- rule construction ----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "ordinal_args, reactants, products",
-    [
-        (("B", "A"), ("A", "B"), ()),
-        (("Y", "X", True), ("Y", "X"), ("Y",)),
-        (("X", "Y", True), ("Y", "X"), ("X",)),
-    ],
-)
-def test_ordinal_helper_and_make_build_equal_rules(ordinal_args, reactants, products):
-    # The compiler's columns and parse_rule give one table and one rule.
-    text = f"{' + '.join(reactants)} -> {' + '.join(products) or '.'}"
-    columns = _RuleColumns(AB)
-    columns.add(*ordinal_args)
-    table, parsed = columns.table(), parse_rule(text, AB)
-    assert table == RuleTable.from_rules(AB, [parsed]) and hash(table) == hash(
-        RuleTable.from_rules(AB, [parsed])
-    )
-    assert table[0] == parsed and table[0].text == parsed.text
-
-
 _NOT_VOID = "rule is not void: it must lower some count and raise none"
 _UNSORTED = "reactant ordinals must be sorted and distinct"
 _REFUSED = [
@@ -208,12 +187,11 @@ def test_from_rules_refuses_a_row_over_another_alphabet():
 
 
 def test_table_refuses_unsorted_or_repeated_reactants():
-    # The refusal table checks both entries on rows out of order or
-    # repeated; so a compiled rule naming one species twice is refused too.
-    columns = _RuleColumns(AB)
-    columns.add("X", "X")
-    with pytest.raises(ValueError, match="sorted and distinct"):
-        columns.table()
+    # The refusal table checks one row; a bad row after good ones is
+    # refused too, so a compiled rule naming one species twice is.
+    for a, b in (([0, 4], [1, 4]), ([0, 3, 2], [1, 5, 1])):
+        with pytest.raises(ValueError, match="^reactant ordinals must be sorted and distinct$"):
+            RuleTable(AB, a, b, [-1] * len(a))
 
 
 def test_table_columns_must_match_and_keep_a_reactant():
@@ -223,6 +201,14 @@ def test_table_columns_must_match_and_keep_a_reactant():
     for kept in (2, -2):
         with pytest.raises(ValueError, match=r"^rule is not void"):
             RuleTable(AB, [0], [1], [kept])
+    # The check counts over whole columns: one bad row among good ones,
+    # wherever it sits, is refused.
+    a, b, good = [0, 2, 3, 5], [1, 4, 6, 7], [-1, 2, 6, 5]
+    for q, other in enumerate((2, 3, 4, 6)):
+        for wrong in (-2, 8, other):
+            with pytest.raises(ValueError, match=r"^rule is not void"):
+                RuleTable(AB, a, b, good[:q] + [wrong] + good[q + 1 :])
+    assert RuleTable(AB, a, b, good).kept == tuple(good)
     assert len(RuleTable(AB, [], [], [])) == 0
 
 
