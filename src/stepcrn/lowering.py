@@ -246,6 +246,7 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
         return (y + "T", *arrows, x + "T", x + "F"), 0, 1, reads, rules, ([(at, m)] + counts,)
     helpers, rules, additions = (), [], ()
     if kind is GateKind.NOT:
+        (_,) = fan_in
         rules = [(4, 0), (5, 1)]  # x[j]T + y[i]T, x[j]F + y[i]F
         additions = ([(0, m), (1, m)],)
     elif kind is GateKind.MAJ:
@@ -262,14 +263,9 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
         h = len(helpers)
         for k in range(len(reads)):  # x[j]T + a[i]F, x[j]F + a[i]T
             rules += ((h + 4 + 2 * k, 1), (h + 5 + 2 * k, 0))
-        tally = []
-        if n > t:  # b[i]T
-            tally.append((2, (n - t) * m))
-        if t > 1:  # a[i]T + b[i]F
-            tally.append((h - 1, (t - 1) * m))
-            rules.append((0, h - 1))
-        if n > t:  # a[i]F + b[i]T
-            rules.append((1, 2))
+        # b[i]T is index 2 and b[i]F index h - 1, when named.
+        tally = [(2, (n - t) * m)] * (n > t) + [(h - 1, (t - 1) * m)] * (t > 1)
+        rules += [(0, h - 1)] * (t > 1) + [(1, 2)] * (n > t)  # a[i]T + b[i]F, a[i]F + b[i]T
         rules += [(0, h + 1), (1, h)]  # a[i]T + y[i]F, a[i]F + y[i]T
         additions = ([(0, n * m), (1, n * m)], tally, [(h, m), (h + 1, m)])
     elif kind is not GateKind.INPUT:  # a constant has only its value's form
