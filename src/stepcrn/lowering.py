@@ -219,12 +219,14 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
     is a pair of indices into the gate's view: index ``s`` below
     ``len(names)`` is ``names[s]``, and ``len(names) + 2k`` and
     ``len(names) + 2k + 1`` are ``x[j]T`` and ``x[j]F`` of the producer
-    ``j = reads[k]``.  ``additions`` holds one list of ``(s, count)``
+    ``j = reads[k]``.  ``additions`` holds one tuple of ``(s, count)``
     pairs per gate sub-step, ``s`` ascending; only the counts scale with
-    ``m``.  The names follow :func:`x_name` and its siblings."""
+    ``m``.  The names follow :func:`x_name` and its siblings.  Only
+    tuples are returned: the collector stops tracking a tuple of ints,
+    so a large compile's collections skip the gates' schemes."""
     if m < 1:
         raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
-    reads = sorted(set(fan_in))
+    reads = tuple(sorted(set(fan_in)))
     x, y = f"x[{gate_id}]", f"y[{gate_id}]"
     if kind is GateKind.AND or kind is GateKind.OR:
         # The controlling input value decides the gate on its own: 0 for
@@ -242,13 +244,13 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
             rules += ((view + 2 * k + c, arrow + k), (view + 2 * k + 1 - c, at))
             counts.append((arrow + k, fan_in.count(j) * m))
         if c:
-            return (*arrows, y + "F", x + "T", x + "F"), 0, len(reads), reads, rules, (counts + [(at, m)],)
-        return (y + "T", *arrows, x + "T", x + "F"), 0, 1, reads, rules, ([(at, m)] + counts,)
-    helpers, rules, additions = (), [], ()
+            return (*arrows, y + "F", x + "T", x + "F"), 0, len(reads), reads, tuple(rules), ((*counts, (at, m)),)
+        return (y + "T", *arrows, x + "T", x + "F"), 0, 1, reads, tuple(rules), (((at, m), *counts),)
+    helpers, rules, additions = (), (), ()
     if kind is GateKind.NOT:
         (_,) = fan_in
-        rules = [(4, 0), (5, 1)]  # x[j]T + y[i]T, x[j]F + y[i]F
-        additions = ([(0, m), (1, m)],)
+        rules = ((4, 0), (5, 1))  # x[j]T + y[i]T, x[j]F + y[i]F
+        additions = (((0, m), (1, m)),)
     elif kind is GateKind.MAJ:
         # More than half of the n wires true: at least t of them.  Each
         # wire deletes m copies of the vote against it, so k true wires
@@ -264,10 +266,10 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
         for k in range(len(reads)):  # x[j]T + a[i]F, x[j]F + a[i]T
             rules += ((h + 4 + 2 * k, 1), (h + 5 + 2 * k, 0))
         # b[i]T is index 2 and b[i]F index h - 1, when named.
-        tally = [(2, (n - t) * m)] * (n > t) + [(h - 1, (t - 1) * m)] * (t > 1)
-        rules += [(0, h - 1)] * (t > 1) + [(1, 2)] * (n > t)  # a[i]T + b[i]F, a[i]F + b[i]T
-        rules += [(0, h + 1), (1, h)]  # a[i]T + y[i]F, a[i]F + y[i]T
-        additions = ([(0, n * m), (1, n * m)], tally, [(h, m), (h + 1, m)])
+        tally = ((2, (n - t) * m),) * (n > t) + ((h - 1, (t - 1) * m),) * (t > 1)
+        rules += ((0, h - 1),) * (t > 1) + ((1, 2),) * (n > t)  # a[i]T + b[i]F, a[i]F + b[i]T
+        rules += ((0, h + 1), (1, h))  # a[i]T + y[i]F, a[i]F + y[i]T
+        additions = (((0, n * m), (1, n * m)), tally, ((h, m), (h + 1, m)))
     elif kind is not GateKind.INPUT:  # a constant has only its value's form
         one = kind is GateKind.CONST_ONE
         return (y + ("T" if one else "F"), x + "T", x + "F"), 0, int(one), reads, rules, additions
