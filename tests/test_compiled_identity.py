@@ -109,7 +109,6 @@ def test_compiled_programs_and_reports_match_the_recorded_digests():
     assert not changed, f"compiled output changed for {changed}"
 
 
-
 def test_every_compiled_species_is_added_at_some_step():
     # No compile names a species whose count is 0: a step adds each one.
     for key, circuit, backend in _compiles():
