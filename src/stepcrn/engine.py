@@ -18,9 +18,9 @@ terminates.  A program holds its rules as one
 check and refuses any other rule; the engine checks no rule again.
 Both paths read the table's columns and a few tables built from them:
 neither builds a :class:`~stepcrn.crn.Rule`, the record of one table
-row, except to print the rule text of a traced firing.  A firing reads
-the species it lowers from the columns, so a program's first run
-builds only lists of rule numbers, not an object per rule.
+row, except to print the rule text of a traced firing.  A firing, in a
+run or in the search, reads the species it lowers from the columns, so
+neither path builds a tuple per rule.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -113,10 +113,6 @@ class StepProgram:
     inputs: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
     outputs: tuple[tuple[int, int], ...]
     added_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # Rule tables shared by every run, built on the first run.
-    _prepared: _PreparedRules | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         # The name is the program file's header token.
@@ -180,6 +176,11 @@ class StepProgram:
             merge[o] = merge.get(o, 0) + count
         return tuple(sorted(merge.items()))
 
+    @cached_property
+    def _prepared(self) -> _PreparedRules:
+        """Rule tables shared by every run, built on the first run."""
+        return _PreparedRules(self)
+
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge, at the
         larger count of each input's two bit choices."""
@@ -212,8 +213,8 @@ class _PreparedRules:
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
     rules that read species ``o``; each reads one copy, so when a firing
     takes ``o`` to 0 every rule of ``watch[o]`` leaves the enabled set
-    at once.  A firing reads the species it lowers from the table's
-    columns: ``a[q]`` and then ``b[q]``, each unless it is ``kept[q]``.
+    at once.  A firing, in a run or in the search, lowers the table's
+    columns ``a[q]`` and then ``b[q]``, each unless it is ``kept[q]``.
 
     Rules never raise a count, so only additions enable a rule, and a
     program adds each species at one step.  A rule is therefore checked
@@ -224,8 +225,8 @@ class _PreparedRules:
     A program's first run builds these tables in one pass of list
     appends over the rule table: one list of rule numbers per species
     and per step, and no object per rule, so that a cold run costs
-    little more than a warm one.  Tables only the enumerator reads are
-    built on its first use.
+    little more than a warm one.  ``reads_by_step``, which only the
+    enumerator reads, is built on its first use.
     """
 
     def __init__(self, program: StepProgram):
@@ -241,14 +242,6 @@ class _PreparedRules:
             if ready < never:  # else a reactant is never added
                 by_step[ready].append(q)
         self.ready_by_step = tuple(map(tuple, by_step))
-
-    @cached_property
-    def lowers(self) -> tuple[tuple[int, ...], ...]:
-        """``lowers[q]``: the species rule ``q`` lowers by one, both
-        reactants or the one it does not keep.  Only the enumerator reads
-        it, so it is built on the enumerator's first use."""
-        t = self.table
-        return tuple((x, y) if k < 0 else (y,) if k == x else (x,) for x, y, k in zip(t.a, t.b, t.kept))
 
     @cached_property
     def reads_by_step(self) -> tuple[tuple[int, ...], ...]:
@@ -291,9 +284,6 @@ class _PreparedRules:
         inlined: the same ``getrandbits`` calls, so the same rules fire
         and every per-seed trace is unchanged.  ``tests/data/traces.json``
         pins those traces.
-
-        A firing lowers ``a[q]`` unless it is ``kept[q]``, then ``b[q]``
-        unless it is ``kept[q]``, read from the rule table's columns.
 
         Appends a line per firing to ``trace`` when given, with the rule
         text of a rule object built for it.  Returns
@@ -363,14 +353,6 @@ class _PreparedRules:
         return counts, peak, apps
 
 
-def _prepared(program: StepProgram) -> _PreparedRules:
-    prep = program._prepared
-    if prep is None:
-        prep = _PreparedRules(program)
-        object.__setattr__(program, "_prepared", prep)
-    return prep
-
-
 # -- public operations ---------------------------------------------------------
 
 
@@ -388,7 +370,7 @@ def run_program(
     """
     inputs = program.input_step(bits)
     trace_lines: list[str] | None = [] if trace else None
-    counts, peak, apps = _prepared(program).run(
+    counts, peak, apps = program._prepared.run(
         program.steps, inputs, random.Random(sched.seed), trace_lines
     )
     final = Configuration(program.alphabet, tuple(counts))
@@ -452,7 +434,9 @@ def _search_terminals(
     stay closed under the relation, if coarser than it requires.  The
     split of the surviving rules is a function of that rule list alone,
     so ``splits`` keeps each split the step has made, keyed by the rule
-    tuple, and a repeated list is not split again.
+    tuple, and a repeated list is not split again.  A firing reads what
+    it lowers from the rule table's columns, written out as
+    :meth:`_PreparedRules.run` writes them: a loop was slower.
 
     Each configuration fires only the rules of its smallest component
     (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
@@ -478,7 +462,7 @@ def _search_terminals(
     ``visited`` unchecked; the search raises :class:`StateCapExceeded`
     once a configuration it adds takes ``visited`` past ``state_cap``.
     """
-    lowers, watch = prep.lowers, prep.watch
+    a, b, kept, watch = prep.table.a, prep.table.b, prep.table.kept, prep.watch
     terminals: set[tuple[int, ...]] = set()
     visited[entry] = entry
     stack = [(entry, _components(prep.applicable(entry, candidates), prep))]
@@ -492,7 +476,15 @@ def _search_terminals(
         for q in ample:
             nxt = list(cur)
             dead: list[int] = []
-            for o in lowers[q]:
+            keep = kept[q]
+            o = a[q]
+            if o != keep:
+                c = nxt[o] - 1
+                nxt[o] = c
+                if not c:
+                    dead += watch[o]
+            o = b[q]
+            if o != keep:
                 c = nxt[o] - 1
                 nxt[o] = c
                 if not c:
@@ -525,10 +517,10 @@ def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
     a catalyst that none of them deletes joins nothing."""
     if len(enabled) < 2:
         return [enabled] if enabled else []
-    a, b, lowers = prep.table.a, prep.table.b, prep.lowers
+    a, b, kept = prep.table.a, prep.table.b, prep.table.kept
     # users[o]: the enabled rules reading o, for each species o that an
     # enabled rule lowers.
-    users: dict[int, list[int]] = {o: [] for q in enabled for o in lowers[q]}
+    users: dict[int, list[int]] = {o: [] for q in enabled for o in (a[q], b[q]) if o != kept[q]}
     for q in enabled:
         for o in (a[q], b[q]):
             if o in users:
@@ -587,7 +579,7 @@ def enumerate_program_terminals(
     :class:`StateCapExceeded`, with that step as its ``step``.
     """
     inputs = program.input_step(bits)
-    prep = _prepared(program)
+    prep = program._prepared
     n = len(program.alphabet)
 
     frontier: set[tuple[int, ...]] = {(0,) * n}

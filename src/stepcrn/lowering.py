@@ -193,22 +193,6 @@ def x_name(gid: int, bit: bool) -> str:
     return f"x[{gid}]{'T' if bit else 'F'}"
 
 
-def y_name(gid: int, bit: bool) -> str:
-    return f"y[{gid}]{'T' if bit else 'F'}"
-
-
-def y_arrow_name(src: int, dst: int, bit: bool) -> str:
-    return f"y[{src}->{dst}]{'T' if bit else 'F'}"
-
-
-def a_name(gid: int, bit: bool) -> str:
-    return f"a[{gid}]{'T' if bit else 'F'}"
-
-
-def b_name(gid: int, bit: bool) -> str:
-    return f"b[{gid}]{'T' if bit else 'F'}"
-
-
 def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
     """One gate's lowering at multiplicity ``m``, as ``(names, helpers,
     true, reads, rules, additions)``.
@@ -221,9 +205,9 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
     ``len(names) + 2k + 1`` are ``x[j]T`` and ``x[j]F`` of the producer
     ``j = reads[k]``.  ``additions`` holds one tuple of ``(s, count)``
     pairs per gate sub-step, ``s`` ascending; only the counts scale with
-    ``m``.  The names follow :func:`x_name` and its siblings.  Only
-    tuples are returned: the collector stops tracking a tuple of ints,
-    so a large compile's collections skip the gates' schemes."""
+    ``m``.  Each name ends in the bit it carries, as :func:`x_name`'s
+    do.  Only tuples are returned: the collector stops tracking a tuple
+    of ints, so a large compile's collections skip the gates' schemes."""
     if m < 1:
         raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
     reads = tuple(sorted(set(fan_in)))

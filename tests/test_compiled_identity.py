@@ -25,7 +25,6 @@ from stepcrn import (
     program_to_text,
     stats,
 )
-from stepcrn import engine
 from stepcrn.lowering import SPECIES_C, compile_backend
 
 GOLDEN = Path(__file__).parent / "data" / "compiled.json"
@@ -124,8 +123,8 @@ def test_rule_tables_survive_the_text_round_trip():
         back = program_from_text(program_to_text(program))
         assert back.rules == program.rules, key
         assert list(back.rules) == list(program.rules), key
-        ours, theirs = engine._prepared(program), engine._prepared(back)
-        for table in ("lowers", "watch", "ready_by_step"):
+        ours, theirs = program._prepared, back._prepared
+        for table in ("watch", "ready_by_step", "reads_by_step"):
             assert getattr(ours, table) == getattr(theirs, table), (key, table)
 
 

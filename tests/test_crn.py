@@ -121,6 +121,8 @@ def test_configuration_views():
     assert c.as_dict() == {"A": 2, "X": 1}
     with pytest.raises(ValueError):
         Configuration(AB, (-1,) * len(AB))
+    with pytest.raises(ValueError, match="counts length"):
+        Configuration(AB, (0,) * (len(AB) + 1))
     empty = Configuration(Alphabet([]), ())
     assert empty.volume == 0 and empty.as_dict() == {}
 

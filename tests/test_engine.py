@@ -160,7 +160,7 @@ def test_enumerate_fires_independent_rules_in_one_order():
 def test_components_connect_only_through_a_lowered_species():
     ab = Alphabet(["c", "a", "b", "d"])
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c", "c + d -> .")]
-    prep = engine._prepared(_tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], []))
+    prep = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], [])._prepared
     # Both rules read c, but neither lowers it.
     assert engine._components([0, 1], prep) == [[0], [1]]
     # c + d -> . lowers c, which every rule reads.
@@ -277,7 +277,7 @@ def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
         "steps:\nstep 0: A=2, B=1\nstep 1: C=2\nstep 2: D=1, E=2\n"
         "outputs:\n0 0=B 1=A\n"
     )
-    assert engine._prepared(prog).ready_by_step == ((0,), (), (1, 2))
+    assert prog._prepared.ready_by_step == ((0,), (), (1, 2))
     for seed in range(3):
         per_step = [terminal_after(prog, (), seed, k).as_dict() for k in (0, 1)]
         assert per_step == [{"A": 1}, {"A": 1, "C": 2}]
@@ -404,6 +404,13 @@ def test_program_text_round_trip():
     r1 = run_program(prog, "11", Schedule(4))
     r2 = run_program(again, "11", Schedule(4))
     assert r1.decoded == r2.decoded == (1,)
+    # Blank lines and lines starting with '#' are skipped, in the header
+    # and in a section alike.
+    lines = text.splitlines()
+    at = lines.index("rules:") + 1
+    noisy = ["# header", "", *lines[:at], "", "  # first rule", *lines[at:], "# end", ""]
+    again = program_from_text("\n".join(noisy))
+    assert again == prog and program_to_text(again) == text
     for compiler in (compile_formula, compile_circuit_exp, compile_circuit_catalyst):
         prog, _ = compiler(parse_circuit(FIG_NET))
         again = program_from_text(program_to_text(prog))
@@ -628,7 +635,7 @@ def test_catalyst_entry_checks_follow_firings():
     # checks do not grow with rules x depth.
     for depth in (6, 12):
         program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, depth)))
-        prep = engine._prepared(program)
+        prep = program._prepared
         ready = [q for step in prep.ready_by_step for q in step]
         assert len(ready) == len(set(ready))
         # An entry check reads the rule's first reactant once, and so
@@ -660,10 +667,21 @@ def test_prepared_rules_cost_at_most_100_bytes_per_rule():
 def test_a_run_builds_no_enumerator_table():
     program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(4, 3)))
     run_program(program, "1011", Schedule(0))
-    built = vars(engine._prepared(program))
-    assert "reads_by_step" not in built and "lowers" not in built
+    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step"}
+    # An enumeration adds its one table and no table per rule.
     enumerate_program_terminals(program, "1011")
-    assert {"reads_by_step", "lowers"} <= set(vars(engine._prepared(program)))
+    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step", "reads_by_step"}
+
+
+def test_a_program_that_has_run_compares_hashes_and_prints_as_before():
+    # The cached rule tables are no field: a run changes neither
+    # equality, nor hash, nor repr.
+    program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(4, 3)))
+    run_program(program, "1011", Schedule(0))
+    assert "_prepared" in vars(program)
+    back = program_from_text(program_to_text(program))
+    assert program == back and hash(program) == hash(back) and repr(program) == repr(back)
+    assert "_prepared" not in vars(back)
 
 
 def test_catalyst_compile_and_untraced_run_build_no_rule_object(monkeypatch):

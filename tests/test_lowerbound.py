@@ -62,6 +62,9 @@ def test_alternate_completion_is_honored():
 def test_bad_completion_rejected():
     with pytest.raises(ValueError):
         StageSpec(completion={(0, 0, 1): (0, 0, 1)})
+    # Every row is covered, but one output is not all bits.
+    with pytest.raises(ValueError, match="bad completion row"):
+        StageSpec(completion={**{r: (0, 0, 0) for r in FREE_ROWS}, FREE_ROWS[0]: (0, 2, 1)})
 
 
 def test_chain_single_stage():
@@ -118,6 +121,8 @@ def test_min_copy_bounds_is_fibonacci():
         fib.append(b)
     assert bounds == fib
     assert bounds[20] == 10946 == fibonacci(20)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        min_copy_bounds(-1)
 
 
 def test_demand_growth_small_depths():

@@ -92,6 +92,8 @@ def test_lower_not_with_multiplicity():
     assert set(low.rules) == {("x[1]T", "y[2]T"), ("x[1]F", "y[2]F")}
     assert low.forms == (("y[2]T",), ("y[2]F",))
     assert low.species == ("y[2]T", "y[2]F", "x[2]T", "x[2]F")
+    with pytest.raises(LoweringError, match="multiplicity must be >= 1"):
+        lower_gate(GateKind.NOT, 2, (1,), multiplicity=0)
 
 
 def test_lower_maj_three_steps():
