@@ -102,18 +102,26 @@ class Circuit:
             by_id[g.gid] = g
         self.by_id = by_id
 
+        # Kinds are told apart with ``is``: ``in SOURCE_KINDS`` would
+        # call ``Enum.__hash__``, a Python-level method, once per gate.
+        input_, zero, one, not_ = GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE, GateKind.NOT
+        sources: list[Gate] = []
+        non_sources: list[Gate] = []
         for g in self.gates:
-            if g.kind in SOURCE_KINDS:
+            kind = g.kind
+            if kind is input_ or kind is zero or kind is one:
+                sources.append(g)
                 if g.inputs:
-                    raise CircuitError(f"gate {g.gid}: {g.kind.value} takes no inputs")
-            elif g.kind is GateKind.NOT:
-                if len(g.inputs) != 1:
-                    raise CircuitError(
-                        f"gate {g.gid}: NOT takes exactly one input, got {len(g.inputs)}"
-                    )
+                    raise CircuitError(f"gate {g.gid}: {kind.value} takes no inputs")
             else:
-                if len(g.inputs) < 1:
-                    raise CircuitError(f"gate {g.gid}: {g.kind.value} needs fan-in >= 1")
+                non_sources.append(g)
+                if kind is not_:
+                    if len(g.inputs) != 1:
+                        raise CircuitError(
+                            f"gate {g.gid}: NOT takes exactly one input, got {len(g.inputs)}"
+                        )
+                elif len(g.inputs) < 1:
+                    raise CircuitError(f"gate {g.gid}: {kind.value} needs fan-in >= 1")
             for ref in g.inputs:
                 if ref not in by_id:
                     raise CircuitError(f"gate {g.gid}: unknown input gate {ref}")
@@ -166,7 +174,8 @@ class Circuit:
         for o in self.outputs:
             output_count[o] = output_count.get(o, 0) + 1
         self.output_count = output_count
-        self.input_ids = tuple(g.gid for g in self.gates if g.kind is GateKind.INPUT)
+        self._sources, self._non_sources = tuple(sources), tuple(non_sources)
+        self.input_ids = tuple(g.gid for g in sources if g.kind is input_)
 
     # -- queries ---------------------------------------------------------------
 
@@ -174,10 +183,10 @@ class Circuit:
         return len(self.consumers[gid]) + self.output_count.get(gid, 0)
 
     def sources(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.kind in SOURCE_KINDS)
+        return self._sources
 
     def non_sources(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.kind not in SOURCE_KINDS)
+        return self._non_sources
 
     @property
     def is_formula(self) -> bool:

@@ -19,8 +19,9 @@ check and refuses any other rule; the engine checks no rule again.
 Both paths read the table's columns and a few tables built from them:
 neither builds a :class:`~stepcrn.crn.Rule`, the record of one table
 row, except to print the rule text of a traced firing.  A firing, in a
-run or in the search, reads the species it lowers from the columns, so
-neither path builds a tuple per rule.
+run or in the search, reads the species it lowers from columns, the
+table's or the step's renumbered copy of them, so neither path builds a
+tuple per rule.
 
 A randomized run costs time per firing, not per rule and step.  The
 scheduler keeps the set of enabled rules exact, so every draw fires a
@@ -41,11 +42,12 @@ a species the other reads, so rules that share only a catalyst
 one connected component of its enabled rules (an ample set), and the
 interleavings of independent gates are explored once, not in every
 order.  A step's search also depends only on the counts its ready rules
-read, so entries that agree on those counts share one search (the cone
-of influence of the step, after Clarke, Grumberg and Peled, *Model
-Checking*, 1999), and a rule list is split into components once per
-step.  The state cap bounds the configurations a step holds, each
-counted once.
+read (the cone of influence of the step, after Clarke, Grumberg and
+Peled, *Model Checking*, 1999).  So it runs in step-local coordinates:
+a state is a tuple over the species those rules read, not over the
+alphabet, entries that agree on those counts share one search, and a
+rule list is split into components once per step.  The state cap still
+bounds the full configurations a step holds, each counted once.
 """
 from __future__ import annotations
 
@@ -77,6 +79,9 @@ class Schedule:
 
 
 Step = tuple[tuple[int, int], ...]
+# A step's ready rules in step-local coordinates: (reads, a, b, kept);
+# see _PreparedRules.local_by_step.
+_StepRules = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,9 @@ class _PreparedRules:
     Both keep the set of enabled rules exact.  ``watch[o]`` lists the
     rules that read species ``o``; each reads one copy, so when a firing
     takes ``o`` to 0 every rule of ``watch[o]`` leaves the enabled set
-    at once.  A firing, in a run or in the search, lowers the table's
-    columns ``a[q]`` and then ``b[q]``, each unless it is ``kept[q]``.
+    at once.  A firing in a run lowers the table's columns ``a[q]`` and
+    then ``b[q]``, each unless it is ``kept[q]``; the search fires the
+    same rule from its step's copy of those columns.
 
     Rules never raise a count, so only additions enable a rule, and a
     program adds each species at one step.  A rule is therefore checked
@@ -225,7 +231,7 @@ class _PreparedRules:
     A program's first run builds these tables in one pass of list
     appends over the rule table: one list of rule numbers per species
     and per step, and no object per rule, so that a cold run costs
-    little more than a warm one.  ``reads_by_step``, which only the
+    little more than a warm one.  ``local_by_step``, which only the
     enumerator reads, is built on its first use.
     """
 
@@ -244,14 +250,36 @@ class _PreparedRules:
         self.ready_by_step = tuple(map(tuple, by_step))
 
     @cached_property
-    def reads_by_step(self) -> tuple[tuple[int, ...], ...]:
-        """``reads_by_step[k]``: the sorted species that the rules ready
-        at step k read.  Only the enumerator reads it, so it is built on
-        the enumerator's first use and a run never pays for it."""
-        a, b = self.table.a, self.table.b
-        return tuple(
-            tuple(sorted({a[q] for q in ready} | {b[q] for q in ready})) for ready in self.ready_by_step
-        )
+    def local_by_step(self) -> tuple[_StepRules, ...]:
+        """``local_by_step[k]``: the rules ready at step k in step-local
+        coordinates, the exhaustive search's view of the step, as four
+        tuples ``(reads, a, b, kept)``.
+
+        ``reads`` holds the species that the step's ready rules read, in
+        the order the rules first read them, and a search state holds
+        one count per entry of it.  Local rule ``i`` is the step's
+        ``i``-th ready rule, in rule order.  Its columns ``a[i]``,
+        ``b[i]`` and ``kept[i]`` (-1 when the rule keeps neither) are
+        positions in ``reads``.  Only the enumerator reads the table, so
+        it is built on the enumerator's first use and a run never pays
+        for it."""
+        a, b, kept = self.table.a, self.table.b, self.table.kept
+        steps = []
+        for ready in self.ready_by_step:
+            # at[o]: the position of species o, in the order the step's
+            # rules first read them.  One loop of appends, as in
+            # __init__, since a step readies few rules.
+            at: dict[int, int] = {}
+            la, lb, lk = [], [], []
+            for q in ready:
+                x = at.setdefault(a[q], len(at))
+                y = at.setdefault(b[q], len(at))
+                la.append(x)
+                lb.append(y)
+                keep = kept[q]
+                lk.append(-1 if keep < 0 else x if keep == a[q] else y)
+            steps.append((tuple(at), tuple(la), tuple(lb), tuple(lk)))
+        return tuple(steps)
 
     def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
         """The rules among ``candidates`` whose reactants ``counts``
@@ -414,33 +442,37 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
 
 def _search_terminals(
     entry: tuple[int, ...],
-    candidates: Sequence[int],
-    prep: _PreparedRules,
-    state_cap: int,
-    visited: dict[tuple[int, ...], tuple[int, ...]],
+    rules: _StepRules,
+    seen: dict[tuple[int, ...], object],
+    limit: int,
     splits: dict[tuple[int, ...], list[list[int]]],
 ) -> set[tuple[int, ...]]:
-    """Every terminal reachable from ``entry``, whose enabled rules all
-    lie among ``candidates``.
+    """Every terminal reachable from ``entry`` under the step's ready
+    rules.  A state, ``entry`` and every terminal included, is a tuple
+    over the step's read species: ``state[j]`` counts species
+    ``reads[j]`` of ``rules``, the step's entry of
+    :attr:`_PreparedRules.local_by_step`, whose local rules are the
+    rules searched.  The counts of every other species stay as
+    the entry has them, since no ready rule reads or lowers them.
 
-    Each stack entry carries its configuration and its enabled rules,
-    split into connected components: two rules connect when they share
-    a reactant species that some enabled rule lowers (see
-    :func:`_components`).  No firing enables a rule, so a successor's
-    enabled rules are its parent's minus the readers of each species the
-    firing took to 0.  Those read a species the fired rule lowers, so
-    they share its component, and only it is split again; no rule of
-    another component lowers a species it reads.  The other components
-    stay closed under the relation, if coarser than it requires.  The
-    split of the surviving rules is a function of that rule list alone,
-    so ``splits`` keeps each split the step has made, keyed by the rule
-    tuple, and a repeated list is not split again.  A firing reads what
-    it lowers from the rule table's columns, written out as
-    :meth:`_PreparedRules.run` writes them: a loop was slower.
+    Each stack entry carries its state and its enabled rules, split into
+    connected components: two rules connect when they share a reactant
+    species that some enabled rule lowers (see :func:`_components`).  No
+    firing enables a rule, so a successor's enabled rules are its
+    parent's minus the readers of each species the firing took to 0.
+    Those read a species the fired rule lowers, so they share its
+    component, and only it is split again, keeping the rules whose two
+    reactants the successor still holds; no rule of another component
+    lowers a species it reads.  The other components stay closed under
+    the relation, if coarser than it requires.  The split of the
+    surviving rules is a function of that rule list alone, so ``splits``
+    keeps each split the step has made, keyed by the rule tuple, and a
+    repeated list is not split again.  A firing reads what it lowers
+    from the step's columns, written out as :meth:`_PreparedRules.run`
+    writes them: a loop was slower.
 
-    Each configuration fires only the rules of its smallest component
-    (an ample set; Valmari 1990, Godefroid 1996).  This keeps every
-    terminal:
+    Each state fires only the rules of its smallest component (an ample
+    set; Valmari 1990, Godefroid 1996).  This keeps every terminal:
 
     - A firing lowers only its own rule's reactants, and never raises
       a count.
@@ -455,17 +487,23 @@ def _search_terminals(
     - Volume strictly drops, so the state graph is acyclic and needs no
       cycle proviso.
 
-    ``visited`` is shared by the searches of one step, and maps each
-    configuration to the entry whose search reached it.  A configuration
-    an earlier search reached is explored again, since its terminals
-    belong to this entry too, but it is counted once.  ``entry`` joins
-    ``visited`` unchecked; the search raises :class:`StateCapExceeded`
-    once a configuration it adds takes ``visited`` past ``state_cap``.
+    ``seen`` holds the states of the step's configurations whose counts
+    outside the read species are this entry's, so each of its states is
+    one full configuration.  It is shared by the searches of the step
+    with those outside counts, and maps each state to the entry whose
+    search reached it (or to the group member a derived terminal belongs
+    to).  A state an earlier search reached is explored again, since its
+    terminals belong to this entry too, but it is counted once.
+    ``entry`` joins ``seen`` unchecked; the search raises
+    :class:`StateCapExceeded` once a state it adds takes ``seen`` past
+    ``limit``, the room that the step's state cap leaves beside the
+    configurations held under other outside counts.
     """
-    a, b, kept, watch = prep.table.a, prep.table.b, prep.table.kept, prep.watch
+    _, a, b, kept = rules
     terminals: set[tuple[int, ...]] = set()
-    visited[entry] = entry
-    stack = [(entry, _components(prep.applicable(entry, candidates), prep))]
+    seen[entry] = entry
+    enabled = [q for q, x, y in zip(count(), a, b) if entry[x] and entry[y]]
+    stack = [(entry, _components(enabled, rules))]
     while stack:
         cur, components = stack.pop()
         if not components:
@@ -475,49 +513,48 @@ def _search_terminals(
         rest = [c for c in components if c is not ample]
         for q in ample:
             nxt = list(cur)
-            dead: list[int] = []
+            emptied = False
             keep = kept[q]
             o = a[q]
             if o != keep:
                 c = nxt[o] - 1
                 nxt[o] = c
-                if not c:
-                    dead += watch[o]
+                emptied = not c
             o = b[q]
             if o != keep:
                 c = nxt[o] - 1
                 nxt[o] = c
-                if not c:
-                    dead += watch[o]
+                emptied = emptied or not c
             key = tuple(nxt)
-            root = visited.get(key)
+            root = seen.get(key)
             if root is entry:
                 continue
-            visited[key] = entry
-            if root is None and len(visited) > state_cap:
-                raise StateCapExceeded(f"more than {state_cap} configurations reachable")
-            if dead:
-                left = [r for r in ample if r not in dead]
+            seen[key] = entry
+            if root is None and len(seen) > limit:
+                raise StateCapExceeded
+            if emptied:
+                left = [r for r in ample if nxt[a[r]] and nxt[b[r]]]
                 if len(left) < 2:
-                    split = _components(left, prep)
+                    split = _components(left, rules)
                 else:
                     survivors = tuple(left)
                     split = splits.get(survivors)
                     if split is None:
-                        split = splits[survivors] = _components(left, prep)
+                        split = splits[survivors] = _components(left, rules)
                 stack.append((key, rest + split))
             else:
                 stack.append((key, components))
     return terminals
 
 
-def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
-    """``enabled`` split into connected components: two rules connect
-    when they share a reactant species that some enabled rule lowers, so
-    a catalyst that none of them deletes joins nothing."""
+def _components(enabled: list[int], rules: _StepRules) -> list[list[int]]:
+    """``enabled``, local rules of one step, split into connected
+    components: two rules connect when they share a reactant species
+    that some enabled rule lowers, so a catalyst that none of them
+    deletes joins nothing."""
     if len(enabled) < 2:
         return [enabled] if enabled else []
-    a, b, kept = prep.table.a, prep.table.b, prep.table.kept
+    _, a, b, kept = rules
     # users[o]: the enabled rules reading o, for each species o that an
     # enabled rule lowers.
     users: dict[int, list[int]] = {o: [] for q in enabled for o in (a[q], b[q]) if o != kept[q]}
@@ -542,6 +579,15 @@ def _components(enabled: list[int], prep: _PreparedRules) -> list[list[int]]:
     return components
 
 
+def _outside(entry: tuple[int, ...], reads: tuple[int, ...]) -> tuple[int, ...]:
+    """``entry`` with its counts of ``reads`` set to 0: the key of its
+    counts outside a step's read species."""
+    masked = list(entry)
+    for o in reads:
+        masked[o] = 0
+    return tuple(masked)
+
+
 def enumerate_program_terminals(
     program: StepProgram,
     bits,
@@ -556,30 +602,38 @@ def enumerate_program_terminals(
     ready for: a rule disabled at a terminal revives only through an
     addition, and no step adds a species an earlier step added.
 
-    A step searches once per distinct read state.  Its entries are
-    grouped by their counts on ``reads_by_step[k]``, the species its
-    ready rules read, and one entry of each group is searched.  Every
-    other member reaches the same terminals, each with the member's own
+    A step searches in step-local coordinates, once per distinct read
+    state.  ``reads``, the first entry of ``local_by_step[k]``, holds the
+    species that its ready rules read.  Its entries are grouped by their counts on those
+    species, and one search runs from that read state alone, over
+    tuples of ``len(reads)`` counts.  Each local terminal is written
+    back into every member of the group, each with the member's own
     counts outside those species.  This keeps every terminal:
 
     - Only rules ready at step k can fire in it, and each reads only
-      species of ``reads_by_step[k]``.
+      species of ``reads``.
     - A firing lowers only its own rule's reactants.
     - So which rules are enabled, what a firing changes, and hence every
       path and terminal from an entry depend only on its counts on those
       species; the others ride along unchanged.
 
-    A step with one entry is searched as it is, without a group key.
-    The searches of a step share one set of visited configurations
-    (see :func:`_search_terminals`), and each terminal derived for a
-    group member joins it too.  Every configuration in it is one that a
-    search of each entry would reach, so it never holds more than such
-    searches would visit.  Once a configuration added to it, other than
-    a searched entry, takes it past ``state_cap``, the step raises
-    :class:`StateCapExceeded`, with that step as its ``step``.
+    The state cap counts the full configurations a step holds, each
+    once: a local state together with the counts outside ``reads`` of
+    the entry it was reached from.  The
+    step keys its states by those outside counts, interned once per
+    entry.  A step with one entry is searched without a group key, and a
+    step with one group needs no outside key: its members differ outside
+    ``reads``, so no two of their configurations coincide.  Every
+    configuration a search visits counts, and so does each terminal
+    derived for a group member.  Every one of them is a configuration
+    that a search of each entry would reach, so the step never holds
+    more than such searches would visit.  Once a configuration added to
+    it, other than a searched entry, takes it past ``state_cap``, the
+    step raises :class:`StateCapExceeded`, with that step as its
+    ``step``.
     """
     inputs = program.input_step(bits)
-    prep = program._prepared
+    local_by_step = program._prepared.local_by_step
     n = len(program.alphabet)
 
     frontier: set[tuple[int, ...]] = {(0,) * n}
@@ -591,35 +645,56 @@ def enumerate_program_terminals(
             for o, c in add:
                 entry[o] += c
             entries.append(tuple(entry))
+        rules = local_by_step[k]
+        reads = rules[0]
         if len(entries) == 1:
-            reads, groups = (), (entries,)
+            groups = {tuple(map(entries[0].__getitem__, reads)): entries}
         else:
-            reads = prep.reads_by_step[k]
-            by_reads: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            groups = {}
             for entry in entries:
-                by_reads.setdefault(tuple([entry[o] for o in reads]), []).append(entry)
-            groups = by_reads.values()
-        visited: dict[tuple[int, ...], tuple[int, ...]] = {}
+                groups.setdefault(tuple(map(entry.__getitem__, reads)), []).append(entry)
+        # visited[outside]: the held states of the configurations with
+        # those counts outside reads (see _outside).  The entries of one
+        # group differ outside reads, so a step with one group holds no
+        # configuration twice and needs no outside key.
+        visited: dict[tuple[int, ...], dict[tuple[int, ...], object]] | None = {} if len(groups) > 1 else None
         splits: dict[tuple[int, ...], list[list[int]]] = {}
+        held = 0
         frontier = set()
         try:
-            for searched, *members in groups:
-                found = _search_terminals(searched, prep.ready_by_step[k], prep, state_cap, visited, splits)
-                frontier |= found
-                if not members:
+            for local, group in groups.items():
+                searched = group[0]
+                seen = {} if visited is None else visited.setdefault(_outside(searched, reads), {})
+                before = len(seen)
+                found = _search_terminals(local, rules, seen, state_cap - held + before, splits)
+                held += len(seen) - before
+                # Every other member's terminals join the held
+                # configurations, each once.
+                for member in group[1:]:
+                    if visited is None:
+                        new = len(found)
+                    else:
+                        seen = visited.setdefault(_outside(member, reads), {})
+                        new = 0
+                        for term in found:
+                            if term not in seen:
+                                seen[term] = member
+                                new += 1
+                    held += new
+                    if new and held > state_cap:
+                        raise StateCapExceeded
+                if local in found:  # no rule is enabled: each entry is terminal
+                    frontier.update(group)
                     continue
                 for term in found:
-                    changed = [(o, term[o]) for o in reads if term[o] != searched[o]]
-                    for member in members:
+                    changed = [(o, c) for o, c, was in zip(reads, term, local) if c != was]
+                    for member in group:
                         derived = list(member)
                         for o, c in changed:
                             derived[o] = c
-                        key = tuple(derived)
-                        if visited.setdefault(key, member) is member and len(visited) > state_cap:
-                            raise StateCapExceeded(f"more than {state_cap} configurations reachable")
-                        frontier.add(key)
+                        frontier.add(tuple(derived))
         except StateCapExceeded as e:
-            e.step, e.args = k, (f"step {k}: {e}",)
+            e.step, e.args = k, (f"step {k}: more than {state_cap} configurations reachable",)
             raise
     return {Configuration(program.alphabet, t) for t in frontier}
 

@@ -124,7 +124,7 @@ def test_rule_tables_survive_the_text_round_trip():
         assert back.rules == program.rules, key
         assert list(back.rules) == list(program.rules), key
         ours, theirs = program._prepared, back._prepared
-        for table in ("watch", "ready_by_step", "reads_by_step"):
+        for table in ("watch", "ready_by_step", "local_by_step"):
             assert getattr(ours, table) == getattr(theirs, table), (key, table)
 
 

@@ -160,11 +160,11 @@ def test_enumerate_fires_independent_rules_in_one_order():
 def test_components_connect_only_through_a_lowered_species():
     ab = Alphabet(["c", "a", "b", "d"])
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c", "c + d -> .")]
-    prep = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], [])._prepared
+    step = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], [])._prepared.local_by_step[0]
     # Both rules read c, but neither lowers it.
-    assert engine._components([0, 1], prep) == [[0], [1]]
+    assert engine._components([0, 1], step) == [[0], [1]]
     # c + d -> . lowers c, which every rule reads.
-    assert engine._components([0, 1, 2], prep) == [[0, 1, 2]]
+    assert engine._components([0, 1, 2], step) == [[0, 1, 2]]
 
 
 def test_enumerate_does_not_interleave_gates_sharing_a_catalyst():
@@ -199,6 +199,31 @@ def test_enumerate_searches_each_read_state_once(monkeypatch):
     with pytest.raises(StateCapExceeded, match=r"^step 1: more than 8 ") as exc:
         enumerate_program_terminals(program, (), state_cap=8)
     assert exc.value.step == 1
+
+
+def test_enumerate_searches_only_the_species_a_step_reads(monkeypatch):
+    # 2,000 species that no rule reads ride along with two small gates.
+    # Each search holds one count per species its step's rules read,
+    # not one per species of the alphabet.
+    idle = [f"u{i}" for i in range(2000)]
+    ab = Alphabet(["A", "B", "C", "X", "Y", "Z"] + idle)
+    rules = [parse_rule(t, ab) for t in ("A + B -> .", "A + C -> .", "X + Y -> X", "X + Z -> .")]
+    step0 = ((0, 1), (1, 1), (2, 1)) + tuple((o, 1) for o in range(6, len(ab)))
+    program = _tiny_program(ab, rules, [step0, ((3, 1), (4, 2), (5, 1))], [])
+    searched = []
+    search = engine._search_terminals
+
+    def counting(entry, rules, *args):
+        searched.append((len(entry), len(rules[0])))
+        return search(entry, rules, *args)
+
+    monkeypatch.setattr(engine, "_search_terminals", counting)
+    terminals = enumerate_program_terminals(program, ())
+    assert terminals == reference_program_terminals(program, ())
+    assert len(terminals) == 6 and all(t.counts[6:] == (1,) * 2000 for t in terminals)
+    # Step 0 reads A, B and C; step 1's two entries share one read state
+    # of X, Y and Z.
+    assert searched == [(3, 3), (3, 3)]
 
 
 FANOUT_NET = (
@@ -670,7 +695,7 @@ def test_a_run_builds_no_enumerator_table():
     assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step"}
     # An enumeration adds its one table and no table per rule.
     enumerate_program_terminals(program, "1011")
-    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step", "reads_by_step"}
+    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step", "local_by_step"}
 
 
 def test_a_program_that_has_run_compares_hashes_and_prints_as_before():
