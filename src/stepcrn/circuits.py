@@ -231,23 +231,28 @@ def evaluate(circuit: Circuit, assignment) -> list[int]:
     ``circuit.outputs``.
     """
     bits = input_bits(circuit.input_ids, assignment)
-
+    # Kinds are read from locals: a GateKind attribute is an enum class
+    # lookup each time, as in Circuit._validate.
+    input_, zero, one, and_, or_, not_ = (
+        GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE, GateKind.AND, GateKind.OR, GateKind.NOT
+    )
     value: dict[int, int] = {}
     for gid in circuit.order:
         g = circuit.by_id[gid]
-        if g.kind is GateKind.INPUT:
+        kind = g.kind
+        if kind is input_:
             value[gid] = bits[gid]
-        elif g.kind is GateKind.CONST_ZERO:
+        elif kind is zero:
             value[gid] = 0
-        elif g.kind is GateKind.CONST_ONE:
+        elif kind is one:
             value[gid] = 1
         else:
             ins = [value[r] for r in g.inputs]
-            if g.kind is GateKind.AND:
+            if kind is and_:
                 value[gid] = int(all(ins))
-            elif g.kind is GateKind.OR:
+            elif kind is or_:
                 value[gid] = int(any(ins))
-            elif g.kind is GateKind.NOT:
+            elif kind is not_:
                 value[gid] = 1 - ins[0]
             else:  # MAJ: more than half of its wires true
                 value[gid] = int(2 * sum(ins) > len(ins))

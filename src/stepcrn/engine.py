@@ -46,13 +46,14 @@ read (the cone of influence of the step, after Clarke, Grumberg and
 Peled, *Model Checking*, 1999).  So it runs in step-local coordinates:
 a state is a tuple over the species those rules read, not over the
 alphabet, entries that agree on those counts share one search, and a
-rule list is split into components once per step.  The state cap still
-bounds the full configurations a step holds, each counted once.
+rule list is split into components once per step.  The state cap
+bounds the states a step's searches visit, summed over its searches,
+and the terminals derived from them.
 """
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -281,12 +282,6 @@ class _PreparedRules:
             steps.append((tuple(at), tuple(la), tuple(lb), tuple(lk)))
         return tuple(steps)
 
-    def applicable(self, counts: Sequence[int], candidates: Iterable[int]) -> list[int]:
-        """The rules among ``candidates`` whose reactants ``counts``
-        holds, in candidate order."""
-        a, b = self.table.a, self.table.b
-        return [q for q in candidates if counts[a[q]] and counts[b[q]]]
-
     def run(
         self,
         steps: Sequence[Step],
@@ -330,8 +325,7 @@ class _PreparedRules:
                 volume += c
             if volume > peak:
                 peak = volume
-            ready = ready_by_step[k]
-            enabled = self.applicable(counts, ready) if ready else []
+            enabled = [q for q in ready_by_step[k] if counts[a[q]] and counts[b[q]]]
             for i, q in enumerate(enabled):
                 pos[q] = i
 
@@ -443,10 +437,9 @@ def decode_output(config: Configuration, program: StepProgram) -> list[object]:
 def _search_terminals(
     entry: tuple[int, ...],
     rules: _StepRules,
-    seen: dict[tuple[int, ...], object],
     limit: int,
     splits: dict[tuple[int, ...], list[list[int]]],
-) -> set[tuple[int, ...]]:
+) -> tuple[set[tuple[int, ...]], int]:
     """Every terminal reachable from ``entry`` under the step's ready
     rules.  A state, ``entry`` and every terminal included, is a tuple
     over the step's read species: ``state[j]`` counts species
@@ -487,21 +480,15 @@ def _search_terminals(
     - Volume strictly drops, so the state graph is acyclic and needs no
       cycle proviso.
 
-    ``seen`` holds the states of the step's configurations whose counts
-    outside the read species are this entry's, so each of its states is
-    one full configuration.  It is shared by the searches of the step
-    with those outside counts, and maps each state to the entry whose
-    search reached it (or to the group member a derived terminal belongs
-    to).  A state an earlier search reached is explored again, since its
-    terminals belong to this entry too, but it is counted once.
-    ``entry`` joins ``seen`` unchecked; the search raises
-    :class:`StateCapExceeded` once a state it adds takes ``seen`` past
-    ``limit``, the room that the step's state cap leaves beside the
-    configurations held under other outside counts.
+    The search holds the states it visits, ``entry`` included, in a set
+    of its own, and returns its terminals with the number of states it
+    visited.  ``entry`` joins the set unchecked; the search raises
+    :class:`StateCapExceeded` once a state it adds takes that number
+    past ``limit``, the room that the step's state cap leaves it.
     """
     _, a, b, kept = rules
     terminals: set[tuple[int, ...]] = set()
-    seen[entry] = entry
+    seen = {entry}
     enabled = [q for q, x, y in zip(count(), a, b) if entry[x] and entry[y]]
     stack = [(entry, _components(enabled, rules))]
     while stack:
@@ -526,11 +513,10 @@ def _search_terminals(
                 nxt[o] = c
                 emptied = emptied or not c
             key = tuple(nxt)
-            root = seen.get(key)
-            if root is entry:
+            if key in seen:
                 continue
-            seen[key] = entry
-            if root is None and len(seen) > limit:
+            seen.add(key)
+            if len(seen) > limit:
                 raise StateCapExceeded
             if emptied:
                 left = [r for r in ample if nxt[a[r]] and nxt[b[r]]]
@@ -544,7 +530,7 @@ def _search_terminals(
                 stack.append((key, rest + split))
             else:
                 stack.append((key, components))
-    return terminals
+    return terminals, len(seen)
 
 
 def _components(enabled: list[int], rules: _StepRules) -> list[list[int]]:
@@ -579,15 +565,6 @@ def _components(enabled: list[int], rules: _StepRules) -> list[list[int]]:
     return components
 
 
-def _outside(entry: tuple[int, ...], reads: tuple[int, ...]) -> tuple[int, ...]:
-    """``entry`` with its counts of ``reads`` set to 0: the key of its
-    counts outside a step's read species."""
-    masked = list(entry)
-    for o in reads:
-        masked[o] = 0
-    return tuple(masked)
-
-
 def enumerate_program_terminals(
     program: StepProgram,
     bits,
@@ -604,11 +581,12 @@ def enumerate_program_terminals(
 
     A step searches in step-local coordinates, once per distinct read
     state.  ``reads``, the first entry of ``local_by_step[k]``, holds the
-    species that its ready rules read.  Its entries are grouped by their counts on those
-    species, and one search runs from that read state alone, over
-    tuples of ``len(reads)`` counts.  Each local terminal is written
-    back into every member of the group, each with the member's own
-    counts outside those species.  This keeps every terminal:
+    species that its ready rules read.  Its entries are grouped by
+    their counts on those species, and one search runs from that read
+    state alone, over tuples of ``len(reads)`` counts.  Each local
+    terminal is written back into every member of the group, each with
+    the member's own counts outside those species.  This keeps every
+    terminal:
 
     - Only rules ready at step k can fire in it, and each reads only
       species of ``reads``.
@@ -617,20 +595,15 @@ def enumerate_program_terminals(
       path and terminal from an entry depend only on its counts on those
       species; the others ride along unchanged.
 
-    The state cap counts the full configurations a step holds, each
-    once: a local state together with the counts outside ``reads`` of
-    the entry it was reached from.  The
-    step keys its states by those outside counts, interned once per
-    entry.  A step with one entry is searched without a group key, and a
-    step with one group needs no outside key: its members differ outside
-    ``reads``, so no two of their configurations coincide.  Every
-    configuration a search visits counts, and so does each terminal
-    derived for a group member.  Every one of them is a configuration
-    that a search of each entry would reach, so the step never holds
-    more than such searches would visit.  Once a configuration added to
-    it, other than a searched entry, takes it past ``state_cap``, the
-    step raises :class:`StateCapExceeded`, with that step as its
-    ``step``.
+    Each search counts the states it visits, its read state included,
+    and each other member of its group counts the terminals derived for
+    it.  ``held``, the step's sum of these counts, is never below the
+    number of distinct configurations the step holds, and never above
+    what a search of each entry would visit: a configuration that two
+    searches both reach counts once per search.  Once ``held`` passes
+    ``state_cap``, the step raises :class:`StateCapExceeded`, with that
+    step as its ``step``, and a search stops as soon as its own states
+    take ``held`` past the cap.
     """
     inputs = program.input_step(bits)
     local_by_step = program._prepared.local_by_step
@@ -653,36 +626,16 @@ def enumerate_program_terminals(
             groups = {}
             for entry in entries:
                 groups.setdefault(tuple(map(entry.__getitem__, reads)), []).append(entry)
-        # visited[outside]: the held states of the configurations with
-        # those counts outside reads (see _outside).  The entries of one
-        # group differ outside reads, so a step with one group holds no
-        # configuration twice and needs no outside key.
-        visited: dict[tuple[int, ...], dict[tuple[int, ...], object]] | None = {} if len(groups) > 1 else None
         splits: dict[tuple[int, ...], list[list[int]]] = {}
         held = 0
         frontier = set()
         try:
             for local, group in groups.items():
-                searched = group[0]
-                seen = {} if visited is None else visited.setdefault(_outside(searched, reads), {})
-                before = len(seen)
-                found = _search_terminals(local, rules, seen, state_cap - held + before, splits)
-                held += len(seen) - before
-                # Every other member's terminals join the held
-                # configurations, each once.
-                for member in group[1:]:
-                    if visited is None:
-                        new = len(found)
-                    else:
-                        seen = visited.setdefault(_outside(member, reads), {})
-                        new = 0
-                        for term in found:
-                            if term not in seen:
-                                seen[term] = member
-                                new += 1
-                    held += new
-                    if new and held > state_cap:
-                        raise StateCapExceeded
+                found, visited = _search_terminals(local, rules, state_cap - held, splits)
+                # Every other member's terminals are derived from found.
+                held += visited + (len(group) - 1) * len(found)
+                if held > state_cap:
+                    raise StateCapExceeded
                 if local in found:  # no rule is enabled: each entry is terminal
                     frontier.update(group)
                     continue

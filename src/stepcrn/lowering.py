@@ -193,6 +193,13 @@ def x_name(gid: int, bit: bool) -> str:
     return f"x[{gid}]{'T' if bit else 'F'}"
 
 
+# _scheme tells kinds apart through these aliases: a GateKind attribute
+# is an enum class lookup each time, and a compile lowers every gate.
+_AND, _OR, _NOT, _MAJ, _INPUT, _CONST_ONE = (
+    GateKind.AND, GateKind.OR, GateKind.NOT, GateKind.MAJ, GateKind.INPUT, GateKind.CONST_ONE
+)
+
+
 def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
     """One gate's lowering at multiplicity ``m``, as ``(names, helpers,
     true, reads, rules, additions)``.
@@ -212,13 +219,13 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
         raise LoweringError(f"gate {gate_id}: multiplicity must be >= 1")
     reads = tuple(sorted(set(fan_in)))
     x, y = f"x[{gate_id}]", f"y[{gate_id}]"
-    if kind is GateKind.AND or kind is GateKind.OR:
+    if kind is _AND or kind is _OR:
         # The controlling input value decides the gate on its own: 0 for
         # AND, 1 for OR.  The result ``y[i]`` of the other value survives
         # unless some input shows the controlling value; each input's
         # arrow form ``y[j->i]`` carries the controlling value and
         # survives when input j shows it.  The true forms lead.
-        c = kind is GateKind.OR
+        c = kind is _OR
         bit = "T" if c else "F"
         arrow, at = (0, len(reads)) if c else (1, 0)
         view = len(reads) + 3
@@ -231,11 +238,11 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
             return (*arrows, y + "F", x + "T", x + "F"), 0, len(reads), reads, tuple(rules), ((*counts, (at, m)),)
         return (y + "T", *arrows, x + "T", x + "F"), 0, 1, reads, tuple(rules), (((at, m), *counts),)
     helpers, rules, additions = (), (), ()
-    if kind is GateKind.NOT:
+    if kind is _NOT:
         (_,) = fan_in
         rules = ((4, 0), (5, 1))  # x[j]T + y[i]T, x[j]F + y[i]F
         additions = (((0, m), (1, m)),)
-    elif kind is GateKind.MAJ:
+    elif kind is _MAJ:
         # More than half of the n wires true: at least t of them.  Each
         # wire deletes m copies of the vote against it, so k true wires
         # leave k·m a[i]T and (n - k)·m a[i]F.  The tally deletes
@@ -254,8 +261,8 @@ def _scheme(kind: GateKind, gate_id: int, fan_in: tuple[int, ...], m: int):
         rules += ((0, h - 1),) * (t > 1) + ((1, 2),) * (n > t)  # a[i]T + b[i]F, a[i]F + b[i]T
         rules += ((0, h + 1), (1, h))  # a[i]T + y[i]F, a[i]F + y[i]T
         additions = (((0, n * m), (1, n * m)), tally, ((h, m), (h + 1, m)))
-    elif kind is not GateKind.INPUT:  # a constant has only its value's form
-        one = kind is GateKind.CONST_ONE
+    elif kind is not _INPUT:  # a constant has only its value's form
+        one = kind is _CONST_ONE
         return (y + ("T" if one else "F"), x + "T", x + "F"), 0, int(one), reads, rules, additions
     return (*helpers, y + "T", y + "F", x + "T", x + "F"), len(helpers), 1, reads, rules, additions
 
@@ -292,7 +299,6 @@ def normalize(
     level (the catalyst backend's sweepers would otherwise delete
     earlier outputs)."""
     gates: dict[int, list] = {g.gid: [g.kind, list(g.inputs)] for g in circuit.gates}
-    gate_order = [g.gid for g in circuit.gates]
     outputs = list(circuit.outputs)
     next_id = max(gates) + 1
     maj_buffers = 0
@@ -304,12 +310,11 @@ def normalize(
         gid = next_id
         next_id += 1
         gates[gid] = [GateKind.OR, [src]]
-        gate_order.append(gid)
         return gid
 
     # MAJ inputs from producers with any other obligation get a private
     # buffer, so their copy supply exactly equals their duty at the gate.
-    for gid in list(gate_order):
+    for gid in list(gates):
         kind, ins = gates[gid]
         if kind is not GateKind.MAJ:
             continue
@@ -328,7 +333,7 @@ def normalize(
                 level[ref] = level[gates[ref][1][0]] + 1
         level[gid] = 1 + max((level[ref] for ref in ins), default=-1)
 
-    for gid in list(gate_order):
+    for gid in list(gates):
         _, ins = gates[gid]
         for slot, ref in enumerate(ins):
             gap = level[gid] - level[ref]
@@ -352,7 +357,7 @@ def normalize(
 
     norm = Circuit(
         circuit.name,
-        [Gate(gid, gates[gid][0], tuple(gates[gid][1])) for gid in gate_order],
+        [Gate(gid, kind, tuple(ins)) for gid, (kind, ins) in gates.items()],
         outputs,
     )
     info = NormalizationInfo(maj_buffers, span_buffers, out_buffers)

@@ -201,6 +201,21 @@ def test_enumerate_searches_each_read_state_once(monkeypatch):
     assert exc.value.step == 1
 
 
+def test_enumerate_counts_each_search_of_a_step_on_its_own():
+    # Step 0 ends with B or with C.  Step 1 reads both, so its entries
+    # are two read states, which agree on every other count.  Each search
+    # visits 5 configurations, and 2 of them, X=1 Y=2 and Y=1, are
+    # reached by both: the step counts 5 + 5, not the 8 distinct ones.
+    ab = Alphabet(["A", "B", "C", "X", "Y"])
+    rules = [parse_rule(t, ab) for t in ("A + B -> .", "A + C -> .", "B + X -> .", "C + X -> .", "X + Y -> .")]
+    program = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1)), ((3, 2), (4, 2))], [])
+    terminals = enumerate_program_terminals(program, (), state_cap=10)
+    assert terminals == reference_program_terminals(program, ())
+    with pytest.raises(StateCapExceeded, match=r"^step 1: more than 9 ") as exc:
+        enumerate_program_terminals(program, (), state_cap=9)
+    assert exc.value.step == 1
+
+
 def test_enumerate_searches_only_the_species_a_step_reads(monkeypatch):
     # 2,000 species that no rule reads ride along with two small gates.
     # Each search holds one count per species its step's rules read,
