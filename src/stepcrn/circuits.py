@@ -52,9 +52,6 @@ class GateKind(Enum):
     MAJ = "MAJ"
 
 
-SOURCE_KINDS = frozenset({GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE})
-
-
 @dataclass(frozen=True)
 class Gate:
     gid: int
@@ -78,11 +75,24 @@ class Circuit:
         self.name = str(name)
         self.gates = tuple(gates)
         self.outputs = tuple(int(o) for o in outputs)
-        self._validate()
+        self._derive(self._validate())
+
+    @classmethod
+    def _leveled(
+        cls, name: str, gates: Iterable[Gate], outputs: Sequence[int], level: dict[int, int]
+    ) -> Circuit:
+        """A circuit the caller knows to be valid, with each gate's level:
+        its tables are derived and nothing is checked.  ``normalize``
+        builds its result this way."""
+        circuit = cls.__new__(cls)
+        circuit.name, circuit.gates, circuit.outputs = name, tuple(gates), tuple(outputs)
+        circuit._derive(level)
+        return circuit
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self) -> dict[int, int]:
+        """Check the name, gates and outputs; return each gate's level."""
         # The name is a netlist and program file token.
         if self.name.split() != [self.name] or "#" in self.name:
             raise CircuitError(
@@ -100,60 +110,46 @@ class Circuit:
             if g.gid in by_id:
                 raise CircuitError(f"duplicate gate id {g.gid}")
             by_id[g.gid] = g
-        self.by_id = by_id
 
-        # Kinds are told apart with ``is``: ``in SOURCE_KINDS`` would
-        # call ``Enum.__hash__``, a Python-level method, once per gate.
+        # Kinds are told apart with ``is`` against locals: a GateKind
+        # attribute is an enum class lookup, and a set test hashes.
         input_, zero, one, not_ = GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE, GateKind.NOT
-        sources: list[Gate] = []
-        non_sources: list[Gate] = []
+        consumers: dict[int, list[int]] = {gid: [] for gid in by_id}  # Kahn's wires
         for g in self.gates:
             kind = g.kind
             if kind is input_ or kind is zero or kind is one:
-                sources.append(g)
                 if g.inputs:
                     raise CircuitError(f"gate {g.gid}: {kind.value} takes no inputs")
-            else:
-                non_sources.append(g)
-                if kind is not_:
-                    if len(g.inputs) != 1:
-                        raise CircuitError(
-                            f"gate {g.gid}: NOT takes exactly one input, got {len(g.inputs)}"
-                        )
-                elif len(g.inputs) < 1:
-                    raise CircuitError(f"gate {g.gid}: {kind.value} needs fan-in >= 1")
+            elif kind is not_:
+                if len(g.inputs) != 1:
+                    raise CircuitError(
+                        f"gate {g.gid}: NOT takes exactly one input, got {len(g.inputs)}"
+                    )
+            elif len(g.inputs) < 1:
+                raise CircuitError(f"gate {g.gid}: {kind.value} needs fan-in >= 1")
             for ref in g.inputs:
                 if ref not in by_id:
                     raise CircuitError(f"gate {g.gid}: unknown input gate {ref}")
+                consumers[ref].append(g.gid)
         for o in self.outputs:
             if o not in by_id:
                 raise CircuitError(f"unknown output gate {o}")
 
-        # Topological order / cycle check (Kahn over the multigraph).
-        # ``consumers[gid]`` holds one consumer id per outgoing wire.
-        consumers: dict[int, list[int]] = {g.gid: [] for g in self.gates}
+        # Levels and the cycle check (Kahn over the multigraph).
         indeg = {g.gid: len(g.inputs) for g in self.gates}
-        for g in self.gates:
-            for ref in g.inputs:
-                consumers[ref].append(g.gid)
         ready = [g.gid for g in self.gates if indeg[g.gid] == 0]
-        order: list[int] = []
         level: dict[int, int] = {}
         while ready:
             gid = ready.pop()
-            order.append(gid)
             ins = by_id[gid].inputs
             level[gid] = 1 + max(map(level.__getitem__, ins)) if ins else 0
             for cid in consumers[gid]:
                 indeg[cid] -= 1
                 if indeg[cid] == 0:
                     ready.append(cid)
-        if len(order) != len(self.gates):
+        if len(level) != len(self.gates):
             cyclic = sorted(gid for gid, d in indeg.items() if d > 0)
             raise CircuitError(f"cycle detected through gates {cyclic}")
-        order.sort(key=lambda gid: (level[gid], gid))
-        self.order = tuple(order)
-        self.level = level
 
         # Every gate must feed some output (directly or transitively);
         # dangling subgraphs would compile to dead species.
@@ -168,14 +164,33 @@ class Circuit:
         dead = sorted(set(by_id) - live)
         if dead:
             raise CircuitError(f"gates {dead} reach no output")
+        return level
 
+    def _derive(self, level: dict[int, int]) -> None:
+        """The tables every query reads, from the gates, the outputs and
+        each gate's level.  ``consumers[gid]`` holds one consumer id per
+        outgoing wire; ``order`` is topological, by ``(level, gid)``."""
+        self.by_id = {g.gid: g for g in self.gates}
+        consumers: dict[int, list[int]] = {gid: [] for gid in self.by_id}
+        # In a valid circuit, exactly the sources have no inputs.
+        sources: list[Gate] = []
+        non_sources: list[Gate] = []
+        for g in self.gates:
+            if g.inputs:
+                non_sources.append(g)
+                for ref in g.inputs:
+                    consumers[ref].append(g.gid)
+            else:
+                sources.append(g)
         self.consumers = {gid: tuple(cs) for gid, cs in consumers.items()}
         output_count: dict[int, int] = {}
         for o in self.outputs:
             output_count[o] = output_count.get(o, 0) + 1
         self.output_count = output_count
         self._sources, self._non_sources = tuple(sources), tuple(non_sources)
-        self.input_ids = tuple(g.gid for g in sources if g.kind is input_)
+        self.input_ids = tuple(g.gid for g in sources if g.kind is GateKind.INPUT)
+        self.level = level
+        self.order = tuple(sorted(level, key=lambda gid: (level[gid], gid)))
 
     # -- queries ---------------------------------------------------------------
 

@@ -47,7 +47,11 @@ producer with spare copies (spare because a sibling consumer's shared
 target pool was already emptied by another input) could otherwise dump
 those copies into the tally pools under an adversarial schedule and
 skew the vote.  Single-consumer buffers make such spares impossible.
-Buffering is done with fan-in-1 OR gates and reported.
+Buffering is done with fan-in-1 OR gates and reported.  The normalized
+circuit is built from the levels ``normalize`` finds and is not
+validated again: each buffer is a fan-in-1 OR gate with a fresh id above
+the input's largest, one level above its source, so the buffered circuit
+is valid whenever its input is.
 
 Species emitted by the compilers follow this grammar (one token, no
 whitespace); :func:`lower_gate` names every species a gate owns:
@@ -61,10 +65,11 @@ whitespace); :func:`lower_gate` names every species a gate owns:
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .circuits import (
     Circuit,
@@ -297,71 +302,64 @@ def normalize(
     and every MAJ input comes from a single-consumer producer; with
     ``align_outputs``, additionally route every output to the deepest
     level (the catalyst backend's sweepers would otherwise delete
-    earlier outputs)."""
-    gates: dict[int, list] = {g.gid: [g.kind, list(g.inputs)] for g in circuit.gates}
-    outputs = list(circuit.outputs)
-    next_id = max(gates) + 1
-    maj_buffers = 0
-    span_buffers = 0
-    out_buffers = 0
+    earlier outputs).
+
+    The result is built from the levels found here and is not validated
+    again: each buffer is a fan-in-1 OR gate with a fresh id above the
+    input's largest, one level above its source, and feeds one consumer
+    or output, so the buffered circuit is valid whenever ``circuit`` is.
+    A gate whose inputs are unchanged is ``circuit``'s own ``Gate``."""
+    gates = dict(circuit.by_id)
+    ids = itertools.count(max(gates) + 1)
 
     def add_buffer(src: int) -> int:
-        nonlocal next_id
-        gid = next_id
-        next_id += 1
-        gates[gid] = [GateKind.OR, [src]]
+        gid = next(ids)
+        gates[gid] = Gate(gid, _OR, (src,))
         return gid
 
     # MAJ inputs from producers with any other obligation get a private
     # buffer, so their copy supply exactly equals their duty at the gate.
-    for gid in list(gates):
-        kind, ins = gates[gid]
-        if kind is not GateKind.MAJ:
-            continue
-        for slot, ref in enumerate(ins):
-            if circuit.fanout(ref) > 1:
-                ins[slot] = add_buffer(ref)
-                maj_buffers += 1
+    for g in circuit.gates:
+        if g.kind is _MAJ:
+            ins = tuple(add_buffer(ref) if circuit.fanout(ref) > 1 else ref for ref in g.inputs)
+            if ins != g.inputs:
+                gates[g.gid] = Gate(g.gid, _MAJ, ins)
+    maj_buffers = len(gates) - len(circuit.gates)
 
     # ``circuit.order`` is topological; a MAJ buffer sits one level above
     # its source and is levelled when its only consumer is reached.
     level: dict[int, int] = {}
     for gid in circuit.order:
-        _, ins = gates[gid]
+        ins = gates[gid].inputs
         for ref in ins:
             if ref not in level:
-                level[ref] = level[gates[ref][1][0]] + 1
-        level[gid] = 1 + max((level[ref] for ref in ins), default=-1)
+                level[ref] = level[gates[ref].inputs[0]] + 1
+        level[gid] = 1 + max(map(level.__getitem__, ins)) if ins else 0
 
-    for gid in list(gates):
-        _, ins = gates[gid]
-        for slot, ref in enumerate(ins):
-            gap = level[gid] - level[ref]
-            while gap > 1:
-                ref = add_buffer(ref)
-                level[ref] = level[gates[ref][1][0]] + 1
-                gap -= 1
-                span_buffers += 1
-            ins[slot] = ref
+    def lift(ref: int, top: int) -> int:
+        """``ref`` behind a chain of buffers up to level ``top``."""
+        while level[ref] < top:
+            buffer = add_buffer(ref)
+            level[buffer] = level[ref] + 1
+            ref = buffer
+        return ref
 
+    # A wire that spans more than one level gets a chain of buffers.
+    before = len(gates)
+    for gid, g in list(gates.items()):
+        ins = tuple(lift(ref, level[gid] - 1) for ref in g.inputs)
+        if ins != g.inputs:
+            gates[gid] = Gate(gid, g.kind, ins)
+    span_buffers = len(gates) - before
+
+    before = len(gates)
+    outputs = circuit.outputs
     if align_outputs:
-        depth = max(level.values(), default=0)
-        for i, o in enumerate(outputs):
-            cur = o
-            while level[cur] < depth:
-                nxt = add_buffer(cur)
-                level[nxt] = level[cur] + 1
-                cur = nxt
-                out_buffers += 1
-            outputs[i] = cur
+        depth = max(level.values())
+        outputs = tuple(lift(o, depth) for o in outputs)
 
-    norm = Circuit(
-        circuit.name,
-        [Gate(gid, kind, tuple(ins)) for gid, (kind, ins) in gates.items()],
-        outputs,
-    )
-    info = NormalizationInfo(maj_buffers, span_buffers, out_buffers)
-    return norm, info
+    norm = Circuit._leveled(circuit.name, gates.values(), outputs, level)
+    return norm, NormalizationInfo(maj_buffers, span_buffers, len(gates) - before)
 
 
 # -- compilation ---------------------------------------------------------------
@@ -521,7 +519,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
                 steps += [((o[dx + 2 * k], 1),), ((o[dx + 2 * k + 1], 1),)]
         convert = []
         for gid in group:
-            if k == 0 and norm.by_id[gid].kind is not GateKind.INPUT:
+            if k == 0 and norm.by_id[gid].kind is not _INPUT:
                 convert.append((o[base[gid]], multiplicity[gid]))  # a constant's one form
             x, c = carrier[gid], copies[gid]
             convert += ((o[x], c), (o[x + 1], c))

@@ -6,7 +6,9 @@ import pytest
 
 from stepcrn import (
     Alphabet,
+    Circuit,
     CircuitError,
+    CorpusSpec,
     GateKind,
     Schedule,
     compile_circuit_catalyst,
@@ -15,6 +17,7 @@ from stepcrn import (
     decode_output,
     enumerate_program_terminals,
     evaluate,
+    generate_circuits,
     lower_gate,
     normalize,
     parse_circuit,
@@ -25,6 +28,7 @@ from stepcrn import (
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend, x_name
 
 from reference import configuration, count, one_step, rule_size, terminal_after
+from test_compiled_identity import CONST_NET, _compiles as golden_compiles
 
 FIG_FORMULA = """
 circuit fig
@@ -520,6 +524,44 @@ def test_normalize_spans_every_wire_one_level():
     for g in norm.gates:
         for ref in g.inputs:
             assert norm.level[g.gid] - norm.level[ref] == 1
+
+
+# The corpus specs of criterion 5's DAGs (without its envelope filter) and
+# of criterion 6c's MAJ DAGs, as in test_acceptance.
+NORMALIZED_DAGS = CorpusSpec(count=100, seed=77, depth=(2, 4), gates=(6, 18), fan_in=(1, 2),
+                             fan_out=(1, 3), inputs=(2, 6), maj_fraction=0.0, name_prefix="d")
+NORMALIZED_MAJ_DAGS = CorpusSpec(count=20, seed=2405, depth=(2, 3), gates=(4, 12), fan_in=(1, 3),
+                                 fan_out=(1, 3), inputs=(2, 4), maj_fraction=0.4, name_prefix="m")
+
+
+def test_normalize_derives_the_validating_constructors_tables(monkeypatch):
+    # normalize builds its circuit from its own levels, with no second
+    # validation; every table equals what Circuit(...) derives, and a
+    # gate it leaves unchanged is the input circuit's own Gate.
+    circuits = {id(c): c for _, c, _ in golden_compiles()}
+    for c in [*generate_circuits(NORMALIZED_DAGS),
+              *generate_circuits(NORMALIZED_MAJ_DAGS, force_maj_every=2), parse_circuit(CONST_NET)]:
+        circuits[id(c)] = c
+    normalized = []
+    with monkeypatch.context() as m:
+        m.setattr(Circuit, "_validate", lambda self: pytest.fail("normalize re-validated"))
+        for c in circuits.values():
+            normalized += [(c, normalize(c, align_outputs=align)[0]) for align in (False, True)]
+    kept = rebuilt = 0
+    for c, norm in normalized:
+        ref = Circuit(norm.name, norm.gates, norm.outputs)
+        for table in ("gates", "outputs", "by_id", "consumers", "output_count", "input_ids",
+                      "level", "order"):
+            assert getattr(norm, table) == getattr(ref, table), (c.name, table)
+        assert norm.sources() == ref.sources() and norm.non_sources() == ref.non_sources()
+        for g in norm.gates:
+            old = c.by_id.get(g.gid)
+            if old is not None and old.inputs == g.inputs:
+                assert g is old, (c.name, g.gid)
+                kept += 1
+            elif old is not None:
+                rebuilt += 1
+    assert kept and rebuilt
 
 
 # The species grammar of the ``stepcrn.lowering`` docstring.
