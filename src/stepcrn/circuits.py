@@ -21,6 +21,11 @@ Conventions fixed here and relied on everywhere else:
 * Input bits are assigned to INPUT gates in netlist declaration order.
 * A gate's fan-out counts its outgoing wires plus its occurrences in the
   output list (an output designation consumes one copy of the result).
+* A circuit derives its tables once, in ``Circuit._derive``.  Among them
+  is ``levels``: ``levels[k]`` holds the ids of the gates at depth level
+  k in declaration order, level 0 holding exactly the sources.  The
+  compiler lowers level by level from it, :func:`stats` reads depth and
+  width off it, and ``order`` is it flattened.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 
 class CircuitError(ValueError):
@@ -75,7 +81,7 @@ class Circuit:
         self.name = str(name)
         self.gates = tuple(gates)
         self.outputs = tuple(int(o) for o in outputs)
-        self._derive(self._validate())
+        self._validate()
 
     @classmethod
     def _leveled(
@@ -91,8 +97,10 @@ class Circuit:
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate(self) -> dict[int, int]:
-        """Check the name, gates and outputs; return each gate's level."""
+    def _validate(self) -> None:
+        """Check the name, gates and outputs and derive the tables:
+        ``_derive`` finds the levels and refuses a cycle, and the liveness
+        walk reads its ``by_id``."""
         # The name is a netlist and program file token.
         if self.name.split() != [self.name] or "#" in self.name:
             raise CircuitError(
@@ -103,18 +111,17 @@ class Circuit:
         if not self.outputs:
             raise CircuitError("circuit has no outputs")
 
-        by_id: dict[int, Gate] = {}
+        ids: set[int] = set()
         for g in self.gates:
             if g.gid <= 0:
                 raise CircuitError(f"gate id must be positive, got {g.gid}")
-            if g.gid in by_id:
+            if g.gid in ids:
                 raise CircuitError(f"duplicate gate id {g.gid}")
-            by_id[g.gid] = g
+            ids.add(g.gid)
 
         # Kinds are told apart with ``is`` against locals: a GateKind
         # attribute is an enum class lookup, and a set test hashes.
         input_, zero, one, not_ = GateKind.INPUT, GateKind.CONST_ZERO, GateKind.CONST_ONE, GateKind.NOT
-        consumers: dict[int, list[int]] = {gid: [] for gid in by_id}  # Kahn's wires
         for g in self.gates:
             kind = g.kind
             if kind is input_ or kind is zero or kind is one:
@@ -128,28 +135,13 @@ class Circuit:
             elif len(g.inputs) < 1:
                 raise CircuitError(f"gate {g.gid}: {kind.value} needs fan-in >= 1")
             for ref in g.inputs:
-                if ref not in by_id:
+                if ref not in ids:
                     raise CircuitError(f"gate {g.gid}: unknown input gate {ref}")
-                consumers[ref].append(g.gid)
         for o in self.outputs:
-            if o not in by_id:
+            if o not in ids:
                 raise CircuitError(f"unknown output gate {o}")
 
-        # Levels and the cycle check (Kahn over the multigraph).
-        indeg = {g.gid: len(g.inputs) for g in self.gates}
-        ready = [g.gid for g in self.gates if indeg[g.gid] == 0]
-        level: dict[int, int] = {}
-        while ready:
-            gid = ready.pop()
-            ins = by_id[gid].inputs
-            level[gid] = 1 + max(map(level.__getitem__, ins)) if ins else 0
-            for cid in consumers[gid]:
-                indeg[cid] -= 1
-                if indeg[cid] == 0:
-                    ready.append(cid)
-        if len(level) != len(self.gates):
-            cyclic = sorted(gid for gid, d in indeg.items() if d > 0)
-            raise CircuitError(f"cycle detected through gates {cyclic}")
+        self._derive(None)
 
         # Every gate must feed some output (directly or transitively);
         # dangling subgraphs would compile to dead species.
@@ -160,18 +152,20 @@ class Circuit:
             if gid in live:
                 continue
             live.add(gid)
-            stack.extend(by_id[gid].inputs)
-        dead = sorted(set(by_id) - live)
+            stack.extend(self.by_id[gid].inputs)
+        dead = sorted(ids - live)
         if dead:
             raise CircuitError(f"gates {dead} reach no output")
-        return level
 
-    def _derive(self, level: dict[int, int]) -> None:
+    def _derive(self, level: dict[int, int] | None) -> None:
         """The tables every query reads, from the gates, the outputs and
-        each gate's level.  ``consumers[gid]`` holds one consumer id per
-        outgoing wire; ``order`` is topological, by ``(level, gid)``."""
-        self.by_id = {g.gid: g for g in self.gates}
-        consumers: dict[int, list[int]] = {gid: [] for gid in self.by_id}
+        each gate's level; without ``level``, Kahn's walk over the wires
+        finds the levels and refuses a cycle.  ``consumers[gid]`` holds
+        one consumer id per outgoing wire.  ``levels[k]`` holds the ids of
+        the gates at level k, in declaration order, and ``order`` is
+        ``levels`` flattened, so it is topological."""
+        self.by_id = by_id = {g.gid: g for g in self.gates}
+        consumers: dict[int, list[int]] = {gid: [] for gid in by_id}
         # In a valid circuit, exactly the sources have no inputs.
         sources: list[Gate] = []
         non_sources: list[Gate] = []
@@ -182,6 +176,23 @@ class Circuit:
                     consumers[ref].append(g.gid)
             else:
                 sources.append(g)
+        if level is None:
+            # Kahn over the multigraph: a gate is ready once every wire
+            # into it is, and a gate on a cycle never is.
+            indeg = {g.gid: len(g.inputs) for g in non_sources}
+            ready = [g.gid for g in sources]
+            level = {}
+            while ready:
+                gid = ready.pop()
+                ins = by_id[gid].inputs
+                level[gid] = 1 + max(map(level.__getitem__, ins)) if ins else 0
+                for cid in consumers[gid]:
+                    indeg[cid] -= 1
+                    if indeg[cid] == 0:
+                        ready.append(cid)
+            if len(level) != len(self.gates):
+                cyclic = sorted(gid for gid, d in indeg.items() if d > 0)
+                raise CircuitError(f"cycle detected through gates {cyclic}")
         self.consumers = {gid: tuple(cs) for gid, cs in consumers.items()}
         output_count: dict[int, int] = {}
         for o in self.outputs:
@@ -190,7 +201,11 @@ class Circuit:
         self._sources, self._non_sources = tuple(sources), tuple(non_sources)
         self.input_ids = tuple(g.gid for g in sources if g.kind is GateKind.INPUT)
         self.level = level
-        self.order = tuple(sorted(level, key=lambda gid: (level[gid], gid)))
+        levels: list[list[int]] = [[] for _ in range(max(level.values()) + 1)]
+        for g in self.gates:
+            levels[level[g.gid]].append(g.gid)
+        self.levels = tuple(map(tuple, levels))
+        self.order = tuple(chain.from_iterable(self.levels))
 
     # -- queries ---------------------------------------------------------------
 
@@ -275,19 +290,14 @@ def evaluate(circuit: Circuit, assignment) -> list[int]:
 
 
 def stats(circuit: Circuit) -> CircuitStats:
-    """Structural statistics over the non-source gates."""
+    """Structural statistics over the non-source gates, which are the
+    gates above level 0."""
     internal = circuit.non_sources()
-    if not internal:
-        return CircuitStats(gate_count=0, depth=0, max_fanout=0, width=0)
-    depth = max(circuit.level[g.gid] for g in internal)
-    widths: dict[int, int] = {}
-    for g in internal:
-        widths[circuit.level[g.gid]] = widths.get(circuit.level[g.gid], 0) + 1
     return CircuitStats(
         gate_count=len(internal),
-        depth=depth,
-        max_fanout=max(circuit.fanout(g.gid) for g in internal),
-        width=max(widths.values()),
+        depth=len(circuit.levels) - 1,
+        max_fanout=max((circuit.fanout(g.gid) for g in internal), default=0),
+        width=max(map(len, circuit.levels[1:]), default=0),
     )
 
 

@@ -73,13 +73,9 @@ def generate_circuits(
 
 
 def _pick_kind(rng: random.Random, spec: CorpusSpec, fan_in: int) -> GateKind:
-    if fan_in == 1:
-        if spec.maj_fraction and rng.random() < spec.maj_fraction:
-            return GateKind.MAJ
-        return rng.choice((GateKind.NOT, GateKind.OR, GateKind.AND))
     if spec.maj_fraction and rng.random() < spec.maj_fraction:
         return GateKind.MAJ
-    return rng.choice((GateKind.AND, GateKind.OR))
+    return rng.choice((GateKind.NOT, GateKind.OR, GateKind.AND) if fan_in == 1 else (GateKind.AND, GateKind.OR))
 
 
 # -- formulas --------------------------------------------------------------------

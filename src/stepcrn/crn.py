@@ -5,10 +5,11 @@ A program keeps its rules in one flat :class:`RuleTable`.  Every rule
 reads two distinct species, one copy each, and is ``A + B -> .`` or the
 catalytic ``A + B -> A``: the (2,0) rules of the paper's circuit
 compiler and the catalyst backend's conversions and sweeps.  Building a
-table is the one place a rule is checked, and rule text of any other
-rule is refused as it is read.  A :class:`Rule` is one row of a table,
-``(a, b, kept)``; it exists only where rules meet text or a caller:
-:func:`parse_rule`, and indexing a table.
+table is the one place a row is checked.  Rule text is checked as it is
+read, by :func:`parse_rule`'s own checks, which refuse every rule a
+table would; no one-row table is built.  A :class:`Rule` is one row of a table, ``(a, b, kept)``; it
+exists only where rules meet text or a caller: :func:`parse_rule`, and
+indexing a table.
 All counts are plain Python ints, so the exponential-volume compiler
 can exceed 64-bit ranges without ceremony.
 
@@ -98,7 +99,8 @@ class Rule:
     and ``b`` and puts back ``kept``, or -1 for none.
 
     A rule is not checked when it is built; a table checks it when it
-    holds it.  :func:`parse_rule` and indexing a table give checked rows.
+    holds it.  :func:`parse_rule`, by its text checks, and indexing a
+    table give checked rows.
     """
 
     alphabet: Alphabet
@@ -203,17 +205,12 @@ class RuleTable(Sequence):
 
 def parse_rule(text: str, alphabet: Alphabet) -> Rule:
     """Parse ``A + B -> .`` or ``A + B -> A`` rule text (``.`` is the
-    empty side) into the row a one-row :class:`RuleTable` holds, so any
-    other rule is refused.  The arrow is space-delimited because species
-    names themselves may contain ``->``."""
-    return rule_row(text, alphabet)[0]
-
-
-def rule_row(text: str, alphabet: Alphabet) -> RuleTable:
-    """The one-row :class:`RuleTable` of one line of rule text, as
-    :func:`parse_rule` reads it; a program file joins its rows' columns
-    into its table.  A rule that is not void is refused first, then one
-    that does not read two distinct species, one copy each."""
+    empty side) into a table's row.  A rule that is not void is refused
+    first, then one that does not read two distinct species, one copy
+    each; so the text checks refuse every rule a :class:`RuleTable`
+    would, and a program file joins the rows into its one table.  The
+    arrow is space-delimited because species names themselves may
+    contain ``->``."""
     if " -> " not in text:
         raise ValueError("bad rule (no ' -> ')")  # the caller has the text
     lhs, rhs = text.split(" -> ", 1)
@@ -223,7 +220,7 @@ def rule_row(text: str, alphabet: Alphabet) -> RuleTable:
     if len(reads) != 2 or reads[0] == reads[1]:
         raise ValueError(_SHAPE)
     # What is left puts back at most one of the two species it reads.
-    return RuleTable(alphabet, [min(reads)], [max(reads)], puts or [-1])
+    return Rule(alphabet, min(reads), max(reads), puts[0] if puts else -1)
 
 
 def _parse_side(side: str, alphabet: Alphabet) -> list[int]:

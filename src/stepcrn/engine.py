@@ -59,7 +59,7 @@ from functools import cached_property
 from itertools import count
 
 from .circuits import input_bits
-from .crn import Alphabet, Configuration, RuleTable, rule_row
+from .crn import Alphabet, Configuration, RuleTable, parse_rule
 
 
 class StateCapExceeded(RuntimeError):
@@ -680,7 +680,7 @@ def program_from_text(text: str) -> StepProgram:
     name = "program"
     backend = "unknown"
     alphabet: Alphabet | None = None
-    # The rule table's columns, joined from each rule line's checked row.
+    # The rule table's columns, one entry per rule line.
     a, b, kept = [], [], []
     steps: list[Step] = []
     inputs: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
@@ -742,10 +742,10 @@ def program_from_text(text: str) -> StepProgram:
             if alphabet is None:
                 raise ValueError("program file must declare its alphabet first")
             if section == "rules":
-                row = rule_row(line, alphabet)
-                a += row.a
-                b += row.b
-                kept += row.kept
+                rule = parse_rule(line, alphabet)
+                a.append(rule.a)
+                b.append(rule.b)
+                kept.append(rule.kept)
             elif section == "steps":
                 head, _, rest = line.partition(":")
                 words = head.split()

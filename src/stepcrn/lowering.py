@@ -51,7 +51,8 @@ Buffering is done with fan-in-1 OR gates and reported.  The normalized
 circuit is built from the levels ``normalize`` finds and is not
 validated again: each buffer is a fan-in-1 OR gate with a fresh id above
 the input's largest, one level above its source, so the buffered circuit
-is valid whenever its input is.
+is valid whenever its input is.  The compiler reads the normalized
+circuit's gates level by level from ``Circuit.levels``.
 
 Species emitted by the compilers follow this grammar (one token, no
 whitespace); :func:`lower_gate` names every species a gate owns:
@@ -405,11 +406,8 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
         carrier[gid] = len(names) - 2
     # Gate ids by depth level, each group in declaration order (level 0
     # holds the sources).
-    level = norm.level
-    depth = max(level.values())
-    levels: list[list[int]] = [[] for _ in range(depth + 1)]
-    for g in norm.gates:
-        levels[level[g.gid]].append(g.gid)
+    level, levels = norm.level, norm.levels
+    depth = len(levels) - 1
     # The sweeper dx[k], k = 1..depth, is ordinal dx + 2k, and dy[k],
     # k = 0..depth, is dy + 2k; each killer follows its sweeper.
     dx, dy = len(names) - 2, len(names) + 2 * depth
@@ -426,7 +424,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
     a: list[int] = []
     b: list[int] = []
 
-    def gate_rules(group: list[int]) -> None:
+    def gate_rules(group: Sequence[int]) -> None:
         for gid in group:
             reads, rules = schemes[gid][3:5]
             view = o[base[gid] : carrier[gid] + 2]
@@ -445,7 +443,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
         """The gate's true forms, then its false forms."""
         return o[base[gid] + schemes[gid][1] : carrier[gid]]
 
-    def conversions(group: list[int]) -> None:
+    def conversions(group: Sequence[int]) -> None:
         # A surviving form deletes the carriers that disagree with it.
         for gid in group:
             x, f, true = carrier[gid], forms(gid), schemes[gid][2]

@@ -21,7 +21,7 @@ from stepcrn import (
     run_program,
 )
 from stepcrn import crn, engine
-from stepcrn.crn import RuleTable, rule_row
+from stepcrn.crn import RuleTable
 from stepcrn.engine import StepProgram
 from stepcrn.lowering import (
     compile_backend,
@@ -368,7 +368,7 @@ def test_input_step_merges_shared_species():
         name="t",
         backend="test",
         alphabet=ab,
-        rules=rule_row("A + B -> .", ab),
+        rules=RuleTable.from_rules(ab, [parse_rule("A + B -> .", ab)]),
         steps=(((2, 1),),),
         inputs=((1, (1, 1), (0, 1)), (2, (2, 3), (0, 2))),
         outputs=((1, 0),),
@@ -756,7 +756,7 @@ def test_addition_discipline_rejects_a_species_added_at_two_steps():
             name="p",
             backend="test",
             alphabet=ab,
-            rules=rule_row("A + B -> .", ab),
+            rules=RuleTable.from_rules(ab, [parse_rule("A + B -> .", ab)]),
             steps=steps,
             inputs=((1, (1, 1), (2, 1)),),
             outputs=((1, 2),),

@@ -24,6 +24,7 @@ from stepcrn import (
     parse_rule,
     program_to_text,
     run_program,
+    stats,
 )
 from stepcrn.lowering import BACKENDS, LoweringError, compile_backend, x_name
 
@@ -551,7 +552,7 @@ def test_normalize_derives_the_validating_constructors_tables(monkeypatch):
     for c, norm in normalized:
         ref = Circuit(norm.name, norm.gates, norm.outputs)
         for table in ("gates", "outputs", "by_id", "consumers", "output_count", "input_ids",
-                      "level", "order"):
+                      "level", "levels", "order"):
             assert getattr(norm, table) == getattr(ref, table), (c.name, table)
         assert norm.sources() == ref.sources() and norm.non_sources() == ref.non_sources()
         for g in norm.gates:
@@ -562,6 +563,44 @@ def test_normalize_derives_the_validating_constructors_tables(monkeypatch):
             elif old is not None:
                 rebuilt += 1
     assert kept and rebuilt
+
+
+def test_levels_order_and_stats_read_each_gates_level():
+    # Over the golden compile set, criterion 5's and 6c's DAG corpora, a
+    # circuit of sources only, one that declares no level in id order, and
+    # each one's normalized forms: levels[k] is level k's gates in
+    # declaration order, order puts every gate after its inputs, and stats
+    # equals a count from scratch.
+    circuits = {id(c): c for _, c, _ in golden_compiles()}
+    for c in [*generate_circuits(NORMALIZED_DAGS),
+              *generate_circuits(NORMALIZED_MAJ_DAGS, force_maj_every=2),
+              parse_circuit("circuit s\ngate 1 INPUT\ngate 2 CONST_ONE\noutputs 1 2 1\n"),
+              parse_circuit("circuit p\ngate 4 INPUT\ngate 2 INPUT\ngate 9 AND 4 2\n"
+                            "gate 5 OR 2 4\ngate 7 MAJ 9 5 4\noutputs 7 9\n")]:
+        circuits[id(c)] = c
+    checked = list(circuits.values())
+    checked += [normalize(c, align_outputs=align)[0] for c in circuits.values() for align in (False, True)]
+    for c in checked:
+        depth = max(c.level.values())
+        assert c.levels == tuple(
+            tuple(g.gid for g in c.gates if c.level[g.gid] == k) for k in range(depth + 1)
+        ), c.name
+        seen: set[int] = set()
+        for gid in c.order:
+            assert seen.issuperset(c.by_id[gid].inputs), (c.name, gid)
+            seen.add(gid)
+        assert len(c.order) == len(c.gates) == len(seen), c.name
+        internal = [g for g in c.gates if g.inputs]
+        per_level: dict[int, int] = {}
+        for g in internal:
+            per_level[c.level[g.gid]] = per_level.get(c.level[g.gid], 0) + 1
+        wires = [ref for g in c.gates for ref in g.inputs] + list(c.outputs)
+        st = stats(c)
+        assert st.gate_count == len(internal), c.name
+        assert st.depth == max((c.level[g.gid] for g in internal), default=0), c.name
+        assert st.width == max(per_level.values(), default=0), c.name
+        assert st.max_fanout == max((wires.count(g.gid) for g in internal), default=0), c.name
+    assert any(c.levels[1:] == () for c in checked)
 
 
 # The species grammar of the ``stepcrn.lowering`` docstring.
