@@ -5,11 +5,11 @@ A program keeps its rules in one flat :class:`RuleTable`.  Every rule
 reads two distinct species, one copy each, and is ``A + B -> .`` or the
 catalytic ``A + B -> A``: the (2,0) rules of the paper's circuit
 compiler and the catalyst backend's conversions and sweeps.  Building a
-table is the one place a row is checked.  Rule text is checked as it is
-read, by :func:`parse_rule`'s own checks, which refuse every rule a
-table would; no one-row table is built.  A :class:`Rule` is one row of a table, ``(a, b, kept)``; it
-exists only where rules meet text or a caller: :func:`parse_rule`, and
-indexing a table.
+table is the one place a row is checked.  :func:`parse_rule`'s text
+checks refuse every rule a table would, and a program file's rule lines
+are joined into one table.  A :class:`Rule` is one row of a table,
+``(a, b, kept)``; it exists only where rules meet text or a caller:
+:func:`parse_rule`, and indexing a table.
 All counts are plain Python ints, so the exponential-volume compiler
 can exceed 64-bit ranges without ceremony.
 
@@ -24,19 +24,31 @@ surviving reactant on the right, e.g. ``dx[2] + x[1]T -> dx[2]``.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import eq, lt
+
+# What str.split() splits at.
+_SPACE = re.compile(r"\s")
 
 
 class Alphabet:
     """Frozen ordered species alphabet; name <-> ordinal bijection."""
 
     def __init__(self, names: Iterable[str]):
-        self.names = tuple(names)
-        self.index: dict[str, int] = {}
-        for i, n in enumerate(self.names):
+        self.names = names = tuple(names)
+        self.index: dict[str, int] = dict(zip(names, range(len(names))))
+        # The loop's checks, run over the whole alphabet at once; when
+        # one fails, the loop runs to name the first bad name.
+        text = "+" + "+".join(names)
+        if len(self.index) == len(names) == text.count("+") and not (
+            _SPACE.search(text) or "," in text or "+#" in text or {"", ".", "->"} & self.index.keys()
+        ):
+            return
+        self.index = {}
+        for i, n in enumerate(names):
             # Empty or holding whitespace, or read otherwise by rule text
             # (``.``, ``->``, ``+``) or by a program file (``,`` between
             # step entries, ``#`` comments).

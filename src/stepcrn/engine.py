@@ -165,6 +165,10 @@ class StepProgram:
                 added_at[o] = k
                 prev = o
         object.__setattr__(self, "added_at", tuple(added_at))
+        # The empty lists that the first run fills as _PreparedRules.watch.
+        # Made with the program, they keep a first run from allocating a
+        # collector-tracked object per species.
+        object.__setattr__(self, "_watch", [[] for _ in added_at])
 
     @property
     def step_count(self) -> int:
@@ -185,7 +189,7 @@ class StepProgram:
     @cached_property
     def _prepared(self) -> _PreparedRules:
         """Rule tables shared by every run, built on the first run."""
-        return _PreparedRules(self)
+        return _PreparedRules(self, self._watch)
 
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge, at the
@@ -232,14 +236,18 @@ class _PreparedRules:
     A program's first run builds these tables in one pass of list
     appends over the rule table: one list of rule numbers per species
     and per step, and no object per rule, so that a cold run costs
-    little more than a warm one.  ``local_by_step``, which only the
-    enumerator reads, is built on its first use.
+    little more than a warm one.  The species' lists are ``watch``, one
+    empty list per species, which the program made when it was built:
+    a first run then allocates collector-tracked objects per step, not
+    per species, and seldom sets off a collection.
+    ``local_by_step``, which only the enumerator reads, is built on its
+    first use.
     """
 
-    def __init__(self, program: StepProgram):
+    def __init__(self, program: StepProgram, watch: list[list[int]]):
         added_at = program.added_at
         self.table = table = program.rules
-        self.watch = watch = [[] for _ in added_at]
+        self.watch = watch
         never = len(program.steps)
         by_step: list[list[int]] = [[] for _ in range(never)]
         for q, x, y in zip(count(), table.a, table.b):

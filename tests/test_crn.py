@@ -236,7 +236,11 @@ def test_rule_pickle_round_trip(rule):
     assert back == rule and (back.a, back.b, back.kept) == (rule.a, rule.b, rule.kept)
 
 
-@pytest.mark.parametrize("name", ["", "x\tT", "a\u00a0b", "y\u2003", " A", "B\n"])
+# A name holding any code point that str.split() splits at.
+_SPACED = [f"z{c}z" for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+@pytest.mark.parametrize("name", ["", "x\tT", "a\u00a0b", "y\u2003", " A", "B\n", *_SPACED])
 def test_alphabet_rejects_empty_and_whitespace_names(name):
     with pytest.raises(ValueError, match="bad species name"):
         Alphabet(["A", name])

@@ -696,7 +696,7 @@ def test_prepared_rules_cost_at_most_100_bytes_per_rule():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prep = engine._PreparedRules(program)
+        prep = engine._PreparedRules(program, [[] for _ in program.added_at])
         gc.collect()
         size = tracemalloc.get_traced_memory()[0] - before
     finally:
