@@ -90,66 +90,51 @@ def _gen_formula(
 
     # Grow a tree from the root; each internal node sits one level below
     # its consumer, with at least one child continuing to full depth.
-    internal: list[tuple[int, GateKind, list]] = []  # (node, kind, child slots)
-    leaves: list[tuple[int, int]] = []  # (node, slot) -> input assignment later
-    counter = [0]
+    # Node k is the k-th node grown.  A slot holds child node k as k and
+    # the j-th leaf as ~j.
+    nodes: list[tuple[GateKind, list[int]]] = []
+    leaves = 0
 
-    def new_node() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    def grow(node: int, levels_left: int, budget_left: int) -> int:
+    def grow(levels_left: int, budget_left: int) -> int:
+        nonlocal leaves
         fan = rng.randint(*spec.fan_in)
-        kind = _pick_kind(rng, spec, 1 if fan == 1 else fan)
-        if kind is GateKind.NOT:
-            fan = 1
-        slots: list = [None] * fan
-        internal.append((node, kind, slots))
+        slots: list[int] = []
+        nodes.append((_pick_kind(rng, spec, fan), slots))
         spine = rng.randrange(fan) if levels_left > 1 else -1
         used = 0
         for s in range(fan):
-            deeper = levels_left > 1 and (
+            if levels_left > 1 and (
                 s == spine or (budget_left - used > 0 and rng.random() < 0.55)
-            )
-            if deeper:
-                child = new_node()
-                slots[s] = ("gate", child)
-                used += 1 + grow(child, levels_left - 1, budget_left - used - 1)
+            ):
+                slots.append(len(nodes))
+                used += 1 + grow(levels_left - 1, budget_left - used - 1)
             else:
-                slots[s] = ("leaf", len(leaves))
-                leaves.append((node, s))
+                slots.append(~leaves)
+                leaves += 1
         return used
 
-    root = new_node()
-    grow(root, depth, budget - 1)
-    if not spec.gates[0] <= len(internal) <= spec.gates[1]:
+    grow(depth, budget - 1)
+    if not spec.gates[0] <= len(nodes) <= spec.gates[1]:
         return None
 
-    if force_maj and not any(k is GateKind.MAJ for _, k, _ in internal):
-        idx = rng.randrange(len(internal))
-        node, _, slots = internal[idx]
-        internal[idx] = (node, GateKind.MAJ, slots)
+    if force_maj and not any(k is GateKind.MAJ for k, _ in nodes):
+        k = rng.randrange(len(nodes))
+        nodes[k] = (GateKind.MAJ, nodes[k][1])
 
-    n = min(want_inputs, len(leaves))
-    if n < min(spec.inputs[0], len(leaves)) or n == 0:
-        return None
-    input_of_leaf: dict[int, int] = {}
-    leaf_ids = list(range(len(leaves)))
-    rng.shuffle(leaf_ids)
-    for i, leaf in enumerate(leaf_ids):
-        input_of_leaf[leaf] = (i % n) if i < n else rng.randrange(n)
-
-    # Gate ids: inputs 1..n, then internal nodes in creation order.
-    id_of_input = {i: i + 1 for i in range(n)}
-    id_of_node = {node: n + i + 1 for i, (node, _, _) in enumerate(internal)}
-    gates = [Gate(id_of_input[i], GateKind.INPUT) for i in range(n)]
-    for node, kind, slots in internal:
-        ins = []
-        for s in slots:
-            tag, ref = s
-            ins.append(id_of_node[ref] if tag == "gate" else id_of_input[input_of_leaf[ref]])
-        gates.append(Gate(id_of_node[node], kind, tuple(ins)))
-    return Circuit(name, gates, [id_of_node[root]])
+    # Every input feeds some leaf: the first n leaves of a shuffle take
+    # inputs 1..n, the rest draw one.  Gate ids: inputs 1..n, then node k
+    # as n + 1 + k.
+    n = min(want_inputs, leaves)
+    order = list(range(leaves))
+    rng.shuffle(order)
+    input_of_leaf = [0] * leaves
+    for i, leaf in enumerate(order):
+        input_of_leaf[leaf] = 1 + (i if i < n else rng.randrange(n))
+    gates = [Gate(i, GateKind.INPUT) for i in range(1, n + 1)]
+    for k, (kind, slots) in enumerate(nodes):
+        ins = tuple(n + 1 + s if s >= 0 else input_of_leaf[~s] for s in slots)
+        gates.append(Gate(n + 1 + k, kind, ins))
+    return Circuit(name, gates, [n + 1])
 
 
 # -- layered DAGs ------------------------------------------------------------------
@@ -170,69 +155,45 @@ def _gen_dag(
     prev = n
     remaining = target
     for lvl in range(depth):
-        lo = max(1, -(-prev // fi_hi))  # ceil(prev / fi_hi): consume everything
-        hi = max(lo, min(prev * fo_hi, max(lo, remaining - (depth - lvl - 1))))
-        if lo > hi:
-            return None
-        w = rng.randint(lo, min(hi, lo + max(1, target // depth)))
-        widths.append(w)
-        remaining -= w
-        prev = w
+        lo = -(-prev // fi_hi)  # ceil(prev / fi_hi): consume everything
+        hi = min(prev * fo_hi, max(lo, remaining - (depth - lvl - 1)))
+        prev = rng.randint(lo, min(hi, lo + max(1, target // depth)))
+        widths.append(prev)
+        remaining -= prev
 
-    gid = 0
-    gates: list[Gate] = []
-    for _ in range(n):
-        gid += 1
-        gates.append(Gate(gid, GateKind.INPUT))
-    prev_ids = [g.gid for g in gates]
-
-    has_maj = False
+    gates = [Gate(i, GateKind.INPUT) for i in range(1, n + 1)]
+    prev_ids = range(1, n + 1)
     for w in widths:
+        # w >= ceil(len(prev_ids) / fi_hi): while the fans are short of
+        # the producers, some fan is below fi_hi.
         fans = [rng.randint(fi_lo, min(fi_hi, len(prev_ids) * fo_hi)) for _ in range(w)]
         while sum(fans) < len(prev_ids):
-            bumpable = [i for i, f in enumerate(fans) if f < fi_hi]
-            if not bumpable:
-                fans.append(rng.randint(fi_lo, fi_hi))
-            else:
-                fans[rng.choice(bumpable)] += 1
-        w = len(fans)
+            fans[rng.choice([i for i, f in enumerate(fans) if f < fi_hi])] += 1
         if sum(fans) > len(prev_ids) * fo_hi:
             return None
-        # Slot assignment: cover every producer once, then fill randomly
-        # under the fan-out cap.
-        slots = [(g, s) for g, f in enumerate(fans) for s in range(f)]
-        rng.shuffle(slots)
-        chosen: dict[tuple[int, int], int] = {}
-        use = {p: 0 for p in prev_ids}
+        # Slots are numbered gate by gate and wired in a shuffled order:
+        # every producer once, then random producers under the fan-out
+        # cap, which the sum check leaves room for.
+        wires = [0] * sum(fans)
+        order = list(range(len(wires)))
+        rng.shuffle(order)
         producers = list(prev_ids)
         rng.shuffle(producers)
-        for p, slot in zip(producers, slots):
-            chosen[slot] = p
+        for slot, p in zip(order, producers):
+            wires[slot] = p
+        use = dict.fromkeys(prev_ids, 1)
+        for slot in order[len(producers):]:
+            p = rng.choice([q for q in prev_ids if use[q] < fo_hi])
+            wires[slot] = p
             use[p] += 1
-        for slot in slots[len(producers):]:
-            open_p = [p for p in prev_ids if use[p] < fo_hi]
-            if not open_p:
-                return None
-            p = rng.choice(open_p)
-            chosen[slot] = p
-            use[p] += 1
-        level_ids = []
-        for g, f in enumerate(fans):
-            gid += 1
-            ins = tuple(chosen[(g, s)] for s in range(f))
+        start = 0
+        for f in fans:
             kind = _pick_kind(rng, spec, f)
-            if kind is GateKind.NOT and f != 1:
-                kind = GateKind.AND
-            if kind is GateKind.MAJ:
-                has_maj = True
-            gates.append(Gate(gid, kind, ins))
-            level_ids.append(gid)
-        prev_ids = level_ids
+            gates.append(Gate(len(gates) + 1, kind, tuple(wires[start:start + f])))
+            start += f
+        prev_ids = range(len(gates) - w + 1, len(gates) + 1)
 
-    if force_maj and not has_maj:
-        idx = rng.randrange(len(gates) - len(prev_ids), len(gates))
-        g = gates[idx]
-        if g.kind in (GateKind.AND, GateKind.OR, GateKind.NOT):
-            gates[idx] = Gate(g.gid, GateKind.MAJ, g.inputs)
-
-    return Circuit(name, gates, prev_ids)
+    if force_maj and not any(g.kind is GateKind.MAJ for g in gates):
+        i = rng.randrange(len(gates) - len(prev_ids), len(gates))
+        gates[i] = Gate(gates[i].gid, GateKind.MAJ, gates[i].inputs)
+    return Circuit(name, gates, list(prev_ids))

@@ -496,6 +496,7 @@ def _compile(circuit: Circuit, backend: str) -> tuple[StepProgram, CompilationRe
             conversions(group)
         kept = [-1] * len(a)
     rules = RuleTable(alphabet, a, b, kept)
+    del a, b, kept  # the table copied them; free the lists before building the steps
     t2 = time.perf_counter()
 
     # A step lists its entries by ordinal: blocks ascend along each
