@@ -164,10 +164,11 @@ def _merge(job: VerifyJob, parts) -> VerifySummary:
 
 def verify_job(job: VerifyJob, jobs: int = 1) -> VerifySummary:
     """Verify every assignment of the job over at most ``jobs`` worker
-    processes, one per non-empty chunk of assignments, or in this
-    process when one chunk is all there is."""
+    processes, one per non-empty chunk of assignments and none beyond
+    the CPU count, or in this process when one chunk is all there is."""
     indexed = list(enumerate(_assignments(job)))
-    workers = min(jobs, len(indexed))
+    # Each chunk starts a worker process, so no more chunks than CPUs.
+    workers = min(jobs, len(indexed), os.cpu_count() or 1)
     if workers <= 1:
         return _verify_chunk(job, indexed)[0]
     chunks = [indexed[i::workers] for i in range(workers)]

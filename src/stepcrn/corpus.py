@@ -164,6 +164,12 @@ def _gen_dag(
     gates = [Gate(i, GateKind.INPUT) for i in range(1, n + 1)]
     prev_ids = range(1, n + 1)
     for w in widths:
+        if fi_lo > len(prev_ids) * fo_hi:
+            raise ValueError(
+                f"--fan-in {fi_lo}:{fi_hi} cannot be drawn: a gate takes at least {fi_lo} wires, "
+                f"and the level below it, {len(prev_ids)} gates at --fan-out up to {fo_hi}, "
+                f"gives at most {len(prev_ids) * fo_hi}"
+            )
         # w >= ceil(len(prev_ids) / fi_hi): while the fans are short of
         # the producers, some fan is below fi_hi.
         fans = [rng.randint(fi_lo, min(fi_hi, len(prev_ids) * fo_hi)) for _ in range(w)]

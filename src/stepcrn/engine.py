@@ -34,6 +34,13 @@ This is the dependency graph of Gibson and Bruck (J. Phys. Chem. A,
 copy of each reactant, so a species drops all its consumers when it
 reaches 0, and none before.
 
+The program builds and holds these tables itself, each on first use.
+Its first run fills the reader lists, one per species, which the
+program made empty when it was built, and lists the rules each step
+readies (``StepProgram._readers``).  The enumerator's step-local view
+of those rules (``StepProgram._local_by_step``) is built on the
+enumerator's first use, so a run never builds it.
+
 The enumerator is reduced, and the reduction keeps every terminal.  A
 void rule changes only its own reactants' counts, and only downward, so
 no firing enables a rule.  Two enabled rules depend only when one lowers
@@ -53,7 +60,6 @@ and the terminals derived from them.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -81,7 +87,7 @@ class Schedule:
 
 Step = tuple[tuple[int, int], ...]
 # A step's ready rules in step-local coordinates: (reads, a, b, kept);
-# see _PreparedRules.local_by_step.
+# see StepProgram._local_by_step.
 _StepRules = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
@@ -165,10 +171,10 @@ class StepProgram:
                 added_at[o] = k
                 prev = o
         object.__setattr__(self, "added_at", tuple(added_at))
-        # The empty lists that the first run fills as _PreparedRules.watch.
-        # Made with the program, they keep a first run from allocating a
-        # collector-tracked object per species.
-        object.__setattr__(self, "_watch", [[] for _ in added_at])
+        # The lists, one per species, that _readers fills on the first
+        # run.  Made with the program, they keep a first run from
+        # allocating a collector-tracked object per species.
+        object.__setattr__(self, "_reader_lists", [[] for _ in added_at])
 
     @property
     def step_count(self) -> int:
@@ -187,9 +193,72 @@ class StepProgram:
         return tuple(sorted(merge.items()))
 
     @cached_property
-    def _prepared(self) -> _PreparedRules:
-        """Rule tables shared by every run, built on the first run."""
-        return _PreparedRules(self, self._watch)
+    def _readers(self) -> tuple[list[list[int]], tuple[tuple[int, ...], ...]]:
+        """``(readers, ready_by_step)``: the run's tables, built from the
+        rule table's columns on the first run, and read by every run
+        and by :attr:`_local_by_step`.
+
+        ``readers[o]`` lists the rules that read species ``o``.  Each
+        reads one copy, so when a firing takes ``o`` to 0 every rule of
+        ``readers[o]`` leaves the enabled set at once.
+
+        Rules never raise a count, so only additions enable a rule, and
+        a program adds each species at one step.  A rule is therefore
+        checked at its ready step alone, the step that adds its later
+        reactant: ``ready_by_step[k]`` lists those rules in rule order,
+        and holds each rule at most once.
+
+        Both are built in one pass of list appends over the rule table:
+        one list of rule numbers per species and per step, and no object
+        per rule, so that a cold run costs little more than a warm one.
+        The species' lists are the empty ones the program made when it
+        was built: a first run then allocates collector-tracked objects
+        per step, not per species, and seldom sets off a collection.
+        Callers read the lists only from here, once filled, together
+        with ``ready_by_step``."""
+        added_at = self.added_at
+        readers = self._reader_lists
+        never = len(self.steps)
+        by_step: list[list[int]] = [[] for _ in range(never)]
+        for q, x, y in zip(count(), self.rules.a, self.rules.b):
+            readers[x].append(q)
+            readers[y].append(q)
+            ready = added_at[x] if added_at[x] > added_at[y] else added_at[y]
+            if ready < never:  # else a reactant is never added
+                by_step[ready].append(q)
+        return readers, tuple(map(tuple, by_step))
+
+    @cached_property
+    def _local_by_step(self) -> tuple[_StepRules, ...]:
+        """``_local_by_step[k]``: the rules ready at step k in step-local
+        coordinates, the exhaustive search's view of the step, as four
+        tuples ``(reads, a, b, kept)``.
+
+        ``reads`` holds the species that the step's ready rules read, in
+        the order the rules first read them, and a search state holds
+        one count per entry of it.  Local rule ``i`` is the step's
+        ``i``-th ready rule, in rule order.  Its columns ``a[i]``,
+        ``b[i]`` and ``kept[i]`` (-1 when the rule keeps neither) are
+        positions in ``reads``.  Only the enumerator reads the table, so
+        it is built on the enumerator's first use and a run never pays
+        for it."""
+        a, b, kept = self.rules.a, self.rules.b, self.rules.kept
+        steps = []
+        for ready in self._readers[1]:
+            # at[o]: the position of species o, in the order the step's
+            # rules first read them.  One loop of appends, as in
+            # _readers, since a step readies few rules.
+            at: dict[int, int] = {}
+            la, lb, lk = [], [], []
+            for q in ready:
+                x = at.setdefault(a[q], len(at))
+                y = at.setdefault(b[q], len(at))
+                la.append(x)
+                lb.append(y)
+                keep = kept[q]
+                lk.append(-1 if keep < 0 else x if keep == a[q] else y)
+            steps.append((tuple(at), tuple(la), tuple(lb), tuple(lk)))
+        return tuple(steps)
 
     def static_volume(self) -> int:
         """Copies added over all steps plus the input merge, at the
@@ -212,177 +281,6 @@ class RunResult:
         return all(isinstance(b, int) for b in self.decoded)
 
 
-# -- rule tables ---------------------------------------------------------------
-
-
-class _PreparedRules:
-    """Rule tables shared by the randomized scheduler and the exhaustive
-    search, built from the program's :class:`~stepcrn.crn.RuleTable`
-    without building a rule object.
-
-    Both keep the set of enabled rules exact.  ``watch[o]`` lists the
-    rules that read species ``o``; each reads one copy, so when a firing
-    takes ``o`` to 0 every rule of ``watch[o]`` leaves the enabled set
-    at once.  A firing in a run lowers the table's columns ``a[q]`` and
-    then ``b[q]``, each unless it is ``kept[q]``; the search fires the
-    same rule from its step's copy of those columns.
-
-    Rules never raise a count, so only additions enable a rule, and a
-    program adds each species at one step.  A rule is therefore checked
-    at its ready step alone, the step that adds its later reactant:
-    ``ready_by_step[k]`` lists those rules in rule order, and holds each
-    rule at most once.
-
-    A program's first run builds these tables in one pass of list
-    appends over the rule table: one list of rule numbers per species
-    and per step, and no object per rule, so that a cold run costs
-    little more than a warm one.  The species' lists are ``watch``, one
-    empty list per species, which the program made when it was built:
-    a first run then allocates collector-tracked objects per step, not
-    per species, and seldom sets off a collection.
-    ``local_by_step``, which only the enumerator reads, is built on its
-    first use.
-    """
-
-    def __init__(self, program: StepProgram, watch: list[list[int]]):
-        added_at = program.added_at
-        self.table = table = program.rules
-        self.watch = watch
-        never = len(program.steps)
-        by_step: list[list[int]] = [[] for _ in range(never)]
-        for q, x, y in zip(count(), table.a, table.b):
-            watch[x].append(q)
-            watch[y].append(q)
-            ready = added_at[x] if added_at[x] > added_at[y] else added_at[y]
-            if ready < never:  # else a reactant is never added
-                by_step[ready].append(q)
-        self.ready_by_step = tuple(map(tuple, by_step))
-
-    @cached_property
-    def local_by_step(self) -> tuple[_StepRules, ...]:
-        """``local_by_step[k]``: the rules ready at step k in step-local
-        coordinates, the exhaustive search's view of the step, as four
-        tuples ``(reads, a, b, kept)``.
-
-        ``reads`` holds the species that the step's ready rules read, in
-        the order the rules first read them, and a search state holds
-        one count per entry of it.  Local rule ``i`` is the step's
-        ``i``-th ready rule, in rule order.  Its columns ``a[i]``,
-        ``b[i]`` and ``kept[i]`` (-1 when the rule keeps neither) are
-        positions in ``reads``.  Only the enumerator reads the table, so
-        it is built on the enumerator's first use and a run never pays
-        for it."""
-        a, b, kept = self.table.a, self.table.b, self.table.kept
-        steps = []
-        for ready in self.ready_by_step:
-            # at[o]: the position of species o, in the order the step's
-            # rules first read them.  One loop of appends, as in
-            # __init__, since a step readies few rules.
-            at: dict[int, int] = {}
-            la, lb, lk = [], [], []
-            for q in ready:
-                x = at.setdefault(a[q], len(at))
-                y = at.setdefault(b[q], len(at))
-                la.append(x)
-                lb.append(y)
-                keep = kept[q]
-                lk.append(-1 if keep < 0 else x if keep == a[q] else y)
-            steps.append((tuple(at), tuple(la), tuple(lb), tuple(lk)))
-        return tuple(steps)
-
-    def run(
-        self,
-        steps: Sequence[Step],
-        inputs: Step,
-        rng: random.Random,
-        trace: list[str] | None = None,
-    ) -> tuple[list[int], int, int]:
-        """Run every step from the empty configuration, ``inputs`` merged
-        into step 0: add the step's species, then fire uniformly-drawn
-        enabled rules until none is enabled.
-
-        ``enabled`` holds exactly the applicable rules, and ``pos[q]``
-        the index of rule ``q`` in it (-1 when absent), so every draw
-        fires a rule.  A step enters, as the enumerator does, with the
-        applicable rules among those ready at it, in rule order: the
-        previous step ended with none enabled, and no step re-adds a
-        species.  A step that readies no rule fires none.  A firing
-        that takes a species ``o`` to 0 swap-removes, in rule order,
-        every enabled rule of ``watch[o]``.
-
-        Each draw is ``rng.randrange(len(enabled))`` with CPython's
-        rejection sampler (``Random._randbelow_with_getrandbits``)
-        inlined: the same ``getrandbits`` calls, so the same rules fire
-        and every per-seed trace is unchanged.  ``tests/data/traces.json``
-        pins those traces.
-
-        Appends a line per firing to ``trace`` when given, with the rule
-        text of a rule object built for it.  Returns
-        (final counts, peak volume, applications).
-        """
-        watch, ready_by_step = self.watch, self.ready_by_step
-        table = self.table
-        a, b, kept = table.a, table.b, table.kept
-        getrandbits = rng.getrandbits
-        counts = [0] * len(watch)
-        pos = [-1] * len(a)
-        volume = peak = apps = 0
-        for k, step in enumerate(steps):
-            for o, c in (step + inputs if k == 0 else step):
-                counts[o] += c
-                volume += c
-            if volume > peak:
-                peak = volume
-            enabled = [q for q in ready_by_step[k] if counts[a[q]] and counts[b[q]]]
-            for i, q in enumerate(enabled):
-                pos[q] = i
-
-            # Fire to a terminal.
-            while enabled:
-                n = len(enabled)
-                width = n.bit_length()
-                pick = getrandbits(width)
-                while pick >= n:
-                    pick = getrandbits(width)
-                q = enabled[pick]
-                keep = kept[q]
-                # The two lowerings are written out, swap-remove and all,
-                # because a loop over (a[q], b[q]) made short runs
-                # measurably slower.
-                o = a[q]
-                if o != keep:
-                    c = counts[o] - 1
-                    counts[o] = c
-                    volume -= 1
-                    if not c:
-                        for r in watch[o]:
-                            i = pos[r]
-                            if i >= 0:
-                                tail = enabled.pop()
-                                if tail != r:
-                                    enabled[i] = tail
-                                    pos[tail] = i
-                                pos[r] = -1
-                o = b[q]
-                if o != keep:
-                    c = counts[o] - 1
-                    counts[o] = c
-                    volume -= 1
-                    if not c:
-                        for r in watch[o]:
-                            i = pos[r]
-                            if i >= 0:
-                                tail = enabled.pop()
-                                if tail != r:
-                                    enabled[i] = tail
-                                    pos[tail] = i
-                                pos[r] = -1
-                apps += 1
-                if trace is not None:
-                    trace.append(f"step={k} rule={table[q].text} volume={volume}")
-        return counts, peak, apps
-
-
 # -- public operations ---------------------------------------------------------
 
 
@@ -395,14 +293,92 @@ def run_program(
 ) -> RunResult:
     """Execute every step of the program and decode the final terminal.
 
-    The terminal after step k is the final terminal of the same program
-    cut after step k, under the same schedule.
+    Runs every step from the empty configuration, the input species
+    merged into step 0: add the step's species, then fire
+    uniformly-drawn enabled rules until none is enabled.  The terminal
+    after step k is the final terminal of the same program cut after
+    step k, under the same schedule.
+
+    ``enabled`` holds exactly the applicable rules, and ``pos[q]`` the
+    index of rule ``q`` in it (-1 when absent), so every draw fires a
+    rule.  A step enters, as the enumerator does, with the applicable
+    rules among those ready at it, in rule order: the previous step
+    ended with none enabled, and no step re-adds a species.  A step that
+    readies no rule fires none.  A firing that takes a species ``o`` to
+    0 swap-removes, in rule order, every enabled rule of ``readers[o]``
+    (see :attr:`StepProgram._readers`).
+
+    Each draw is ``rng.randrange(len(enabled))`` with CPython's
+    rejection sampler (``Random._randbelow_with_getrandbits``) inlined:
+    the same ``getrandbits`` calls, so the same rules fire and every
+    per-seed trace is unchanged.  ``tests/data/traces.json`` pins those
+    traces.
+
+    With ``trace``, the result holds a line per firing, with the rule
+    text of a rule object built for it.
     """
     inputs = program.input_step(bits)
+    readers, ready_by_step = program._readers
+    table = program.rules
+    a, b, kept = table.a, table.b, table.kept
+    getrandbits = random.Random(sched.seed).getrandbits
     trace_lines: list[str] | None = [] if trace else None
-    counts, peak, apps = program._prepared.run(
-        program.steps, inputs, random.Random(sched.seed), trace_lines
-    )
+    counts = [0] * len(readers)
+    pos = [-1] * len(a)
+    volume = peak = apps = 0
+    for k, step in enumerate(program.steps):
+        for o, c in (step + inputs if k == 0 else step):
+            counts[o] += c
+            volume += c
+        if volume > peak:
+            peak = volume
+        enabled = [q for q in ready_by_step[k] if counts[a[q]] and counts[b[q]]]
+        for i, q in enumerate(enabled):
+            pos[q] = i
+
+        # Fire to a terminal.
+        while enabled:
+            n = len(enabled)
+            width = n.bit_length()
+            pick = getrandbits(width)
+            while pick >= n:
+                pick = getrandbits(width)
+            q = enabled[pick]
+            keep = kept[q]
+            # The two lowerings are written out, swap-remove and all,
+            # because a loop over (a[q], b[q]) made short runs
+            # measurably slower.
+            o = a[q]
+            if o != keep:
+                c = counts[o] - 1
+                counts[o] = c
+                volume -= 1
+                if not c:
+                    for r in readers[o]:
+                        i = pos[r]
+                        if i >= 0:
+                            tail = enabled.pop()
+                            if tail != r:
+                                enabled[i] = tail
+                                pos[tail] = i
+                            pos[r] = -1
+            o = b[q]
+            if o != keep:
+                c = counts[o] - 1
+                counts[o] = c
+                volume -= 1
+                if not c:
+                    for r in readers[o]:
+                        i = pos[r]
+                        if i >= 0:
+                            tail = enabled.pop()
+                            if tail != r:
+                                enabled[i] = tail
+                                pos[tail] = i
+                            pos[r] = -1
+            apps += 1
+            if trace_lines is not None:
+                trace_lines.append(f"step={k} rule={table[q].text} volume={volume}")
     final = Configuration(program.alphabet, tuple(counts))
     return RunResult(
         final=final,
@@ -452,7 +428,7 @@ def _search_terminals(
     rules.  A state, ``entry`` and every terminal included, is a tuple
     over the step's read species: ``state[j]`` counts species
     ``reads[j]`` of ``rules``, the step's entry of
-    :attr:`_PreparedRules.local_by_step`, whose local rules are the
+    :attr:`StepProgram._local_by_step`, whose local rules are the
     rules searched.  The counts of every other species stay as
     the entry has them, since no ready rule reads or lowers them.
 
@@ -469,7 +445,7 @@ def _search_terminals(
     surviving rules is a function of that rule list alone, so ``splits``
     keeps each split the step has made, keyed by the rule tuple, and a
     repeated list is not split again.  A firing reads what it lowers
-    from the step's columns, written out as :meth:`_PreparedRules.run`
+    from the step's columns, written out as :func:`run_program`
     writes them: a loop was slower.
 
     Each state fires only the rules of its smallest component (an ample
@@ -588,9 +564,10 @@ def enumerate_program_terminals(
     addition, and no step adds a species an earlier step added.
 
     A step searches in step-local coordinates, once per distinct read
-    state.  ``reads``, the first entry of ``local_by_step[k]``, holds the
-    species that its ready rules read.  Its entries are grouped by
-    their counts on those species, and one search runs from that read
+    state.  ``reads``, the first entry of
+    ``program._local_by_step[k]``, holds the species that its ready
+    rules read.  Its entries are grouped by their counts on those
+    species, and one search runs from that read
     state alone, over tuples of ``len(reads)`` counts.  Each local
     terminal is written back into every member of the group, each with
     the member's own counts outside those species.  This keeps every
@@ -614,7 +591,7 @@ def enumerate_program_terminals(
     take ``held`` past the cap.
     """
     inputs = program.input_step(bits)
-    local_by_step = program._prepared.local_by_step
+    local_by_step = program._local_by_step
     n = len(program.alphabet)
 
     frontier: set[tuple[int, ...]] = {(0,) * n}

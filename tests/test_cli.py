@@ -449,6 +449,7 @@ class _PoolRecorder:
 
 def test_verify_pool_is_sized_to_non_empty_chunks(monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     _PoolRecorder.sizes = []
     and_job = VerifyJob(parse_circuit(AND_NET), "formula", seeds=(0, 1))
     assert verify_job(and_job, 64) == verify_job(and_job)
@@ -457,6 +458,18 @@ def test_verify_pool_is_sized_to_non_empty_chunks(monkeypatch):
     one = VerifyJob(parse_circuit("circuit k\ngate 1 CONST_ONE\noutputs 1\n"), "formula")
     assert verify_job(one, 8) == verify_job(one)
     assert _PoolRecorder.sizes == [4, 3]
+
+
+def test_verify_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # A pool starts every worker it is sized for, so --jobs never sizes
+    # it past the CPUs; an unknown count verifies in this process.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    _PoolRecorder.sizes = []
+    fig_job = VerifyJob(parse_circuit(FIG_NET), "formula", seeds=(0,))
+    for cpus in (2, 3, None):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda n=cpus: n)
+        assert verify_job(fig_job, 5000) == verify_job(fig_job)
+    assert _PoolRecorder.sizes == [2, 3]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -482,6 +495,11 @@ def test_gen_corpus_contradictory_ranges(tmp_path, capsys):
     assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--depth", "4:2"]) == 2
     assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--depth", "x"]) == 2
     assert "--depth" in capsys.readouterr().err
+    # No DAG level over 2 inputs at fan-out 2 can feed a gate 5 wires.
+    args = ["--count", "2", "--fan-in", "5:5", "--inputs", "2:2", "--fan-out", "1:2"]
+    assert main(["gen-corpus", "--out", str(tmp_path / "x")] + args) == 2
+    assert capsys.readouterr().err.startswith("error: --fan-in 5:5 ")
+    assert not (tmp_path / "x").exists()
     for count in ("0", "-1"):
         assert main(["gen-corpus", "--out", str(tmp_path / "x"), "--count", count]) == 2
         assert "count" in capsys.readouterr().err

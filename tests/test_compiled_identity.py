@@ -123,9 +123,8 @@ def test_rule_tables_survive_the_text_round_trip():
         back = program_from_text(program_to_text(program))
         assert back.rules == program.rules, key
         assert list(back.rules) == list(program.rules), key
-        ours, theirs = program._prepared, back._prepared
-        for table in ("watch", "ready_by_step", "local_by_step"):
-            assert getattr(ours, table) == getattr(theirs, table), (key, table)
+        for table in ("_readers", "_local_by_step"):
+            assert getattr(program, table) == getattr(back, table), (key, table)
 
 
 def test_compiled_rules_have_the_two_shapes():

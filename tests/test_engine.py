@@ -160,7 +160,7 @@ def test_enumerate_fires_independent_rules_in_one_order():
 def test_components_connect_only_through_a_lowered_species():
     ab = Alphabet(["c", "a", "b", "d"])
     rules = [parse_rule(t, ab) for t in ("c + a -> c", "c + b -> c", "c + d -> .")]
-    step = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], [])._prepared.local_by_step[0]
+    step = _tiny_program(ab, rules, [((0, 1), (1, 1), (2, 1), (3, 1))], [])._local_by_step[0]
     # Both rules read c, but neither lowers it.
     assert engine._components([0, 1], step) == [[0], [1]]
     # c + d -> . lowers c, which every rule reads.
@@ -317,7 +317,7 @@ def test_per_step_terminal_keeps_a_step_that_readies_no_rule():
         "steps:\nstep 0: A=2, B=1\nstep 1: C=2\nstep 2: D=1, E=2\n"
         "outputs:\n0 0=B 1=A\n"
     )
-    assert prog._prepared.ready_by_step == ((0,), (), (1, 2))
+    assert prog._readers[1] == ((0,), (), (1, 2))
     for seed in range(3):
         per_step = [terminal_after(prog, (), seed, k).as_dict() for k in (0, 1)]
         assert per_step == [{"A": 1}, {"A": 1, "C": 2}]
@@ -675,8 +675,7 @@ def test_catalyst_entry_checks_follow_firings():
     # checks do not grow with rules x depth.
     for depth in (6, 12):
         program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, depth)))
-        prep = program._prepared
-        ready = [q for step in prep.ready_by_step for q in step]
+        ready = [q for step in program._readers[1] for q in step]
         assert len(ready) == len(set(ready))
         # An entry check reads the rule's first reactant once, and so
         # does each firing, which lowers it unless the rule keeps it.
@@ -690,27 +689,30 @@ def test_catalyst_entry_checks_follow_firings():
 def test_prepared_rules_cost_at_most_100_bytes_per_rule():
     # A program's first run builds its rule tables; they hold rule
     # numbers in one list per species and per step, not an object per
-    # rule.
+    # rule.  The window holds a copy of the program, made with its empty
+    # lists per species, and the tables its first run builds.
     program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(8, 12)))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prep = engine._PreparedRules(program, [[] for _ in program.added_at])
+        readers, ready_by_step = replace(program)._readers
         gc.collect()
         size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert prep.ready_by_step and size <= 100 * len(program.rules), size / len(program.rules)
+    assert len(readers) == len(program.alphabet)
+    assert ready_by_step and size <= 100 * len(program.rules), size / len(program.rules)
 
 
 def test_a_run_builds_no_enumerator_table():
     program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(4, 3)))
+    built = set(vars(program))
     run_program(program, "1011", Schedule(0))
-    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step"}
+    assert set(vars(program)) - built == {"_readers"}
     # An enumeration adds its one table and no table per rule.
     enumerate_program_terminals(program, "1011")
-    assert set(vars(program._prepared)) == {"table", "watch", "ready_by_step", "local_by_step"}
+    assert set(vars(program)) - built == {"_readers", "_local_by_step"}
 
 
 def test_a_program_that_has_run_compares_hashes_and_prints_as_before():
@@ -718,10 +720,10 @@ def test_a_program_that_has_run_compares_hashes_and_prints_as_before():
     # equality, nor hash, nor repr.
     program, _ = compile_circuit_catalyst(parse_circuit(_layered_net(4, 3)))
     run_program(program, "1011", Schedule(0))
-    assert "_prepared" in vars(program)
+    assert "_readers" in vars(program)
     back = program_from_text(program_to_text(program))
     assert program == back and hash(program) == hash(back) and repr(program) == repr(back)
-    assert "_prepared" not in vars(back)
+    assert "_readers" not in vars(back)
 
 
 def test_catalyst_compile_and_untraced_run_build_no_rule_object(monkeypatch):
